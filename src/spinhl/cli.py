@@ -164,7 +164,7 @@ def _cmd_verify(args):
         seed = int(env)
     gamma = rat(args.gamma) if args.gamma else None
     if args.what == "all":
-        reports = run_all(n=args.n, p=args.p, D=args.D, seed=seed, jobs=args.jobs)
+        reports = run_all(n=args.n, p=args.p, D=args.D, seed=seed)
     else:
         reports = [run_check(args.what, n=args.n, p=args.p, D=args.D, seed=seed, gamma=gamma)]
     ok = all(r.passed for r in reports)
@@ -209,7 +209,6 @@ def build_parser():
         "functions, Robbins polynomials, and their Littlewood-type identities.",
     )
     parser.add_argument("--config", help="file of key = value lines presetting verify flags")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count(), help="parallel checks in verify all")
     sub = parser.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("eval-f", help="evaluate F_lambda at a point or as a series")
@@ -278,8 +277,6 @@ def main(argv=None):
         for key, default in _VERIFY_DEFAULTS.items():
             if getattr(args, key) is None:
                 setattr(args, key, int(config.get(key, default)))
-        if "jobs" in config and "--jobs" not in (argv or sys.argv):
-            args.jobs = int(config["jobs"])
     try:
         return args.func(args)
     except (PoleError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

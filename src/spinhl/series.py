@@ -11,6 +11,7 @@ prod_{i<j} (x_i - x_j), and multiplies back the inverted unit cofactor.
 from fractions import Fraction
 from itertools import permutations
 
+from .arith import PoleError
 from .symfun import as_parts
 
 
@@ -164,6 +165,17 @@ class TruncSeries:
             acc = 1 + h * acc
         return acc * (1 / c0)
 
+    def _reciprocal(self):
+        if self.constant_term == 0:
+            raise PoleError("series with zero constant term")
+        return self.inv()
+
+    def __truediv__(self, other):
+        return self * self._coerce(other)._reciprocal()
+
+    def __rtruediv__(self, other):
+        return self._reciprocal() * other
+
     def evaluate(self, xs):
         """Exact value of the truncating polynomial at a rational point."""
         xs = tuple(Fraction(v) for v in xs)
@@ -198,18 +210,6 @@ class TruncSeries:
             {"exponents": list(e), "coefficient": "%d/%d" % (c.numerator, c.denominator)}
             for e, c in self.items_sorted()
         ]
-
-
-def series_add(f, g):
-    return f + g
-
-
-def series_mul(f, g):
-    return f * g
-
-
-def series_inv(f):
-    return f.inv()
 
 
 def series_diff(a, b):

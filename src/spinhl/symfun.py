@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from .arith import PoleError, qpoch
+from .arith import PoleError, qpoch, rat_str
 from .pfaffian import det
 
 SYMMETRIZE_CAP = 8
@@ -108,6 +108,12 @@ def _perm_sign(perm):
     return -1 if inv % 2 else 1
 
 
+def _pole_at(exc, ordering):
+    """PoleError naming the vanishing denominator and the u-ordering it hit."""
+    what = exc.what if isinstance(exc, PoleError) else str(exc)
+    return PoleError("%s at ordering (%s)" % (what, ", ".join(rat_str(v) for v in ordering)))
+
+
 def symmetrize(g, u, cap=SYMMETRIZE_CAP):
     """Sum of g over all orderings of the argument list u."""
     u = tuple(u)
@@ -118,7 +124,7 @@ def symmetrize(g, u, cap=SYMMETRIZE_CAP):
         try:
             total += g(ordering)
         except ZeroDivisionError as exc:
-            raise PoleError("%s at ordering %s" % (exc, (ordering,))) from exc
+            raise _pole_at(exc, ordering) from exc
     return total
 
 
@@ -133,7 +139,7 @@ def antisymmetrize(g, u, cap=SYMMETRIZE_CAP):
         try:
             total += _perm_sign(perm) * g(ordering)
         except ZeroDivisionError as exc:
-            raise PoleError("%s at ordering %s" % (exc, (ordering,))) from exc
+            raise _pole_at(exc, ordering) from exc
     return total
 
 

@@ -114,7 +114,7 @@ def test_verify_accepts_explicit_gamma(capsys):
 
 def test_verify_all_small(capsys):
     code, out = run_cli(
-        capsys, "--jobs", "2", "verify", "all", "--n", "1", "--p", "1", "--D", "3", "--seed", "7"
+        capsys, "verify", "all", "--n", "1", "--p", "1", "--D", "3", "--seed", "7"
     )
     assert code == 0
     payload = json.loads(out)
@@ -142,6 +142,16 @@ def test_usage_errors_exit_two(capsys):
     assert main(["eval-robbins", "--bottom", "1,2", "--mode", "enum",
                  "--x", "1", "--u", "1", "--v", "1", "--w", "1"]) == 2
     assert main(["pfaffian", "--file", "/nonexistent/matrix.json"]) == 2
+
+
+def test_pole_error_is_one_clean_line(capsys):
+    code = main(["eval-f", "--lambda", "1,0", "--t", "1/2", "--u", "3,1/2",
+                 "--spin", "1/3,1/3", "--p", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("vanishing denominator") == 1
+    assert "Fraction(" not in err
+    assert err.endswith("at ordering (3/1, 1/2)\n")
 
 
 def test_unknown_subcommand_exits_two(capsys):

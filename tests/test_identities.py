@@ -2,8 +2,11 @@ from fractions import Fraction as F
 
 import pytest
 
+import spinhl.identities
 from spinhl.arith import SpinParams, sample_point
 from spinhl.identities import (
+    _lhs_sum,
+    _pair_extra,
     check_cor_main2,
     check_hl_corollary,
     check_kawanaka,
@@ -27,6 +30,8 @@ from spinhl.identities import (
     weight_main1,
     weight_main2,
 )
+from spinhl.series import TruncSeries, f_lambda_series
+from spinhl.symfun import truncated_partition_list
 
 
 def test_weights_trivial_partition():
@@ -37,6 +42,46 @@ def test_weights_trivial_partition():
     assert weight_main1(lam, spin, q) == (1 + spin.lookup(0)) * (1 + spin.lookup(0) * q) / ((1 - q) * (1 - q * q))
     # at gamma = 1 the refined weight collapses to the plain one
     assert weight_main2(lam, spin, t, F(1), spin.lookup(0)) == weight_cor(lam, spin, t)
+
+
+def _symmetrizer_sum(n, spin, t, cap, weight_fn, budget, var_indices):
+    """The partition sum term by term, each F_lambda by the symmetrizer."""
+    total = TruncSeries.zero(n, cap)
+    cache = {}
+    for lam in truncated_partition_list(len(var_indices), spin.p, budget):
+        f = f_lambda_series(lam, spin, t, cap, nvars=n, var_indices=var_indices, cache=cache)
+        total = total + weight_fn(lam, spin) * f
+    return total
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_transfer_sum_matches_symmetrizer_sum(seed):
+    cases = []
+    for p in (0, 1, 2):
+        t, spin, gamma = series_parameters(seed, p)
+        q = t * t
+        weights = (
+            lambda lam, sp, q=q: weight_main1(lam, sp, q),
+            lambda lam, sp, t=t, g=gamma: weight_main2(lam, sp, t, g, sp.lookup(0) / g),
+        )
+        for n, cap in ((2, 3), (3, 2)):
+            for weight_fn in weights:
+                cases.append((n, spin, t, cap, weight_fn, tuple(range(n))))
+                cases.append((n, spin.shift(1), t, cap, weight_fn, tuple(range(1, n))))
+    t, _, _ = series_parameters(seed, 0)
+    zero = SpinParams.constant(F(0))
+    for n, cap in ((2, 3), (3, 2)):
+        cases.append((n, zero, t, cap, lambda lam, sp, t=t: weight_cor(lam, sp, t), tuple(range(n))))
+    for n, spin, t, cap, weight_fn, var_indices in cases:
+        budget = cap + _pair_extra(len(var_indices))
+        sweep = _lhs_sum(n, spin, t, cap, weight_fn, budget, {}, var_indices=var_indices)
+        oracle = _symmetrizer_sum(n, spin, t, cap, weight_fn, budget, var_indices)
+        assert sweep == oracle, (seed, n, cap, spin, var_indices)
+
+
+def test_stabilization_gate_catches_a_missing_margin(monkeypatch):
+    monkeypatch.setattr(spinhl.identities, "_pair_extra", lambda n: 0)
+    assert run_check("main1", n=3, p=1, D=2).status == "stabilization_failed"
 
 
 def test_main1_degenerate_cases():
@@ -183,9 +228,3 @@ def test_run_all_battery():
     assert names.count("main2") == 2
     d = reports[0].to_dict()
     assert set(d) == {"check", "params", "status", "witness"}
-
-
-def test_run_all_jobs_flag_keeps_results():
-    serial = [r.to_dict() for r in run_all(n=1, p=1, D=3, seed=5)]
-    threaded = [r.to_dict() for r in run_all(n=1, p=1, D=3, seed=5, jobs=4)]
-    assert serial == threaded

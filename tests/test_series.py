@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from spinhl.arith import SpinParams
+from spinhl.arith import PoleError, SpinParams
 from spinhl.series import (
     TruncSeries,
     divide_by_vandermonde,
@@ -81,6 +81,22 @@ def test_inverse_hand_expansion():
 def test_inverse_needs_constant_term():
     with pytest.raises(ZeroDivisionError):
         TruncSeries(1, 3, {(1,): 1}).inv()
+
+
+def test_division_by_series_and_scalar():
+    f = TruncSeries(2, 3, {(0, 0): 2, (1, 0): 1, (1, 1): F(3, 4)})
+    g = TruncSeries(2, 3, {(0, 0): F(1, 3), (0, 1): -1})
+    assert (f / g) * g == f
+    assert F(5, 2) / g == g.inv() * F(5, 2)
+    assert f / 4 == f * F(1, 4)
+
+
+def test_division_by_series_without_constant_term_is_a_pole():
+    x = TruncSeries.variable(1, 3, 0)
+    with pytest.raises(PoleError):
+        TruncSeries.const(1, 3, 1) / x
+    with pytest.raises(PoleError):
+        1 / x
 
 
 def test_u_substitution_limits():
