@@ -53,6 +53,18 @@ def qpoch(a, q, n):
     return out
 
 
+def perm_sign(word):
+    """Sign of a sequence of distinct comparable items: (-1) to the number of
+    inversions."""
+    inv = sum(
+        1
+        for i in range(len(word))
+        for j in range(i + 1, len(word))
+        if word[i] > word[j]
+    )
+    return -1 if inv % 2 else 1
+
+
 @dataclass(frozen=True)
 class SpinParams:
     """Spin parameters: a finite prefix s_0 .. s_{p-1} followed by a constant tail.

@@ -2,9 +2,9 @@
 and the verification suite.
 
 Rationals cross the JSON boundary as strings "p/q".  Exit codes: 0 success,
-1 verification failure, 2 usage or pole error.  The SPINHL_SEED environment
-variable overrides any seed given on the command line, and a config file of
-``key = value`` lines can preset the verify flags.
+1 verification failure, 2 usage, pole or arithmetic error.  The SPINHL_SEED
+environment variable overrides any seed given on the command line, and a
+config file of ``key = value`` lines can preset the verify flags.
 """
 
 import argparse
@@ -13,7 +13,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .arith import ParamPoint, PoleError, SpinParams, rat, rat_str
+from .arith import ParamPoint, SpinParams, rat, rat_str
 from .bijection import (
     ensemble_to_triangle,
     normalized_product,
@@ -279,7 +279,7 @@ def main(argv=None):
                 setattr(args, key, int(config.get(key, default)))
     try:
         return args.func(args)
-    except (PoleError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ArithmeticError, RuntimeError, ValueError, KeyError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -480,7 +480,6 @@ def _check_rec(name, n, p, spin, t, D, lhs_weight, inner_weight, poch_pair, L0, 
 
     U = [u_substitution(i, s, cap, n) for i in range(n)]
     lin = [_one_plus_sx(i, s, n, cap) for i in range(n)]
-    inv_lin = [l.inv() for l in lin]
     unit = Fraction(1) / (1 - s * s)
     # geometric ratio prod_i (u_i - s)/(1 - s u_i)
     ratio = TruncSeries.const(n, cap, 1)
@@ -488,8 +487,22 @@ def _check_rec(name, n, p, spin, t, D, lhs_weight, inner_weight, poch_pair, L0, 
         ratio = ratio * (U[i] - s) * _series_invert(1 - s * U[i], "1 - s*u")
     tail_factor = (1 - ratio).inv()
 
-    rhs = TruncSeries.zero(n, cap)
+    # the factors of the l-th term that do not depend on the subset T:
+    # prod_i 1/(1 - s_l u_i), the prefix prod_{l' < l, i} (u_i - s_l')/(1 - s_l' u_i)
+    # and, at the last l, the geometric tail
     max_l = max(L0, p)
+    outer = []
+    prefix_prod = TruncSeries.const(n, cap, 1)
+    for l in range(max_l + 1):
+        sl = spin.lookup(l)
+        invs = [_series_invert(1 - sl * U[i], "1 - s_l*u") for i in range(n)]
+        factor = prefix_prod
+        for i in range(n):
+            factor = factor * invs[i]
+            prefix_prod = prefix_prod * (U[i] - sl) * invs[i]
+        outer.append(factor * tail_factor if l == max_l else factor)
+
+    rhs = TruncSeries.zero(n, cap)
     for size in range(n):
         for T in combinations(range(n), size):
             Tc = tuple(j for j in range(n) if j not in T)
@@ -500,24 +513,14 @@ def _check_rec(name, n, p, spin, t, D, lhs_weight, inner_weight, poch_pair, L0, 
                     block = block * lin[i] * lin[j] * unit
             block = block * _vandermonde_series(T, n, cap)
             block = block * _vandermonde_series(Tc, n, cap)
-            prefix_prod = TruncSeries.const(n, cap, 1)
             for l in range(max_l + 1):
                 sl = spin.lookup(l)
-                w = poch_pair(l, n - size)
-                term = block * w
+                term = block * poch_pair(l, n - size)
                 for i in T:
                     term = term * (U[i] - sl)
-                for i in range(n):
-                    term = term * _series_invert(1 - sl * U[i], "1 - s_l*u")
-                term = term * prefix_prod
+                term = term * outer[l]
                 term = term * H(T, spin.shift(l + 1), inner_weight)
-                if l == max_l:
-                    term = term * tail_factor
                 rhs = rhs + term
-                for i in range(n):
-                    prefix_prod = prefix_prod * (U[i] - sl) * _series_invert(
-                        1 - sl * U[i], "1 - s_l*u"
-                    )
     diff = series_diff(lhs, rhs)
     if diff is not None:
         return CheckReport(name, params, "fail", _coeff_witness(diff))
@@ -1210,6 +1213,8 @@ def check_lemma2_report(n, seed, npoints=None):
 
 def run_check(name, n=2, p=1, D=4, seed=7, gamma=None, cache=None):
     """Run one named check with deterministically sampled parameters."""
+    if n < 1 or p < 0 or D < 0:
+        raise ValueError("need n >= 1, p >= 0 and D >= 0, got n=%s, p=%s, D=%s" % (n, p, D))
     cache = {} if cache is None else cache
     if name in ("main1", "cor", "main2", "rec1", "rec2", "rec2v"):
         t, spin, sampled_gamma = series_parameters(seed, p)

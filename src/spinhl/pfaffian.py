@@ -9,7 +9,7 @@ small dimensions.  Entries may be any commutative ring elements supporting
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import ParamPoint, PoleError
+from .arith import ParamPoint, PoleError, perm_sign
 
 
 def det(rows):
@@ -133,7 +133,7 @@ class SkewMatrix:
             prod = 1
             for i, j in matching:
                 prod = prod * self.entry(labels[i], labels[j])
-            total = total + _word_sign(word) * prod
+            total = total + perm_sign(word) * prod
         return total
 
 
@@ -147,16 +147,6 @@ def _perfect_matchings(positions):
         rest = positions[1:idx] + positions[idx + 1 :]
         for sub in _perfect_matchings(rest):
             yield ((first, partner),) + sub
-
-
-def _word_sign(word):
-    inv = sum(
-        1
-        for i in range(len(word))
-        for j in range(i + 1, len(word))
-        if word[i] > word[j]
-    )
-    return -1 if inv % 2 else 1
 
 
 def subset_labels(T):

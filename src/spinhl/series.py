@@ -10,30 +10,62 @@ prod_{i<j} (x_i - x_j), and multiplies back the inverted unit cofactor.
 
 from fractions import Fraction
 from itertools import permutations
+from math import gcd, lcm
+from operator import add
 
-from .arith import PoleError
+from .arith import PoleError, perm_sign
 from .symfun import as_parts
 
 
 class TruncSeries:
     """Power series in nvars variables truncated beyond total degree ``cap``.
 
-    Coefficients are exact rationals keyed by exponent tuples; absent keys are
-    zero.  Ring operations truncate consistently, so coefficients up to the
-    cap only ever depend on inputs up to the cap.
+    A series is stored as one positive integer denominator ``den`` and a dict
+    ``num`` from exponent tuples to nonzero integer numerators; absent keys
+    are zero.  The pair is kept in lowest terms (gcd of ``den`` and every
+    numerator is 1), so equal series have equal ``den``, ``num`` and hash.
+    ``coeffs`` reads the same series as an exponents -> Fraction mapping.
+
+    Ring operations work on the integers and reduce once per result: a
+    product buckets its right operand by total degree and skips every bucket
+    past the cap, a sum brings both operands to the lcm of the denominators,
+    and ``inv`` solves N * Q = 1 degree by degree (see there).  Ring
+    operations truncate consistently, so coefficients up to the cap only ever
+    depend on inputs up to the cap.
     """
 
-    __slots__ = ("nvars", "cap", "coeffs")
+    __slots__ = ("nvars", "cap", "den", "num")
 
     def __init__(self, nvars, cap, coeffs=None):
-        self.nvars = nvars
-        self.cap = cap
-        self.coeffs = {}
+        fracs = {}
         if coeffs:
             for exps, c in coeffs.items():
                 c = Fraction(c)
                 if c and sum(exps) <= cap:
-                    self.coeffs[tuple(exps)] = c
+                    fracs[tuple(exps)] = c
+        # over the lcm of reduced denominators the numerators share no factor
+        # with it, so the pair is already in lowest terms
+        den = lcm(*(c.denominator for c in fracs.values()))
+        self.nvars = nvars
+        self.cap = cap
+        self.den = den
+        self.num = {e: c.numerator * (den // c.denominator) for e, c in fracs.items()}
+
+    @classmethod
+    def _reduced(cls, nvars, cap, den, num):
+        """Series num/den from nonzero integer numerators and a positive
+        denominator, reduced to lowest terms."""
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {e: v // g for e, v in num.items()}
+        out = cls.__new__(cls)
+        out.nvars = nvars
+        out.cap = cap
+        out.den = den
+        out.num = num
+        return out
 
     @classmethod
     def const(cls, nvars, cap, value):
@@ -49,34 +81,47 @@ class TruncSeries:
         exps[i] = 1
         return cls(nvars, cap, {tuple(exps): Fraction(1)})
 
+    @property
+    def coeffs(self):
+        den = self.den
+        return {e: Fraction(v, den) for e, v in self.num.items()}
+
     def copy(self):
-        out = TruncSeries(self.nvars, self.cap)
-        out.coeffs = dict(self.coeffs)
-        return out
+        return TruncSeries._reduced(self.nvars, self.cap, self.den, dict(self.num))
 
     def truncate(self, cap):
         if cap > self.cap:
             raise ValueError("cannot extend a truncated series")
-        out = TruncSeries(self.nvars, cap)
-        out.coeffs = {e: c for e, c in self.coeffs.items() if sum(e) <= cap}
-        return out
+        num = {e: v for e, v in self.num.items() if sum(e) <= cap}
+        return TruncSeries._reduced(self.nvars, cap, self.den, num)
 
     def coefficient(self, exps):
-        return self.coeffs.get(tuple(exps), Fraction(0))
+        return Fraction(self.num.get(tuple(exps), 0), self.den)
 
     @property
     def constant_term(self):
-        return self.coeffs.get((0,) * self.nvars, Fraction(0))
+        return Fraction(self.num.get((0,) * self.nvars, 0), self.den)
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.num
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def order(self):
         """Smallest total degree with a nonzero coefficient (None if zero)."""
-        return min((sum(e) for e in self.coeffs), default=None)
+        return min((sum(e) for e in self.num), default=None)
+
+    def _graded(self):
+        """Terms sorted by total degree, and for each degree d <= cap the
+        number of terms of degree at most d."""
+        items = sorted(self.num.items(), key=lambda item: sum(item[0]))
+        ends = [0] * (self.cap + 1)
+        for e, _ in items:
+            ends[sum(e)] += 1
+        for d in range(1, self.cap + 1):
+            ends[d] += ends[d - 1]
+        return items, ends
 
     def _coerce(self, other):
         if isinstance(other, TruncSeries):
@@ -90,32 +135,32 @@ class TruncSeries:
             return (
                 self.nvars == other.nvars
                 and self.cap == other.cap
-                and self.coeffs == other.coeffs
+                and self.den == other.den
+                and self.num == other.num
             )
         if isinstance(other, (int, Fraction)):
             return self == TruncSeries.const(self.nvars, self.cap, other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.nvars, self.cap, tuple(sorted(self.coeffs.items()))))
+        return hash((self.nvars, self.cap, self.den, frozenset(self.num.items())))
 
     def __neg__(self):
-        out = TruncSeries(self.nvars, self.cap)
-        out.coeffs = {e: -c for e, c in self.coeffs.items()}
-        return out
+        return TruncSeries._reduced(
+            self.nvars, self.cap, self.den, {e: -v for e, v in self.num.items()}
+        )
 
     def __add__(self, other):
         other = self._coerce(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            val = out.get(e, Fraction(0)) + c
-            if val:
-                out[e] = val
-            else:
-                out.pop(e, None)
-        res = TruncSeries(self.nvars, self.cap)
-        res.coeffs = out
-        return res
+        d1, d2 = self.den, other.den
+        g = gcd(d1, d2)
+        m1, m2 = d2 // g, d1 // g
+        out = {e: v * m1 for e, v in self.num.items()} if m1 != 1 else dict(self.num)
+        get = out.get
+        for e, v in other.num.items():
+            out[e] = get(e, 0) + v * m2
+        num = {e: v for e, v in out.items() if v}
+        return TruncSeries._reduced(self.nvars, self.cap, d1 * m1, num)
 
     __radd__ = __add__
 
@@ -128,45 +173,66 @@ class TruncSeries:
     def __mul__(self, other):
         if not isinstance(other, TruncSeries):
             c = Fraction(other)
-            out = TruncSeries(self.nvars, self.cap)
-            if c:
-                out.coeffs = {e: v * c for e, v in self.coeffs.items()}
-            return out
+            if not c:
+                return TruncSeries.zero(self.nvars, self.cap)
+            a, b = c.numerator, c.denominator
+            num = {e: v * a for e, v in self.num.items()}
+            return TruncSeries._reduced(self.nvars, self.cap, self.den * b, num)
         other = self._coerce(other)
         cap = self.cap
+        items, ends = other._graded()
         out = {}
-        items = [(e, sum(e), c) for e, c in other.coeffs.items()]
-        for e1, c1 in self.coeffs.items():
-            d1 = sum(e1)
-            for e2, d2, c2 in items:
-                if d1 + d2 > cap:
-                    continue
-                key = tuple(a + b for a, b in zip(e1, e2))
-                val = out.get(key, Fraction(0)) + c1 * c2
-                if val:
-                    out[key] = val
-                else:
-                    del out[key]
-        res = TruncSeries(self.nvars, self.cap)
-        res.coeffs = out
-        return res
+        get = out.get
+        for e1, v1 in self.num.items():
+            for e2, v2 in items[: ends[cap - sum(e1)]]:
+                key = tuple(map(add, e1, e2))
+                out[key] = get(key, 0) + v1 * v2
+        num = {e: v for e, v in out.items() if v}
+        return TruncSeries._reduced(self.nvars, cap, self.den * other.den, num)
 
     __rmul__ = __mul__
 
     def inv(self):
-        """Multiplicative inverse; the constant term must be nonzero."""
-        c0 = self.constant_term
-        if c0 == 0:
+        """Multiplicative inverse; the constant term must be nonzero.
+
+        With the series N/den and a0 the constant term of N, the homogeneous
+        parts of 1/N = sum_k P_k / a0^(k+1) satisfy P_0 = 1 and
+        P_k = -sum_{j=1..k} N_j P_{k-j} a0^(j-1), all in integers; then
+        1/f = den * sum_k P_k a0^(cap-k) / a0^(cap+1), reduced once."""
+        zero = (0,) * self.nvars
+        a0 = self.num.get(zero, 0)
+        if not a0:
             raise ZeroDivisionError("series has no invertible constant term")
-        h = TruncSeries(self.nvars, self.cap)
-        h.coeffs = {e: -c / c0 for e, c in self.coeffs.items() if sum(e) > 0}
-        acc = TruncSeries.const(self.nvars, self.cap, 1)
-        for _ in range(self.cap):
-            acc = 1 + h * acc
-        return acc * (1 / c0)
+        cap = self.cap
+        items, ends = self._graded()
+        parts = [items[ends[d - 1] : ends[d]] for d in range(1, cap + 1)]
+        powers = [1]
+        for _ in range(cap):
+            powers.append(powers[-1] * a0)
+        P = [{zero: 1}]
+        for k in range(1, cap + 1):
+            acc = {}
+            get = acc.get
+            for j in range(1, k + 1):
+                prev = P[k - j]
+                scale = powers[j - 1]
+                for e1, v1 in parts[j - 1]:
+                    v1 *= scale
+                    for e2, v2 in prev.items():
+                        key = tuple(map(add, e1, e2))
+                        acc[key] = get(key, 0) - v1 * v2
+            P.append({e: v for e, v in acc.items() if v})
+        den = powers[cap] * a0
+        sign = -1 if den < 0 else 1
+        num = {}
+        for k, part in enumerate(P):
+            scale = sign * self.den * powers[cap - k]
+            for e, v in part.items():
+                num[e] = v * scale
+        return TruncSeries._reduced(self.nvars, cap, sign * den, num)
 
     def _reciprocal(self):
-        if self.constant_term == 0:
+        if not self.num.get((0,) * self.nvars):
             raise PoleError("series with zero constant term")
         return self.inv()
 
@@ -180,12 +246,12 @@ class TruncSeries:
         """Exact value of the truncating polynomial at a rational point."""
         xs = tuple(Fraction(v) for v in xs)
         total = Fraction(0)
-        for e, c in self.coeffs.items():
-            term = c
+        for e, v in self.num.items():
+            term = Fraction(v)
             for x, k in zip(xs, e):
                 term *= x**k
             total += term
-        return total
+        return total / self.den
 
     def items_sorted(self):
         """(exponents, coefficient) pairs in graded lexicographic order."""
@@ -202,7 +268,7 @@ class TruncSeries:
         return "TruncSeries(nvars=%d, cap=%d, terms=%d)" % (
             self.nvars,
             self.cap,
-            len(self.coeffs),
+            len(self.num),
         )
 
     def to_json(self):
@@ -215,11 +281,10 @@ class TruncSeries:
 def series_diff(a, b):
     """First differing coefficient of two same-shape series in graded-lex
     order, or None when equal."""
-    keys = set(a.coeffs) | set(b.coeffs)
+    keys = set(a.num) | set(b.num)
     for e in sorted(keys, key=lambda e: (sum(e), e)):
-        ca, cb = a.coefficient(e), b.coefficient(e)
-        if ca != cb:
-            return e, ca, cb
+        if a.num.get(e, 0) * b.den != b.num.get(e, 0) * a.den:
+            return e, a.coefficient(e), b.coefficient(e)
     return None
 
 
@@ -299,21 +364,10 @@ def divide_by_vandermonde(f, var_indices):
         by_degree.setdefault(sum(e), {})[e] = c
     if any(deg < d for deg in by_degree):
         raise ArithmeticError("series is not divisible by the Vandermonde polynomial")
-    out = TruncSeries(f.nvars, f.cap - d)
-    for deg, part in by_degree.items():
-        for e, c in _divide_homogeneous(part, div).items():
-            out.coeffs[e] = c
-    return out
-
-
-def _perm_sign(perm):
-    inv = sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
-    return -1 if inv % 2 else 1
+    quo = {}
+    for part in by_degree.values():
+        quo.update(_divide_homogeneous(part, div))
+    return TruncSeries(f.nvars, f.cap - d, quo)
 
 
 def _h_factor(var, m, spin, t, cap, nvars, cache):
@@ -376,7 +430,7 @@ def f_lambda_series(lam, spin, t, cap, nvars=None, var_indices=None, cache=None)
     }
     total = TruncSeries.zero(nvars, work)
     for perm in permutations(range(n)):
-        term = TruncSeries.const(nvars, work, _perm_sign(perm))
+        term = TruncSeries.const(nvars, work, perm_sign(perm))
         for slot in range(n):
             term = term * H[(var_indices[perm[slot]], lam[slot])]
         for a in range(n):

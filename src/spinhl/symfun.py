@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from .arith import PoleError, qpoch, rat_str
+from .arith import PoleError, perm_sign, qpoch, rat_str
 from .pfaffian import det
 
 SYMMETRIZE_CAP = 8
@@ -98,16 +98,6 @@ def truncated_partition_list(n, p, budget):
     ]
 
 
-def _perm_sign(perm):
-    inv = sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
-    return -1 if inv % 2 else 1
-
-
 def _pole_at(exc, ordering):
     """PoleError naming the vanishing denominator and the u-ordering it hit."""
     what = exc.what if isinstance(exc, PoleError) else str(exc)
@@ -137,7 +127,7 @@ def antisymmetrize(g, u, cap=SYMMETRIZE_CAP):
     for perm in permutations(range(len(u))):
         ordering = tuple(u[i] for i in perm)
         try:
-            total += _perm_sign(perm) * g(ordering)
+            total += perm_sign(perm) * g(ordering)
         except ZeroDivisionError as exc:
             raise _pole_at(exc, ordering) from exc
     return total

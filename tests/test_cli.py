@@ -1,8 +1,10 @@
+import hashlib
 import json
 from fractions import Fraction as F
 
 import pytest
 
+from spinhl import cli
 from spinhl.arith import ParamPoint, SpinParams, rat
 from spinhl.cli import main
 from spinhl.symfun import f_lambda
@@ -158,3 +160,64 @@ def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+
+
+# SHA-256 of the stdout of `spinhl verify all --n 2 --p 1 --D 2 --seed 7`,
+# taken before the series engine moved to integer numerators; the JSON must
+# stay byte-identical for the same seed and flags
+VERIFY_ALL_N2_P1_D2_SEED7 = "d8e33fe00927894ed83d2cd2aea91a6196a37c5ff77d32d8120a72d81e0b56e2"
+
+
+def test_verify_all_stdout_is_pinned(capsys, monkeypatch):
+    monkeypatch.delenv("SPINHL_SEED", raising=False)
+    code, out = run_cli(capsys, "verify", "all", "--n", "2", "--p", "1", "--D", "2", "--seed", "7")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_N2_P1_D2_SEED7
+
+
+def assert_one_clean_error_line(err):
+    assert err.startswith("error: ")
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert "Fraction(" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rec1", "--n", "0"),
+        ("chain", "--n", "0"),
+        ("hl", "--D", "-2"),
+        ("lemma1", "--n", "0"),
+        ("main1", "--n", "-1"),
+        ("main1", "--D", "-1"),
+        ("all", "--p", "-1"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_bad_verify_arguments_exit_two(capsys, argv):
+    code = main(["verify", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert_one_clean_error_line(captured.err)
+    assert "need n >= 1, p >= 0 and D >= 0" in captured.err
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        RuntimeError("no generic point found after 200 draws"),
+        ArithmeticError("series is not divisible by the Vandermonde polynomial"),
+        ZeroDivisionError("division by zero"),
+    ],
+    ids=lambda exc: type(exc).__name__,
+)
+def test_arithmetic_and_sampling_failures_exit_two(capsys, monkeypatch, exc):
+    def failing_check(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_check", failing_check)
+    code = main(["verify", "main1"])
+    assert code == 2
+    assert_one_clean_error_line(capsys.readouterr().err)

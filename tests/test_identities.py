@@ -221,6 +221,23 @@ def test_run_check_dispatch_and_reports():
         run_check("nonsense")
 
 
+@pytest.mark.parametrize(
+    "name, n, p, D",
+    [
+        ("rec1", 0, 1, 4),
+        ("chain", 0, 1, 4),
+        ("hl", 2, 1, -2),
+        ("lemma1", 0, 1, 4),
+        ("main1", -1, 1, 4),
+        ("main1", 2, 1, -1),
+        ("main2", 2, -1, 4),
+    ],
+)
+def test_run_check_rejects_bad_arguments(name, n, p, D):
+    with pytest.raises(ValueError, match="need n >= 1, p >= 0 and D >= 0"):
+        run_check(name, n=n, p=p, D=D)
+
+
 def test_run_all_battery():
     reports = run_all(n=2, p=1, D=3, seed=7)
     assert all(r.passed for r in reports), [(r.check, r.status) for r in reports]

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -214,3 +215,169 @@ def test_truncate_cannot_extend():
     assert s.truncate(1).coeffs == {(1,): F(1)}
     with pytest.raises(ValueError):
         s.truncate(5)
+
+
+# ----------------------------------------------------------------------
+# reference engine: plain dicts of Fractions, term by term, with the inverse
+# as ``cap`` fixed-point steps acc = 1 + h * acc and division by repeated
+# lex-leading-term elimination
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        val = out.get(e, F(0)) + c
+        if val:
+            out[e] = val
+        else:
+            out.pop(e, None)
+    return out
+
+
+def ref_neg(a):
+    return {e: -c for e, c in a.items()}
+
+
+def ref_scale(a, c):
+    return {e: v * c for e, v in a.items()} if c else {}
+
+
+def ref_mul(a, b, cap):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            if sum(e1) + sum(e2) > cap:
+                continue
+            key = tuple(x + y for x, y in zip(e1, e2))
+            val = out.get(key, F(0)) + c1 * c2
+            if val:
+                out[key] = val
+            else:
+                del out[key]
+    return out
+
+
+def ref_truncate(a, cap):
+    return {e: c for e, c in a.items() if sum(e) <= cap}
+
+
+def ref_inv(a, nvars, cap):
+    zero = (0,) * nvars
+    c0 = a[zero]
+    h = {e: -c / c0 for e, c in a.items() if sum(e) > 0}
+    acc = {zero: F(1)}
+    for _ in range(cap):
+        acc = ref_add({zero: F(1)}, ref_mul(h, acc, cap))
+    return ref_scale(acc, 1 / c0)
+
+
+def ref_divide_by_vandermonde(a, var_indices, nvars):
+    div = vandermonde_exponents(var_indices, nvars)
+    lead = max(div)
+    quo = {}
+    cur = dict(a)
+    while cur:
+        e = max(cur)
+        diff = tuple(x - y for x, y in zip(e, lead))
+        if any(d < 0 for d in diff):
+            raise ArithmeticError("not divisible")
+        c = cur[e] / div[lead]
+        quo[diff] = quo.get(diff, F(0)) + c
+        cur = ref_add(cur, {tuple(x + y for x, y in zip(de, diff)): -c * dc for de, dc in div.items()})
+    return quo
+
+
+def dense_random_coeffs(rng, nvars, cap, terms):
+    """Random coefficients with a nonzero, often negative and non-unit,
+    constant term and a few random terms up to the cap."""
+    coeffs = {(0,) * nvars: F(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 12))}
+    for _ in range(terms):
+        exps = [0] * nvars
+        for _ in range(rng.randint(1, max(cap, 1))):
+            exps[rng.randrange(nvars)] += 1
+        if sum(exps) <= cap:
+            coeffs[tuple(exps)] = F(rng.randint(-30, 30), rng.randint(1, 30))
+    return {e: c for e, c in coeffs.items() if c}
+
+
+def assert_same(series, ref):
+    assert series.coeffs == ref
+    assert series == TruncSeries(series.nvars, series.cap, ref)
+    assert_canonical(series)
+
+
+def assert_canonical(series):
+    assert series.den > 0
+    assert gcd(series.den, *series.num.values()) == 1
+    assert all(isinstance(v, int) and v for v in series.num.values())
+    twin = TruncSeries(series.nvars, series.cap, series.coeffs)
+    assert (twin.den, twin.num, hash(twin)) == (series.den, series.num, hash(series))
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_engine_matches_fraction_reference(nvars):
+    rng = random.Random(1000 + nvars)
+    for cap in range(7):
+        for _ in range(3):
+            ca = dense_random_coeffs(rng, nvars, cap, rng.randint(0, 6))
+            cb = dense_random_coeffs(rng, nvars, cap, rng.randint(0, 6))
+            a, b = TruncSeries(nvars, cap, ca), TruncSeries(nvars, cap, cb)
+            c = F(rng.randint(-20, 20), rng.randint(1, 20))
+            assert_same(a, ca)
+            assert_same(a * b, ref_mul(ca, cb, cap))
+            assert_same(a + b, ref_add(ca, cb))
+            assert_same(a - b, ref_add(ca, ref_neg(cb)))
+            assert_same(-a, ref_neg(ca))
+            assert_same(a * c, ref_scale(ca, c))
+            assert_same(c * a, ref_scale(ca, c))
+            assert_same(a + c, ref_add(ca, {(0,) * nvars: c}))
+            assert_same(a.truncate(cap // 2), ref_truncate(ca, cap // 2))
+            assert_same(a.inv(), ref_inv(ca, nvars, cap))
+            # sums that cancel to zero, and products with the zero series
+            zero = TruncSeries.zero(nvars, cap)
+            assert_same(a - a, {})
+            assert_same((a + b) - b - a, {})
+            assert_same(a * zero, {})
+            assert_same(a * 0, {})
+            assert_same(zero + zero, {})
+            assert_same(-zero, {})
+            assert (zero.den, zero.num) == (1, {})
+
+
+def test_engine_vandermonde_division_matches_fraction_reference():
+    rng = random.Random(29)
+    for nvars in (2, 3, 4):
+        for m in range(2, nvars + 1):
+            var_indices = tuple(rng.sample(range(nvars), m))
+            d = m * (m - 1) // 2
+            V = vandermonde_exponents(var_indices, nvars)
+            for cap in range(d, d + 4):
+                cf = dense_random_coeffs(rng, nvars, cap - d, 5)
+                product = ref_mul(cf, V, cap)
+                got = divide_by_vandermonde(TruncSeries(nvars, cap, product), var_indices)
+                ref = {}
+                for deg in range(d, cap + 1):
+                    part = {e: c for e, c in product.items() if sum(e) == deg}
+                    ref.update(ref_divide_by_vandermonde(part, var_indices, nvars))
+                assert got.cap == cap - d
+                assert_same(got, ref)
+                assert_same(got, cf)
+    nondivisible = {(0, 0): F(1), (1, 0): F(2, 3)}
+    with pytest.raises(ArithmeticError):
+        ref_divide_by_vandermonde(nondivisible, (0, 1), 2)
+    with pytest.raises(ArithmeticError):
+        divide_by_vandermonde(TruncSeries(2, 3, nondivisible), (0, 1))
+
+
+def test_equal_values_have_one_canonical_form():
+    rng = random.Random(5)
+    for nvars, cap in ((1, 5), (2, 4), (3, 3)):
+        a = TruncSeries(nvars, cap, dense_random_coeffs(rng, nvars, cap, 6))
+        b = TruncSeries(nvars, cap, dense_random_coeffs(rng, nvars, cap, 6))
+        routes = [a * b, b * a, (a + b) * b - b * b, (a * b).inv().inv(), a * (b * F(3, 7)) * F(7, 3)]
+        for s in routes:
+            assert_canonical(s)
+            assert (s.den, s.num, hash(s)) == (routes[0].den, routes[0].num, hash(routes[0]))
+    half = TruncSeries(1, 2, {(0,): F(1, 2), (1,): F(-3, 4)})
+    assert (half.den, half.num) == (4, {(0,): 2, (1,): -3})
+    assert ((half + half).den, (half + half).num) == (2, {(0,): 2, (1,): -3})
