@@ -9,6 +9,7 @@ the square root of q.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm, prod
 
 Rat = Fraction
 
@@ -63,6 +64,46 @@ def perm_sign(word):
         if word[i] > word[j]
     )
     return -1 if inv % 2 else 1
+
+
+def over_common_denominator(values):
+    """Integer numerators of the given rationals over their least common
+    denominator, and that denominator."""
+    values = list(values)
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def tabled_sum(items, entry):
+    """Exact sum over the key tuples in ``items`` of prod_i entry(i, key_i).
+
+    ``entry`` is called once per distinct (i, key), when the first item that
+    needs it comes up, so an error it raises surfaces at that item.  The
+    entries of each position i are kept as integer numerators over one
+    common denominator, widened (and the running sum rescaled) when a new
+    entry needs it: every term is a product of integers, and the sum is
+    divided once.
+    """
+    nums, dens = [], []  # per position: key -> numerator over dens[i]
+    total = 0
+    for keys in items:
+        term = 1
+        for i, key in enumerate(keys):
+            if i == len(nums):
+                nums.append({})
+                dens.append(1)
+            num = nums[i].get(key)
+            if num is None:
+                val = Fraction(entry(i, key))
+                scale = val.denominator // gcd(dens[i], val.denominator)
+                if scale > 1:
+                    dens[i] *= scale
+                    total *= scale
+                    nums[i] = {k: v * scale for k, v in nums[i].items()}
+                num = nums[i][key] = val.numerator * (dens[i] // val.denominator)
+            term *= num
+        total += term
+    return Fraction(total, prod(dens))
 
 
 @dataclass(frozen=True)

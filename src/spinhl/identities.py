@@ -215,17 +215,23 @@ def _lhs_sum(n, spin, t, cap, weight_fn, budget, cache, var_indices=None):
 
     The weights depend on lambda only through its multiplicities, the final
     states of one vertex-model transfer, so the transfer is shared by every
-    weight and kept in ``cache`` at the largest budget requested so far."""
+    weight and kept in ``cache`` at the largest budget requested so far.  The
+    weight of each partition is kept there too, per weight function and spin,
+    so the sums at budgets B and B+1 and over variable subsets evaluate it
+    once."""
     var_indices = tuple(range(n)) if var_indices is None else tuple(var_indices)
     key = ("transfer", var_indices, n, spin.prefix, spin.tail, t, cap)
     got = cache.get(key)
     if got is None or got[0] < budget:
         got = cache[key] = (budget, _transfer_sweep(n, spin, t, cap, budget, var_indices, cache))
+    weights = cache.setdefault(("weights", weight_fn, spin), {})
     total = TruncSeries.zero(n, cap)
     for lam, excess, series in got[1]:
         if excess > budget:
             continue
-        w = weight_fn(lam, spin)
+        w = weights.get(lam)
+        if w is None:
+            w = weights[lam] = weight_fn(lam, spin)
         if w:
             total = total + w * series
     return total

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import PoleError
-from .symfun import antisymmetrize
+from .arith import PoleError, tabled_sum
+from .symfun import permutation_sum
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,10 @@ class MonotoneTriangle:
 
     def row_stats(self, r):
         """Counts (l, r, s) of left-leaning, right-leaning, special entries in row r."""
-        kinds = [self.leaning(r, j) for j in range(r + 1)]
-        return kinds.count("L"), kinds.count("R"), kinds.count("S")
+        above, below = self.rows[r], self.rows[r + 1]
+        lcnt = sum(1 for j, v in enumerate(above) if v == below[j])
+        rcnt = sum(1 for j, v in enumerate(above) if v == below[j + 1])
+        return lcnt, rcnt, r + 1 - lcnt - rcnt
 
 
 def mt_weight(M, x, u, v, w):
@@ -236,16 +238,49 @@ def damts_of(M):
 def robbins_star_enum(k, x, u, v, w):
     """Modified Robbins polynomial by enumeration: the generating function of
     down-arrowed monotone triangles with bottom row k.  Decorations factor per
-    entry, so each triangle contributes its polynomial weight."""
-    total = Fraction(0)
-    for M in monotone_triangles(tuple(k)):
-        total += mt_weight(M, x, u, v, w)
-    return total
+    entry, so each triangle contributes its polynomial weight ``mt_weight``.
+
+    Every triangle is enumerated; its weight is the product over rows i of
+    u^r v^l (w + u x_i + v/x_i)^s x_i^d, read off a per-call table keyed by
+    the row's (r, l, s, d)."""
+    triangles = monotone_triangles(tuple(k))
+    x = tuple(Fraction(val) for val in x)
+    u, v, w = Fraction(u), Fraction(v), Fraction(w)
+    if len(x) != len(k):
+        raise ValueError("need one variable per row")
+
+    def row_keys(M):
+        prev_sum = 0
+        for i, row in enumerate(M.rows):
+            lcnt, rcnt, scnt = M.row_stats(i - 1) if i else (0, 0, 0)
+            row_sum = sum(row)
+            yield rcnt, lcnt, scnt, row_sum - prev_sum + rcnt - lcnt
+            prev_sum = row_sum
+
+    def entry(i, key):
+        rcnt, lcnt, scnt, d = key
+        xi = x[i]
+        if xi == 0 and (d < 0 or scnt):
+            raise PoleError("x_%d (negative exponent)" % (i + 1))
+        val = u**rcnt * v**lcnt * xi**d
+        return val * (w + u * xi + v / xi) ** scnt if scnt else val
+
+    return tabled_sum((row_keys(M) for M in triangles), entry)
+
+
+def _vandermonde(x):
+    """prod_{i<j} (x_j - x_i)."""
+    den = Fraction(1)
+    for i in range(len(x)):
+        for j in range(i + 1, len(x)):
+            den *= x[j] - x[i]
+    return den
 
 
 def robbins_star_bialternant(k, x, u, v, w):
     """Modified Robbins polynomial by the antisymmetrizer formula; the x_i
-    must be pairwise distinct."""
+    must be pairwise distinct.  The pair factors u x_a x_b + v + w x_a and the
+    powers x_a^(k_i) are tabulated once (see ``permutation_sum``)."""
     k = tuple(int(val) for val in k)
     x = tuple(Fraction(val) for val in x)
     u, v, w = Fraction(u), Fraction(v), Fraction(w)
@@ -254,29 +289,20 @@ def robbins_star_bialternant(k, x, u, v, w):
         raise ValueError("need one variable per bottom-row entry")
     if len(set(x)) != n:
         raise PoleError("x_i - x_j")
-
-    def g(xs):
-        val = Fraction(1)
-        for i in range(n):
-            for j in range(i + 1, n):
-                val *= u * xs[i] * xs[j] + v + w * xs[i]
-        for i in range(n):
-            val *= xs[i] ** k[i]
-        return val
-
-    num = antisymmetrize(g, x)
-    den = Fraction(1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            den *= x[j] - x[i]
-    return num / den
+    if any(val == 0 for val in x) and any(val < 0 for val in k):
+        raise PoleError("x_i (negative exponent)")
+    num = permutation_sum(
+        x, lambda xa, xb: u * xa * xb + v + w * xa, [[xa**e for e in k] for xa in x], signed=True
+    )
+    return num / _vandermonde(x)
 
 
 def robbins_bialternant(k, x, t, u, v, w):
     """Ordinary Robbins polynomial: the diagonal i = j is included in the
     product, an extra parameter t appears, and exponents are shifted by -1.
     Defined for any integer sequence k (signs may appear when k is not
-    strictly increasing)."""
+    strictly increasing).  The diagonal factor of x_a rides in the table of
+    powers x_a^(k_i - 1), since every ordering uses it once."""
     k = tuple(int(val) for val in k)
     x = tuple(Fraction(val) for val in x)
     t, u, v, w = Fraction(t), Fraction(u), Fraction(v), Fraction(w)
@@ -288,18 +314,8 @@ def robbins_bialternant(k, x, t, u, v, w):
     if any(val == 0 for val in x) and any(val <= 0 for val in k):
         raise PoleError("x_i (negative exponent)")
 
-    def g(xs):
-        val = Fraction(1)
-        for i in range(n):
-            for j in range(i, n):
-                val *= t * xs[j] + u * xs[i] * xs[j] + v + w * xs[i]
-        for i in range(n):
-            val *= xs[i] ** (k[i] - 1)
-        return val
+    def pair(xa, xb):
+        return t * xb + u * xa * xb + v + w * xa
 
-    num = antisymmetrize(g, x)
-    den = Fraction(1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            den *= x[j] - x[i]
-    return num / den
+    single = [[pair(xa, xa) * xa ** (e - 1) for e in k] for xa in x]
+    return permutation_sum(x, pair, single, signed=True) / _vandermonde(x)

@@ -14,8 +14,9 @@ yields Hall-Littlewood polynomials up to the factor prod_r (q;q)_{m_r(lambda)}.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import prod
 
-from .arith import PoleError, perm_sign, qpoch, rat_str
+from .arith import PoleError, over_common_denominator, perm_sign, qpoch, rat_str, tabled_sum
 from .pfaffian import det
 
 SYMMETRIZE_CAP = 8
@@ -104,11 +105,15 @@ def _pole_at(exc, ordering):
     return PoleError("%s at ordering (%s)" % (what, ", ".join(rat_str(v) for v in ordering)))
 
 
+def _check_cap(n, what, cap=SYMMETRIZE_CAP):
+    if n > cap:
+        raise ValueError("%s over %d! orderings exceeds cap %d" % (what, n, cap))
+
+
 def symmetrize(g, u, cap=SYMMETRIZE_CAP):
     """Sum of g over all orderings of the argument list u."""
     u = tuple(u)
-    if len(u) > cap:
-        raise ValueError("symmetrization over %d! orderings exceeds cap %d" % (len(u), cap))
+    _check_cap(len(u), "symmetrization", cap)
     total = Fraction(0)
     for ordering in permutations(u):
         try:
@@ -121,8 +126,7 @@ def symmetrize(g, u, cap=SYMMETRIZE_CAP):
 def antisymmetrize(g, u, cap=SYMMETRIZE_CAP):
     """Signed sum of g over all orderings of the argument list u."""
     u = tuple(u)
-    if len(u) > cap:
-        raise ValueError("antisymmetrization over %d! orderings exceeds cap %d" % (len(u), cap))
+    _check_cap(len(u), "antisymmetrization", cap)
     total = Fraction(0)
     for perm in permutations(range(len(u))):
         ordering = tuple(u[i] for i in perm)
@@ -133,42 +137,90 @@ def antisymmetrize(g, u, cap=SYMMETRIZE_CAP):
     return total
 
 
-def _f_term(lam, spin, q):
-    """The expression inside the symmetrizer, as a function of one u-ordering."""
+def permutation_sum(values, pair, single, signed=False):
+    """Sum over the orderings sigma of range(n) of
 
-    def term(u):
-        n = len(u)
-        val = Fraction(1)
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = u[i] - u[j]
-                if d == 0:
-                    raise PoleError("u_%d - u_%d" % (i + 1, j + 1))
-                val *= (u[i] - q * u[j]) / d
-        for i in range(n):
-            d = 1 - spin.lookup(lam[i]) * u[i]
-            if d == 0:
-                raise PoleError("1 - s_%d*u_%d" % (lam[i], i + 1))
-            val *= (1 - q) / d
-            for j in range(lam[i]):
-                d = 1 - spin.lookup(j) * u[i]
-                if d == 0:
-                    raise PoleError("1 - s_%d*u_%d" % (j, i + 1))
-                val *= (u[i] - spin.lookup(j)) / d
-        return val
+        [sgn(sigma)] * prod_{i<j} pair(values[sigma_i], values[sigma_j])
+                     * prod_i single[sigma_i][i],
 
-    return term
+    the sign taken when ``signed``.  The pair factors are tabulated once for
+    every a != b, and ``single`` is a per-call n x n table (row a for
+    values[a], column i for the position).  Each term uses every unordered
+    pair {a, b} once, in one of its two orders, and every row of ``single``
+    once, so with both orders of each pair and each row over one common
+    denominator all n! terms share a single denominator: each term is a
+    product of integers, and the sum is reduced once.
+    """
+    n = len(values)
+    _check_cap(n, "antisymmetrization" if signed else "symmetrization")
+    pnum = [[0] * n for _ in range(n)]
+    den = 1
+    for a, b in combinations(range(n), 2):
+        (pnum[a][b], pnum[b][a]), d = over_common_denominator(
+            (pair(values[a], values[b]), pair(values[b], values[a]))
+        )
+        den *= d
+    snum = []
+    for row in single:
+        nums, d = over_common_denominator(row)
+        snum.append(nums)
+        den *= d
+    index_pairs = tuple(combinations(range(n), 2))
+    total = 0
+    for perm in permutations(range(n)):
+        term = prod(pnum[perm[i]][perm[j]] for i, j in index_pairs)
+        term *= prod(snum[a][i] for i, a in enumerate(perm))
+        total += -term if signed and perm_sign(perm) < 0 else term
+    return Fraction(total, den)
 
 
 def f_lambda(lam, point):
-    """Exact value of the spin Hall-Littlewood function at a generic point."""
+    """Exact value of the spin Hall-Littlewood function at a generic point,
+    by the symmetrizer formula over all n! orderings of the u_i.
+
+    The pair factors (u_a - q u_b)/(u_a - u_b) and, for every variable u_a
+    and part value k of lambda, the factor
+    (1-q)/(1 - s_k u_a) * prod_{j<k} (u_a - s_j)/(1 - s_j u_a) are tabulated
+    once; each ordering contributes a product of table entries (see
+    ``permutation_sum``).  A vanishing denominator is reported at the first
+    ordering, position and factor that evaluating the terms one by one meets.
+    """
     lam = as_parts(lam)
     n = len(lam)
     if len(point.u) != n:
         raise ValueError("partition length %d != number of spectral values %d" % (n, len(point.u)))
     if n == 0:
         return Fraction(1)
-    return symmetrize(_f_term(lam, point.spin, point.q), point.u)
+    _check_cap(n, "symmetrization")
+    u, q = point.u, point.q
+    for i, j in combinations(range(n), 2):
+        if u[i] == u[j]:
+            raise _pole_at(PoleError("u_%d - u_%d" % (i + 1, j + 1)), u)
+    spins = [point.spin.lookup(j) for j in range(lam[0] + 1)]
+    factor = {}
+    pole = {}  # (a, k) -> j of the first vanishing 1 - s_j u_a a term checks
+    for a, ua in enumerate(u):
+        dens = [1 - s * ua for s in spins]
+        for k in set(lam):
+            j = next((j for j in (k, *range(k)) if dens[j] == 0), None)
+            if j is not None:
+                pole[a, k] = j
+                continue
+            val = (1 - q) / dens[k]
+            for j in range(k):
+                val *= (ua - spins[j]) / dens[j]
+            factor[a, k] = val
+    if pole:
+        for perm in permutations(range(n)):
+            for i, a in enumerate(perm):
+                if (a, lam[i]) in pole:
+                    what = "1 - s_%d*u_%d" % (pole[a, lam[i]], i + 1)
+                    raise _pole_at(PoleError(what), tuple(u[b] for b in perm))
+    return permutation_sum(
+        u,
+        lambda ua, ub: (ua - q * ub) / (ua - ub),
+        [[factor[a, k] for k in lam] for a in range(n)],
+    )
 
 
 def f_lambda_recurrence_rhs(lam, point):
@@ -250,7 +302,9 @@ def _gt_patterns(bottom):
 
 
 def schur_gt(lam, x):
-    """Schur polynomial as the Gelfand-Tsetlin generating function."""
+    """Schur polynomial as the Gelfand-Tsetlin generating function.  Every
+    pattern is enumerated; its weight prod_i x_i^(row-sum increment) is read
+    off a per-call table of powers."""
     x = tuple(Fraction(v) for v in x)
     n = len(x)
     lam = as_parts(lam)
@@ -258,16 +312,12 @@ def schur_gt(lam, x):
         raise ValueError("partition longer than variable list")
     lam = lam + (0,) * (n - len(lam))
     bottom = tuple(reversed(lam))
-    total = Fraction(0)
-    for pat in _gt_patterns(bottom):
-        weight = Fraction(1)
-        prev = 0
-        for i, row in enumerate(pat):
-            cur = sum(row)
-            weight *= x[i] ** (cur - prev)
-            prev = cur
-        total += weight
-    return total
+
+    def increments(pat):
+        sums = [0] + [sum(row) for row in pat]
+        return (sums[i + 1] - sums[i] for i in range(n))
+
+    return tabled_sum((increments(pat) for pat in _gt_patterns(bottom)), lambda i, e: x[i] ** e)
 
 
 def schur_bialternant(lam, x):
@@ -295,7 +345,8 @@ def schur(lam, x):
 
 
 def hall_littlewood_P(lam, x, q):
-    """Hall-Littlewood polynomial P_lambda(x; q) by its symmetrizer formula."""
+    """Hall-Littlewood polynomial P_lambda(x; q) by its symmetrizer formula,
+    with the pair factors and the powers x_a^(lambda_i) tabulated once."""
     x = tuple(Fraction(v) for v in x)
     q = Fraction(q)
     n = len(x)
@@ -305,17 +356,9 @@ def hall_littlewood_P(lam, x, q):
     lam = lam + (0,) * (n - len(lam))
     if len(set(x)) != n:
         raise PoleError("x_i - x_j")
-
-    def term(xs):
-        val = Fraction(1)
-        for i in range(n):
-            for j in range(i + 1, n):
-                val *= (xs[i] - q * xs[j]) / (xs[i] - xs[j])
-        for i in range(n):
-            val *= xs[i] ** lam[i]
-        return val
-
     norm = Fraction(1 - q) ** n
     for m in multiplicities(lam).values():
         norm /= qpoch(q, q, m)
-    return norm * symmetrize(term, x)
+    return norm * permutation_sum(
+        x, lambda xa, xb: (xa - q * xb) / (xa - xb), [[xa**k for k in lam] for xa in x]
+    )

@@ -84,10 +84,17 @@ class PathEnsemble:
         return max(max(row) for row in self.occ)
 
 
-def _weighted_successors(state, u, spin, q):
+def _weighted_successors(state, u, spin, q, weights, room):
     """All admissible next occupancy rows above ``state`` with their weight,
-    scanning columns left to right with the entering flux fixed to 1."""
+    scanning columns left to right with the entering flux fixed to 1.
+
+    ``weights`` memoizes the local weights of the row by (column,
+    configuration).  ``room[c]`` is the most paths the new row may hold in
+    the columns >= c; a row exceeding it anywhere is skipped."""
     maxc = len(state) - 1
+    tail = [0] * (maxc + 2)  # paths of ``state`` in the columns >= c
+    for c in range(maxc, -1, -1):
+        tail[c] = tail[c + 1] + state[c]
     out = []
 
     def rec(c, h, acc, w):
@@ -96,16 +103,21 @@ def _weighted_successors(state, u, spin, q):
                 out.append((tuple(acc), w))
             return
         g = state[c]
-        s = spin.lookup(c)
         for g2 in (g + h - 1, g + h):
             if g2 < 0:
                 continue
             h2 = g + h - g2
+            # the paths right of c in the new row: those of ``state`` plus h2
+            if c < maxc and tail[c + 1] + h2 > room[c + 1]:
+                continue
             cfg = (g, g2, h, h2)
             if cfg == (0, 0, 0, 0):
                 w2 = w
             else:
-                w2 = w * vertex_weight(cfg, u, s, q)
+                vw = weights.get((c, cfg))
+                if vw is None:
+                    vw = weights[c, cfg] = vertex_weight(cfg, u, spin.lookup(c), q)
+                w2 = w * vw
                 if w2 == 0:
                     continue
             acc.append(g2)
@@ -120,6 +132,11 @@ def f_lambda_vertex(lam, point, max_col=None):
     """F_lambda as the weighted sum over path ensembles, by a row-by-row
     transfer sum over occupancy states.  Columns beyond max_col would only
     hold empty weight-1 vertices, so truncating at the largest part is exact.
+
+    Each row memoizes its local weights by (column, configuration).  Paths
+    only move right going up, so the number of paths in the columns >= c
+    never decreases from row to row; a state holding more of them than the
+    top boundary for some c cannot reach lambda and is never formed.
     """
     lam = as_parts(lam)
     n = len(lam)
@@ -133,13 +150,15 @@ def f_lambda_vertex(lam, point, max_col=None):
     top = [0] * (maxc + 1)
     for part in lam:
         top[part] += 1
+    room = [sum(top[c:]) for c in range(maxc + 1)]
     q = point.q
     states = {(0,) * (maxc + 1): Fraction(1)}
     for row in range(1, n + 1):
         u = point.u[row - 1]
+        weights = {}
         nxt = {}
         for state, acc in states.items():
-            for new_state, w in _weighted_successors(state, u, point.spin, q):
+            for new_state, w in _weighted_successors(state, u, point.spin, q, weights, room):
                 nxt[new_state] = nxt.get(new_state, Fraction(0)) + acc * w
         states = nxt
     return states.get(tuple(top), Fraction(0))

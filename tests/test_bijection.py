@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from spinhl.arith import PoleError
 from spinhl.bijection import (
     colored_sum,
     decorated_sum,
@@ -155,3 +156,21 @@ def test_colored_variant_matches_decorated_triangles():
             ds = decorated_sum(M, XS[:3], T)
             uvw = robbins_parameters(T)
             assert cs == ds == mt_weight(M, XS[:3], *uvw)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: robbins_parameters(0),
+        lambda: x_to_u(XS[0], 0),
+        lambda: u_to_x(XS[0], 0),
+        lambda: lemma_point(0, XS[:2]),
+        lambda: verify_lemma_connection((2, 1), 0, XS[:2]),
+        lambda: normalized_weight((1, 1, 0, 0), XS[0], 0),
+    ],
+    ids=["robbins_parameters", "x_to_u", "u_to_x", "lemma_point", "verify_lemma_connection", "normalized_weight"],
+)
+def test_zero_t_is_a_named_pole(call):
+    with pytest.raises(PoleError) as err:
+        call()
+    assert str(err.value) == "vanishing denominator: t"

@@ -90,6 +90,15 @@ def test_bijection_command(capsys):
     assert payload["count"] == 7
 
 
+def test_bijection_at_t_zero_exits_two(capsys):
+    code = main(["bijection", "--lambda", "2,1", "--t", "0", "--x", "1/2,1/3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert_one_clean_error_line(captured.err)
+    assert captured.err == "error: vanishing denominator: t\n"
+
+
 def test_pfaffian_file(capsys, tmp_path):
     path = tmp_path / "matrix.json"
     path.write_text(json.dumps({"labels": [1, 2], "entries": [[1, 2, "3/4"]]}))

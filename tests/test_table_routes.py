@@ -1,0 +1,216 @@
+"""The table-driven scalar routes against plain references kept here.
+
+Each reference evaluates its formula term by term, the way the library did
+before the factor tables: a closure term summed by the public
+``symmetrize``/``antisymmetrize``, or ``mt_weight`` summed over
+``monotone_triangles``.  The vertex transfer is checked against the plain
+ensemble enumeration, past the largest part where the reachability prune acts.
+"""
+
+import math
+from fractions import Fraction as F
+
+import pytest
+
+from spinhl import vertex
+from spinhl.arith import ParamPoint, PoleError, SpinParams, qpoch, sample_point
+from spinhl.robbins import (
+    monotone_triangles,
+    mt_weight,
+    robbins_bialternant,
+    robbins_star_bialternant,
+    robbins_star_enum,
+)
+from spinhl.symfun import (
+    _gt_patterns,
+    antisymmetrize,
+    bounded_partitions,
+    f_lambda,
+    hall_littlewood_P,
+    multiplicities,
+    schur_gt,
+    symmetrize,
+)
+from spinhl.vertex import ensemble_weight, enumerate_ensembles, f_lambda_vertex
+
+SEEDS = (7, 8)
+MAX_PART = {1: 4, 2: 3, 3: 3, 4: 2, 5: 2}
+BOTTOMS = ((0,), (2,), (1, 2), (0, 3), (1, 2, 3), (0, 2, 5), (1, 2, 3, 4), (0, 1, 3, 6), (1, 2, 3, 4, 5), (0, 2, 3, 5, 6))
+
+
+def spin_poles(jmax):
+    return [lambda pt: math.prod(1 - pt.s(j) * ui for j in range(jmax + 1) for ui in pt.u)]
+
+
+def seeded_points(seed):
+    for n, max_part in MAX_PART.items():
+        for p in range(3):
+            yield sample_point(seed, n, p=p, pole_list=spin_poles(max_part)), bounded_partitions(n, max_part)
+
+
+def f_reference(lam, point):
+    spin, q = point.spin, point.q
+
+    def term(u):
+        n = len(u)
+        val = F(1)
+        for i in range(n):
+            for j in range(i + 1, n):
+                d = u[i] - u[j]
+                if d == 0:
+                    raise PoleError("u_%d - u_%d" % (i + 1, j + 1))
+                val *= (u[i] - q * u[j]) / d
+        for i in range(n):
+            d = 1 - spin.lookup(lam[i]) * u[i]
+            if d == 0:
+                raise PoleError("1 - s_%d*u_%d" % (lam[i], i + 1))
+            val *= (1 - q) / d
+            for j in range(lam[i]):
+                d = 1 - spin.lookup(j) * u[i]
+                if d == 0:
+                    raise PoleError("1 - s_%d*u_%d" % (j, i + 1))
+                val *= (u[i] - spin.lookup(j)) / d
+        return val
+
+    return symmetrize(term, point.u)
+
+
+def vandermonde(x):
+    return math.prod((x[j] - x[i] for i in range(len(x)) for j in range(i + 1, len(x))), start=F(1))
+
+
+def star_reference(k, x, u, v, w):
+    n = len(k)
+
+    def g(xs):
+        val = F(1)
+        for i in range(n):
+            for j in range(i + 1, n):
+                val *= u * xs[i] * xs[j] + v + w * xs[i]
+        for i in range(n):
+            val *= xs[i] ** k[i]
+        return val
+
+    return antisymmetrize(g, x) / vandermonde(x)
+
+
+def robbins_reference(k, x, t, u, v, w):
+    n = len(k)
+
+    def g(xs):
+        val = F(1)
+        for i in range(n):
+            for j in range(i, n):
+                val *= t * xs[j] + u * xs[i] * xs[j] + v + w * xs[i]
+        for i in range(n):
+            val *= xs[i] ** (k[i] - 1)
+        return val
+
+    return antisymmetrize(g, x) / vandermonde(x)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_f_lambda_matches_symmetrized_term(seed):
+    for point, shapes in seeded_points(seed):
+        for lam in shapes:
+            assert f_lambda(lam, point) == f_reference(lam, point), (point.n, point.spin.p, lam)
+
+
+def test_hall_littlewood_matches_symmetrized_term():
+    for point, shapes in seeded_points(SEEDS[0]):
+        x, q, n = point.u, point.q, point.n
+        for lam in shapes:
+
+            def term(xs, lam=lam):
+                val = F(1)
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        val *= (xs[i] - q * xs[j]) / (xs[i] - xs[j])
+                    val *= xs[i] ** lam[i]
+                return val
+
+            norm = (1 - q) ** n / math.prod(qpoch(q, q, m) for m in multiplicities(lam).values())
+            assert hall_littlewood_P(lam, x, q) == norm * symmetrize(term, x), lam
+
+
+def test_schur_gt_matches_pattern_products():
+    for n, max_part in MAX_PART.items():
+        x = sample_point(SEEDS[0], n, p=0).u
+        for lam in bounded_partitions(n, max_part):
+            expect = F(0)
+            for pat in _gt_patterns(tuple(reversed(lam))):
+                sums = [0] + [sum(row) for row in pat]
+                expect += math.prod((x[i] ** (sums[i + 1] - sums[i]) for i in range(n)), start=F(1))
+            assert schur_gt(lam, x) == expect, lam
+
+
+def test_robbins_routes_match_references():
+    for k in BOTTOMS:
+        n = len(k)
+        pt = sample_point(SEEDS[0], n, p=0)
+        x, (t, u, v, w) = pt.u, (pt.t, pt.gamma, pt.spin.tail, pt.q)
+        enum = sum(mt_weight(M, x, u, v, w) for M in monotone_triangles(k))
+        assert robbins_star_enum(k, x, u, v, w) == enum, k
+        assert robbins_star_bialternant(k, x, u, v, w) == star_reference(k, x, u, v, w) == enum, k
+        for kk in (k, tuple(reversed(k))):
+            assert robbins_bialternant(kk, x, t, u, v, w) == robbins_reference(kk, x, t, u, v, w), kk
+
+
+def test_robbins_enum_reports_the_pole_of_the_first_triangle():
+    x, (u, v, w) = (F(2, 3), F(0), F(5, 7)), (F(2, 9), F(3, 11), F(5, 13))
+    for k in ((1, 2, 3), (0, 2, 5)):
+        with pytest.raises(PoleError) as ref:
+            sum(mt_weight(M, x, u, v, w) for M in monotone_triangles(k))
+        with pytest.raises(PoleError) as got:
+            robbins_star_enum(k, x, u, v, w)
+        assert str(got.value) == str(ref.value)
+
+
+# messages taken from the term-by-term symmetrizer; at each point the
+# identity ordering is pole-free and a later ordering meets 1 - s_k u_a = 0
+POLE_SPIN = SpinParams((F(1, 3), F(1, 11), F(1, 5)), F(2, 9))
+POLE_CASES = (
+    ((2, 1, 0), (F(1, 2), F(1, 7), F(5)), "vanishing denominator: 1 - s_2*u_1 at ordering (5/1, 1/2, 1/7)"),
+    ((2, 0, 0), (F(1, 2), F(11), F(1, 7)), "vanishing denominator: 1 - s_1*u_1 at ordering (11/1, 1/2, 1/7)"),
+    (
+        (2, 2, 1, 0),
+        (F(1, 2), F(1, 7), F(1, 13), F(5)),
+        "vanishing denominator: 1 - s_2*u_2 at ordering (1/2, 5/1, 1/7, 1/13)",
+    ),
+)
+
+
+@pytest.mark.parametrize("lam, u, message", POLE_CASES)
+def test_f_lambda_pole_at_a_later_ordering(lam, u, message):
+    point = ParamPoint(F(1, 2), F(1), POLE_SPIN, u)
+    spin = point.spin
+    for i, ui in enumerate(u):
+        assert all(1 - spin.lookup(j) * ui != 0 for j in range(lam[i] + 1))
+    with pytest.raises(PoleError) as ref:
+        f_reference(lam, point)
+    with pytest.raises(PoleError) as got:
+        f_lambda(lam, point)
+    assert str(got.value) == str(ref.value) == message
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_vertex_prune_past_the_largest_part(seed, monkeypatch):
+    seen = []
+    successors = vertex._weighted_successors
+
+    def recording(state, *args):
+        seen.append(state)
+        return successors(state, *args)
+
+    monkeypatch.setattr(vertex, "_weighted_successors", recording)
+    for n, max_part in ((1, 3), (2, 3), (3, 2), (4, 1)):
+        point = sample_point(seed, n, p=1, pole_list=spin_poles(max_part + 2))
+        for lam in bounded_partitions(n, max_part):
+            wide = lam[0] + 2
+            seen.clear()
+            expect = sum(ensemble_weight(e, point) for e in enumerate_ensembles(lam, max_col=wide))
+            assert f_lambda_vertex(lam, point, max_col=wide) == expect, lam
+            # no transfer state holds more paths in the columns >= c than lambda
+            room = [sum(1 for part in lam if part >= c) for c in range(wide + 1)]
+            for state in seen:
+                assert all(sum(state[c:]) <= room[c] for c in range(wide + 1)), (lam, state)
