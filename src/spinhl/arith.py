@@ -22,6 +22,15 @@ class PoleError(ZeroDivisionError):
         self.what = what
 
 
+def invert(val, what):
+    """1 / val for a rational or a series, with a vanishing ``val`` (or a
+    series without constant term) reported as ``PoleError(what)``."""
+    try:
+        return 1 / val
+    except ZeroDivisionError:
+        raise PoleError(what) from None
+
+
 def rat(value):
     """Coerce an int, Fraction, or 'p/q' string to an exact rational."""
     if isinstance(value, Fraction):

@@ -11,7 +11,7 @@ u = v = t - 1/t and w = 1/q - q.
 
 from fractions import Fraction
 
-from .arith import ParamPoint, PoleError, SpinParams
+from .arith import ParamPoint, PoleError, SpinParams, invert
 from .robbins import (
     MonotoneTriangle,
     damts_of,
@@ -24,36 +24,29 @@ from .symfun import as_parts, f_lambda
 from .vertex import PathEnsemble, enumerate_ensembles
 
 
-def _inv_t(t):
-    """1/t, where t = q^(1/2) must not vanish."""
-    if t == 0:
-        raise PoleError("t")
-    return 1 / t
-
-
 def robbins_parameters(t):
     """(u, v, w) used on the triangle side: u = v = t - 1/t, w = 1/q - q."""
     t = Fraction(t)
-    v = t - _inv_t(t)
-    w = _inv_t(t) ** 2 - t * t
+    v = t - invert(t, "t")
+    w = invert(t, "t") ** 2 - t * t
     return v, v, w
 
 
 def x_to_u(x, t):
     """Spectral value matching the triangle variable x when s = -1/t."""
     x, t = Fraction(x), Fraction(t)
-    den = 1 - x * _inv_t(t)
+    den = 1 - x * invert(t, "t")
     if den == 0:
         raise PoleError("1 - x/t")
-    return (x - _inv_t(t)) / den
+    return (x - invert(t, "t")) / den
 
 
 def u_to_x(u, t):
     u, t = Fraction(u), Fraction(t)
-    den = 1 + u * _inv_t(t)
+    den = 1 + u * invert(t, "t")
     if den == 0:
         raise PoleError("1 + u/t")
-    return (u + _inv_t(t)) / den
+    return (u + invert(t, "t")) / den
 
 
 _ADMISSIBLE = {(1, 1, 0, 0), (0, 0, 1, 1), (1, 1, 1, 1), (1, 0, 0, 1), (0, 1, 1, 0)}
@@ -68,7 +61,7 @@ def degenerate_weight(cfg, x, t):
         raise ValueError("configuration %r does not survive the degeneration" % (cfg,))
     x, t = Fraction(x), Fraction(t)
     q = t * t
-    v = t - _inv_t(t)
+    v = t - invert(t, "t")
     den = 1 - 1 / q
     if den == 0:
         raise PoleError("1 - 1/q")
@@ -94,7 +87,7 @@ def normalized_weight(cfg, x, t, is_leftmost_0110=False):
         raise ValueError("configuration %r does not survive the degeneration" % (cfg,))
     x, t = Fraction(x), Fraction(t)
     q = t * t
-    v = t - _inv_t(t)
+    v = t - invert(t, "t")
     if cfg == (1, 1, 0, 0):
         return v * x
     if cfg == (0, 0, 1, 1):
@@ -195,7 +188,7 @@ def colored_sum(ens, xs, t):
     xs = tuple(Fraction(v) for v in xs)
     t = Fraction(t)
     q = t * t
-    v = t - _inv_t(t)
+    v = t - invert(t, "t")
     w = 1 / q - q
     out = Fraction(1)
     for row, _col, cfg in ens.vertices():
@@ -225,7 +218,7 @@ def lemma_point(t, xs):
     u_i = (x_i - 1/t)/(1 - x_i/t)."""
     t = Fraction(t)
     u = tuple(x_to_u(x, t) for x in xs)
-    return ParamPoint(t, Fraction(1), SpinParams.constant(-_inv_t(t)), u)
+    return ParamPoint(t, Fraction(1), SpinParams.constant(-invert(t, "t")), u)
 
 
 def verify_lemma_connection(lam, t, xs):

@@ -15,16 +15,18 @@ denominators of the symmetrizer formula can each absorb one order of
 vanishing), so summing over partitions with excess at most D + n(n-1)/2 is
 exact to degree D.  The sum is one row-by-row transfer of the higher spin six
 vertex model on series, whose final states are the partitions; it needs no
-symmetrizer and no division.  Every series check additionally extends the
-budget by one and confirms that no coefficient moves (the stabilization
-check).
+symmetrizer and no division.  The transfer is ``vertex.row_transfer``, the
+same one that computes the scalar ``f_lambda_vertex``: this module only
+builds its rows (one spectral series per variable) and reads the partitions
+off its final states.  Every series check additionally extends the budget by
+one and confirms that no coefficient moves (the stabilization check).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .arith import PoleError, SpinParams, qpoch, rat_str, sample_point
+from .arith import PoleError, SpinParams, invert, qpoch, rat_str, sample_point
 from .pfaffian import (
     MGammaSpec,
     SkewMatrix,
@@ -38,12 +40,13 @@ from .pfaffian import (
 from .series import (
     TruncSeries,
     divide_by_vandermonde,
+    one_plus_sx,
     series_diff,
     u_substitution,
     vandermonde_exponents,
 )
 from .symfun import multiplicities
-from .vertex import vertex_weight
+from .vertex import row_transfer
 
 CHECK_NAMES = (
     "main1",
@@ -131,78 +134,31 @@ def weight_hl(lam, t):
 # series-mode machinery
 
 
-def _series_invert(val, what="denominator"):
-    if isinstance(val, TruncSeries):
-        if val.constant_term == 0:
-            raise PoleError(what)
-        return val.inv()
-    if val == 0:
-        raise PoleError(what)
-    return 1 / val
-
-
 def _pair_extra(n):
     return n * (n - 1) // 2
 
 
 def _transfer_sweep(n, spin, t, cap, budget, var_indices, cache):
-    """Row-by-row transfer of the higher spin six vertex model on series.
+    """The vertex-model transfer on series, one row per listed variable.
 
     Row k carries the spectral value u = (s + x_v)/(1 + s x_v) of the k-th
-    listed variable x_v and column c the spin s_c; each series-valued vertex
-    weight is computed once and kept in ``cache``.  A state holds the number of
-    paths crossing up out of the row in each column.  Paths only move right
-    going up, so the excess sum_c m_c max(c - p, 0) of a state never
-    decreases, and states past the budget are dropped as soon as they appear.
-    Returns (lambda, excess, series) for every final state, where the series
-    is F_lambda truncated at ``cap``.
+    listed variable x_v, and its series-valued vertex weights are kept in
+    ``cache`` per variable.  The columns run to p + budget, and states whose
+    excess passes the budget are dropped as they appear.  Returns (lambda,
+    excess, series) for every final state, where the series is F_lambda
+    truncated at ``cap``.
     """
-    q = t * t
     p = spin.p
     width = p + budget + 1
-    weights = cache.setdefault(("vertex weights", n, cap, t, spin.tail), {})
-    states = {(0,) * width: TruncSeries.const(n, cap, 1)}
-    for var in var_indices:
-        u = u_substitution(var, spin.tail, cap, n)
-
-        def weight(c, cfg):
-            s = spin.lookup(c)
-            key = (var, s, cfg)
-            w = weights.get(key)
-            if w is None:
-                w = weights[key] = vertex_weight(cfg, u, s, q)
-            return w
-
-        nxt = {}
-        for state, acc in states.items():
-            # depth first over the columns of the row; the carried excess
-            # bounds the new state's, since the columns left of c are final
-            # and the paths at or right of c can only move right
-            stack = [(0, 1, sum(m * max(c - p, 0) for c, m in enumerate(state)), None, ())]
-            while stack:
-                c, h, excess, w, row = stack.pop()
-                if c == width:
-                    term = acc * w
-                    got = nxt.get(row)
-                    nxt[row] = term if got is None else got + term
-                    continue
-                g = state[c]
-                for g2 in (g + h - 1, g + h):
-                    if g2 < 0:
-                        continue
-                    h2 = g + h - g2
-                    excess2 = excess + h2 if c >= p else excess
-                    if excess2 > budget:
-                        continue
-                    cfg = (g, g2, h, h2)
-                    if cfg == (0, 0, 0, 0):
-                        w2 = w
-                    else:
-                        w2 = weight(c, cfg) if w is None else w * weight(c, cfg)
-                        if not w2:
-                            continue
-                    stack.append((c + 1, h2, excess2, w2, row + (g2,)))
-        states = {state: acc for state, acc in nxt.items() if acc}
+    rows = [
+        (
+            u_substitution(var, spin.tail, cap, n),
+            cache.setdefault(("vertex weights", var, n, cap, t, spin.tail), {}),
+        )
+        for var in var_indices
+    ]
+    room = [len(var_indices)] * width + [0]
+    states = row_transfer(rows, spin, t * t, TruncSeries.const(n, cap, 1), room, budget)
     out = []
     for state, acc in states.items():
         lam = tuple(c for c in range(width - 1, -1, -1) for _ in range(state[c]))
@@ -242,27 +198,16 @@ def _rhs_main1_series(n, s, t, cap):
     U = [u_substitution(i, s, cap, n) for i in range(n)]
     out = TruncSeries.const(n, cap, 1)
     for i in range(n):
-        out = out * _series_invert(1 - U[i], "1 - u_%d" % (i + 1))
+        out = out * invert(1 - U[i], "1 - u_%d" % (i + 1))
     for i in range(n):
         for j in range(i + 1, n):
             out = out * (1 - q * U[i] * U[j])
-            out = out * _series_invert(1 - U[i] * U[j], "1 - u_%d*u_%d" % (i + 1, j + 1))
+            out = out * invert(1 - U[i] * U[j], "1 - u_%d*u_%d" % (i + 1, j + 1))
     return out
 
 
 def _vandermonde_series(var_indices, nvars, cap):
     return TruncSeries(nvars, cap, vandermonde_exponents(tuple(var_indices), nvars))
-
-
-def _one_plus_sx(i, s, nvars, cap):
-    return TruncSeries(
-        nvars,
-        cap,
-        {
-            (0,) * nvars: Fraction(1),
-            tuple(1 if k == i else 0 for k in range(nvars)): s,
-        },
-    )
 
 
 def _rhs_pf_series(n, s, t, gamma, s0, gamma_inv_s0, cap):
@@ -275,21 +220,21 @@ def _rhs_pf_series(n, s, t, gamma, s0, gamma_inv_s0, cap):
     U = [u_substitution(i, s, work, n) for i in range(n)]
     mat = SkewMatrix.from_function(
         subset_labels(tuple(range(1, n + 1))),
-        lambda a, b: m_gamma_entry(a, b, U, t, gamma, s0, gamma_inv_s0, invert=_series_invert),
+        lambda a, b: m_gamma_entry(a, b, U, t, gamma, s0, gamma_inv_s0),
     )
     pf = mat.pfaffian()
     if not isinstance(pf, TruncSeries):
         pf = TruncSeries.const(n, work, pf)
     out = divide_by_vandermonde(pf, tuple(range(n)))
     for i in range(n):
-        lin = _one_plus_sx(i, s, n, cap)
+        lin = one_plus_sx(i, s, n, cap)
         for _ in range(n - 1):
             out = out * lin
     out = out * (Fraction(1) / (1 - s * s)) ** pairs
     UD = [u.truncate(cap) for u in U]
     for i in range(n):
         out = out * (1 + t)
-        out = out * _series_invert(1 - UD[i], "1 - u_%d" % (i + 1))
+        out = out * invert(1 - UD[i], "1 - u_%d" % (i + 1))
     for i in range(n):
         for j in range(i + 1, n):
             out = out * (1 - q * UD[i] * UD[j])
@@ -391,7 +336,9 @@ def check_hl_corollary(n, t, D, cache=None):
             w /= qpoch(q, q, m)
         return w
 
-    budget = D + _pair_extra(n)
+    # the two weights agree partition by partition, so any budget compares
+    # them; B + 1 is the one the transfer of ``_series_check`` is kept at
+    budget = D + _pair_extra(n) + 1
     hl_sum = _lhs_sum(n, spin, t, D, hl_weight_on_f, budget, cache)
     cor_sum = _lhs_sum(n, spin, t, D, lambda lam, sp: weight_cor(lam, sp, t), budget, cache)
     drift = series_diff(hl_sum, cor_sum)
@@ -485,12 +432,12 @@ def _check_rec(name, n, p, spin, t, D, lhs_weight, inner_weight, poch_pair, L0, 
     lhs = V_full * H(full, spin, lhs_weight)
 
     U = [u_substitution(i, s, cap, n) for i in range(n)]
-    lin = [_one_plus_sx(i, s, n, cap) for i in range(n)]
+    lin = [one_plus_sx(i, s, n, cap) for i in range(n)]
     unit = Fraction(1) / (1 - s * s)
     # geometric ratio prod_i (u_i - s)/(1 - s u_i)
     ratio = TruncSeries.const(n, cap, 1)
     for i in range(n):
-        ratio = ratio * (U[i] - s) * _series_invert(1 - s * U[i], "1 - s*u")
+        ratio = ratio * (U[i] - s) * invert(1 - s * U[i], "1 - s*u")
     tail_factor = (1 - ratio).inv()
 
     # the factors of the l-th term that do not depend on the subset T:
@@ -501,7 +448,7 @@ def _check_rec(name, n, p, spin, t, D, lhs_weight, inner_weight, poch_pair, L0, 
     prefix_prod = TruncSeries.const(n, cap, 1)
     for l in range(max_l + 1):
         sl = spin.lookup(l)
-        invs = [_series_invert(1 - sl * U[i], "1 - s_l*u") for i in range(n)]
+        invs = [invert(1 - sl * U[i], "1 - s_l*u") for i in range(n)]
         factor = prefix_prod
         for i in range(n):
             factor = factor * invs[i]
@@ -812,32 +759,48 @@ def _pf_block(point, T, spec1):
     return out * m_gamma(spec1, T).pfaffian()
 
 
+def _poch_uniform(point):
+    """(l, m) -> (-t; t)_m (-s_l; t)_m, the Pochhammer factor of the gamma = 1
+    chain terms."""
+    t = point.t
+    return lambda l, m: qpoch(-t, t, m) * qpoch(-point.s(l), t, m)
+
+
 def _proper_subsets(n):
     idx = tuple(range(1, n + 1))
     for size in range(n):
         yield from combinations(idx, size)
 
 
+def _subset_sum(point, l, poch, block):
+    """The l-th term of a reduction chain: the sum over proper subsets T of
+    poch(l, n - |T|) prod_{i in T} (u_i - s_l) / prod_i (1 - s_l u_i) times
+    the prefix product up to l, the split kernel and ``block(T)``."""
+    n = point.n
+    sl = point.s(l)
+    total = Fraction(0)
+    for T in _proper_subsets(n):
+        Tc = tuple(j for j in range(1, n + 1) if j not in T)
+        term = poch(l, n - len(T))
+        for i in T:
+            term *= point.u[i - 1] - sl
+        for ui in point.u:
+            term /= 1 - sl * ui
+        term *= _prefix_prod(point, l)
+        term *= _kernel_split(point, T, Tc) * block(T)
+        total += term
+    return total
+
+
 def _chain_main1(point, p):
     """Each displayed step reducing the product-form identity to the key lemma."""
-    n = point.n
     q = point.q
     results = {}
 
     def rhs_a(l):
-        sl = point.s(l)
-        total = Fraction(0)
-        for T in _proper_subsets(n):
-            Tc = tuple(j for j in range(1, n + 1) if j not in T)
-            term = _kernel_split(point, T, Tc) * _k1_block(point, T)
-            term *= qpoch(-sl, q, n - len(T))
-            for i in T:
-                term *= point.u[i - 1] - sl
-            for ui in point.u:
-                term /= 1 - sl * ui
-            term *= _prefix_prod(point, l)
-            total += term
-        return total
+        return _subset_sum(
+            point, l, lambda l, m: qpoch(-point.s(l), q, m), lambda T: _k1_block(point, T)
+        )
 
     k1_full = rhs_main1(point)
     for l in range(p + 2):
@@ -878,20 +841,13 @@ def _chain_cor(point, p):
     full = tuple(range(1, n + 1))
     pf_full = _pf_block(point, full, spec1)
 
+    poch = _poch_uniform(point)
+
+    def pf_block(T):
+        return _pf_block(point, T, spec1)
+
     def rhs_b(l):
-        sl = point.s(l)
-        total = Fraction(0)
-        for T in _proper_subsets(n):
-            Tc = tuple(j for j in range(1, n + 1) if j not in T)
-            term = qpoch(-t, t, n - len(T)) * qpoch(-sl, t, n - len(T))
-            term *= _kernel_split(point, T, Tc) * _pf_block(point, T, spec1)
-            for i in T:
-                term *= point.u[i - 1] - sl
-            for ui in point.u:
-                term /= 1 - sl * ui
-            term *= _prefix_prod(point, l)
-            total += term
-        return total
+        return _subset_sum(point, l, poch, pf_block)
 
     for l in range(p + 2):
         lhs = _prefix_prod(point, l) * (1 - _ratio(point, l)) * pf_full
@@ -969,7 +925,6 @@ def _chain_main2(point, p, gamma):
     gamma = 1 case."""
     n = point.n
     t = point.t
-    q = point.q
     gamma = Fraction(gamma)
     s0 = point.s(0)
     specg = MGammaSpec(point, gamma, s0)
@@ -978,25 +933,18 @@ def _chain_main2(point, p, gamma):
     results = {}
     lhs_main = rhs_main2(specg)
 
+    poch_1 = _poch_uniform(point)
+
     def poch_g(l, m):
         if l == 0:
             return qpoch(-gamma * t, t, m) * qpoch(-s0 / gamma, t, m)
-        return qpoch(-t, t, m) * qpoch(-point.s(l), t, m)
+        return poch_1(l, m)
+
+    def pf_block(T):
+        return _pf_block(point, T, spec1)
 
     def rhs_to_show(l):
-        sl = point.s(l)
-        total = Fraction(0)
-        for T in _proper_subsets(n):
-            Tc = tuple(j for j in range(1, n + 1) if j not in T)
-            term = poch_g(l, n - len(T))
-            for i in T:
-                term *= point.u[i - 1] - sl
-            for ui in point.u:
-                term /= 1 - sl * ui
-            term *= _prefix_prod(point, l)
-            term *= _kernel_split(point, T, Tc) * _pf_block(point, T, spec1)
-            total += term
-        return total
+        return _subset_sum(point, l, poch_g, pf_block)
 
     ratio_p = _ratio(point, max(p, 1))
     L0 = max(p, 1)
@@ -1015,7 +963,7 @@ def _chain_main2(point, p, gamma):
                     term /= 1 - s0 * ui
                 for i in T:
                     term *= point.u[i - 1] - s0
-                term *= _kernel_split(point, T, Tc) * _pf_block(point, T, spec1)
+                term *= _kernel_split(point, T, Tc) * pf_block(T)
                 total += term
         return total
 
@@ -1024,19 +972,7 @@ def _chain_main2(point, p, gamma):
     # splitting off the l = 0 term: the gamma-weighted sum equals the uniform
     # sum plus the correction that cancels against the reused identity
     def rhs_uniform(l):
-        sl = point.s(l)
-        total = Fraction(0)
-        for T in _proper_subsets(n):
-            Tc = tuple(j for j in range(1, n + 1) if j not in T)
-            term = qpoch(-t, t, n - len(T)) * qpoch(-sl, t, n - len(T))
-            for i in T:
-                term *= point.u[i - 1] - sl
-            for ui in point.u:
-                term /= 1 - sl * ui
-            term *= _prefix_prod(point, l)
-            term *= _kernel_split(point, T, Tc) * _pf_block(point, T, spec1)
-            total += term
-        return total
+        return _subset_sum(point, l, poch_1, pf_block)
 
     correction = Fraction(0)
     for size in range(n + 1):
@@ -1052,7 +988,7 @@ def _chain_main2(point, p, gamma):
                 term /= 1 - s0 * ui
             for i in T:
                 term *= point.u[i - 1] - s0
-            term *= _kernel_split(point, T, Tc) * _pf_block(point, T, spec1)
+            term *= _kernel_split(point, T, Tc) * pf_block(T)
             correction += term
     uniform_total = sum(rhs_uniform(l) for l in range(L0)) + rhs_uniform(L0) / (
         1 - ratio_p

@@ -9,7 +9,7 @@ small dimensions.  Entries may be any commutative ring elements supporting
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import ParamPoint, PoleError, perm_sign
+from .arith import ParamPoint, invert, perm_sign
 
 
 def det(rows):
@@ -174,19 +174,12 @@ def b_matrix(U, V, point, u=None):
     return diag
 
 
-def _inv_scalar(val, what="denominator"):
-    if val == 0:
-        raise PoleError(what)
-    return 1 / val
-
-
-def m_gamma_entry(i, j, u, t, gamma, s, gamma_inv_s, invert=_inv_scalar):
+def m_gamma_entry(i, j, u, t, gamma, s, gamma_inv_s):
     """Entry (i, j), i < j, of the gamma-refined Pfaffian matrix.
 
-    ``u`` is the 0-based list of spectral values (ring elements), the scalars
-    t, gamma, s, gamma_inv_s are exact rationals, and ``invert`` supplies the
-    ring inverse.  At gamma = 1 the correction terms drop and no inverses of
-    (1 - s u) are needed.
+    ``u`` is the 0-based list of spectral values (rationals or series), and
+    the scalars t, gamma, s, gamma_inv_s are exact rationals.  At gamma = 1
+    the correction terms drop and no inverses of (1 - s u) are needed.
     """
     q = t * t
     if i == 0:
@@ -277,10 +270,10 @@ def rhs_main1(point, n=None):
     q = point.q
     out = Fraction(1)
     for i in range(n):
-        out *= _inv_scalar(1 - u[i], "1 - u_%d" % (i + 1))
+        out *= invert(1 - u[i], "1 - u_%d" % (i + 1))
     for i in range(n):
         for j in range(i + 1, n):
-            out *= (1 - q * u[i] * u[j]) * _inv_scalar(
+            out *= (1 - q * u[i] * u[j]) * invert(
                 1 - u[i] * u[j], "1 - u_%d*u_%d" % (i + 1, j + 1)
             )
     return out
@@ -295,10 +288,10 @@ def rhs_main2(spec, n=None):
     q = point.q
     out = Fraction(1)
     for i in range(n):
-        out *= (1 + t) * _inv_scalar(1 - u[i], "1 - u_%d" % (i + 1))
+        out *= (1 + t) * invert(1 - u[i], "1 - u_%d" % (i + 1))
     for i in range(n):
         for j in range(i + 1, n):
-            out *= (1 - q * u[i] * u[j]) * _inv_scalar(
+            out *= (1 - q * u[i] * u[j]) * invert(
                 u[i] - u[j], "u_%d - u_%d" % (i + 1, j + 1)
             )
     return out * m_gamma(spec, tuple(range(1, n + 1))).pfaffian()
@@ -314,7 +307,7 @@ def cor_entry(i, j, u, t):
     ui, uj = u[i - 1], u[j - 1]
     uij = ui * uj
     num = (ui - uj) * ((1 + q) * (1 - t * uij) + (ui + uj) * (t - q))
-    return num * _inv_scalar(
+    return num * invert(
         (1 + t) * (1 - uij) * (1 - q * uij),
         "(1+t)(1 - u_%d*u_%d)(1 - q*u_%d*u_%d)" % (i, j, i, j),
     )
@@ -329,10 +322,10 @@ def rhs_cor(point, n=None):
     q = point.q
     out = Fraction(1)
     for i in range(n):
-        out *= (1 + t) * _inv_scalar(1 - u[i], "1 - u_%d" % (i + 1))
+        out *= (1 + t) * invert(1 - u[i], "1 - u_%d" % (i + 1))
     for i in range(n):
         for j in range(i + 1, n):
-            out *= (1 - q * u[i] * u[j]) * _inv_scalar(
+            out *= (1 - q * u[i] * u[j]) * invert(
                 u[i] - u[j], "u_%d - u_%d" % (i + 1, j + 1)
             )
     mat = SkewMatrix.from_function(

@@ -302,6 +302,12 @@ def u_substitution(i, s, cap, nvars):
     return TruncSeries(nvars, cap, coeffs)
 
 
+def one_plus_sx(i, s, nvars, cap):
+    """The series 1 + s x_i."""
+    x_i = tuple(int(k == i) for k in range(nvars))
+    return TruncSeries(nvars, cap, {(0,) * nvars: 1, x_i: s})
+
+
 def vandermonde_exponents(var_indices, nvars):
     """prod_{a<b} (x_{i_a} - x_{i_b}) as an exponent dict (homogeneous)."""
     poly = {(0,) * nvars: Fraction(1)}
@@ -440,14 +446,7 @@ def f_lambda_series(lam, spin, t, cap, nvars=None, var_indices=None, cache=None)
     quo = divide_by_vandermonde(total, var_indices)
     unit = TruncSeries.const(nvars, cap, Fraction(1, 1))
     for var in var_indices:
-        lin = TruncSeries(
-            nvars,
-            cap,
-            {
-                (0,) * nvars: Fraction(1),
-                tuple(1 if i == var else 0 for i in range(nvars)): s,
-            },
-        )
+        lin = one_plus_sx(var, s, nvars, cap)
         for _ in range(n - 1):
             unit = unit * lin
     out = quo.truncate(cap) * unit * (Fraction(1) / (1 - s * s)) ** pairs

@@ -5,7 +5,10 @@ path i enters row i from the left and exits upward at column lambda_i in the
 top row.  Vertical edges may carry any multiplicity g >= 0, horizontal edges
 carry at most one path.  Summing products of local vertex weights over all
 ensembles reproduces F_lambda, giving an oracle that never touches the
-symmetrizer formula.
+symmetrizer formula.  ``row_transfer`` sums them row by row; it serves the
+scalar ``f_lambda_vertex`` and, on series, the truncated partition sums of
+``spinhl.identities``.  ``enumerate_ensembles`` and ``ensemble_weight``
+materialize every ensemble instead and are the brute-force reference.
 """
 
 from dataclasses import dataclass
@@ -84,48 +87,72 @@ class PathEnsemble:
         return max(max(row) for row in self.occ)
 
 
-def _weighted_successors(state, u, spin, q, weights, room):
+def _weighted_successors(state, u, spin, q, weights, room, budget):
     """All admissible next occupancy rows above ``state`` with their weight,
     scanning columns left to right with the entering flux fixed to 1.
 
-    ``weights`` memoizes the local weights of the row by (column,
-    configuration).  ``room[c]`` is the most paths the new row may hold in
-    the columns >= c; a row exceeding it anywhere is skipped."""
-    maxc = len(state) - 1
-    tail = [0] * (maxc + 2)  # paths of ``state`` in the columns >= c
-    for c in range(maxc, -1, -1):
+    ``u`` may be a scalar or a series; ``weights`` memoizes the local weights
+    of the row by (spin value, configuration).  Paths only move right going
+    up, so two counts of the new row only grow as it is built and bound it
+    column by column: its paths in the columns >= c may not exceed
+    ``room[c]`` (``room[width]`` is 0, so no path leaves on the right), and
+    its excess sum_c m_c max(c - p, 0) past the spin prefix length p may not
+    exceed ``budget``."""
+    width = len(state)
+    p = spin.p
+    tail = [0] * (width + 1)  # paths of ``state`` in the columns >= c
+    for c in range(width - 1, -1, -1):
         tail[c] = tail[c + 1] + state[c]
     out = []
-
-    def rec(c, h, acc, w):
-        if c > maxc:
-            if h == 0:
-                out.append((tuple(acc), w))
-            return
+    stack = [(0, 1, sum(m * (c - p) for c, m in enumerate(state) if c > p), None, ())]
+    while stack:
+        c, h, excess, w, row = stack.pop()
+        if c == width:
+            out.append((row, w))
+            continue
         g = state[c]
         for g2 in (g + h - 1, g + h):
             if g2 < 0:
                 continue
             h2 = g + h - g2
-            # the paths right of c in the new row: those of ``state`` plus h2
-            if c < maxc and tail[c + 1] + h2 > room[c + 1]:
+            # the columns left of c are final; h2 paths move on to c + 1
+            excess2 = excess + h2 if c >= p else excess
+            if excess2 > budget or tail[c + 1] + h2 > room[c + 1]:
                 continue
             cfg = (g, g2, h, h2)
             if cfg == (0, 0, 0, 0):
                 w2 = w
             else:
-                vw = weights.get((c, cfg))
+                s = spin.lookup(c)
+                vw = weights.get((s, cfg))
                 if vw is None:
-                    vw = weights[c, cfg] = vertex_weight(cfg, u, spin.lookup(c), q)
-                w2 = w * vw
-                if w2 == 0:
+                    vw = weights[s, cfg] = vertex_weight(cfg, u, s, q)
+                w2 = vw if w is None else w * vw
+                if not w2:
                     continue
-            acc.append(g2)
-            rec(c + 1, h2, acc, w2)
-            acc.pop()
-
-    rec(0, 1, [], Fraction(1))
+            stack.append((c + 1, h2, excess2, w2, row + (g2,)))
     return out
+
+
+def row_transfer(rows, spin, q, one, room, budget):
+    """Row-by-row transfer sum of the higher spin six vertex model.
+
+    ``rows`` lists one (u, weights) pair per row from the bottom up, with
+    ``weights`` the row's memo of local weights; ``one`` is the unit of the
+    ring the weights live in.  States are the occupancy rows between rows,
+    starting from the empty row of width len(room) - 1, and every new row
+    obeys the bounds ``room`` and ``budget`` of ``_weighted_successors``.
+    Returns the nonzero summed weights of the top states by state."""
+    states = {(0,) * (len(room) - 1): one}
+    for u, weights in rows:
+        nxt = {}
+        for state, acc in states.items():
+            for row, w in _weighted_successors(state, u, spin, q, weights, room, budget):
+                term = acc * w
+                got = nxt.get(row)
+                nxt[row] = term if got is None else got + term
+        states = {state: acc for state, acc in nxt.items() if acc}
+    return states
 
 
 def f_lambda_vertex(lam, point, max_col=None):
@@ -133,10 +160,10 @@ def f_lambda_vertex(lam, point, max_col=None):
     transfer sum over occupancy states.  Columns beyond max_col would only
     hold empty weight-1 vertices, so truncating at the largest part is exact.
 
-    Each row memoizes its local weights by (column, configuration).  Paths
-    only move right going up, so the number of paths in the columns >= c
-    never decreases from row to row; a state holding more of them than the
-    top boundary for some c cannot reach lambda and is never formed.
+    Each row memoizes its local weights.  The number of paths in the columns
+    >= c never decreases from row to row, so a state holding more of them
+    than the top boundary for some c cannot reach lambda and is never formed;
+    that bound also keeps every state's excess within |lambda|.
     """
     lam = as_parts(lam)
     n = len(lam)
@@ -150,17 +177,9 @@ def f_lambda_vertex(lam, point, max_col=None):
     top = [0] * (maxc + 1)
     for part in lam:
         top[part] += 1
-    room = [sum(top[c:]) for c in range(maxc + 1)]
-    q = point.q
-    states = {(0,) * (maxc + 1): Fraction(1)}
-    for row in range(1, n + 1):
-        u = point.u[row - 1]
-        weights = {}
-        nxt = {}
-        for state, acc in states.items():
-            for new_state, w in _weighted_successors(state, u, point.spin, q, weights, room):
-                nxt[new_state] = nxt.get(new_state, Fraction(0)) + acc * w
-        states = nxt
+    room = [sum(top[c:]) for c in range(maxc + 2)]
+    rows = [(u, {}) for u in point.u]
+    states = row_transfer(rows, point.spin, point.q, Fraction(1), room, sum(lam))
     return states.get(tuple(top), Fraction(0))
 
 

@@ -3,7 +3,17 @@ from fractions import Fraction as F
 
 import pytest
 
-from spinhl.arith import ParamPoint, SpinParams, qpoch, rat, rat_str, sample_point
+from spinhl.arith import (
+    ParamPoint,
+    PoleError,
+    SpinParams,
+    invert,
+    qpoch,
+    rat,
+    rat_str,
+    sample_point,
+)
+from spinhl.series import TruncSeries, u_substitution
 
 
 def test_qpoch_empty_product():
@@ -99,3 +109,17 @@ def test_sampler_avoids_declared_poles():
 def test_sampler_gives_up_on_impossible_pole():
     with pytest.raises(RuntimeError):
         sample_point(1, 1, pole_list=[lambda pt: F(0)], max_tries=5)
+
+
+def test_invert_names_the_pole():
+    assert invert(F(-2, 3), "x") == F(-3, 2)
+    with pytest.raises(PoleError) as err:
+        invert(F(0), "1 - u_1")
+    assert str(err.value) == "vanishing denominator: 1 - u_1"
+    assert err.value.what == "1 - u_1"
+    u = u_substitution(0, F(2, 5), 4, 2)
+    assert invert(1 + u, "1 + u") * (1 + u) == TruncSeries.const(2, 4, 1)
+    # u - s = (1 - s^2) x_1 + ... has no constant term
+    with pytest.raises(PoleError) as err:
+        invert(u - F(2, 5), "u_1 - s")
+    assert str(err.value) == "vanishing denominator: u_1 - s"

@@ -171,17 +171,25 @@ def test_unknown_subcommand_exits_two(capsys):
     assert err.value.code == 2
 
 
-# SHA-256 of the stdout of `spinhl verify all --n 2 --p 1 --D 2 --seed 7`,
-# taken before the series engine moved to integer numerators; the JSON must
-# stay byte-identical for the same seed and flags
-VERIFY_ALL_N2_P1_D2_SEED7 = "d8e33fe00927894ed83d2cd2aea91a6196a37c5ff77d32d8120a72d81e0b56e2"
+# SHA-256 of the stdout of `spinhl verify all` per (n, p, D, seed).  The
+# n = 2 digest was taken before the series engine moved to integer
+# numerators, the n = 3 ones before the series partition sums and the scalar
+# vertex oracle shared one row transfer; the JSON must stay byte-identical
+# for the same seed and flags
+VERIFY_ALL_DIGESTS = {
+    (2, 1, 2, 7): "d8e33fe00927894ed83d2cd2aea91a6196a37c5ff77d32d8120a72d81e0b56e2",
+    (3, 1, 3, 7): "152207efb752ee4b4fd084931f3c33a8d80a3d864a687b187a459f7c079c45ab",
+    (3, 1, 3, 8): "26f80c9900938033462c017dc2adc2f74d9d0a81c82dbf44ac52f593aa8ae12a",
+}
 
 
 def test_verify_all_stdout_is_pinned(capsys, monkeypatch):
     monkeypatch.delenv("SPINHL_SEED", raising=False)
-    code, out = run_cli(capsys, "verify", "all", "--n", "2", "--p", "1", "--D", "2", "--seed", "7")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_N2_P1_D2_SEED7
+    for (n, p, D, seed), digest in VERIFY_ALL_DIGESTS.items():
+        args = ("--n", str(n), "--p", str(p), "--D", str(D), "--seed", str(seed))
+        code, out = run_cli(capsys, "verify", "all", *args)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, args
 
 
 def assert_one_clean_error_line(err):

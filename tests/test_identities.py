@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 import spinhl.identities
+import spinhl.vertex
 from spinhl.arith import SpinParams, sample_point
 from spinhl.identities import (
     _lhs_sum,
@@ -77,6 +78,46 @@ def test_transfer_sum_matches_symmetrizer_sum(seed):
         sweep = _lhs_sum(n, spin, t, cap, weight_fn, budget, {}, var_indices=var_indices)
         oracle = _symmetrizer_sum(n, spin, t, cap, weight_fn, budget, var_indices)
         assert sweep == oracle, (seed, n, cap, spin, var_indices)
+
+
+def test_series_transfer_prunes_past_the_budget(monkeypatch):
+    seen = []
+    successors = spinhl.vertex._weighted_successors
+
+    def recording(state, *args):
+        seen.append(state)
+        return successors(state, *args)
+
+    monkeypatch.setattr(spinhl.vertex, "_weighted_successors", recording)
+    for p in (0, 1, 2):
+        t, spin, _ = series_parameters(7, p)
+        # budgets below the cap, where states past the budget carry nonzero
+        # series and only the prune keeps them out
+        for sp, var_indices, budget in (
+            *((spin, (0, 1, 2), budget) for budget in range(4)),
+            (spin.shift(1), (0, 2), 2),
+        ):
+            seen.clear()
+            _lhs_sum(3, sp, t, 3, lambda lam, s: F(1), budget, {}, var_indices=var_indices)
+            assert seen, "the series sum does not go through the vertex transfer"
+            for state in seen:
+                assert len(state) == sp.p + budget + 1
+                assert sum(state) < len(var_indices)
+                assert sum(m * max(c - sp.p, 0) for c, m in enumerate(state)) <= budget, state
+
+
+def test_hl_corollary_makes_one_transfer_sweep(monkeypatch):
+    budgets = []
+    sweep = spinhl.identities._transfer_sweep
+
+    def counting(n, spin, t, cap, budget, *args):
+        budgets.append(budget)
+        return sweep(n, spin, t, cap, budget, *args)
+
+    monkeypatch.setattr(spinhl.identities, "_transfer_sweep", counting)
+    assert run_check("hl", n=3, p=1, D=3, seed=7).passed
+    # hl runs at n = 2: budget D + n(n-1)/2 + 1, for the stabilization gate
+    assert budgets == [5]
 
 
 def test_stabilization_gate_catches_a_missing_margin(monkeypatch):
