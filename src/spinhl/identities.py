@@ -20,6 +20,13 @@ same one that computes the scalar ``f_lambda_vertex``: this module only
 builds its rows (one spectral series per variable) and reads the partitions
 off its final states.  Every series check additionally extends the budget by
 one and confirms that no coefficient moves (the stabilization check).
+
+The recurrences are checked after clearing denominators by the Vandermonde
+polynomial V, so each weighted sum H over a variable subset T is read only to
+degree D + |T| |Tc|, the degree its cofactor V(T) V(Tc) leaves; H is
+symmetric, so each subset size and shift takes one sum, and one product with
+the subset factor, relabeled onto every subset of that size (see
+``_check_rec``).
 """
 
 from dataclasses import dataclass
@@ -215,7 +222,7 @@ def _rhs_pf_series(n, s, t, gamma, s0, gamma_inv_s0, cap):
     matrix is antisymmetric in the x variables, hence exactly divisible by
     prod (x_i - x_j); the remaining u-difference unit is inverted directly."""
     q = t * t
-    pairs = _pair_extra(n)
+    pairs = n * (n - 1) // 2
     work = cap + pairs
     U = [u_substitution(i, s, work, n) for i in range(n)]
     mat = SkewMatrix.from_function(
@@ -241,14 +248,20 @@ def _rhs_pf_series(n, s, t, gamma, s0, gamma_inv_s0, cap):
     return out
 
 
+def _gated_sum(n, spin, t, cap, weight_fn, budget, cache, var_indices=None):
+    """The stabilization gate: the partition sum at budget B + 1, and the
+    first coefficient where the sum at B differs from it (None when none
+    does).  The larger budget goes first, so one cached transfer serves
+    both sums."""
+    extended = _lhs_sum(n, spin, t, cap, weight_fn, budget + 1, cache, var_indices)
+    lhs = _lhs_sum(n, spin, t, cap, weight_fn, budget, cache, var_indices)
+    return extended, series_diff(lhs, extended)
+
+
 def _series_check(name, params, n, spin, t, cap, weight_fn, rhs, cache):
     """Shared skeleton: stabilized truncated sum on the left against an
     explicit series on the right."""
-    budget = cap + _pair_extra(n)
-    # the larger budget first, so that one cached transfer serves both sums
-    extended = _lhs_sum(n, spin, t, cap, weight_fn, budget + 1, cache)
-    lhs = _lhs_sum(n, spin, t, cap, weight_fn, budget, cache)
-    drift = series_diff(lhs, extended)
+    extended, drift = _gated_sum(n, spin, t, cap, weight_fn, cap + _pair_extra(n), cache)
     if drift is not None:
         return CheckReport(name, params, "stabilization_failed", _coeff_witness(drift))
     diff = series_diff(extended, rhs)
@@ -363,8 +376,6 @@ def check_kawanaka(n, t, D, cache=None):
     def kaw_weight(lam, sp):
         return weight_main2(lam, sp, t, gamma, gis0)
 
-    budget = D + _pair_extra(n)
-    lhs = _lhs_sum(n, spin, t, D, kaw_weight, budget, cache)
     # independent route: sum of prod_{r>=1} (-t;t)_{m_r} P_lambda, with
     # P_lambda = F_lambda(all spins 0) / prod_r (q;q)_{m_r}
     q = t * t
@@ -377,15 +388,16 @@ def check_kawanaka(n, t, D, cache=None):
                 w *= qpoch(-t, t, m)
         return w
 
+    # the two weights agree partition by partition, so any budget compares
+    # them; B + 1 is the one the transfer of ``_series_check`` is kept at
+    budget = D + _pair_extra(n) + 1
+    lhs = _lhs_sum(n, spin, t, D, kaw_weight, budget, cache)
     hl_side = _lhs_sum(n, spin, t, D, hl_sum_weight, budget, cache)
     drift = series_diff(lhs, hl_side)
     if drift is not None:
         return CheckReport("kawanaka", params, "fail", _coeff_witness(drift))
     rhs = _rhs_pf_series(n, Fraction(0), t, gamma, Fraction(0), gis0, D)
-    diff = series_diff(lhs, rhs)
-    if diff is not None:
-        return CheckReport("kawanaka", params, "fail", _coeff_witness(diff))
-    return CheckReport("kawanaka", params, "pass")
+    return _series_check("kawanaka", params, n, spin, t, D, kaw_weight, rhs, cache)
 
 
 # ----------------------------------------------------------------------
@@ -399,41 +411,89 @@ def _sgn_split(T, S):
     return -1 if crossings % 2 else 1
 
 
+def _rec_h(n, k, spin, t, D, weight_fn, cache):
+    """The stabilization gate on H over the first k of n variables, carried
+    to degree D + k (n - k): the degree the cleared recurrence reads of it."""
+    cap = D + k * (n - k)
+    return _gated_sum(n, spin, t, cap, weight_fn, cap + _pair_extra(k), cache, tuple(range(k)))
+
+
+def _rec_block(T, n, s, q, cap):
+    """The subset factor sgn(T) V(T) V(Tc) prod_{i in T, j in Tc} (u_i - q u_j)
+    (1 + s x_i)(1 + s x_j)/(1 - s^2), a polynomial: each pair factor is
+    ((s + x_i)(1 + s x_j) - q (s + x_j)(1 + s x_i))/(1 - s^2)."""
+    full = tuple(range(n))
+    Tc = tuple(j for j in full if j not in T)
+    unit = Fraction(1) / (1 - s * s)
+    const, lin_i, lin_j = s * (1 - q) * unit, (1 - q * s * s) * unit, (s * s - q) * unit
+    block = TruncSeries.const(n, cap, _sgn_split(T, full))
+    for i in T:
+        for j in Tc:
+            x_i = tuple(int(v == i) for v in full)
+            x_j = tuple(int(v == j) for v in full)
+            x_ij = tuple(a + b for a, b in zip(x_i, x_j))
+            pair = {(0,) * n: const, x_i: lin_i, x_j: lin_j, x_ij: const}
+            block = block * TruncSeries(n, cap, pair)
+    block = block * _vandermonde_series(T, n, cap)
+    return block * _vandermonde_series(Tc, n, cap)
+
+
 def _check_rec(name, n, p, spin, t, D, lhs_weight, inner_weight, poch_pair, L0, cache):
     """Shared engine for the three recurrences.
 
-    Both sides are multiplied by the full Vandermonde polynomial in x, which
-    clears the u-difference denominators of the shuffle factors termwise;
-    agreement to degree D + n(n-1)/2 of the cleared identity certifies the
-    recurrence itself to degree D.  The tail of the sum over the smallest
-    part l is geometric from L0 on and is summed in closed form.
+    Both sides are multiplied by the full Vandermonde polynomial V in x, of
+    degree n(n-1)/2, which clears the u-difference denominators of the
+    shuffle factors termwise; agreement to degree D + n(n-1)/2 of the cleared
+    identity certifies the recurrence itself to degree D.  The tail of the
+    sum over the smallest part l is geometric from L0 on and is summed in
+    closed form.
+
+    Each H is computed only as far as the cleared identity reads it.  The
+    subset term of T carries V(T) V(Tc), homogeneous of degree
+    n(n-1)/2 - |T| |Tc|, so H(T) is needed to degree D + |T| |Tc| only, and
+    H over all n variables (against V) to degree D only.  H is symmetric, so
+    H(T) is H over the first |T| variables relabeled: one sum per subset size
+    and shift, not one per subset.  Each sum runs at budget B (the cap plus
+    the margin of ``_lhs_sum``) and B + 1, and any coefficient that moves
+    between the two fails the stabilization gate.  The subset factor
+    (``_rec_block``) of T is that of the first |T| variables relabeled, times
+    the crossing sign of T, so the whole T-dependent part of the l-th term is
+    one product per subset size, relabeled onto each subset.  The factors
+    that do not depend on T multiply the sum over T once per l.
     """
     params = {"n": n, "p": p, "D": D, "t": rat_str(t), "s": rat_str(spin.tail)}
     q = t * t
     s = spin.tail
-    pairs = _pair_extra(n)
-    cap = D + pairs
+    cap = D + n * (n - 1) // 2
     full = tuple(range(n))
+    max_l = max(L0, p)
 
-    hcache = {}
+    h_full, drift = _rec_h(n, n, spin, t, D, lhs_weight, cache)
+    if drift is not None:
+        return CheckReport(name, params, "stabilization_failed", _coeff_witness(drift))
+    # the T-dependent part of the l-th term for T = (0, ..., k-1): the subset
+    # factor times poch_pair(l, n - k) prod_{i in T} (u_i - s_l) H(T, spin
+    # shifted past l); renaming x_0..x_{k-1} to T and the rest to Tc, in
+    # order, carries it onto sgn(T) times the part for T
+    subset_sums = [TruncSeries.zero(n, cap) for _ in range(max_l + 1)]
+    for k in range(n):
+        block = _rec_block(full[:k], n, s, q, cap)
+        for l in range(max_l + 1):
+            h, drift = _rec_h(n, k, spin.shift(l + 1), t, D, inner_weight, cache)
+            if drift is not None:
+                return CheckReport(name, params, "stabilization_failed", _coeff_witness(drift))
+            sl = spin.lookup(l)
+            term = h * poch_pair(l, n - k)
+            for i in range(k):
+                term = term * (u_substitution(i, s, h.cap, n) - sl)
+            term = block * term.relabeled(full, cap)
+            for T in combinations(full, k):
+                order = T + tuple(j for j in full if j not in T)
+                subset_sums[l] = subset_sums[l] + _sgn_split(T, full) * term.relabeled(order, cap)
 
-    def H(var_indices, shift, weight_fn):
-        key = (var_indices, shift.prefix, shift.tail, id(weight_fn))
-        got = hcache.get(key)
-        if got is None:
-            budget = cap + _pair_extra(len(var_indices))
-            got = _lhs_sum(
-                n, shift, t, cap, weight_fn, budget, cache, var_indices=var_indices
-            )
-            hcache[key] = got
-        return got
-
-    V_full = _vandermonde_series(full, n, cap)
-    lhs = V_full * H(full, spin, lhs_weight)
+    lhs = _vandermonde_series(full, n, cap) * h_full.relabeled(full, cap)
 
     U = [u_substitution(i, s, cap, n) for i in range(n)]
-    lin = [one_plus_sx(i, s, n, cap) for i in range(n)]
-    unit = Fraction(1) / (1 - s * s)
     # geometric ratio prod_i (u_i - s)/(1 - s u_i)
     ratio = TruncSeries.const(n, cap, 1)
     for i in range(n):
@@ -443,7 +503,6 @@ def _check_rec(name, n, p, spin, t, D, lhs_weight, inner_weight, poch_pair, L0, 
     # the factors of the l-th term that do not depend on the subset T:
     # prod_i 1/(1 - s_l u_i), the prefix prod_{l' < l, i} (u_i - s_l')/(1 - s_l' u_i)
     # and, at the last l, the geometric tail
-    max_l = max(L0, p)
     outer = []
     prefix_prod = TruncSeries.const(n, cap, 1)
     for l in range(max_l + 1):
@@ -456,24 +515,8 @@ def _check_rec(name, n, p, spin, t, D, lhs_weight, inner_weight, poch_pair, L0, 
         outer.append(factor * tail_factor if l == max_l else factor)
 
     rhs = TruncSeries.zero(n, cap)
-    for size in range(n):
-        for T in combinations(range(n), size):
-            Tc = tuple(j for j in range(n) if j not in T)
-            block = TruncSeries.const(n, cap, _sgn_split(T, full))
-            for i in T:
-                for j in Tc:
-                    block = block * (U[i] - q * U[j])
-                    block = block * lin[i] * lin[j] * unit
-            block = block * _vandermonde_series(T, n, cap)
-            block = block * _vandermonde_series(Tc, n, cap)
-            for l in range(max_l + 1):
-                sl = spin.lookup(l)
-                term = block * poch_pair(l, n - size)
-                for i in T:
-                    term = term * (U[i] - sl)
-                term = term * outer[l]
-                term = term * H(T, spin.shift(l + 1), inner_weight)
-                rhs = rhs + term
+    for factor, subset_sum in zip(outer, subset_sums):
+        rhs = rhs + factor * subset_sum
     diff = series_diff(lhs, rhs)
     if diff is not None:
         return CheckReport(name, params, "fail", _coeff_witness(diff))

@@ -95,6 +95,19 @@ class TruncSeries:
         num = {e: v for e, v in self.num.items() if sum(e) <= cap}
         return TruncSeries._reduced(self.nvars, cap, self.den, num)
 
+    def relabeled(self, order, cap):
+        """The series with x_i renamed x_{order[i]} (``order`` a permutation
+        of the variables), read at ``cap >= self.cap`` with every coefficient
+        past ``self.cap`` zero.  Numerators and denominator are kept as they
+        are."""
+        if cap < self.cap:
+            raise ValueError("cannot truncate while relabeling")
+        back = [0] * self.nvars
+        for i, j in enumerate(order):
+            back[j] = i
+        num = {tuple([e[i] for i in back]): v for e, v in self.num.items()}
+        return TruncSeries._reduced(self.nvars, cap, self.den, num)
+
     def coefficient(self, exps):
         return Fraction(self.num.get(tuple(exps), 0), self.den)
 

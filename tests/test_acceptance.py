@@ -160,11 +160,11 @@ def test_criterion_06_recurrences(series_cache):
             pt = sample_point(seed, n, p=1, pole_list=spin_poles(6))
             for lam in bounded_partitions(n, 4):
                 assert f_lambda_recurrence_rhs(lam, pt) == f_lambda(lam, pt), (n, lam)
-    for n in (1, 2, 3):
-        t, spin, gamma = series_parameters(7, 1)
-        assert check_rec1(n, 1, spin, t, 4, cache=series_cache).passed
-        assert check_rec2(n, 1, spin, t, 4, gamma, cache=series_cache).passed
-        assert check_rec2v(n, 1, spin, t, 4, cache=series_cache).passed
+    t, spin, gamma = series_parameters(7, 1)
+    for n, D in ((1, 4), (2, 4), (3, 4), (4, 2)):
+        assert check_rec1(n, 1, spin, t, D, cache=series_cache).passed
+        assert check_rec2(n, 1, spin, t, D, gamma, cache=series_cache).passed
+        assert check_rec2v(n, 1, spin, t, D, cache=series_cache).passed
     report(6, "length recurrence and the three sum recurrences", started)
 
 

@@ -174,12 +174,14 @@ def test_unknown_subcommand_exits_two(capsys):
 # SHA-256 of the stdout of `spinhl verify all` per (n, p, D, seed).  The
 # n = 2 digest was taken before the series engine moved to integer
 # numerators, the n = 3 ones before the series partition sums and the scalar
-# vertex oracle shared one row transfer; the JSON must stay byte-identical
-# for the same seed and flags
+# vertex oracle shared one row transfer, the n = 4 one before the recurrence
+# checks carried each H only to the degree they read; the JSON must stay
+# byte-identical for the same seed and flags
 VERIFY_ALL_DIGESTS = {
     (2, 1, 2, 7): "d8e33fe00927894ed83d2cd2aea91a6196a37c5ff77d32d8120a72d81e0b56e2",
     (3, 1, 3, 7): "152207efb752ee4b4fd084931f3c33a8d80a3d864a687b187a459f7c079c45ab",
     (3, 1, 3, 8): "26f80c9900938033462c017dc2adc2f74d9d0a81c82dbf44ac52f593aa8ae12a",
+    (4, 1, 2, 7): "ee6624a59e6d60184b1bf0ba78cb9c11a24a168808823ddabfe6c7a88bd40d65",
 }
 
 

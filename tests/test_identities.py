@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -8,6 +9,9 @@ from spinhl.arith import SpinParams, sample_point
 from spinhl.identities import (
     _lhs_sum,
     _pair_extra,
+    _rec_block,
+    _rec_h,
+    _sgn_split,
     check_cor_main2,
     check_hl_corollary,
     check_kawanaka,
@@ -123,6 +127,81 @@ def test_hl_corollary_makes_one_transfer_sweep(monkeypatch):
 def test_stabilization_gate_catches_a_missing_margin(monkeypatch):
     monkeypatch.setattr(spinhl.identities, "_pair_extra", lambda n: 0)
     assert run_check("main1", n=3, p=1, D=2).status == "stabilization_failed"
+
+
+@pytest.mark.parametrize("short", [3, 2], ids=["H over all 3", "H over 2 of 3"])
+@pytest.mark.parametrize("name", ["rec1", "rec2", "rec2v"])
+def test_recurrence_gate_catches_a_missing_margin(monkeypatch, name, short):
+    # only the sums over `short` variables lose their budget margin
+    margin = spinhl.identities._pair_extra
+    monkeypatch.setattr(
+        spinhl.identities, "_pair_extra", lambda k: 0 if k == short else margin(k)
+    )
+    assert run_check(name, n=3, p=1, D=2).status == "stabilization_failed"
+
+
+def test_kawanaka_gate_catches_a_budget_one_too_small(monkeypatch):
+    # with all spins zero each F_lambda is homogeneous of degree |lambda|, so
+    # budget D is exact and only a budget below it can drift
+    assert run_check("kawanaka", n=2, D=3).passed
+    monkeypatch.setattr(spinhl.identities, "_pair_extra", lambda n: -1)
+    assert run_check("kawanaka", n=2, D=3).status == "stabilization_failed"
+
+
+def test_reduced_cap_h_matches_the_full_cap_subset_sum():
+    # H(T) is H over the first |T| variables relabeled, and carrying it to
+    # degree D + |T| |Tc| instead of D + n(n-1)/2 loses none of those degrees
+    n, D = 4, 1
+    cap = D + n * (n - 1) // 2
+    full = tuple(range(n))
+    for p in (0, 1, 2):
+        t, spin, _ = series_parameters(7, p)
+        shift = spin.shift(1)
+        weight_fn = lambda lam, sp, q=t * t: weight_main1(lam, sp, q)
+        cache = {}
+        for k in range(n):
+            h, drift = _rec_h(n, k, shift, t, D, weight_fn, cache)
+            assert drift is None
+            cap_k = D + k * (n - k)
+            assert h.cap == cap_k
+            for T in combinations(full, k):
+                order = T + tuple(j for j in full if j not in T)
+                budget = cap + _pair_extra(k)
+                old = _lhs_sum(n, shift, t, cap, weight_fn, budget, {}, var_indices=T)
+                assert h.relabeled(order, cap_k) == old.truncate(cap_k), (p, T)
+
+
+def test_subset_factor_is_the_signed_relabeled_first_subset_factor():
+    # the recurrence check builds the subset factor of (0, ..., k-1) only
+    # and carries it onto every other k-subset T by renaming the variables
+    n, cap = 4, 8
+    full = tuple(range(n))
+    for p in (0, 1):
+        t, spin, _ = series_parameters(7, p)
+        for k in range(n + 1):
+            first = _rec_block(full[:k], n, spin.tail, t * t, cap)
+            for T in combinations(full, k):
+                order = T + tuple(j for j in full if j not in T)
+                direct = _rec_block(T, n, spin.tail, t * t, cap)
+                assert direct == _sgn_split(T, full) * first.relabeled(order, cap), T
+
+
+def test_recurrences_read_the_top_coefficient_of_each_reduced_h(monkeypatch):
+    # adding 1 at the top degree of H(T) for |T| = n - 1 must break every
+    # recurrence: the reduced caps leave no coefficient uncomputed that the
+    # cleared identity reads
+    lhs_sum = spinhl.identities._lhs_sum
+
+    def bumped(n, spin, t, cap, weight_fn, budget, cache, var_indices=None):
+        out = lhs_sum(n, spin, t, cap, weight_fn, budget, cache, var_indices)
+        if var_indices is not None and len(var_indices) == n - 1:
+            top = tuple(cap if v == var_indices[0] else 0 for v in range(n))
+            out = out + TruncSeries(n, cap, {top: 1})
+        return out
+
+    monkeypatch.setattr(spinhl.identities, "_lhs_sum", bumped)
+    for name in ("rec1", "rec2", "rec2v"):
+        assert run_check(name, n=3, p=1, D=2).status == "fail", name
 
 
 def test_main1_degenerate_cases():

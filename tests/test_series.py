@@ -217,6 +217,22 @@ def test_truncate_cannot_extend():
         s.truncate(5)
 
 
+def test_relabeled_renames_variables_and_pads_with_zeros():
+    s = TruncSeries(3, 2, {(0, 0, 0): F(1, 2), (2, 0, 0): F(3, 4), (1, 1, 0): F(-1, 6)})
+    # x_0 -> x_2, x_1 -> x_0, x_2 -> x_1, read at cap 4
+    out = s.relabeled((2, 0, 1), 4)
+    assert out.cap == 4
+    assert out.coeffs == {(0, 0, 0): F(1, 2), (0, 0, 2): F(3, 4), (1, 0, 1): F(-1, 6)}
+    assert out.den == s.den
+    # the identity order only pads, and products past the old cap see zeros
+    x = TruncSeries.variable(3, 4, 0)
+    assert (s.relabeled((0, 1, 2), 4) * x * x).coeffs == {
+        (2, 0, 0): F(1, 2), (4, 0, 0): F(3, 4), (3, 1, 0): F(-1, 6)
+    }
+    with pytest.raises(ValueError):
+        s.relabeled((0, 1, 2), 1)
+
+
 # ----------------------------------------------------------------------
 # reference engine: plain dicts of Fractions, term by term, with the inverse
 # as ``cap`` fixed-point steps acc = 1 + h * acc and division by repeated
