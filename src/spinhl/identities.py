@@ -27,16 +27,23 @@ degree D + |T| |Tc|, the degree its cofactor V(T) V(Tc) leaves; H is
 symmetric, so each subset size and shift takes one sum, and one product with
 the subset factor, relabeled onto every subset of that size (see
 ``_check_rec``).
+
+Every reduction-chain equation that sums over subsets goes through
+``_subset_sum``, over the proper subsets or all of them; the split kernel
+times the block of each subset does not depend on l and is tabulated once per
+chain (``_subset_table``).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 from .arith import PoleError, SpinParams, invert, qpoch, rat_str, sample_point
 from .pfaffian import (
     MGammaSpec,
     SkewMatrix,
+    littlewood_kernel,
     m_conjugated,
     m_gamma,
     m_gamma_entry,
@@ -201,16 +208,7 @@ def _lhs_sum(n, spin, t, cap, weight_fn, budget, cache, var_indices=None):
 
 
 def _rhs_main1_series(n, s, t, cap):
-    q = t * t
-    U = [u_substitution(i, s, cap, n) for i in range(n)]
-    out = TruncSeries.const(n, cap, 1)
-    for i in range(n):
-        out = out * invert(1 - U[i], "1 - u_%d" % (i + 1))
-    for i in range(n):
-        for j in range(i + 1, n):
-            out = out * (1 - q * U[i] * U[j])
-            out = out * invert(1 - U[i] * U[j], "1 - u_%d*u_%d" % (i + 1, j + 1))
-    return out
+    return littlewood_kernel([u_substitution(i, s, cap, n) for i in range(n)], t * t)
 
 
 def _vandermonde_series(var_indices, nvars, cap):
@@ -328,6 +326,27 @@ def check_main2(n, p, spin, t, D, gamma, gamma_inv_s0=None, cache=None):
     )
 
 
+def _zero_spin_check(name, n, t, D, weight, other_weight, gamma, cache):
+    """Shared skeleton of ``hl`` and ``kawanaka``, with all spins zero: the
+    sum of ``weight`` must match the sum of ``other_weight`` (an independent
+    route to the same left side) and then, through ``_series_check``, the
+    Pfaffian side at s = 0 and the given gamma."""
+    cache = {} if cache is None else cache
+    params = {"n": n, "D": D, "t": rat_str(t)}
+    if n == 0:
+        return CheckReport(name, params, "pass")
+    spin = SpinParams.constant(Fraction(0))
+    # the two weights agree partition by partition, so any budget compares
+    # them; B + 1 is the one the transfer of ``_series_check`` is kept at
+    budget = D + _pair_extra(n) + 1
+    lhs = _lhs_sum(n, spin, t, D, weight, budget, cache)
+    drift = series_diff(lhs, _lhs_sum(n, spin, t, D, other_weight, budget, cache))
+    if drift is not None:
+        return CheckReport(name, params, "fail", _coeff_witness(drift))
+    rhs = _rhs_pf_series(n, Fraction(0), t, gamma, Fraction(0), Fraction(0), D)
+    return _series_check(name, params, n, spin, t, D, weight, rhs, cache)
+
+
 def check_hl_corollary(n, t, D, cache=None):
     """Littlewood identity for Hall-Littlewood polynomials: all spins zero, so
     u_i = x_i and each summand is homogeneous of degree |lambda|.
@@ -336,11 +355,6 @@ def check_hl_corollary(n, t, D, cache=None):
     with P_lambda recovered from F_lambda by dividing out prod_r (q;q)_{m_r};
     it must also agree with the zero-spin specialization of the gamma = 1
     weights."""
-    cache = {} if cache is None else cache
-    params = {"n": n, "D": D, "t": rat_str(t)}
-    if n == 0:
-        return CheckReport("hl", params, "pass")
-    spin = SpinParams.constant(Fraction(0))
     q = t * t
 
     def hl_weight_on_f(lam, sp):
@@ -349,37 +363,23 @@ def check_hl_corollary(n, t, D, cache=None):
             w /= qpoch(q, q, m)
         return w
 
-    # the two weights agree partition by partition, so any budget compares
-    # them; B + 1 is the one the transfer of ``_series_check`` is kept at
-    budget = D + _pair_extra(n) + 1
-    hl_sum = _lhs_sum(n, spin, t, D, hl_weight_on_f, budget, cache)
-    cor_sum = _lhs_sum(n, spin, t, D, lambda lam, sp: weight_cor(lam, sp, t), budget, cache)
-    drift = series_diff(hl_sum, cor_sum)
-    if drift is not None:
-        return CheckReport("hl", params, "fail", _coeff_witness(drift))
-    rhs = _rhs_pf_series(n, Fraction(0), t, Fraction(1), Fraction(0), Fraction(0), D)
-    return _series_check("hl", params, n, spin, t, D, hl_weight_on_f, rhs, cache)
+    def cor_weight(lam, sp):
+        return weight_cor(lam, sp, t)
+
+    return _zero_spin_check("hl", n, t, D, hl_weight_on_f, cor_weight, Fraction(1), cache)
 
 
 def check_kawanaka(n, t, D, cache=None):
     """Specialization path s_0 = 0, then gamma = 0, then all spins 0: the
     gamma-refined identity must degenerate without pole errors and its left
     side must match the classical Hall-Littlewood weighted sum."""
-    cache = {} if cache is None else cache
-    params = {"n": n, "D": D, "t": rat_str(t)}
-    if n == 0:
-        return CheckReport("kawanaka", params, "pass")
-    spin = SpinParams.constant(Fraction(0))
-    gamma = Fraction(0)
-    gis0 = Fraction(0)
+    q = t * t
 
     def kaw_weight(lam, sp):
-        return weight_main2(lam, sp, t, gamma, gis0)
+        return weight_main2(lam, sp, t, Fraction(0), Fraction(0))
 
     # independent route: sum of prod_{r>=1} (-t;t)_{m_r} P_lambda, with
     # P_lambda = F_lambda(all spins 0) / prod_r (q;q)_{m_r}
-    q = t * t
-
     def hl_sum_weight(lam, sp):
         w = Fraction(1)
         for r, m in multiplicities(lam).items():
@@ -388,16 +388,7 @@ def check_kawanaka(n, t, D, cache=None):
                 w *= qpoch(-t, t, m)
         return w
 
-    # the two weights agree partition by partition, so any budget compares
-    # them; B + 1 is the one the transfer of ``_series_check`` is kept at
-    budget = D + _pair_extra(n) + 1
-    lhs = _lhs_sum(n, spin, t, D, kaw_weight, budget, cache)
-    hl_side = _lhs_sum(n, spin, t, D, hl_sum_weight, budget, cache)
-    drift = series_diff(lhs, hl_side)
-    if drift is not None:
-        return CheckReport("kawanaka", params, "fail", _coeff_witness(drift))
-    rhs = _rhs_pf_series(n, Fraction(0), t, gamma, Fraction(0), gis0, D)
-    return _series_check("kawanaka", params, n, spin, t, D, kaw_weight, rhs, cache)
+    return _zero_spin_check("kawanaka", n, t, D, kaw_weight, hl_sum_weight, Fraction(0), cache)
 
 
 # ----------------------------------------------------------------------
@@ -555,6 +546,8 @@ def check_rec2(n, p, spin, t, D, gamma, cache=None):
     gamma = 1 sums, and gamma enters the Pochhammer weights only at l = 0."""
     cache = {} if cache is None else cache
     gamma = Fraction(gamma)
+    if gamma == 0:
+        raise ValueError("rec2 needs gamma != 0: its weights divide s_0 by gamma")
     gis0 = spin.lookup(0) / gamma
 
     def lhs_wt(lam, sp):
@@ -740,18 +733,6 @@ def polynomial_expansion_equal(fn_lhs, fn_rhs, degree_bound, nodes, extra_nodes)
 # reduction chains (point mode)
 
 
-def _prefix_prod(point, l):
-    out = Fraction(1)
-    for ui in point.u:
-        for j in range(l):
-            sj = point.s(j)
-            den = 1 - sj * ui
-            if den == 0:
-                raise PoleError("1 - s_%d*u" % j)
-            out *= (ui - sj) / den
-    return out
-
-
 def _ratio(point, l):
     out = Fraction(1)
     sl = point.s(l)
@@ -763,26 +744,16 @@ def _ratio(point, l):
     return out
 
 
+def _prefix_prod(point, l):
+    return prod((_ratio(point, j) for j in range(l)), start=Fraction(1))
+
+
 def _kernel_split(point, T, Tc):
     out = Fraction(1)
     q = point.q
     for i in T:
         for j in Tc:
             out *= (point.u[i - 1] - q * point.u[j - 1]) / (point.u[i - 1] - point.u[j - 1])
-    return out
-
-
-def _k1_block(point, T):
-    """prod_{i in T} 1/(1-u_i) * prod_{i<j in T} (1-q u_i u_j)/(1-u_i u_j)."""
-    out = Fraction(1)
-    q = point.q
-    T = tuple(T)
-    for i in T:
-        out /= 1 - point.u[i - 1]
-    for a in range(len(T)):
-        for b in range(a + 1, len(T)):
-            ui, uj = point.u[T[a] - 1], point.u[T[b] - 1]
-            out *= (1 - q * ui * uj) / (1 - ui * uj)
     return out
 
 
@@ -809,68 +780,54 @@ def _poch_uniform(point):
     return lambda l, m: qpoch(-t, t, m) * qpoch(-point.s(l), t, m)
 
 
-def _proper_subsets(n):
-    idx = tuple(range(1, n + 1))
-    for size in range(n):
-        yield from combinations(idx, size)
+def _subset_table(point, block):
+    """The split kernel times ``block(T)`` for every subset T of [n], in
+    order of size: the part of a chain term that does not depend on l."""
+    idx = tuple(range(1, point.n + 1))
+    table = {}
+    for size in range(point.n + 1):
+        for T in combinations(idx, size):
+            table[T] = _kernel_split(point, T, tuple(j for j in idx if j not in T)) * block(T)
+    return table
 
 
-def _subset_sum(point, l, poch, block):
-    """The l-th term of a reduction chain: the sum over proper subsets T of
-    poch(l, n - |T|) prod_{i in T} (u_i - s_l) / prod_i (1 - s_l u_i) times
-    the prefix product up to l, the split kernel and ``block(T)``."""
+def _subset_sum(point, l, poch, table, proper=True):
+    """The l-th term of a reduction chain: the sum over the subsets T of
+    ``table`` (the proper ones unless ``proper`` is false) of
+    poch(l, n - |T|) prod_{i in T} (u_i - s_l) ``table[T]``, times the prefix
+    product up to l over prod_i (1 - s_l u_i)."""
     n = point.n
     sl = point.s(l)
+    pochs = [poch(l, m) for m in range(n + 1)]
     total = Fraction(0)
-    for T in _proper_subsets(n):
-        Tc = tuple(j for j in range(1, n + 1) if j not in T)
-        term = poch(l, n - len(T))
+    for T, factor in table.items():
+        if proper and len(T) == n:
+            continue
+        term = pochs[n - len(T)] * factor
         for i in T:
             term *= point.u[i - 1] - sl
-        for ui in point.u:
-            term /= 1 - sl * ui
-        term *= _prefix_prod(point, l)
-        term *= _kernel_split(point, T, Tc) * block(T)
         total += term
-    return total
+    for ui in point.u:
+        total /= 1 - sl * ui
+    return total * _prefix_prod(point, l)
 
 
 def _chain_main1(point, p):
     """Each displayed step reducing the product-form identity to the key lemma."""
     q = point.q
-    results = {}
-
-    def rhs_a(l):
-        return _subset_sum(
-            point, l, lambda l, m: qpoch(-point.s(l), q, m), lambda T: _k1_block(point, T)
-        )
-
+    table = _subset_table(point, lambda T: littlewood_kernel([point.u[i - 1] for i in T], q))
     k1_full = rhs_main1(point)
-    for l in range(p + 2):
-        lhs = _prefix_prod(point, l) * (1 - _ratio(point, l)) * k1_full
-        results["a[l=%d]" % l] = lhs == rhs_a(l)
+    poch = lambda l, m: qpoch(-point.s(l), q, m)
+    rhs_a = [_subset_sum(point, l, poch, table) for l in range(p + 2)]
+    lhs_a = [_prefix_prod(point, l) * (1 - _ratio(point, l)) * k1_full for l in range(p + 2)]
+    results = {"a[l=%d]" % l: lhs_a[l] == rhs_a[l] for l in range(p + 2)}
 
     ratio_p = _ratio(point, p)
     lhs_app = (1 - ratio_p) * k1_full
-    rhs_app = sum(rhs_a(l) for l in range(p + 1)) - ratio_p * sum(
-        rhs_a(l) for l in range(p)
-    )
-    results["A''"] = lhs_app == rhs_app
-    results["telescope"] = (
-        sum(
-            _prefix_prod(point, l) * (1 - _ratio(point, l)) * k1_full
-            for l in range(p + 1)
-        )
-        - ratio_p
-        * sum(
-            _prefix_prod(point, l) * (1 - _ratio(point, l)) * k1_full
-            for l in range(p)
-        )
-        == lhs_app
-    )
+    results["A''"] = lhs_app == sum(rhs_a[: p + 1]) - ratio_p * sum(rhs_a[:p])
+    results["telescope"] = sum(lhs_a[: p + 1]) - ratio_p * sum(lhs_a[:p]) == lhs_app
     # full sum over l with geometric tail
-    rhs_A = sum(rhs_a(l) for l in range(p)) + rhs_a(p) / (1 - ratio_p)
-    results["A"] = k1_full == rhs_A
+    results["A"] = k1_full == sum(rhs_a[:p]) + rhs_a[p] / (1 - ratio_p)
     return results
 
 
@@ -880,52 +837,25 @@ def _chain_cor(point, p):
     t = point.t
     q = point.q
     spec1 = MGammaSpec(point, Fraction(1), point.s(0))
-    results = {}
     full = tuple(range(1, n + 1))
     pf_full = _pf_block(point, full, spec1)
-
+    # the (1+t)/(1-u_i) factors over T live inside _pf_block
+    table = _subset_table(point, lambda T: _pf_block(point, T, spec1))
     poch = _poch_uniform(point)
-
-    def pf_block(T):
-        return _pf_block(point, T, spec1)
-
-    def rhs_b(l):
-        return _subset_sum(point, l, poch, pf_block)
-
-    for l in range(p + 2):
-        lhs = _prefix_prod(point, l) * (1 - _ratio(point, l)) * pf_full
-        results["b[l=%d]" % l] = lhs == rhs_b(l)
+    rhs_b = [_subset_sum(point, l, poch, table) for l in range(p + 2)]
+    prefix = [_prefix_prod(point, l) for l in range(p + 2)]
+    results = {
+        "b[l=%d]" % l: prefix[l] * (1 - _ratio(point, l)) * pf_full == rhs_b[l]
+        for l in range(p + 2)
+    }
 
     ratio_p = _ratio(point, p)
     lhs_bpp = (1 - ratio_p) * pf_full
-    rhs_bpp = sum(rhs_b(l) for l in range(p + 1)) - ratio_p * sum(
-        rhs_b(l) for l in range(p)
-    )
-    results["B''"] = lhs_bpp == rhs_bpp
-    rhs_B = sum(rhs_b(l) for l in range(p)) + rhs_b(p) / (1 - ratio_p)
-    results["B"] = pf_full == rhs_B
-
-    def reuse_sides(l):
-        # the (1+t)/(1-u_i) factors over T live inside _pf_block
-        sl = point.s(l)
-        lhs = _prefix_prod(point, l) * pf_full
-        rhs = Fraction(0)
-        for size in range(n + 1):
-            for T in combinations(full, size):
-                Tc = tuple(j for j in full if j not in T)
-                term = qpoch(-sl, t, n - size) * qpoch(-t, t, n - size)
-                for ui in point.u:
-                    term /= 1 - sl * ui
-                term *= _prefix_prod(point, l)
-                for i in T:
-                    term *= point.u[i - 1] - sl
-                term *= _kernel_split(point, T, Tc) * _pf_block(point, T, spec1)
-                rhs += term
-        return lhs, rhs
-
+    results["B''"] = lhs_bpp == sum(rhs_b[: p + 1]) - ratio_p * sum(rhs_b[:p])
+    results["B"] = pf_full == sum(rhs_b[:p]) + rhs_b[p] / (1 - ratio_p)
     for l in range(p + 2):
-        lhs, rhs = reuse_sides(l)
-        results["reuse[l=%d]" % l] = lhs == rhs
+        rhs = _subset_sum(point, l, poch, table, proper=False)
+        results["reuse[l=%d]" % l] = prefix[l] * pf_full == rhs
 
     def second_identification(l):
         sl = point.s(l)
@@ -966,15 +896,14 @@ def _chain_cor(point, p):
 def _chain_main2(point, p, gamma):
     """Steps reducing the gamma-refined identity to the key lemma via the
     gamma = 1 case."""
-    n = point.n
     t = point.t
     gamma = Fraction(gamma)
     s0 = point.s(0)
     specg = MGammaSpec(point, gamma, s0)
     spec1 = MGammaSpec(point, Fraction(1), s0)
-    full = tuple(range(1, n + 1))
     results = {}
     lhs_main = rhs_main2(specg)
+    table = _subset_table(point, lambda T: _pf_block(point, T, spec1))
 
     poch_1 = _poch_uniform(point)
 
@@ -983,60 +912,25 @@ def _chain_main2(point, p, gamma):
             return qpoch(-gamma * t, t, m) * qpoch(-s0 / gamma, t, m)
         return poch_1(l, m)
 
-    def pf_block(T):
-        return _pf_block(point, T, spec1)
-
-    def rhs_to_show(l):
-        return _subset_sum(point, l, poch_g, pf_block)
-
-    ratio_p = _ratio(point, max(p, 1))
     L0 = max(p, 1)
-    rhs_total = sum(rhs_to_show(l) for l in range(L0)) + rhs_to_show(L0) / (1 - ratio_p)
+    ratio_p = _ratio(point, L0)
+
+    def total(poch):
+        sums = [_subset_sum(point, l, poch, table) for l in range(L0 + 1)]
+        return sum(sums[:L0]) + sums[L0] / (1 - ratio_p)
+
+    rhs_total = total(poch_g)
     results["to_show"] = lhs_main == rhs_total
-
-    def rhs_final():
-        # the sum runs over all subsets, matching the subset sum of the key
-        # lemma it reduces to
-        total = Fraction(0)
-        for size in range(n + 1):
-            for T in combinations(full, size):
-                Tc = tuple(j for j in full if j not in T)
-                term = qpoch(-gamma * t, t, n - size) * qpoch(-s0 / gamma, t, n - size)
-                for ui in point.u:
-                    term /= 1 - s0 * ui
-                for i in T:
-                    term *= point.u[i - 1] - s0
-                term *= _kernel_split(point, T, Tc) * pf_block(T)
-                total += term
-        return total
-
-    results["final_display"] = lhs_main == rhs_final()
+    # the sum runs over all subsets, matching the subset sum of the key lemma
+    # it reduces to
+    results["final_display"] = lhs_main == _subset_sum(point, 0, poch_g, table, proper=False)
 
     # splitting off the l = 0 term: the gamma-weighted sum equals the uniform
     # sum plus the correction that cancels against the reused identity
-    def rhs_uniform(l):
-        return _subset_sum(point, l, poch_1, pf_block)
-
-    correction = Fraction(0)
-    for size in range(n + 1):
-        for T in combinations(full, size):
-            Tc = tuple(j for j in full if j not in T)
-            dw = qpoch(-gamma * t, t, n - size) * qpoch(-s0 / gamma, t, n - size) - qpoch(
-                -t, t, n - size
-            ) * qpoch(-s0, t, n - size)
-            if dw == 0:
-                continue
-            term = dw
-            for ui in point.u:
-                term /= 1 - s0 * ui
-            for i in T:
-                term *= point.u[i - 1] - s0
-            term *= _kernel_split(point, T, Tc) * pf_block(T)
-            correction += term
-    uniform_total = sum(rhs_uniform(l) for l in range(L0)) + rhs_uniform(L0) / (
-        1 - ratio_p
+    correction = _subset_sum(
+        point, 0, lambda l, m: poch_g(l, m) - poch_1(l, m), table, proper=False
     )
-    results["cancel_split"] = rhs_total == uniform_total + correction
+    results["cancel_split"] = rhs_total == total(poch_1) + correction
     return results
 
 

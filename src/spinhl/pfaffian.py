@@ -263,20 +263,22 @@ def m_conjugated(spec, T, u=None):
     return m_gamma(spec, T, u=u).conjugate_diag(b_matrix(tuple(T), tuple(T), spec.point, u=u))
 
 
+def littlewood_kernel(u, q):
+    """prod_i 1/(1 - u_i) prod_{i<j} (1 - q u_i u_j)/(1 - u_i u_j) over the
+    list ``u``, whose entries may be rationals or series alike."""
+    out = Fraction(1)
+    for i, ui in enumerate(u):
+        out = out * invert(1 - ui, "1 - u_%d" % (i + 1))
+    for i in range(len(u)):
+        for j in range(i + 1, len(u)):
+            out = out * (1 - q * u[i] * u[j])
+            out = out * invert(1 - u[i] * u[j], "1 - u_%d*u_%d" % (i + 1, j + 1))
+    return out
+
+
 def rhs_main1(point, n=None):
     """Product side of the factorized Littlewood identity."""
-    n = point.n if n is None else n
-    u = point.u[:n]
-    q = point.q
-    out = Fraction(1)
-    for i in range(n):
-        out *= invert(1 - u[i], "1 - u_%d" % (i + 1))
-    for i in range(n):
-        for j in range(i + 1, n):
-            out *= (1 - q * u[i] * u[j]) * invert(
-                1 - u[i] * u[j], "1 - u_%d*u_%d" % (i + 1, j + 1)
-            )
-    return out
+    return littlewood_kernel(point.u[: point.n if n is None else n], point.q)
 
 
 def rhs_main2(spec, n=None):

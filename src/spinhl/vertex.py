@@ -14,7 +14,7 @@ materialize every ensemble instead and are the brute-force reference.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import PoleError
+from .arith import invert
 from .symfun import as_parts
 
 
@@ -28,17 +28,15 @@ def vertex_weight(cfg, u, s, q):
     i1, i2, j1, j2 = cfg
     if j1 not in (0, 1) or j2 not in (0, 1) or i1 < 0 or i2 < 0 or i1 + j1 != i2 + j2:
         raise ValueError("arrow preservation fails for configuration %r" % (cfg,))
-    den = 1 - s * u
-    if den == 0:
-        raise PoleError("1 - s*u")
+    inv = invert(1 - s * u, "1 - s*u")
     g = i1
     if j1 == 0 and j2 == 0:
-        return (1 - s * u * q**g) / den
+        return (1 - s * u * q**g) * inv
     if j1 == 0 and j2 == 1:
-        return u * (1 - s * s * q ** (g - 1)) / den
+        return u * (1 - s * s * q ** (g - 1)) * inv
     if j1 == 1 and j2 == 0:
-        return (1 - q ** (g + 1)) / den
-    return (u - s * q**g) / den
+        return (1 - q ** (g + 1)) * inv
+    return (u - s * q**g) * inv
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import pytest
 from spinhl import cli
 from spinhl.arith import ParamPoint, SpinParams, rat
 from spinhl.cli import main
+from spinhl.identities import check_reduction_chain
 from spinhl.symfun import f_lambda
 
 
@@ -192,6 +193,47 @@ def test_verify_all_stdout_is_pinned(capsys, monkeypatch):
         code, out = run_cli(capsys, "verify", "all", *args)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, args
+
+
+# SHA-256 of the stdout of `spinhl verify chain --n 4 --p 2` per seed, taken
+# before the reduction chains shared one subset sum
+VERIFY_CHAIN_DIGESTS = {
+    7: "810de6d6ddb068b53d4a8fee9e675b146a5885ddde107c045acb19fa138f7a6b",
+    8: "b16c997bbca1091a0f998c64af2982b2d6a4b7d117cfd9ff614b59510479822c",
+}
+
+CHAIN_EQUATIONS = {
+    "main1": ["A", "A''", "a[l=0]", "a[l=1]", "a[l=2]", "a[l=3]", "telescope"],
+    "cor": [
+        "B", "B''", "b[l=0]", "b[l=1]", "b[l=2]", "b[l=3]",
+        "reuse[l=0]", "reuse[l=1]", "reuse[l=2]", "reuse[l=3]",
+        "second_id[l=0]", "second_id[l=1]", "second_id[l=2]", "second_id[l=3]",
+    ],
+    "main2": ["cancel_split", "final_display", "to_show"],
+}
+
+
+def test_verify_chain_stdout_is_pinned(capsys, monkeypatch):
+    monkeypatch.delenv("SPINHL_SEED", raising=False)
+    for seed, digest in VERIFY_CHAIN_DIGESTS.items():
+        code, out = run_cli(capsys, "verify", "chain", "--n", "4", "--p", "2", "--seed", str(seed))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, seed
+
+
+@pytest.mark.parametrize("which", sorted(CHAIN_EQUATIONS))
+def test_chain_equation_names_are_pinned(which):
+    rep = check_reduction_chain(4, 2, which, 7)
+    assert rep.status == "pass"
+    assert rep.witness == {"equations": CHAIN_EQUATIONS[which]}
+
+
+def test_verify_rec2_at_gamma_zero_exits_two(capsys):
+    code = main(["verify", "rec2", "--gamma", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert_one_clean_error_line(captured.err)
 
 
 def assert_one_clean_error_line(err):

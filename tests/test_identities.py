@@ -5,7 +5,7 @@ import pytest
 
 import spinhl.identities
 import spinhl.vertex
-from spinhl.arith import SpinParams, sample_point
+from spinhl.arith import PoleError, SpinParams, sample_point
 from spinhl.identities import (
     _lhs_sum,
     _pair_extra,
@@ -231,6 +231,18 @@ def test_main2_rejects_gamma_zero_without_limit_data():
         check_main2(1, 1, spin, t, 3, F(0))
 
 
+def test_rec2_rejects_gamma_zero():
+    t, spin, _ = series_parameters(7, 1)
+    with pytest.raises(ValueError, match="gamma != 0"):
+        check_rec2(1, 1, spin, t, 3, F(0))
+
+
+def test_series_vertex_pole_names_its_factor():
+    # s_0 u = 1 at x = 0: the column-0 denominator 1 - s_0 u has no constant term
+    with pytest.raises(PoleError, match=r"1 - s\*u"):
+        check_main1(2, 1, SpinParams((F(3),), F(1, 3)), F(1, 2), 2)
+
+
 def test_hl_and_kawanaka_small():
     t, _, _ = series_parameters(11, 0)
     assert check_hl_corollary(1, t, 5).passed
@@ -332,6 +344,24 @@ def test_reduction_chains():
             assert rep.passed, (n, which, rep.witness)
     rep0 = check_reduction_chain(2, 0, "main1", seed=9)
     assert rep0.passed
+
+
+def test_reduction_chains_catch_a_wrong_split_kernel(monkeypatch):
+    # every chain equation built from the subset sums must see the kernel;
+    # ``reuse`` and ``final_display`` run over all subsets, the full one too
+    kernel = spinhl.identities._kernel_split
+
+    def doubled_on_singletons(point, T, Tc):
+        return kernel(point, T, Tc) * (2 if len(T) == 1 else 1)
+
+    monkeypatch.setattr(spinhl.identities, "_kernel_split", doubled_on_singletons)
+    failing = {}
+    for which in ("main1", "cor", "main2"):
+        rep = check_reduction_chain(4, 2, which, seed=7)
+        assert rep.status == "fail", which
+        failing[which] = rep.witness["equations"]
+    assert "reuse[l=0]" in failing["cor"]
+    assert "final_display" in failing["main2"]
 
 
 def test_run_check_dispatch_and_reports():
