@@ -168,6 +168,7 @@ def _transfer_sweep(n, spin, t, cap, budget, var_indices, cache):
         (
             u_substitution(var, spin.tail, cap, n),
             cache.setdefault(("vertex weights", var, n, cap, t, spin.tail), {}),
+            None,
         )
         for var in var_indices
     ]
@@ -857,34 +858,44 @@ def _chain_cor(point, p):
         rhs = _subset_sum(point, l, poch, table, proper=False)
         results["reuse[l=%d]" % l] = prefix[l] * pf_full == rhs
 
+    # the second identification, with every factor that does not depend on l
+    # (the conjugated Pfaffians among them) taken once
+    lhs_fixed = m_conjugated(spec1, full).pfaffian()
+    for ui in point.u:
+        lhs_fixed *= (1 + t) / (1 - ui)
+    for a in range(n):
+        for b in range(a + 1, n):
+            lhs_fixed /= point.u[a] - point.u[b]
+    rhs_fixed = {}
+    for size in range(n + 1):
+        for T in combinations(full, size):
+            Tc = tuple(j for j in full if j not in T)
+            term = m_conjugated(spec1, T).pfaffian()
+            for i in T:
+                term *= (1 + t) / (1 - point.u[i - 1])
+            for i in T:
+                for j in Tc:
+                    ui, uj = point.u[i - 1], point.u[j - 1]
+                    term *= (ui - q * uj) * (1 - ui * uj) / (ui - uj)
+            for a in range(len(Tc)):
+                for b in range(a + 1, len(Tc)):
+                    term *= 1 - point.u[Tc[a] - 1] * point.u[Tc[b] - 1]
+            for a in range(len(T)):
+                for b in range(a + 1, len(T)):
+                    term /= point.u[T[a] - 1] - point.u[T[b] - 1]
+            rhs_fixed[T] = term
+
     def second_identification(l):
         sl = point.s(l)
-        mbar_full = m_conjugated(spec1, full).pfaffian()
-        lhs = mbar_full
+        lhs = lhs_fixed
         for ui in point.u:
-            lhs *= (1 + t) * (1 - sl * ui) / (1 - ui)
-        for a in range(n):
-            for b in range(a + 1, n):
-                lhs /= point.u[a] - point.u[b]
+            lhs *= 1 - sl * ui
         rhs = Fraction(0)
-        for size in range(n + 1):
-            for T in combinations(full, size):
-                Tc = tuple(j for j in full if j not in T)
-                term = Fraction(qpoch(-sl, t, n - size) * qpoch(-t, t, n - size))
-                for i in T:
-                    term *= (1 + t) * (point.u[i - 1] - sl) / (1 - point.u[i - 1])
-                for i in T:
-                    for j in Tc:
-                        ui, uj = point.u[i - 1], point.u[j - 1]
-                        term *= (ui - q * uj) * (1 - ui * uj) / (ui - uj)
-                for a in range(len(Tc)):
-                    for b in range(a + 1, len(Tc)):
-                        term *= 1 - point.u[Tc[a] - 1] * point.u[Tc[b] - 1]
-                for a in range(len(T)):
-                    for b in range(a + 1, len(T)):
-                        term /= point.u[T[a] - 1] - point.u[T[b] - 1]
-                term *= m_conjugated(spec1, T).pfaffian()
-                rhs += term
+        for T, fixed in rhs_fixed.items():
+            term = qpoch(-sl, t, n - len(T)) * qpoch(-t, t, n - len(T)) * fixed
+            for i in T:
+                term *= point.u[i - 1] - sl
+            rhs += term
         return lhs, rhs
 
     for l in range(p + 2):

@@ -1,15 +1,16 @@
 """Skew-symmetric matrices, exact Pfaffians, and the Pfaffian right-hand sides.
 
-The Pfaffian is computed by a Laplace expansion memoized over label subsets;
-the signed perfect-matching sum is kept as an independent cross-check for
-small dimensions.  Entries may be any commutative ring elements supporting
-+, -, * (exact rationals or truncated power series).
+The Pfaffian is computed by a Laplace expansion memoized over label subsets,
+whose entries may be any commutative ring elements supporting +, -, *
+(exact rationals or truncated power series); the signed perfect-matching sum
+over integer numerators is kept as an independent cross-check for rational
+matrices of small dimension.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import ParamPoint, invert, perm_sign
+from .arith import ParamPoint, invert, tabled_sum
 
 
 def det(rows):
@@ -122,31 +123,40 @@ class SkewMatrix:
         return pf(tuple(range(m)))
 
     def pfaffian_matchings(self):
-        """Pfaffian straight from the signed perfect-matching sum (small dims)."""
+        """Pfaffian straight from the signed perfect-matching sum (small dims).
+
+        Rational entries only: the sum runs through ``tabled_sum``, with the
+        sign of each matching at key position 0 and its pairs after it, so
+        every term is a product of integer numerators.  ``pfaffian()`` takes
+        any ring."""
         m = self.dim
         if m % 2:
             raise ValueError("Pfaffian requires even dimension, got %d" % m)
         labels = self.labels
-        total = 0
-        for matching in _perfect_matchings(tuple(range(m))):
-            word = [pos for pair in matching for pos in pair]
-            prod = 1
-            for i, j in matching:
-                prod = prod * self.entry(labels[i], labels[j])
-            total = total + perm_sign(word) * prod
-        return total
+
+        def entry(i, key):
+            return key if i == 0 else self.entry(labels[key[0]], labels[key[1]])
+
+        return tabled_sum(
+            ((sign,) + matching for sign, matching in _perfect_matchings(tuple(range(m)))), entry
+        )
 
 
 def _perfect_matchings(positions):
+    """(sign, matching) for every perfect matching of ``positions``, the sign
+    being that of the flattened matching as a permutation of ``positions``:
+    pairing the first position with the one at index idx moves it past
+    idx - 1 others."""
     if not positions:
-        yield ()
+        yield 1, ()
         return
     first = positions[0]
     for idx in range(1, len(positions)):
-        partner = positions[idx]
+        pair = (first, positions[idx])
         rest = positions[1:idx] + positions[idx + 1 :]
-        for sub in _perfect_matchings(rest):
-            yield ((first, partner),) + sub
+        flip = -1 if idx % 2 == 0 else 1
+        for sign, sub in _perfect_matchings(rest):
+            yield flip * sign, (pair,) + sub
 
 
 def subset_labels(T):

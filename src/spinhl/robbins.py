@@ -35,6 +35,14 @@ class MonotoneTriangle:
                 if not (rows[r + 1][j] <= v <= rows[r + 1][j + 1]):
                     raise ValueError("diagonal monotonicity fails at row %d" % r)
 
+    @classmethod
+    def _trusted(cls, rows):
+        """A triangle over ``rows``, a tuple of int tuples known to be valid
+        (as ``monotone_triangles`` builds them), without re-validating."""
+        M = object.__new__(cls)
+        object.__setattr__(M, "rows", rows)
+        return M
+
     @property
     def n(self):
         return len(self.rows)
@@ -171,7 +179,10 @@ def rows_between(row, strict=True):
 
 
 def monotone_triangles(bottom):
-    """All monotone triangles with the given strictly increasing bottom row."""
+    """All monotone triangles with the given strictly increasing bottom row.
+
+    ``rows_between`` only yields rows that interlace the row below, so the
+    triangles are built valid and skip ``MonotoneTriangle`` validation."""
     bottom = tuple(int(v) for v in bottom)
     if any(bottom[j] >= bottom[j + 1] for j in range(len(bottom) - 1)):
         raise ValueError("bottom row must strictly increase")
@@ -185,7 +196,7 @@ def monotone_triangles(bottom):
                 out.append(stack + [row])
         return out
 
-    return [MonotoneTriangle(tuple(stack)) for stack in build(bottom)]
+    return [MonotoneTriangle._trusted(tuple(stack)) for stack in build(bottom)]
 
 
 @lru_cache(maxsize=None)

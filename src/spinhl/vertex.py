@@ -13,6 +13,7 @@ materialize every ensemble instead and are the brute-force reference.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .arith import invert
 from .symfun import as_parts
@@ -85,17 +86,22 @@ class PathEnsemble:
         return max(max(row) for row in self.occ)
 
 
-def _weighted_successors(state, u, spin, q, weights, room, budget):
+def _weighted_successors(state, u, spin, q, memos, scale, room, budget):
     """All admissible next occupancy rows above ``state`` with their weight,
     scanning columns left to right with the entering flux fixed to 1.
 
-    ``u`` may be a scalar or a series; ``weights`` memoizes the local weights
-    of the row by (spin value, configuration).  Paths only move right going
-    up, so two counts of the new row only grow as it is built and bound it
-    column by column: its paths in the columns >= c may not exceed
-    ``room[c]`` (``room[width]`` is 0, so no path leaves on the right), and
-    its excess sum_c m_c max(c - p, 0) past the spin prefix length p may not
-    exceed ``budget``."""
+    ``u`` may be a scalar or a series; ``memos[c]`` memoizes the local
+    weights of column c by configuration, one memo per spin value (see
+    ``row_transfer``).  With ``scale`` None the weights are taken as they are
+    and empty vertices (weight 1) are skipped.  Otherwise ``scale`` maps each
+    spin value s of the row to an integer L(s) for which every local weight
+    times L(s) is an integer: the row's weights are those integers, an empty
+    vertex included (it weighs L(s)), and every walk carries the extra factor
+    prod_c L(s_c).  Paths only move right going up, so two counts of the new
+    row only grow as it is built and bound it column by column: its paths in
+    the columns >= c may not exceed ``room[c]`` (``room[width]`` is 0, so no
+    path leaves on the right), and its excess sum_c m_c max(c - p, 0) past
+    the spin prefix length p may not exceed ``budget``."""
     width = len(state)
     p = spin.p
     tail = [0] * (width + 1)  # paths of ``state`` in the columns >= c
@@ -118,13 +124,18 @@ def _weighted_successors(state, u, spin, q, weights, room, budget):
             if excess2 > budget or tail[c + 1] + h2 > room[c + 1]:
                 continue
             cfg = (g, g2, h, h2)
-            if cfg == (0, 0, 0, 0):
+            if cfg == (0, 0, 0, 0) and scale is None:
                 w2 = w
             else:
-                s = spin.lookup(c)
-                vw = weights.get((s, cfg))
+                vw = memos[c].get(cfg)
                 if vw is None:
-                    vw = weights[s, cfg] = vertex_weight(cfg, u, s, q)
+                    s = spin.lookup(c)
+                    vw = vertex_weight(cfg, u, s, q)
+                    if scale is not None:
+                        vw *= scale[s]
+                        assert vw.denominator == 1, "row scale does not clear %r" % (cfg,)
+                        vw = vw.numerator
+                    memos[c][cfg] = vw
                 w2 = vw if w is None else w * vw
                 if not w2:
                     continue
@@ -135,17 +146,21 @@ def _weighted_successors(state, u, spin, q, weights, room, budget):
 def row_transfer(rows, spin, q, one, room, budget):
     """Row-by-row transfer sum of the higher spin six vertex model.
 
-    ``rows`` lists one (u, weights) pair per row from the bottom up, with
-    ``weights`` the row's memo of local weights; ``one`` is the unit of the
-    ring the weights live in.  States are the occupancy rows between rows,
+    ``rows`` lists one (u, weights, scale) triple per row from the bottom up,
+    with ``weights`` the row's memo of local weights, a dict from spin value
+    to a dict from configuration to weight, and ``scale`` None or its integer
+    scales (see ``_weighted_successors``); ``one`` is the unit of the ring
+    the weights live in.  States are the occupancy rows between rows,
     starting from the empty row of width len(room) - 1, and every new row
     obeys the bounds ``room`` and ``budget`` of ``_weighted_successors``.
     Returns the nonzero summed weights of the top states by state."""
-    states = {(0,) * (len(room) - 1): one}
-    for u, weights in rows:
+    spins = [spin.lookup(c) for c in range(len(room) - 1)]
+    states = {(0,) * len(spins): one}
+    for u, weights, scale in rows:
+        memos = [weights.setdefault(s, {}) for s in spins]
         nxt = {}
         for state, acc in states.items():
-            for row, w in _weighted_successors(state, u, spin, q, weights, room, budget):
+            for row, w in _weighted_successors(state, u, spin, q, memos, scale, room, budget):
                 term = acc * w
                 got = nxt.get(row)
                 nxt[row] = term if got is None else got + term
@@ -155,13 +170,23 @@ def row_transfer(rows, spin, q, one, room, budget):
 
 def f_lambda_vertex(lam, point, max_col=None):
     """F_lambda as the weighted sum over path ensembles, by a row-by-row
-    transfer sum over occupancy states.  Columns beyond max_col would only
-    hold empty weight-1 vertices, so truncating at the largest part is exact.
+    transfer sum over occupancy states.  Columns beyond the largest part only
+    hold empty weight-1 vertices, so the transfer stops at the largest part;
+    ``max_col`` is only checked to cover it.
 
     Each row memoizes its local weights.  The number of paths in the columns
     >= c never decreases from row to row, so a state holding more of them
     than the top boundary for some c cannot reach lambda and is never formed;
     that bound also keeps every state's excess within |lambda|.
+
+    The transfer runs on integers.  A vertex of row r holds at most n paths,
+    so every local weight of spin s is one of 1 - s u q^g, u (1 - s^2 q^(g-1)),
+    1 - q^(g+1), u - s q^g with g + 1 <= n (g <= n for the first), over
+    1 - s u; the row scale L(s) = num(1 - s u) den(u) den(s)^2 den(q)^n clears
+    all of them.  Each walk of the row then weighs prod_c L(s_c) times its
+    rational weight, and the sum is divided by the product of those row
+    denominators once.  A pole 1 - s_c u_r = 0 in a column c up to the
+    largest part makes L zero, and raises ``PoleError`` instead.
     """
     lam = as_parts(lam)
     n = len(lam)
@@ -169,16 +194,25 @@ def f_lambda_vertex(lam, point, max_col=None):
         return Fraction(1)
     if len(point.u) != n:
         raise ValueError("partition length mismatch")
-    maxc = lam[0] if max_col is None else max_col
-    if maxc < lam[0]:
+    if max_col is not None and max_col < lam[0]:
         raise ValueError("max_col must be at least the largest part")
-    top = [0] * (maxc + 1)
+    top = [0] * (lam[0] + 1)
     for part in lam:
         top[part] += 1
-    room = [sum(top[c:]) for c in range(maxc + 2)]
-    rows = [(u, {}) for u in point.u]
-    states = row_transfer(rows, point.spin, point.q, Fraction(1), room, sum(lam))
-    return states.get(tuple(top), Fraction(0))
+    room = [sum(top[c:]) for c in range(len(top) + 1)]
+    spins = [point.spin.lookup(c) for c in range(len(top))]
+    qden = point.q.denominator**n
+    rows = []
+    den = 1
+    for u in point.u:
+        scale = {
+            s: invert(1 - s * u, "1 - s*u").denominator * u.denominator * s.denominator**2 * qden
+            for s in set(spins)
+        }
+        den *= prod(scale[s] for s in spins)
+        rows.append((u, {}, scale))
+    states = row_transfer(rows, point.spin, point.q, 1, room, sum(lam))
+    return Fraction(states.get(tuple(top), 0), den)
 
 
 def _successor_states(state, cap):

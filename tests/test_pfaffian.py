@@ -1,13 +1,15 @@
+import math
 import random
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
 
-from spinhl.arith import sample_point
+from spinhl.arith import perm_sign, sample_point
 from spinhl.pfaffian import (
     MGammaSpec,
     SkewMatrix,
+    _perfect_matchings,
     b_matrix,
     cor_entry,
     det,
@@ -59,6 +61,26 @@ def test_laplace_matches_matching_sum():
         for _ in range(4):
             mat = random_skew(rng, tuple(range(1, dim + 1)))
             assert mat.pfaffian() == mat.pfaffian_matchings()
+    # zero entries, integer entries and the empty matrix, up to dimension 10
+    for dim in range(0, 11, 2):
+        labels = tuple(range(1, dim + 1))
+        sparse = SkewMatrix.from_function(
+            labels, lambda a, b: F(rng.randint(-9, 9), rng.randint(1, 5)) if rng.random() < 0.4 else 0
+        )
+        ints = SkewMatrix.from_function(labels, lambda a, b: rng.randint(-9, 9))
+        for mat in (sparse, ints, SkewMatrix(labels, {})):
+            assert mat.pfaffian_matchings() == mat.pfaffian(), dim
+    for dim in (1, 3, 5):
+        with pytest.raises(ValueError):
+            SkewMatrix(tuple(range(1, dim + 1)), {}).pfaffian_matchings()
+
+
+def test_matching_sign_is_the_permutation_sign():
+    for dim in range(0, 9, 2):
+        matchings = list(_perfect_matchings(tuple(range(dim))))
+        for sign, matching in matchings:
+            assert sign == perm_sign([pos for pair in matching for pos in pair]), matching
+        assert len({matching for _, matching in matchings}) == len(matchings) == math.prod(range(1, dim, 2))
 
 
 def test_pfaffian_antisymmetry_under_permutations():

@@ -37,6 +37,15 @@ def test_triangle_validation():
         MonotoneTriangle(((5,), (1, 3)))  # entry above its cone
 
 
+def test_enumerated_triangles_pass_the_public_validator():
+    for k in range(1, 6):
+        bottom = tuple(range(1, k + 1))
+        triangles = monotone_triangles(bottom)
+        for M in triangles:
+            assert MonotoneTriangle(M.rows) == M
+        assert len(set(triangles)) == len(triangles) == count_monotone_triangles(bottom)
+
+
 def test_mt_weight_worked_example():
     M = MonotoneTriangle(((5,), (4, 5), (3, 4, 6), (2, 3, 5, 7)))
     u, v, w = UVW

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from spinhl.arith import ParamPoint, SpinParams, sample_point
+from spinhl.arith import ParamPoint, PoleError, SpinParams, sample_point
 from spinhl.symfun import bounded_partitions, f_lambda
 from spinhl.vertex import (
     ensemble_weight,
@@ -93,3 +93,25 @@ def test_degenerate_spin_kills_doubled_edges():
         assert all(ensemble_weight(e, pt) == 0 for e in doubled)
         capped = sum(ensemble_weight(e, pt) for e in enumerate_ensembles(lam, cap=1))
         assert capped == f_lambda_vertex(lam, pt)
+
+
+def test_pole_in_a_reachable_column_raises():
+    # s_c u_r = 1 makes the integer scale of row r and column c zero; the
+    # transfer must name the pole, not sum to 0
+    spin = SpinParams((F(2, 7),), F(3, 11))
+    for u in [(F(7, 2), F(2, 9)), (F(2, 9), F(11, 3))]:
+        pt = ParamPoint(F(2, 5), F(1), spin, u)
+        for lam in [(1, 0), (2, 1), (1, 1)]:
+            with pytest.raises(PoleError, match=r"1 - s\*u"):
+                f_lambda_vertex(lam, pt)
+
+
+def test_pole_past_the_largest_part_is_no_pole():
+    # columns past the largest part hold only empty vertices, so a pole
+    # there leaves the sum finite, with or without max_col covering it
+    spin = SpinParams((F(2, 7), F(3, 5)), F(3, 11))
+    pt = ParamPoint(F(2, 5), F(1), spin, (F(2, 9), F(5, 3)))  # s_1 u_2 = 1
+    lam = (0, 0)
+    expected = sum(ensemble_weight(e, pt) for e in enumerate_ensembles(lam, max_col=2))
+    assert expected != 0
+    assert f_lambda_vertex(lam, pt) == f_lambda_vertex(lam, pt, max_col=2) == expected
