@@ -11,7 +11,7 @@ u = v = t - 1/t and w = 1/q - q.
 
 from fractions import Fraction
 
-from .arith import ParamPoint, PoleError, SpinParams, invert
+from .arith import ParamPoint, SpinParams, invert
 from .robbins import (
     MonotoneTriangle,
     damts_of,
@@ -35,18 +35,12 @@ def robbins_parameters(t):
 def x_to_u(x, t):
     """Spectral value matching the triangle variable x when s = -1/t."""
     x, t = Fraction(x), Fraction(t)
-    den = 1 - x * invert(t, "t")
-    if den == 0:
-        raise PoleError("1 - x/t")
-    return (x - invert(t, "t")) / den
+    return (x - invert(t, "t")) * invert(1 - x * invert(t, "t"), "1 - x/t")
 
 
 def u_to_x(u, t):
     u, t = Fraction(u), Fraction(t)
-    den = 1 + u * invert(t, "t")
-    if den == 0:
-        raise PoleError("1 + u/t")
-    return (u + invert(t, "t")) / den
+    return (u + invert(t, "t")) * invert(1 + u * invert(t, "t"), "1 + u/t")
 
 
 _ADMISSIBLE = {(1, 1, 0, 0), (0, 0, 1, 1), (1, 1, 1, 1), (1, 0, 0, 1), (0, 1, 1, 0)}
@@ -63,17 +57,16 @@ def degenerate_weight(cfg, x, t):
     q = t * t
     v = t - invert(t, "t")
     den = 1 - 1 / q
-    if den == 0:
-        raise PoleError("1 - 1/q")
+    inv = invert(den, "1 - 1/q")
     if cfg == (1, 1, 0, 0):
-        return v * x / den
+        return v * x * inv
     if cfg == (0, 0, 1, 1):
         return x
     if cfg == (1, 1, 1, 1):
-        return v / den
+        return v * inv
     if cfg == (1, 0, 0, 1):
-        return (-v / q + x * den) / den
-    return (1 - q + v * x) / den
+        return (-v / q + x * den) * inv
+    return (1 - q + v * x) * inv
 
 
 def normalized_weight(cfg, x, t, is_leftmost_0110=False):
@@ -98,10 +91,7 @@ def normalized_weight(cfg, x, t, is_leftmost_0110=False):
         return -v / q + x * (1 - 1 / q)
     if is_leftmost_0110:
         return Fraction(1)
-    den = 1 - 1 / q
-    if den == 0:
-        raise PoleError("1 - 1/q")
-    return (1 - q + x * v) / den
+    return (1 - q + x * v) * invert(1 - 1 / q, "1 - 1/q")
 
 
 def strict_ensembles(lam):
@@ -243,10 +233,7 @@ def verify_lemma_connection(lam, t, xs):
     point = lemma_point(t, xs)
     norm = Fraction(1 - 1 / q) ** (n * (n - 1) // 2)
     for x in xs:
-        den = 1 - q + vv * x
-        if den == 0:
-            raise PoleError("1 - q + v*x")
-        norm *= (1 - 1 / q) / den
+        norm *= (1 - 1 / q) * invert(1 - q + vv * x, "1 - q + v*x")
     rhs = norm * f_lambda(lam, point)
     if lhs != rhs:
         return False

@@ -181,11 +181,12 @@ def _cmd_verify(args):
 def _cmd_pfaffian(args):
     with open(args.file) as handle:
         data = json.load(handle)
-    labels = tuple(data["labels"])
-    upper = {}
-    for a, b, value in data["entries"]:
-        upper[(a, b)] = rat(value)
-    matrix = SkewMatrix(labels, upper)
+    try:
+        labels = tuple(data["labels"])
+        upper = {(a, b): rat(value) for a, b, value in data["entries"]}
+        matrix = SkewMatrix(labels, upper)
+    except TypeError as exc:
+        raise ValueError("bad matrix file %s: %s" % (args.file, exc)) from None
     _emit({"value": rat_str(matrix.pfaffian())})
     return 0
 
@@ -273,11 +274,11 @@ def main(argv=None):
         except OSError as exc:
             print("error: %s" % exc, file=sys.stderr)
             return 2
-    if args.command == "verify":
-        for key, default in _VERIFY_DEFAULTS.items():
-            if getattr(args, key) is None:
-                setattr(args, key, int(config.get(key, default)))
     try:
+        if args.command == "verify":
+            for key, default in _VERIFY_DEFAULTS.items():
+                if getattr(args, key) is None:
+                    setattr(args, key, int(config.get(key, default)))
         return args.func(args)
     except (ArithmeticError, RuntimeError, ValueError, KeyError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

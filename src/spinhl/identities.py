@@ -39,22 +39,22 @@ from fractions import Fraction
 from itertools import combinations
 from math import prod
 
-from .arith import PoleError, SpinParams, invert, qpoch, rat_str, sample_point
+from .arith import SpinParams, invert, perm_sign, qpoch, rat_str, sample_point
 from .pfaffian import (
     MGammaSpec,
     SkewMatrix,
     littlewood_kernel,
     m_conjugated,
-    m_gamma,
     m_gamma_entry,
+    pfaffian_kernel,
+    pfaffian_side,
     rhs_main1,
     rhs_main2,
     subset_labels,
 )
 from .series import (
     TruncSeries,
-    divide_by_vandermonde,
-    one_plus_sx,
+    divide_by_u_differences,
     series_diff,
     u_substitution,
     vandermonde_exponents,
@@ -218,33 +218,19 @@ def _vandermonde_series(var_indices, nvars, cap):
 
 def _rhs_pf_series(n, s, t, gamma, s0, gamma_inv_s0, cap):
     """Kernel times Pfaffian as a series: the Pfaffian of the series-valued
-    matrix is antisymmetric in the x variables, hence exactly divisible by
-    prod (x_i - x_j); the remaining u-difference unit is inverted directly."""
-    q = t * t
-    pairs = n * (n - 1) // 2
-    work = cap + pairs
+    matrix is antisymmetric in the x variables, so it is divided exactly by
+    the u-differences (``divide_by_u_differences``) and then multiplied by
+    ``pfaffian_kernel`` on the u series."""
+    work = cap + n * (n - 1) // 2
     U = [u_substitution(i, s, work, n) for i in range(n)]
     mat = SkewMatrix.from_function(
         subset_labels(tuple(range(1, n + 1))),
         lambda a, b: m_gamma_entry(a, b, U, t, gamma, s0, gamma_inv_s0),
     )
-    pf = mat.pfaffian()
-    if not isinstance(pf, TruncSeries):
-        pf = TruncSeries.const(n, work, pf)
-    out = divide_by_vandermonde(pf, tuple(range(n)))
-    for i in range(n):
-        lin = one_plus_sx(i, s, n, cap)
-        for _ in range(n - 1):
-            out = out * lin
-    out = out * (Fraction(1) / (1 - s * s)) ** pairs
-    UD = [u.truncate(cap) for u in U]
-    for i in range(n):
-        out = out * (1 + t)
-        out = out * invert(1 - UD[i], "1 - u_%d" % (i + 1))
-    for i in range(n):
-        for j in range(i + 1, n):
-            out = out * (1 - q * UD[i] * UD[j])
-    return out
+    # at n = 1 and gamma = 1 the Pfaffian is the rational 1, not a series
+    pf = TruncSeries.zero(n, work) + mat.pfaffian()
+    out = divide_by_u_differences(pf, tuple(range(n)), s)
+    return out * pfaffian_kernel([u.truncate(cap) for u in U], t)
 
 
 def _gated_sum(n, spin, t, cap, weight_fn, budget, cache, var_indices=None):
@@ -396,13 +382,6 @@ def check_kawanaka(n, t, D, cache=None):
 # recurrences for the weighted sums, as series identities
 
 
-def _sgn_split(T, S):
-    """Crossing sign of T inside S: (-1)^{#{i in T, j in S minus T, i > j}}."""
-    Tc = [j for j in S if j not in T]
-    crossings = sum(1 for i in T for j in Tc if i > j)
-    return -1 if crossings % 2 else 1
-
-
 def _rec_h(n, k, spin, t, D, weight_fn, cache):
     """The stabilization gate on H over the first k of n variables, carried
     to degree D + k (n - k): the degree the cleared recurrence reads of it."""
@@ -418,7 +397,7 @@ def _rec_block(T, n, s, q, cap):
     Tc = tuple(j for j in full if j not in T)
     unit = Fraction(1) / (1 - s * s)
     const, lin_i, lin_j = s * (1 - q) * unit, (1 - q * s * s) * unit, (s * s - q) * unit
-    block = TruncSeries.const(n, cap, _sgn_split(T, full))
+    block = TruncSeries.const(n, cap, perm_sign(T + Tc))
     for i in T:
         for j in Tc:
             x_i = tuple(int(v == i) for v in full)
@@ -481,7 +460,7 @@ def _check_rec(name, n, p, spin, t, D, lhs_weight, inner_weight, poch_pair, L0, 
             term = block * term.relabeled(full, cap)
             for T in combinations(full, k):
                 order = T + tuple(j for j in full if j not in T)
-                subset_sums[l] = subset_sums[l] + _sgn_split(T, full) * term.relabeled(order, cap)
+                subset_sums[l] = subset_sums[l] + perm_sign(order) * term.relabeled(order, cap)
 
     lhs = _vandermonde_series(full, n, cap) * h_full.relabeled(full, cap)
 
@@ -589,7 +568,7 @@ def key_lemma1_sides(u, q, s):
     for size in range(n + 1):
         for T in combinations(idx, size):
             Tc = tuple(j for j in idx if j not in T)
-            term = Fraction(_sgn_split(T, idx)) * qpoch(-s, q, n - size)
+            term = Fraction(perm_sign(T + Tc)) * qpoch(-s, q, n - size)
             for j in Tc:
                 term *= 1 - u[j]
             for i in T:
@@ -632,7 +611,7 @@ def key_lemma2_sides(point, s, gamma, gamma_inv_s=None):
     for size in range(n + 1):
         for T in combinations(idx, size):
             Tc = tuple(j for j in idx if j not in T)
-            term = Fraction(_sgn_split(T, idx))
+            term = Fraction(perm_sign(T + Tc))
             term *= qpoch(-gis, t, n - size) * qpoch(-gamma * t, t, n - size)
             for i in T:
                 for j in Tc:
@@ -738,10 +717,7 @@ def _ratio(point, l):
     out = Fraction(1)
     sl = point.s(l)
     for ui in point.u:
-        den = 1 - sl * ui
-        if den == 0:
-            raise PoleError("1 - s_%d*u" % l)
-        out *= (ui - sl) / den
+        out *= (ui - sl) * invert(1 - sl * ui, "1 - s_%d*u" % l)
     return out
 
 
@@ -756,22 +732,6 @@ def _kernel_split(point, T, Tc):
         for j in Tc:
             out *= (point.u[i - 1] - q * point.u[j - 1]) / (point.u[i - 1] - point.u[j - 1])
     return out
-
-
-def _pf_block(point, T, spec1):
-    """prod_{i in T} (1+t)/(1-u_i) * prod_{i<j in T} (1-q u_i u_j)/(u_i-u_j)
-    times the Pfaffian of the gamma = 1 matrix over T."""
-    out = Fraction(1)
-    t = point.t
-    q = point.q
-    T = tuple(T)
-    for i in T:
-        out *= (1 + t) / (1 - point.u[i - 1])
-    for a in range(len(T)):
-        for b in range(a + 1, len(T)):
-            ui, uj = point.u[T[a] - 1], point.u[T[b] - 1]
-            out *= (1 - q * ui * uj) / (ui - uj)
-    return out * m_gamma(spec1, T).pfaffian()
 
 
 def _poch_uniform(point):
@@ -839,9 +799,9 @@ def _chain_cor(point, p):
     q = point.q
     spec1 = MGammaSpec(point, Fraction(1), point.s(0))
     full = tuple(range(1, n + 1))
-    pf_full = _pf_block(point, full, spec1)
-    # the (1+t)/(1-u_i) factors over T live inside _pf_block
-    table = _subset_table(point, lambda T: _pf_block(point, T, spec1))
+    pf_full = pfaffian_side(spec1, full)
+    # the (1+t)/(1-u_i) factors over T live inside pfaffian_side
+    table = _subset_table(point, lambda T: pfaffian_side(spec1, T))
     poch = _poch_uniform(point)
     rhs_b = [_subset_sum(point, l, poch, table) for l in range(p + 2)]
     prefix = [_prefix_prod(point, l) for l in range(p + 2)]
@@ -914,7 +874,7 @@ def _chain_main2(point, p, gamma):
     spec1 = MGammaSpec(point, Fraction(1), s0)
     results = {}
     lhs_main = rhs_main2(specg)
-    table = _subset_table(point, lambda T: _pf_block(point, T, spec1))
+    table = _subset_table(point, lambda T: pfaffian_side(spec1, T))
 
     poch_1 = _poch_uniform(point)
 

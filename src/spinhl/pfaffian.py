@@ -291,22 +291,41 @@ def rhs_main1(point, n=None):
     return littlewood_kernel(point.u[: point.n if n is None else n], point.q)
 
 
+def pfaffian_kernel(u, t):
+    """prod_i (1+t)/(1 - u_i) prod_{i<j} (1 - q u_i u_j), q = t^2, over the
+    list ``u``, whose entries may be rationals or series alike."""
+    q = t * t
+    out = Fraction(1)
+    for i, ui in enumerate(u):
+        out = out * (1 + t) * invert(1 - ui, "1 - u_%d" % (i + 1))
+    for i in range(len(u)):
+        for j in range(i + 1, len(u)):
+            out = out * (1 - q * u[i] * u[j])
+    return out
+
+
+def _kernel_over_differences(u, t, labels):
+    """``pfaffian_kernel`` of the u_i with i in ``labels`` (1-based, in
+    order) times prod_{i<j} 1/(u_i - u_j): the Pfaffian side without its
+    Pfaffian."""
+    out = pfaffian_kernel([u[i - 1] for i in labels], t)
+    for a, i in enumerate(labels):
+        for j in labels[a + 1 :]:
+            out *= invert(u[i - 1] - u[j - 1], "u_%d - u_%d" % (i, j))
+    return out
+
+
+def pfaffian_side(spec, T):
+    """Kernel times Pfaffian of the gamma-refined identity over the labels T:
+    prod_{i in T} (1+t)/(1-u_i) prod_{i<j in T} (1-q u_i u_j)/(u_i-u_j)
+    times the Pfaffian of ``m_gamma(spec, T)``."""
+    T = tuple(T)
+    return _kernel_over_differences(spec.point.u, spec.point.t, T) * m_gamma(spec, T).pfaffian()
+
+
 def rhs_main2(spec, n=None):
     """Kernel times Pfaffian on the gamma-refined identity's product side."""
-    point = spec.point
-    n = point.n if n is None else n
-    u = point.u[:n]
-    t = point.t
-    q = point.q
-    out = Fraction(1)
-    for i in range(n):
-        out *= (1 + t) * invert(1 - u[i], "1 - u_%d" % (i + 1))
-    for i in range(n):
-        for j in range(i + 1, n):
-            out *= (1 - q * u[i] * u[j]) * invert(
-                u[i] - u[j], "u_%d - u_%d" % (i + 1, j + 1)
-            )
-    return out * m_gamma(spec, tuple(range(1, n + 1))).pfaffian()
+    return pfaffian_side(spec, range(1, (spec.point.n if n is None else n) + 1))
 
 
 def cor_entry(i, j, u, t):
@@ -328,19 +347,9 @@ def cor_entry(i, j, u, t):
 def rhs_cor(point, n=None):
     """Product side of the Pfaffian-form identity at gamma = 1, built from the
     explicit matrix rather than the gamma-refined entries."""
-    n = point.n if n is None else n
-    u = point.u[:n]
-    t = point.t
-    q = point.q
-    out = Fraction(1)
-    for i in range(n):
-        out *= (1 + t) * invert(1 - u[i], "1 - u_%d" % (i + 1))
-    for i in range(n):
-        for j in range(i + 1, n):
-            out *= (1 - q * u[i] * u[j]) * invert(
-                u[i] - u[j], "u_%d - u_%d" % (i + 1, j + 1)
-            )
+    labels = tuple(range(1, (point.n if n is None else n) + 1))
+    out = _kernel_over_differences(point.u, point.t, labels)
     mat = SkewMatrix.from_function(
-        subset_labels(tuple(range(1, n + 1))), lambda a, b: cor_entry(a, b, u, t)
+        subset_labels(labels), lambda a, b: cor_entry(a, b, point.u, point.t)
     )
     return out * mat.pfaffian()

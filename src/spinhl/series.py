@@ -86,9 +86,6 @@ class TruncSeries:
         den = self.den
         return {e: Fraction(v, den) for e, v in self.num.items()}
 
-    def copy(self):
-        return TruncSeries._reduced(self.nvars, self.cap, self.den, dict(self.num))
-
     def truncate(self, cap):
         if cap > self.cap:
             raise ValueError("cannot extend a truncated series")
@@ -114,9 +111,6 @@ class TruncSeries:
     @property
     def constant_term(self):
         return Fraction(self.num.get((0,) * self.nvars, 0), self.den)
-
-    def is_zero(self):
-        return not self.num
 
     def __bool__(self):
         return bool(self.num)
@@ -322,71 +316,68 @@ def one_plus_sx(i, s, nvars, cap):
 
 
 def vandermonde_exponents(var_indices, nvars):
-    """prod_{a<b} (x_{i_a} - x_{i_b}) as an exponent dict (homogeneous)."""
-    poly = {(0,) * nvars: Fraction(1)}
-    for a in range(len(var_indices)):
-        for b in range(a + 1, len(var_indices)):
+    """prod_{a<b} (x_{i_a} - x_{i_b}) as an exponent dict with integer
+    coefficients (homogeneous)."""
+    poly = {(0,) * nvars: 1}
+    for a, ia in enumerate(var_indices):
+        for ib in var_indices[a + 1 :]:
             new = {}
             for e, c in poly.items():
-                for var, sign in ((var_indices[a], 1), (var_indices[b], -1)):
-                    key = list(e)
-                    key[var] += 1
-                    key = tuple(key)
-                    val = new.get(key, Fraction(0)) + sign * c
-                    if val:
-                        new[key] = val
-                    else:
-                        new.pop(key, None)
-            poly = new
+                for var, val in ((ia, c), (ib, -c)):
+                    key = e[:var] + (e[var] + 1,) + e[var + 1 :]
+                    new[key] = new.get(key, 0) + val
+            poly = {e: c for e, c in new.items() if c}
     return poly
-
-
-def _divide_homogeneous(num, div):
-    """Exact division of homogeneous polynomials in exponent-dict form, by
-    repeated lex-leading-term elimination."""
-    if not num:
-        return {}
-    lead = max(div)
-    lead_c = div[lead]
-    quo = {}
-    cur = dict(num)
-    while cur:
-        e = max(cur)
-        diff = tuple(a - b for a, b in zip(e, lead))
-        if any(d < 0 for d in diff):
-            raise ArithmeticError("series is not divisible by the Vandermonde polynomial")
-        c = cur[e] / lead_c
-        quo[diff] = quo.get(diff, Fraction(0)) + c
-        for de, dc in div.items():
-            key = tuple(a + b for a, b in zip(de, diff))
-            val = cur.get(key, Fraction(0)) - c * dc
-            if val:
-                cur[key] = val
-            else:
-                cur.pop(key, None)
-    return quo
 
 
 def divide_by_vandermonde(f, var_indices):
     """Exact quotient of a series by prod_{a<b} (x_{i_a} - x_{i_b}).
 
-    The numerator must be antisymmetric under permuting the listed variables;
-    divisibility is checked degree by degree.  The quotient's cap drops by the
-    degree of the Vandermonde polynomial."""
+    The numerator must be antisymmetric under permuting the listed variables.
+    The lex-leading coefficient of the Vandermonde polynomial is +-1, so
+    repeated elimination of the lex-leading term runs on the integer
+    numerators, and the quotient keeps the denominator of ``f``; it raises
+    ``ArithmeticError`` when a leading term is not divisible.  The Vandermonde
+    polynomial is homogeneous, so each elimination stays in one total degree,
+    and the quotient's cap drops by that degree."""
     m = len(var_indices)
     d = m * (m - 1) // 2
-    if d == 0:
-        return f.copy()
     div = vandermonde_exponents(var_indices, f.nvars)
-    by_degree = {}
-    for e, c in f.coeffs.items():
-        by_degree.setdefault(sum(e), {})[e] = c
-    if any(deg < d for deg in by_degree):
-        raise ArithmeticError("series is not divisible by the Vandermonde polynomial")
+    lead = max(div)
+    sign = div[lead]
     quo = {}
-    for part in by_degree.values():
-        quo.update(_divide_homogeneous(part, div))
-    return TruncSeries(f.nvars, f.cap - d, quo)
+    cur = dict(f.num)
+    while cur:
+        e = max(cur)
+        diff = tuple(a - b for a, b in zip(e, lead))
+        if any(k < 0 for k in diff):
+            raise ArithmeticError("series is not divisible by the Vandermonde polynomial")
+        c = quo[diff] = cur[e] * sign
+        for de, dc in div.items():
+            key = tuple(a + b for a, b in zip(de, diff))
+            val = cur.get(key, 0) - c * dc
+            if val:
+                cur[key] = val
+            else:
+                del cur[key]
+    return TruncSeries._reduced(f.nvars, f.cap - d, f.den, quo)
+
+
+def divide_by_u_differences(f, var_indices, s):
+    """Exact quotient of a series by prod_{a<b} (u_{i_a} - u_{i_b}) with
+    u_i = (s + x_i)/(1 + s x_i), for ``f`` antisymmetric in the listed
+    variables.
+
+    Each difference is (1 - s^2)(x_i - x_j)/((1 + s x_i)(1 + s x_j)), so the
+    quotient is f / V times prod_a (1 + s x_{i_a})^(m-1) / (1 - s^2)^pairs;
+    the cap drops by the number of pairs."""
+    m = len(var_indices)
+    out = divide_by_vandermonde(f, var_indices)
+    for var in var_indices:
+        lin = one_plus_sx(var, s, f.nvars, out.cap)
+        for _ in range(m - 1):
+            out = out * lin
+    return out * (Fraction(1) / (1 - s * s)) ** (m * (m - 1) // 2)
 
 
 def _h_factor(var, m, spin, t, cap, nvars, cache):
@@ -412,9 +403,9 @@ def f_lambda_series(lam, spin, t, cap, nvars=None, var_indices=None, cache=None)
     """F_lambda as a truncated series in the x variables after substituting
     u_i = (s + x_i)/(1 + s x_i) with s the spin tail.
 
-    The antisymmetrized pole-free part is computed to degree cap + deg(V),
-    divided exactly by V = prod (x_i - x_j), and corrected by the inverted
-    unit cofactor of the u-differences; the result is exact to ``cap``.
+    The antisymmetrized pole-free part is computed to degree cap + deg(V)
+    and divided exactly by the u-differences (``divide_by_u_differences``);
+    the result is exact to ``cap``.
     """
     lam = as_parts(lam)
     n = len(lam)
@@ -456,12 +447,6 @@ def f_lambda_series(lam, spin, t, cap, nvars=None, var_indices=None, cache=None)
             for b in range(a + 1, n):
                 term = term * (U[var_indices[perm[a]]] - q * U[var_indices[perm[b]]])
         total = total + term
-    quo = divide_by_vandermonde(total, var_indices)
-    unit = TruncSeries.const(nvars, cap, Fraction(1, 1))
-    for var in var_indices:
-        lin = one_plus_sx(var, s, nvars, cap)
-        for _ in range(n - 1):
-            unit = unit * lin
-    out = quo.truncate(cap) * unit * (Fraction(1) / (1 - s * s)) ** pairs
+    out = divide_by_u_differences(total, var_indices, s)
     cache[fkey] = out
     return out

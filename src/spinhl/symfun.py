@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import prod
 
-from .arith import PoleError, over_common_denominator, perm_sign, qpoch, rat_str, tabled_sum
+from .arith import PoleError, invert, over_common_denominator, perm_sign, qpoch, rat_str, tabled_sum
 from .pfaffian import det
 
 SYMMETRIZE_CAP = 8
@@ -241,15 +241,10 @@ def f_lambda_recurrence_rhs(lam, point):
     u = point.u
     pref = qpoch(q, q, mult)
     for i in range(n):
-        d = 1 - spin.lookup(low) * u[i]
-        if d == 0:
-            raise PoleError("1 - s_%d*u_%d" % (low, i + 1))
-        pref /= d
+        pref *= invert(1 - spin.lookup(low) * u[i], "1 - s_%d*u_%d" % (low, i + 1))
         for j in range(low):
-            d = 1 - spin.lookup(j) * u[i]
-            if d == 0:
-                raise PoleError("1 - s_%d*u_%d" % (j, i + 1))
-            pref *= (u[i] - spin.lookup(j)) / d
+            sj = spin.lookup(j)
+            pref *= (u[i] - sj) * invert(1 - sj * u[i], "1 - s_%d*u_%d" % (j, i + 1))
     shifted = spin.shift(low + 1)
     reduced = tuple(v - low - 1 for v in lam[:k])
     total = Fraction(0)
@@ -259,10 +254,7 @@ def f_lambda_recurrence_rhs(lam, point):
         for i in T:
             term *= u[i] - spin.lookup(low)
             for j in Tc:
-                d = u[i] - u[j]
-                if d == 0:
-                    raise PoleError("u_%d - u_%d" % (i + 1, j + 1))
-                term *= (u[i] - q * u[j]) / d
+                term *= (u[i] - q * u[j]) * invert(u[i] - u[j], "u_%d - u_%d" % (i + 1, j + 1))
         sub = point.with_spin(shifted).restrict(T)
         total += term * f_lambda(reduced, sub)
     return pref * total

@@ -174,3 +174,31 @@ def test_zero_t_is_a_named_pole(call):
     with pytest.raises(PoleError) as err:
         call()
     assert str(err.value) == "vanishing denominator: t"
+
+
+# messages of the poles other than t = 0, as the hand-written checks gave them
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda: x_to_u(F(3, 2), F(3, 2)), "1 - x/t"),
+        (lambda: u_to_x(F(-3, 2), F(3, 2)), "1 + u/t"),
+        (lambda: degenerate_weight((1, 1, 0, 0), XS[0], 1), "1 - 1/q"),
+        (lambda: degenerate_weight((0, 0, 1, 1), XS[0], -1), "1 - 1/q"),
+        (lambda: normalized_weight((0, 1, 1, 0), XS[0], 1), "1 - 1/q"),
+        (lambda: verify_lemma_connection((2,), 1, (F(1, 2),)), "1 - q + v*x"),
+        (lambda: verify_lemma_connection((1,), -1, (F(1, 3),)), "1 - q + v*x"),
+    ],
+    ids=[
+        "x_to_u",
+        "u_to_x",
+        "degenerate_weight",
+        "degenerate_weight_unscaled_configuration",
+        "normalized_weight",
+        "verify_lemma_connection",
+        "verify_lemma_connection_t_minus_one",
+    ],
+)
+def test_other_poles_keep_their_names(call, what):
+    with pytest.raises(PoleError) as err:
+        call()
+    assert str(err.value) == "vanishing denominator: " + what

@@ -282,3 +282,34 @@ def test_arithmetic_and_sampling_failures_exit_two(capsys, monkeypatch, exc):
     code = main(["verify", "main1"])
     assert code == 2
     assert_one_clean_error_line(capsys.readouterr().err)
+
+
+def test_non_integer_config_value_exits_two(capsys, tmp_path):
+    cfg = tmp_path / "spinhl.cfg"
+    cfg.write_text("n = two\n")
+    code = main(["--config", str(cfg), "verify", "main1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert_one_clean_error_line(captured.err)
+    assert "'two'" in captured.err
+
+
+@pytest.mark.parametrize(
+    "payload, detail",
+    [
+        ({"labels": [1, 2], "entries": [[1, 2, 0.5]]}, "cannot interpret 0.5 as a rational"),
+        ([1, 2], "list indices must be integers"),
+        ({"labels": [[1], [2]], "entries": []}, "unhashable type"),
+    ],
+    ids=["float entry", "top-level list", "list labels"],
+)
+def test_malformed_pfaffian_file_exits_two(capsys, tmp_path, payload, detail):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(payload))
+    code = main(["pfaffian", "--file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert_one_clean_error_line(captured.err)
+    assert captured.err.startswith("error: bad matrix file %s: %s" % (path, detail))

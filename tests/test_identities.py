@@ -5,13 +5,13 @@ import pytest
 
 import spinhl.identities
 import spinhl.vertex
-from spinhl.arith import PoleError, SpinParams, sample_point
+from spinhl.arith import ParamPoint, PoleError, SpinParams, perm_sign, sample_point
 from spinhl.identities import (
     _lhs_sum,
     _pair_extra,
+    _ratio,
     _rec_block,
     _rec_h,
-    _sgn_split,
     check_cor_main2,
     check_hl_corollary,
     check_kawanaka,
@@ -183,7 +183,7 @@ def test_subset_factor_is_the_signed_relabeled_first_subset_factor():
             for T in combinations(full, k):
                 order = T + tuple(j for j in full if j not in T)
                 direct = _rec_block(T, n, spin.tail, t * t, cap)
-                assert direct == _sgn_split(T, full) * first.relabeled(order, cap), T
+                assert direct == perm_sign(order) * first.relabeled(order, cap), T
 
 
 def test_recurrences_read_the_top_coefficient_of_each_reduced_h(monkeypatch):
@@ -235,6 +235,13 @@ def test_rec2_rejects_gamma_zero():
     t, spin, _ = series_parameters(7, 1)
     with pytest.raises(ValueError, match="gamma != 0"):
         check_rec2(1, 1, spin, t, 3, F(0))
+
+
+def test_chain_ratio_pole_keeps_its_name():
+    pt = ParamPoint(F(1, 2), F(1), SpinParams((F(2),), F(1, 3)), (F(1, 2), F(1, 5)))
+    with pytest.raises(PoleError) as err:
+        _ratio(pt, 0)
+    assert str(err.value) == "vanishing denominator: 1 - s_0*u"
 
 
 def test_series_vertex_pole_names_its_factor():

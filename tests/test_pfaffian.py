@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from spinhl.arith import perm_sign, sample_point
+from spinhl.arith import ParamPoint, PoleError, SpinParams, perm_sign, sample_point
 from spinhl.pfaffian import (
     MGammaSpec,
     SkewMatrix,
@@ -15,11 +15,14 @@ from spinhl.pfaffian import (
     det,
     m_conjugated,
     m_gamma,
+    pfaffian_kernel,
+    pfaffian_side,
     rhs_cor,
     rhs_main1,
     rhs_main2,
     subset_labels,
 )
+from spinhl.series import u_substitution
 
 
 def random_skew(rng, labels):
@@ -213,6 +216,32 @@ def test_rhs_values_small_n():
     pt = sample_point(8, 1, p=1, pole_list=kernel_pole_list(1))
     assert rhs_main1(pt) == 1 / (1 - pt.u[0])
     assert rhs_cor(pt) == (1 + pt.t) / (1 - pt.u[0])
+
+
+def test_series_pfaffian_kernel_at_zero_is_the_scalar_kernel():
+    t = F(2, 5)
+    for s in (F(0), F(1, 3), F(-3, 7)):
+        for n in (1, 2, 3):
+            U = [u_substitution(i, s, 3, n) for i in range(n)]
+            assert pfaffian_kernel(U, t).constant_term == pfaffian_kernel([s] * n, t)
+
+
+def test_pfaffian_sides_name_the_pole_at_u_equal_one():
+    pt = ParamPoint(F(1, 2), F(3, 2), SpinParams((F(1, 5),), F(2, 7)), (F(1, 2), F(1), F(1, 3)))
+    spec = MGammaSpec(pt, pt.gamma, pt.s(0))
+    for side in (lambda: rhs_main2(spec), lambda: rhs_cor(pt)):
+        with pytest.raises(PoleError) as err:
+            side()
+        assert err.value.what == "1 - u_2"
+
+
+def test_pfaffian_side_over_a_subset_is_the_side_of_the_restricted_point():
+    pt = sample_point(5, 4, p=1, pole_list=kernel_pole_list(4))
+    spec = MGammaSpec(pt, pt.gamma, pt.s(0))
+    for size in range(5):
+        for T in combinations((1, 2, 3, 4), size):
+            sub = MGammaSpec(pt.restrict([i - 1 for i in T]), pt.gamma, pt.s(0))
+            assert pfaffian_side(spec, T) == rhs_main2(sub), T
 
 
 def test_rhs_main2_at_gamma_one_matches_direct_builder():

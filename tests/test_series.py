@@ -7,6 +7,7 @@ import pytest
 from spinhl.arith import PoleError, SpinParams
 from spinhl.series import (
     TruncSeries,
+    divide_by_u_differences,
     divide_by_vandermonde,
     f_lambda_series,
     series_diff,
@@ -115,6 +116,25 @@ def test_vandermonde_division_round_trip():
     V = TruncSeries(3, 9, vandermonde_exponents((0, 1, 2), 3))
     f = TruncSeries(3, 9, random_series(rng, 3, 6).coeffs)
     assert divide_by_vandermonde(f * V, (0, 1, 2)) == f.truncate(6)
+
+
+@pytest.mark.parametrize("s", [F(0), F(2, 7)], ids=["s=0", "s=2/7"])
+def test_divide_by_u_differences_undoes_the_u_product(s):
+    # unsorted and proper-subset variable lists, more variables than listed
+    rng = random.Random(41)
+    for nvars, idx in ((2, (0, 1)), (3, (2, 0, 1)), (4, (3, 1)), (4, (1, 3, 0)), (3, (1,)), (3, ())):
+        m = len(idx)
+        pairs = m * (m - 1) // 2
+        for cap in (pairs, pairs + 2, pairs + 3):
+            U = [u_substitution(i, s, cap, nvars) for i in idx]
+            f = random_series(rng, nvars, cap)
+            product = f
+            for a in range(m):
+                for b in range(a + 1, m):
+                    product = product * (U[a] - U[b])
+            got = divide_by_u_differences(product, idx, s)
+            assert got.cap == cap - pairs
+            assert got == f.truncate(cap - pairs), (nvars, idx, cap)
 
 
 def test_vandermonde_division_rejects_nondivisible():

@@ -185,6 +185,22 @@ def test_recurrence_examples():
     assert f_lambda_recurrence_rhs((2, 2, 1), pt3) == f_lambda((2, 2, 1), pt3)
 
 
+@pytest.mark.parametrize(
+    "lam, spin, u, what",
+    [
+        ((1, 0), SpinParams((F(2),), F(1, 3)), (F(1, 2), F(1, 5)), "1 - s_0*u_1"),
+        ((1, 1), SpinParams((F(1, 3),), F(1, 5)), (F(1, 7), F(5)), "1 - s_1*u_2"),
+        ((1, 1), SpinParams((F(1, 3),), F(1, 5)), (F(1, 7), F(3)), "1 - s_0*u_2"),
+    ],
+    ids=["smallest part", "smallest part, second u", "prefix spin"],
+)
+def test_recurrence_poles_keep_their_names(lam, spin, u, what):
+    pt = ParamPoint(F(1, 2), F(1), spin, u)
+    with pytest.raises(PoleError) as err:
+        f_lambda_recurrence_rhs(lam, pt)
+    assert str(err.value) == "vanishing denominator: " + what
+
+
 def test_recurrence_small_grid():
     pt = sample_point(5, 3, p=1, pole_list=spin_pole_list(3, 5))
     for lam in bounded_partitions(3, 3):
