@@ -69,6 +69,8 @@ def _cmd_eval_f(args):
     if n != len(lam):
         raise ValueError("--n disagrees with the partition length")
     if args.series:
+        if args.D < 0:
+            raise ValueError("need D >= 0, got D=%s" % args.D)
         spin = _spin_from_args(args)
         series = f_lambda_series(lam, spin, rat(args.t), args.D, nvars=n)
         _emit({"lambda": list(lam), "D": args.D, "series": series.to_json()})

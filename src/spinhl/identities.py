@@ -39,18 +39,16 @@ from fractions import Fraction
 from itertools import combinations
 from math import prod
 
-from .arith import SpinParams, invert, perm_sign, qpoch, rat_str, sample_point
+from .arith import ParamPoint, SpinParams, invert, perm_sign, qpoch, rat_str, sample_point
 from .pfaffian import (
     MGammaSpec,
-    SkewMatrix,
     littlewood_kernel,
     m_conjugated,
-    m_gamma_entry,
+    m_gamma,
     pfaffian_kernel,
     pfaffian_side,
     rhs_main1,
     rhs_main2,
-    subset_labels,
 )
 from .series import (
     TruncSeries,
@@ -109,32 +107,57 @@ def _coeff_witness(diff):
 
 
 # ----------------------------------------------------------------------
-# weights of the partition sums
+# weights of the partition sums: each Littlewood family is defined by its
+# Pochhammer factor (spin, r, m) -> the factor of a part r of multiplicity m,
+# which at m = n - |T| is also the subset factor of the recurrences and chains
+
+
+def poch_main1(q):
+    """(-s_r; q)_m: the product-form family."""
+    return lambda spin, r, m: qpoch(-spin.lookup(r), q, m)
+
+
+def poch_uniform(t):
+    """(-t; t)_m (-s_r; t)_m: the Pfaffian-form family at gamma = 1."""
+    return lambda spin, r, m: qpoch(-t, t, m) * qpoch(-spin.lookup(r), t, m)
+
+
+def poch_gamma(t, gamma, gamma_inv_s0):
+    """(-gamma t; t)_m (-gamma_inv_s0; t)_m at r = 0, and the gamma = 1 factor
+    above it: the gamma-refined family."""
+    uniform = poch_uniform(t)
+
+    def poch(spin, r, m):
+        if r == 0:
+            return qpoch(-gamma * t, t, m) * qpoch(-gamma_inv_s0, t, m)
+        return uniform(spin, r, m)
+
+    return poch
+
+
+def family_weight(poch, q):
+    """lam, spin -> prod_r poch(spin, r, m_r) / (q; q)_{m_r}."""
+
+    def weight(lam, spin):
+        w = Fraction(1)
+        for r, m in multiplicities(lam).items():
+            w *= poch(spin, r, m) / qpoch(q, q, m)
+        return w
+
+    return weight
 
 
 def weight_main1(lam, spin, q):
-    w = Fraction(1)
-    for r, m in multiplicities(lam).items():
-        w *= qpoch(-spin.lookup(r), q, m) / qpoch(q, q, m)
-    return w
+    return family_weight(poch_main1(q), q)(lam, spin)
 
 
 def weight_cor(lam, spin, t):
-    w = Fraction(1)
-    for r, m in multiplicities(lam).items():
-        w *= qpoch(-spin.lookup(r), t, m) / qpoch(t, t, m)
-    return w
+    # (t; t)_m (-t; t)_m = (q; q)_m
+    return family_weight(poch_uniform(t), t * t)(lam, spin)
 
 
 def weight_main2(lam, spin, t, gamma, gamma_inv_s0):
-    q = t * t
-    w = Fraction(1)
-    for r, m in multiplicities(lam).items():
-        if r == 0:
-            w *= qpoch(-gamma * t, t, m) / qpoch(q, q, m) * qpoch(-gamma_inv_s0, t, m)
-        else:
-            w *= qpoch(-spin.lookup(r), t, m) / qpoch(t, t, m)
-    return w
+    return family_weight(poch_gamma(t, gamma, gamma_inv_s0), t * t)(lam, spin)
 
 
 def weight_hl(lam, t):
@@ -223,12 +246,9 @@ def _rhs_pf_series(n, s, t, gamma, s0, gamma_inv_s0, cap):
     ``pfaffian_kernel`` on the u series."""
     work = cap + n * (n - 1) // 2
     U = [u_substitution(i, s, work, n) for i in range(n)]
-    mat = SkewMatrix.from_function(
-        subset_labels(tuple(range(1, n + 1))),
-        lambda a, b: m_gamma_entry(a, b, U, t, gamma, s0, gamma_inv_s0),
-    )
+    spec = MGammaSpec(ParamPoint(t, gamma, SpinParams.constant(s), ()), gamma, s0, gamma_inv_s0)
     # at n = 1 and gamma = 1 the Pfaffian is the rational 1, not a series
-    pf = TruncSeries.zero(n, work) + mat.pfaffian()
+    pf = TruncSeries.zero(n, work) + m_gamma(spec, tuple(range(1, n + 1)), u=U).pfaffian()
     out = divide_by_u_differences(pf, tuple(range(n)), s)
     return out * pfaffian_kernel([u.truncate(cap) for u in U], t)
 
@@ -261,11 +281,9 @@ def check_main1(n, p, spin, t, D, cache=None):
     params = {"n": n, "p": p, "D": D, "t": rat_str(t), "s": rat_str(spin.tail)}
     if n == 0:
         return CheckReport("main1", params, "pass")
-    q = t * t
+    weight = family_weight(poch_main1(t * t), t * t)
     rhs = _rhs_main1_series(n, spin.tail, t, D)
-    return _series_check(
-        "main1", params, n, spin, t, D, lambda lam, sp: weight_main1(lam, sp, q), rhs, cache
-    )
+    return _series_check("main1", params, n, spin, t, D, weight, rhs, cache)
 
 
 def check_cor_main2(n, p, spin, t, D, cache=None):
@@ -274,10 +292,9 @@ def check_cor_main2(n, p, spin, t, D, cache=None):
     params = {"n": n, "p": p, "D": D, "t": rat_str(t), "s": rat_str(spin.tail)}
     if n == 0:
         return CheckReport("cor", params, "pass")
+    weight = family_weight(poch_uniform(t), t * t)
     rhs = _rhs_pf_series(n, spin.tail, t, Fraction(1), spin.lookup(0), spin.lookup(0), D)
-    return _series_check(
-        "cor", params, n, spin, t, D, lambda lam, sp: weight_cor(lam, sp, t), rhs, cache
-    )
+    return _series_check("cor", params, n, spin, t, D, weight, rhs, cache)
 
 
 def check_main2(n, p, spin, t, D, gamma, gamma_inv_s0=None, cache=None):
@@ -299,18 +316,9 @@ def check_main2(n, p, spin, t, D, gamma, gamma_inv_s0=None, cache=None):
     }
     if n == 0:
         return CheckReport("main2", params, "pass")
+    weight = family_weight(poch_gamma(t, gamma, gamma_inv_s0), t * t)
     rhs = _rhs_pf_series(n, spin.tail, t, gamma, s0, gamma_inv_s0, D)
-    return _series_check(
-        "main2",
-        params,
-        n,
-        spin,
-        t,
-        D,
-        lambda lam, sp: weight_main2(lam, sp, t, gamma, gamma_inv_s0),
-        rhs,
-        cache,
-    )
+    return _series_check("main2", params, n, spin, t, D, weight, rhs, cache)
 
 
 def _zero_spin_check(name, n, t, D, weight, other_weight, gamma, cache):
@@ -350,9 +358,7 @@ def check_hl_corollary(n, t, D, cache=None):
             w /= qpoch(q, q, m)
         return w
 
-    def cor_weight(lam, sp):
-        return weight_cor(lam, sp, t)
-
+    cor_weight = family_weight(poch_uniform(t), q)
     return _zero_spin_check("hl", n, t, D, hl_weight_on_f, cor_weight, Fraction(1), cache)
 
 
@@ -361,9 +367,7 @@ def check_kawanaka(n, t, D, cache=None):
     gamma-refined identity must degenerate without pole errors and its left
     side must match the classical Hall-Littlewood weighted sum."""
     q = t * t
-
-    def kaw_weight(lam, sp):
-        return weight_main2(lam, sp, t, Fraction(0), Fraction(0))
+    kaw_weight = family_weight(poch_gamma(t, Fraction(0), Fraction(0)), q)
 
     # independent route: sum of prod_{r>=1} (-t;t)_{m_r} P_lambda, with
     # P_lambda = F_lambda(all spins 0) / prod_r (q;q)_{m_r}
@@ -376,6 +380,31 @@ def check_kawanaka(n, t, D, cache=None):
         return w
 
     return _zero_spin_check("kawanaka", n, t, D, kaw_weight, hl_sum_weight, Fraction(0), cache)
+
+
+# ----------------------------------------------------------------------
+# the smallest-part factors of the recurrences and reduction chains, over a
+# list u of rationals or series alike
+
+
+def _ratio(u, spin, l):
+    """prod_i (u_i - s_l)/(1 - s_l u_i)."""
+    sl = spin.lookup(l)
+    out = Fraction(1)
+    for ui in u:
+        out = out * (ui - sl) * invert(1 - sl * ui, "1 - s_%d*u" % l)
+    return out
+
+
+def _prefix_prod(u, spin, l):
+    return prod((_ratio(u, spin, j) for j in range(l)), start=Fraction(1))
+
+
+def _outer_factor(u, spin, l):
+    """The prefix product up to l over prod_i (1 - s_l u_i)."""
+    sl = spin.lookup(l)
+    den = prod((1 - sl * ui for ui in u), start=Fraction(1))
+    return invert(den, "1 - s_%d*u" % l) * _prefix_prod(u, spin, l)
 
 
 # ----------------------------------------------------------------------
@@ -409,7 +438,7 @@ def _rec_block(T, n, s, q, cap):
     return block * _vandermonde_series(Tc, n, cap)
 
 
-def _check_rec(name, n, p, spin, t, D, lhs_weight, inner_weight, poch_pair, L0, cache):
+def _check_rec(name, n, p, spin, t, D, poch, inner_poch, L0, cache):
     """Shared engine for the three recurrences.
 
     Both sides are multiplied by the full Vandermonde polynomial V in x, of
@@ -431,9 +460,14 @@ def _check_rec(name, n, p, spin, t, D, lhs_weight, inner_weight, poch_pair, L0, 
     the crossing sign of T, so the whole T-dependent part of the l-th term is
     one product per subset size, relabeled onto each subset.  The factors
     that do not depend on T multiply the sum over T once per l.
+
+    ``poch`` is the Pochhammer factor of the family of H, and ``inner_poch``
+    that of the sums H(T) over the spins past l.
     """
     params = {"n": n, "p": p, "D": D, "t": rat_str(t), "s": rat_str(spin.tail)}
     q = t * t
+    lhs_weight = family_weight(poch, q)
+    inner_weight = lhs_weight if inner_poch is poch else family_weight(inner_poch, q)
     s = spin.tail
     cap = D + n * (n - 1) // 2
     full = tuple(range(n))
@@ -443,7 +477,7 @@ def _check_rec(name, n, p, spin, t, D, lhs_weight, inner_weight, poch_pair, L0, 
     if drift is not None:
         return CheckReport(name, params, "stabilization_failed", _coeff_witness(drift))
     # the T-dependent part of the l-th term for T = (0, ..., k-1): the subset
-    # factor times poch_pair(l, n - k) prod_{i in T} (u_i - s_l) H(T, spin
+    # factor times poch(spin, l, n - k) prod_{i in T} (u_i - s_l) H(T, spin
     # shifted past l); renaming x_0..x_{k-1} to T and the rest to Tc, in
     # order, carries it onto sgn(T) times the part for T
     subset_sums = [TruncSeries.zero(n, cap) for _ in range(max_l + 1)]
@@ -454,7 +488,7 @@ def _check_rec(name, n, p, spin, t, D, lhs_weight, inner_weight, poch_pair, L0, 
             if drift is not None:
                 return CheckReport(name, params, "stabilization_failed", _coeff_witness(drift))
             sl = spin.lookup(l)
-            term = h * poch_pair(l, n - k)
+            term = h * poch(spin, l, n - k)
             for i in range(k):
                 term = term * (u_substitution(i, s, h.cap, n) - sl)
             term = block * term.relabeled(full, cap)
@@ -464,29 +498,15 @@ def _check_rec(name, n, p, spin, t, D, lhs_weight, inner_weight, poch_pair, L0, 
 
     lhs = _vandermonde_series(full, n, cap) * h_full.relabeled(full, cap)
 
+    # the factors of the l-th term that do not depend on the subset T: the
+    # prefix over prod_i (1 - s_l u_i) and, at the last l (where s_l is the
+    # tail), the geometric tail
     U = [u_substitution(i, s, cap, n) for i in range(n)]
-    # geometric ratio prod_i (u_i - s)/(1 - s u_i)
-    ratio = TruncSeries.const(n, cap, 1)
-    for i in range(n):
-        ratio = ratio * (U[i] - s) * invert(1 - s * U[i], "1 - s*u")
-    tail_factor = (1 - ratio).inv()
-
-    # the factors of the l-th term that do not depend on the subset T:
-    # prod_i 1/(1 - s_l u_i), the prefix prod_{l' < l, i} (u_i - s_l')/(1 - s_l' u_i)
-    # and, at the last l, the geometric tail
-    outer = []
-    prefix_prod = TruncSeries.const(n, cap, 1)
-    for l in range(max_l + 1):
-        sl = spin.lookup(l)
-        invs = [invert(1 - sl * U[i], "1 - s_l*u") for i in range(n)]
-        factor = prefix_prod
-        for i in range(n):
-            factor = factor * invs[i]
-            prefix_prod = prefix_prod * (U[i] - sl) * invs[i]
-        outer.append(factor * tail_factor if l == max_l else factor)
-
     rhs = TruncSeries.zero(n, cap)
-    for factor, subset_sum in zip(outer, subset_sums):
+    for l, subset_sum in enumerate(subset_sums):
+        factor = _outer_factor(U, spin, l)
+        if l == max_l:
+            factor = factor * (1 - _ratio(U, spin, max_l)).inv()
         rhs = rhs + factor * subset_sum
     diff = series_diff(lhs, rhs)
     if diff is not None:
@@ -496,29 +516,14 @@ def _check_rec(name, n, p, spin, t, D, lhs_weight, inner_weight, poch_pair, L0, 
 
 def check_rec1(n, p, spin, t, D, cache=None):
     """Recurrence of the product-form sum H_1 under removing the smallest part."""
-    cache = {} if cache is None else cache
-    q = t * t
-
-    def wt(lam, sp):
-        return weight_main1(lam, sp, q)
-
-    def poch_pair(l, m):
-        return qpoch(-spin.lookup(l), q, m)
-
-    return _check_rec("rec1", n, p, spin, t, D, wt, wt, poch_pair, p, cache)
+    poch = poch_main1(t * t)
+    return _check_rec("rec1", n, p, spin, t, D, poch, poch, p, {} if cache is None else cache)
 
 
 def check_rec2v(n, p, spin, t, D, cache=None):
     """Recurrence of the gamma = 1 Pfaffian-form sum."""
-    cache = {} if cache is None else cache
-
-    def wt(lam, sp):
-        return weight_cor(lam, sp, t)
-
-    def poch_pair(l, m):
-        return qpoch(-t, t, m) * qpoch(-spin.lookup(l), t, m)
-
-    return _check_rec("rec2v", n, p, spin, t, D, wt, wt, poch_pair, p, cache)
+    poch = poch_uniform(t)
+    return _check_rec("rec2v", n, p, spin, t, D, poch, poch, p, {} if cache is None else cache)
 
 
 def check_rec2(n, p, spin, t, D, gamma, cache=None):
@@ -528,22 +533,8 @@ def check_rec2(n, p, spin, t, D, gamma, cache=None):
     gamma = Fraction(gamma)
     if gamma == 0:
         raise ValueError("rec2 needs gamma != 0: its weights divide s_0 by gamma")
-    gis0 = spin.lookup(0) / gamma
-
-    def lhs_wt(lam, sp):
-        return weight_main2(lam, sp, t, gamma, gis0)
-
-    def inner_wt(lam, sp):
-        return weight_cor(lam, sp, t)
-
-    def poch_pair(l, m):
-        if l == 0:
-            return qpoch(-gamma * t, t, m) * qpoch(-gis0, t, m)
-        return qpoch(-t, t, m) * qpoch(-spin.lookup(l), t, m)
-
-    rep = _check_rec(
-        "rec2", n, p, spin, t, D, lhs_wt, inner_wt, poch_pair, max(p, 1), cache
-    )
+    poch = poch_gamma(t, gamma, spin.lookup(0) / gamma)
+    rep = _check_rec("rec2", n, p, spin, t, D, poch, poch_uniform(t), max(p, 1), cache)
     rep.params["gamma"] = rat_str(gamma)
     return rep
 
@@ -713,18 +704,6 @@ def polynomial_expansion_equal(fn_lhs, fn_rhs, degree_bound, nodes, extra_nodes)
 # reduction chains (point mode)
 
 
-def _ratio(point, l):
-    out = Fraction(1)
-    sl = point.s(l)
-    for ui in point.u:
-        out *= (ui - sl) * invert(1 - sl * ui, "1 - s_%d*u" % l)
-    return out
-
-
-def _prefix_prod(point, l):
-    return prod((_ratio(point, j) for j in range(l)), start=Fraction(1))
-
-
 def _kernel_split(point, T, Tc):
     out = Fraction(1)
     q = point.q
@@ -732,13 +711,6 @@ def _kernel_split(point, T, Tc):
         for j in Tc:
             out *= (point.u[i - 1] - q * point.u[j - 1]) / (point.u[i - 1] - point.u[j - 1])
     return out
-
-
-def _poch_uniform(point):
-    """(l, m) -> (-t; t)_m (-s_l; t)_m, the Pochhammer factor of the gamma = 1
-    chain terms."""
-    t = point.t
-    return lambda l, m: qpoch(-t, t, m) * qpoch(-point.s(l), t, m)
 
 
 def _subset_table(point, block):
@@ -755,11 +727,11 @@ def _subset_table(point, block):
 def _subset_sum(point, l, poch, table, proper=True):
     """The l-th term of a reduction chain: the sum over the subsets T of
     ``table`` (the proper ones unless ``proper`` is false) of
-    poch(l, n - |T|) prod_{i in T} (u_i - s_l) ``table[T]``, times the prefix
-    product up to l over prod_i (1 - s_l u_i)."""
+    poch(spin, l, n - |T|) prod_{i in T} (u_i - s_l) ``table[T]``, times
+    ``_outer_factor``."""
     n = point.n
     sl = point.s(l)
-    pochs = [poch(l, m) for m in range(n + 1)]
+    pochs = [poch(point.spin, l, m) for m in range(n + 1)]
     total = Fraction(0)
     for T, factor in table.items():
         if proper and len(T) == n:
@@ -768,22 +740,19 @@ def _subset_sum(point, l, poch, table, proper=True):
         for i in T:
             term *= point.u[i - 1] - sl
         total += term
-    for ui in point.u:
-        total /= 1 - sl * ui
-    return total * _prefix_prod(point, l)
+    return total * _outer_factor(point.u, point.spin, l)
 
 
 def _chain_main1(point, p):
     """Each displayed step reducing the product-form identity to the key lemma."""
-    q = point.q
-    table = _subset_table(point, lambda T: littlewood_kernel([point.u[i - 1] for i in T], q))
+    q, u, spin = point.q, point.u, point.spin
+    table = _subset_table(point, lambda T: littlewood_kernel([u[i - 1] for i in T], q))
     k1_full = rhs_main1(point)
-    poch = lambda l, m: qpoch(-point.s(l), q, m)
-    rhs_a = [_subset_sum(point, l, poch, table) for l in range(p + 2)]
-    lhs_a = [_prefix_prod(point, l) * (1 - _ratio(point, l)) * k1_full for l in range(p + 2)]
+    rhs_a = [_subset_sum(point, l, poch_main1(q), table) for l in range(p + 2)]
+    lhs_a = [_prefix_prod(u, spin, l) * (1 - _ratio(u, spin, l)) * k1_full for l in range(p + 2)]
     results = {"a[l=%d]" % l: lhs_a[l] == rhs_a[l] for l in range(p + 2)}
 
-    ratio_p = _ratio(point, p)
+    ratio_p = _ratio(u, spin, p)
     lhs_app = (1 - ratio_p) * k1_full
     results["A''"] = lhs_app == sum(rhs_a[: p + 1]) - ratio_p * sum(rhs_a[:p])
     results["telescope"] = sum(lhs_a[: p + 1]) - ratio_p * sum(lhs_a[:p]) == lhs_app
@@ -802,15 +771,15 @@ def _chain_cor(point, p):
     pf_full = pfaffian_side(spec1, full)
     # the (1+t)/(1-u_i) factors over T live inside pfaffian_side
     table = _subset_table(point, lambda T: pfaffian_side(spec1, T))
-    poch = _poch_uniform(point)
+    poch = poch_uniform(t)
     rhs_b = [_subset_sum(point, l, poch, table) for l in range(p + 2)]
-    prefix = [_prefix_prod(point, l) for l in range(p + 2)]
+    prefix = [_prefix_prod(point.u, point.spin, l) for l in range(p + 2)]
     results = {
-        "b[l=%d]" % l: prefix[l] * (1 - _ratio(point, l)) * pf_full == rhs_b[l]
+        "b[l=%d]" % l: prefix[l] * (1 - _ratio(point.u, point.spin, l)) * pf_full == rhs_b[l]
         for l in range(p + 2)
     }
 
-    ratio_p = _ratio(point, p)
+    ratio_p = _ratio(point.u, point.spin, p)
     lhs_bpp = (1 - ratio_p) * pf_full
     results["B''"] = lhs_bpp == sum(rhs_b[: p + 1]) - ratio_p * sum(rhs_b[:p])
     results["B"] = pf_full == sum(rhs_b[:p]) + rhs_b[p] / (1 - ratio_p)
@@ -875,16 +844,10 @@ def _chain_main2(point, p, gamma):
     results = {}
     lhs_main = rhs_main2(specg)
     table = _subset_table(point, lambda T: pfaffian_side(spec1, T))
-
-    poch_1 = _poch_uniform(point)
-
-    def poch_g(l, m):
-        if l == 0:
-            return qpoch(-gamma * t, t, m) * qpoch(-s0 / gamma, t, m)
-        return poch_1(l, m)
-
+    poch_1 = poch_uniform(t)
+    poch_g = poch_gamma(t, gamma, s0 / gamma)
     L0 = max(p, 1)
-    ratio_p = _ratio(point, L0)
+    ratio_p = _ratio(point.u, point.spin, L0)
 
     def total(poch):
         sums = [_subset_sum(point, l, poch, table) for l in range(L0 + 1)]
@@ -899,7 +862,7 @@ def _chain_main2(point, p, gamma):
     # splitting off the l = 0 term: the gamma-weighted sum equals the uniform
     # sum plus the correction that cancels against the reused identity
     correction = _subset_sum(
-        point, 0, lambda l, m: poch_g(l, m) - poch_1(l, m), table, proper=False
+        point, 0, lambda sp, l, m: poch_g(sp, l, m) - poch_1(sp, l, m), table, proper=False
     )
     results["cancel_split"] = rhs_total == total(poch_1) + correction
     return results
@@ -971,8 +934,8 @@ def _chain_point(seed, n, p):
     for l in range(p + 3):
         for i in range(n):
             poles.append(lambda pt, l=l, i=i: 1 - pt.s(l) * pt.u[i])
-    poles.append(lambda pt, p=p: 1 - _ratio(pt, p))
-    poles.append(lambda pt, p=p: 1 - _ratio(pt, max(p, 1)))
+    poles.append(lambda pt, p=p: 1 - _ratio(pt.u, pt.spin, p))
+    poles.append(lambda pt, p=p: 1 - _ratio(pt.u, pt.spin, max(p, 1)))
     return sample_point(seed, n, p, pole_list=poles)
 
 
@@ -1066,33 +1029,6 @@ def run_check(name, n=2, p=1, D=4, seed=7, gamma=None, cache=None):
     if n < 1 or p < 0 or D < 0:
         raise ValueError("need n >= 1, p >= 0 and D >= 0, got n=%s, p=%s, D=%s" % (n, p, D))
     cache = {} if cache is None else cache
-    if name in ("main1", "cor", "main2", "rec1", "rec2", "rec2v"):
-        t, spin, sampled_gamma = series_parameters(seed, p)
-        gamma = sampled_gamma if gamma is None else Fraction(gamma)
-        if name == "main1":
-            rep = check_main1(n, p, spin, t, D, cache=cache)
-        elif name == "cor":
-            rep = check_cor_main2(n, p, spin, t, D, cache=cache)
-        elif name == "main2":
-            rep = check_main2(n, p, spin, t, D, gamma, cache=cache)
-        elif name == "rec1":
-            rep = check_rec1(n, p, spin, t, D, cache=cache)
-        elif name == "rec2":
-            rep = check_rec2(n, p, spin, t, D, gamma, cache=cache)
-        else:
-            rep = check_rec2v(n, p, spin, t, D, cache=cache)
-        rep.params["seed"] = seed
-        return rep
-    if name == "hl":
-        t, _, _ = series_parameters(seed, 0)
-        rep = check_hl_corollary(min(n, 2), t, D, cache=cache)
-        rep.params["seed"] = seed
-        return rep
-    if name == "kawanaka":
-        t, _, _ = series_parameters(seed, 0)
-        rep = check_kawanaka(min(n, 2), t, D, cache=cache)
-        rep.params["seed"] = seed
-        return rep
     if name == "lemma1":
         return check_lemma1_report(n, seed)
     if name == "lemma2":
@@ -1109,7 +1045,29 @@ def run_check(name, n=2, p=1, D=4, seed=7, gamma=None, cache=None):
         if failing:
             return CheckReport("chain", params, "fail", failing)
         return CheckReport("chain", params, "pass", merged)
-    raise ValueError("unknown check %r" % (name,))
+    if name in ("hl", "kawanaka"):
+        t, _, _ = series_parameters(seed, 0)
+        check = check_hl_corollary if name == "hl" else check_kawanaka
+        rep = check(min(n, 2), t, D, cache=cache)
+    elif name in ("main1", "cor", "main2", "rec1", "rec2", "rec2v"):
+        t, spin, sampled_gamma = series_parameters(seed, p)
+        gamma = sampled_gamma if gamma is None else Fraction(gamma)
+        if name == "main1":
+            rep = check_main1(n, p, spin, t, D, cache=cache)
+        elif name == "cor":
+            rep = check_cor_main2(n, p, spin, t, D, cache=cache)
+        elif name == "main2":
+            rep = check_main2(n, p, spin, t, D, gamma, cache=cache)
+        elif name == "rec1":
+            rep = check_rec1(n, p, spin, t, D, cache=cache)
+        elif name == "rec2":
+            rep = check_rec2(n, p, spin, t, D, gamma, cache=cache)
+        else:
+            rep = check_rec2v(n, p, spin, t, D, cache=cache)
+    else:
+        raise ValueError("unknown check %r" % (name,))
+    rep.params["seed"] = seed
+    return rep
 
 
 def run_all(n=2, p=1, D=4, seed=7):

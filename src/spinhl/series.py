@@ -13,7 +13,7 @@ from itertools import permutations
 from math import gcd, lcm
 from operator import add
 
-from .arith import PoleError, perm_sign
+from .arith import PoleError, invert, perm_sign
 from .symfun import as_parts
 
 
@@ -377,7 +377,7 @@ def divide_by_u_differences(f, var_indices, s):
         lin = one_plus_sx(var, s, f.nvars, out.cap)
         for _ in range(m - 1):
             out = out * lin
-    return out * (Fraction(1) / (1 - s * s)) ** (m * (m - 1) // 2)
+    return out * invert(Fraction(1 - s * s), "1 - s^2") ** (m * (m - 1) // 2)
 
 
 def _h_factor(var, m, spin, t, cap, nvars, cache):
@@ -387,14 +387,12 @@ def _h_factor(var, m, spin, t, cap, nvars, cache):
     got = cache.get(key)
     if got is not None:
         return got
-    q = t * t
+    u = u_substitution(var, spin.tail, cap, nvars)
     if m == 0:
-        u = u_substitution(var, spin.tail, cap, nvars)
-        out = (1 - q) * (1 - spin.lookup(0) * u).inv()
+        out = 1 - t * t
     else:
-        u = u_substitution(var, spin.tail, cap, nvars)
-        prev = _h_factor(var, m - 1, spin, t, cap, nvars, cache)
-        out = prev * (u - spin.lookup(m - 1)) * (1 - spin.lookup(m) * u).inv()
+        out = _h_factor(var, m - 1, spin, t, cap, nvars, cache) * (u - spin.lookup(m - 1))
+    out = out * invert(1 - spin.lookup(m) * u, "1 - s_%d*u" % m)
     cache[key] = out
     return out
 

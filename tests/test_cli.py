@@ -313,3 +313,26 @@ def test_malformed_pfaffian_file_exits_two(capsys, tmp_path, payload, detail):
     assert captured.out == ""
     assert_one_clean_error_line(captured.err)
     assert captured.err.startswith("error: bad matrix file %s: %s" % (path, detail))
+
+
+SERIES_EVAL = ("eval-f", "--t", "1/2", "--series")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--lambda", "0,0", "--spin", "1/2,1", "--D", "2"), "vanishing denominator: 1 - s^2"),
+        (("--lambda", "0", "--spin", "1/2,1", "--D", "2"), "vanishing denominator: 1 - s^2"),
+        (("--lambda", "2,1", "--spin", "1", "--D", "2"), "vanishing denominator: 1 - s_0*u"),
+        (("--lambda", "2,1", "--spin", "1/3", "--D", "-1"), "need D >= 0, got D=-1"),
+        (("--lambda", "2,1", "--spin", "1/3", "--D", "-3"), "need D >= 0, got D=-3"),
+    ],
+    ids=["u-differences at s = 1", "one variable at s = 1", "H factor at s = 1", "D = -1", "D = -3"],
+)
+def test_bad_series_evaluations_exit_two(capsys, argv, message):
+    code = main([*SERIES_EVAL, *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert_one_clean_error_line(captured.err)
+    assert captured.err == "error: %s\n" % message

@@ -5,9 +5,10 @@ import pytest
 
 import spinhl.identities
 import spinhl.vertex
-from spinhl.arith import ParamPoint, PoleError, SpinParams, perm_sign, sample_point
+from spinhl.arith import ParamPoint, PoleError, SpinParams, perm_sign, qpoch, sample_point
 from spinhl.identities import (
     _lhs_sum,
+    _outer_factor,
     _pair_extra,
     _ratio,
     _rec_block,
@@ -25,8 +26,11 @@ from spinhl.identities import (
     check_rec2,
     check_rec2v,
     check_reduction_chain,
+    family_weight,
     key_lemma1_sides,
     lemma_point,
+    poch_gamma,
+    poch_uniform,
     polynomial_expansion_equal,
     run_all,
     run_check,
@@ -35,8 +39,8 @@ from spinhl.identities import (
     weight_main1,
     weight_main2,
 )
-from spinhl.series import TruncSeries, f_lambda_series
-from spinhl.symfun import truncated_partition_list
+from spinhl.series import TruncSeries, f_lambda_series, u_substitution
+from spinhl.symfun import bounded_partitions, multiplicities, truncated_partition_list
 
 
 def test_weights_trivial_partition():
@@ -47,6 +51,58 @@ def test_weights_trivial_partition():
     assert weight_main1(lam, spin, q) == (1 + spin.lookup(0)) * (1 + spin.lookup(0) * q) / ((1 - q) * (1 - q * q))
     # at gamma = 1 the refined weight collapses to the plain one
     assert weight_main2(lam, spin, t, F(1), spin.lookup(0)) == weight_cor(lam, spin, t)
+
+
+def test_family_weights_match_the_explicit_formulas():
+    # each family weight is prod_r poch(r, m_r) / (q; q)_{m_r}; written out
+    # with (t; t)_m in the denominator where the family has no (-t; t)_m
+    t, spin, gamma = series_parameters(7, 2)
+    q = t * t
+    gis0 = spin.lookup(0) / gamma
+
+    def explicit(lam, at_zero, above):
+        w = F(1)
+        for r, m in multiplicities(lam).items():
+            w *= at_zero(m) if r == 0 else above(r, m)
+        return w
+
+    def main1(r, m):
+        return qpoch(-spin.lookup(r), q, m) / qpoch(q, q, m)
+
+    def cor(r, m):
+        return qpoch(-spin.lookup(r), t, m) / qpoch(t, t, m)
+
+    def refined(g, g_inv_s0):
+        return lambda m: qpoch(-g * t, t, m) / qpoch(q, q, m) * qpoch(-g_inv_s0, t, m)
+
+    kawanaka = family_weight(poch_gamma(t, F(0), F(0)), q)
+    for n in range(1, 5):
+        for lam in bounded_partitions(n, 4):
+            assert weight_main1(lam, spin, q) == explicit(lam, lambda m: main1(0, m), main1), lam
+            assert weight_cor(lam, spin, t) == explicit(lam, lambda m: cor(0, m), cor), lam
+            assert weight_main2(lam, spin, t, gamma, gis0) == explicit(lam, refined(gamma, gis0), cor)
+            assert kawanaka(lam, spin) == explicit(lam, refined(F(0), F(0)), cor), lam
+
+
+def test_smallest_part_factors_on_series_match_the_scalars_at_x_zero():
+    n, cap = 3, 2
+    for p in (0, 1, 2):
+        t, spin, _ = series_parameters(7, p)
+        U = [u_substitution(i, spin.tail, cap, n) for i in range(n)]
+        at_zero = [spin.tail] * n
+        for l in range(p + 2):
+            assert _ratio(U, spin, l).constant_term == _ratio(at_zero, spin, l), (p, l)
+            assert _outer_factor(U, spin, l).constant_term == _outer_factor(at_zero, spin, l)
+
+
+def test_subset_sum_pole_names_its_factor():
+    # s_1 u_1 = 1: the l = 1 term divides by 1 - s_1 u_1
+    pt = ParamPoint(F(1, 2), F(1), SpinParams((F(1, 5), F(2)), F(1, 3)), (F(1, 2), F(1, 7)))
+    table = {(): F(1), (1,): F(3), (2,): F(5)}
+    with pytest.raises(PoleError) as err:
+        spinhl.identities._subset_sum(pt, 1, poch_uniform(pt.t), table)
+    assert err.value.what == "1 - s_1*u"
+    assert str(err.value) == "vanishing denominator: 1 - s_1*u"
 
 
 def _symmetrizer_sum(n, spin, t, cap, weight_fn, budget, var_indices):
@@ -240,7 +296,7 @@ def test_rec2_rejects_gamma_zero():
 def test_chain_ratio_pole_keeps_its_name():
     pt = ParamPoint(F(1, 2), F(1), SpinParams((F(2),), F(1, 3)), (F(1, 2), F(1, 5)))
     with pytest.raises(PoleError) as err:
-        _ratio(pt, 0)
+        _ratio(pt.u, pt.spin, 0)
     assert str(err.value) == "vanishing denominator: 1 - s_0*u"
 
 
