@@ -83,6 +83,11 @@ def over_common_denominator(values):
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
+def vandermonde(x):
+    """prod_{i<j} (x_j - x_i)."""
+    return prod((x[j] - x[i] for i in range(len(x)) for j in range(i + 1, len(x))), start=Fraction(1))
+
+
 def tabled_sum(items, entry):
     """Exact sum over the key tuples in ``items`` of prod_i entry(i, key_i).
 

@@ -401,10 +401,13 @@ def _prefix_prod(u, spin, l):
 
 
 def _outer_factor(u, spin, l):
-    """The prefix product up to l over prod_i (1 - s_l u_i)."""
+    """The prefix product up to l over prod_i (1 - s_l u_i), one factor
+    inverted at a time (inverting the dense product of series is slow)."""
     sl = spin.lookup(l)
-    den = prod((1 - sl * ui for ui in u), start=Fraction(1))
-    return invert(den, "1 - s_%d*u" % l) * _prefix_prod(u, spin, l)
+    out = Fraction(1)
+    for ui in u:
+        out = out * invert(1 - sl * ui, "1 - s_%d*u" % l)
+    return out * _prefix_prod(u, spin, l)
 
 
 # ----------------------------------------------------------------------

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import PoleError, tabled_sum
-from .symfun import permutation_sum
+from .arith import PoleError, vandermonde
+from .symfun import interlacing_sum, permutation_sum, rows_between
 
 
 @dataclass(frozen=True)
@@ -155,27 +155,11 @@ def damt_weight(D, x, u, v, w):
     return out
 
 
-def rows_between(row, strict=True):
-    """All strictly (or weakly) increasing rows b with row[j] <= b[j] <= row[j+1]."""
-    m = len(row)
-    if m == 1:
-        return []
-    out = []
-
-    def rec(j, acc):
-        if j == m - 1:
-            out.append(tuple(acc))
-            return
-        lo = row[j]
-        if acc:
-            lo = max(lo, acc[-1] + (1 if strict else 0))
-        for val in range(lo, row[j + 1] + 1):
-            acc.append(val)
-            rec(j + 1, acc)
-            acc.pop()
-
-    rec(0, [])
-    return out
+def _strict_bottom(bottom):
+    bottom = tuple(int(v) for v in bottom)
+    if any(bottom[j] >= bottom[j + 1] for j in range(len(bottom) - 1)):
+        raise ValueError("bottom row must strictly increase")
+    return bottom
 
 
 def monotone_triangles(bottom):
@@ -183,9 +167,7 @@ def monotone_triangles(bottom):
 
     ``rows_between`` only yields rows that interlace the row below, so the
     triangles are built valid and skip ``MonotoneTriangle`` validation."""
-    bottom = tuple(int(v) for v in bottom)
-    if any(bottom[j] >= bottom[j + 1] for j in range(len(bottom) - 1)):
-        raise ValueError("bottom row must strictly increase")
+    bottom = _strict_bottom(bottom)
 
     def build(row):
         if len(row) == 1:
@@ -251,22 +233,19 @@ def robbins_star_enum(k, x, u, v, w):
     down-arrowed monotone triangles with bottom row k.  Decorations factor per
     entry, so each triangle contributes its polynomial weight ``mt_weight``.
 
-    Every triangle is enumerated; its weight is the product over rows i of
-    u^r v^l (w + u x_i + v/x_i)^s x_i^d, read off a per-call table keyed by
-    the row's (r, l, s, d)."""
-    triangles = monotone_triangles(tuple(k))
+    That weight is the product over rows i of u^r v^l (w + u x_i + v/x_i)^s
+    x_i^d, where (r, l, s, d) depend only on row i and the row above it, so
+    the sum is the ``interlacing_sum`` over strictly increasing rows."""
+    k = _strict_bottom(k)
     x = tuple(Fraction(val) for val in x)
     u, v, w = Fraction(u), Fraction(v), Fraction(w)
     if len(x) != len(k):
         raise ValueError("need one variable per row")
 
-    def row_keys(M):
-        prev_sum = 0
-        for i, row in enumerate(M.rows):
-            lcnt, rcnt, scnt = M.row_stats(i - 1) if i else (0, 0, 0)
-            row_sum = sum(row)
-            yield rcnt, lcnt, scnt, row_sum - prev_sum + rcnt - lcnt
-            prev_sum = row_sum
+    def row_key(i, above, row):
+        lcnt = sum(1 for a, b in zip(above, row) if a == b)
+        rcnt = sum(1 for a, b in zip(above, row[1:]) if a == b)
+        return rcnt, lcnt, i - lcnt - rcnt, sum(row) - sum(above) + rcnt - lcnt
 
     def entry(i, key):
         rcnt, lcnt, scnt, d = key
@@ -276,16 +255,7 @@ def robbins_star_enum(k, x, u, v, w):
         val = u**rcnt * v**lcnt * xi**d
         return val * (w + u * xi + v / xi) ** scnt if scnt else val
 
-    return tabled_sum((row_keys(M) for M in triangles), entry)
-
-
-def _vandermonde(x):
-    """prod_{i<j} (x_j - x_i)."""
-    den = Fraction(1)
-    for i in range(len(x)):
-        for j in range(i + 1, len(x)):
-            den *= x[j] - x[i]
-    return den
+    return interlacing_sum(k, True, row_key, entry)
 
 
 def robbins_star_bialternant(k, x, u, v, w):
@@ -305,7 +275,7 @@ def robbins_star_bialternant(k, x, u, v, w):
     num = permutation_sum(
         x, lambda xa, xb: u * xa * xb + v + w * xa, [[xa**e for e in k] for xa in x], signed=True
     )
-    return num / _vandermonde(x)
+    return num / vandermonde(x)
 
 
 def robbins_bialternant(k, x, t, u, v, w):
@@ -329,4 +299,4 @@ def robbins_bialternant(k, x, t, u, v, w):
         return t * xb + u * xa * xb + v + w * xa
 
     single = [[pair(xa, xa) * xa ** (e - 1) for e in k] for xa in x]
-    return permutation_sum(x, pair, single, signed=True) / _vandermonde(x)
+    return permutation_sum(x, pair, single, signed=True) / vandermonde(x)

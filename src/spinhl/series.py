@@ -377,7 +377,8 @@ def divide_by_u_differences(f, var_indices, s):
         lin = one_plus_sx(var, s, f.nvars, out.cap)
         for _ in range(m - 1):
             out = out * lin
-    return out * invert(Fraction(1 - s * s), "1 - s^2") ** (m * (m - 1) // 2)
+    pairs = m * (m - 1) // 2
+    return out * invert(Fraction(1 - s * s), "1 - s^2") ** pairs if pairs else out
 
 
 def _h_factor(var, m, spin, t, cap, nvars, cache):

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import prod
 
-from .arith import PoleError, invert, over_common_denominator, perm_sign, qpoch, rat_str, tabled_sum
+from .arith import PoleError, invert, over_common_denominator, perm_sign, qpoch, rat_str, vandermonde
 from .pfaffian import det
 
 SYMMETRIZE_CAP = 8
@@ -260,56 +260,76 @@ def f_lambda_recurrence_rhs(lam, point):
     return pref * total
 
 
-def _gt_rows_above(row):
-    """Weakly increasing rows b with row[j] <= b[j] <= row[j+1] (Gelfand-Tsetlin step)."""
+def rows_between(row, strict=True):
+    """All strictly (or weakly) increasing rows b with row[j] <= b[j] <= row[j+1]."""
     m = len(row)
+    if m == 1:
+        return []
     out = []
 
     def rec(j, acc):
         if j == m - 1:
             out.append(tuple(acc))
             return
-        lo = max(row[j], acc[-1]) if acc else row[j]
-        for v in range(lo, row[j + 1] + 1):
-            acc.append(v)
+        lo = row[j]
+        if acc:
+            lo = max(lo, acc[-1] + (1 if strict else 0))
+        for val in range(lo, row[j + 1] + 1):
+            acc.append(val)
             rec(j + 1, acc)
             acc.pop()
 
-    if m == 1:
-        return []
     rec(0, [])
     return out
 
 
-def _gt_patterns(bottom):
-    """All Gelfand-Tsetlin patterns over the given weakly increasing bottom row,
-    as lists of rows from top (1 entry) to bottom."""
-    if len(bottom) == 1:
-        return [[tuple(bottom)]]
-    out = []
-    for above in _gt_rows_above(tuple(bottom)):
-        for pat in _gt_patterns(above):
-            out.append(pat + [tuple(bottom)])
-    return out
+def interlacing_sum(bottom, strict, key, entry):
+    """Exact sum, over all patterns of interlacing rows on ``bottom`` (rows
+    strictly or weakly increasing, see ``rows_between``), of
+    prod_i entry(i, key(i, above, row)).
+
+    Row i is numbered from the top, so it has i + 1 entries, and the top row
+    steps to the empty row ().  The sum runs as a transfer over the distinct
+    rows of each level, never materializing a pattern: the reachable rows and
+    their edges are collected bottom up; then, top level first, each level's
+    distinct entries are tabulated over one common denominator (so an error
+    ``entry`` raises names the smallest row some pattern needs) and the
+    integer numerators are carried one level down; the sum is divided once.
+    """
+    bottom = tuple(bottom)
+    levels = []  # bottom up: row -> [(above, key)]
+    rows = [bottom]
+    for i in range(len(bottom) - 1, -1, -1):
+        edges = {}
+        for row in rows:
+            aboves = rows_between(row, strict) if i else [()]
+            edges[row] = [(above, key(i, above, row)) for above in aboves]
+        levels.append(edges)
+        rows = dict.fromkeys(above for pairs in edges.values() for above, _ in pairs)
+    values, den = {(): 1}, 1
+    for i, edges in enumerate(reversed(levels)):
+        keys = list(dict.fromkeys(k for pairs in edges.values() for _, k in pairs))
+        nums, d = over_common_denominator(entry(i, k) for k in keys)
+        num = dict(zip(keys, nums))
+        values = {
+            row: sum(values[above] * num[k] for above, k in pairs) for row, pairs in edges.items()
+        }
+        den *= d
+    return Fraction(values[bottom], den)
 
 
 def schur_gt(lam, x):
-    """Schur polynomial as the Gelfand-Tsetlin generating function.  Every
-    pattern is enumerated; its weight prod_i x_i^(row-sum increment) is read
-    off a per-call table of powers."""
+    """Schur polynomial as the Gelfand-Tsetlin generating function: the
+    ``interlacing_sum`` of prod_i x_i^(row-sum increment) over the weakly
+    increasing patterns on lambda reversed."""
     x = tuple(Fraction(v) for v in x)
     n = len(x)
     lam = as_parts(lam)
     if len(lam) > n:
         raise ValueError("partition longer than variable list")
     lam = lam + (0,) * (n - len(lam))
-    bottom = tuple(reversed(lam))
-
-    def increments(pat):
-        sums = [0] + [sum(row) for row in pat]
-        return (sums[i + 1] - sums[i] for i in range(n))
-
-    return tabled_sum((increments(pat) for pat in _gt_patterns(bottom)), lambda i, e: x[i] ** e)
+    increment = lambda i, above, row: sum(row) - sum(above)
+    return interlacing_sum(tuple(reversed(lam)), False, increment, lambda i, e: x[i] ** e)
 
 
 def schur_bialternant(lam, x):
@@ -321,8 +341,8 @@ def schur_bialternant(lam, x):
     if len(set(x)) != n:
         raise PoleError("x_i - x_j")
     num = det([[xi ** (lam[j] + n - 1 - j) for j in range(n)] for xi in x])
-    den = det([[xi ** (n - 1 - j) for j in range(n)] for xi in x])
-    return num / den
+    # det [x_i^(n-1-j)] = prod_{i<j} (x_i - x_j), the Vandermonde of x reversed
+    return num / vandermonde(x[::-1])
 
 
 def schur(lam, x):

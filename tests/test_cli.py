@@ -322,12 +322,11 @@ SERIES_EVAL = ("eval-f", "--t", "1/2", "--series")
     "argv, message",
     [
         (("--lambda", "0,0", "--spin", "1/2,1", "--D", "2"), "vanishing denominator: 1 - s^2"),
-        (("--lambda", "0", "--spin", "1/2,1", "--D", "2"), "vanishing denominator: 1 - s^2"),
         (("--lambda", "2,1", "--spin", "1", "--D", "2"), "vanishing denominator: 1 - s_0*u"),
         (("--lambda", "2,1", "--spin", "1/3", "--D", "-1"), "need D >= 0, got D=-1"),
         (("--lambda", "2,1", "--spin", "1/3", "--D", "-3"), "need D >= 0, got D=-3"),
     ],
-    ids=["u-differences at s = 1", "one variable at s = 1", "H factor at s = 1", "D = -1", "D = -3"],
+    ids=["u-differences at s = 1", "H factor at s = 1", "D = -1", "D = -3"],
 )
 def test_bad_series_evaluations_exit_two(capsys, argv, message):
     code = main([*SERIES_EVAL, *argv])
@@ -336,3 +335,11 @@ def test_bad_series_evaluations_exit_two(capsys, argv, message):
     assert captured.out == ""
     assert_one_clean_error_line(captured.err)
     assert captured.err == "error: %s\n" % message
+
+
+def test_one_variable_at_s_one_has_no_difference_pole(capsys):
+    # one variable has no u-difference, so no 1 - s^2 to invert: at s = 1 the
+    # substitution gives u = 1 and F_(0) = (1 - q)/(1 - s_0 u) = (3/4)/(1/2)
+    code, out = run_cli(capsys, *SERIES_EVAL, "--lambda", "0", "--spin", "1/2,1", "--D", "2")
+    assert code == 0
+    assert json.loads(out) == {"D": 2, "lambda": [0], "series": [{"coefficient": "3/2", "exponents": [0]}]}

@@ -2,8 +2,9 @@
 
 Each reference evaluates its formula term by term, the way the library did
 before the factor tables: a closure term summed by the public
-``symmetrize``/``antisymmetrize``, or ``mt_weight`` summed over
-``monotone_triangles``.  The vertex transfer is checked against the plain
+``symmetrize``/``antisymmetrize``, ``mt_weight`` summed over
+``monotone_triangles``, or a product of powers summed over Gelfand-Tsetlin
+patterns built one by one.  The vertex transfer is checked against the plain
 ensemble enumeration, past the largest part where the reachability prune acts.
 """
 
@@ -22,12 +23,13 @@ from spinhl.robbins import (
     robbins_star_enum,
 )
 from spinhl.symfun import (
-    _gt_patterns,
     antisymmetrize,
     bounded_partitions,
     f_lambda,
     hall_littlewood_P,
     multiplicities,
+    rows_between,
+    schur_bialternant,
     schur_gt,
     symmetrize,
 )
@@ -73,6 +75,18 @@ def f_reference(lam, point):
         return val
 
     return symmetrize(term, point.u)
+
+
+def gt_patterns(bottom):
+    """All Gelfand-Tsetlin patterns over the given weakly increasing bottom row,
+    as lists of rows from top (1 entry) to bottom."""
+    if len(bottom) == 1:
+        return [[tuple(bottom)]]
+    out = []
+    for above in rows_between(tuple(bottom), strict=False):
+        for pat in gt_patterns(above):
+            out.append(pat + [tuple(bottom)])
+    return out
 
 
 def vandermonde(x):
@@ -138,7 +152,7 @@ def test_schur_gt_matches_pattern_products():
         x = sample_point(SEEDS[0], n, p=0).u
         for lam in bounded_partitions(n, max_part):
             expect = F(0)
-            for pat in _gt_patterns(tuple(reversed(lam))):
+            for pat in gt_patterns(tuple(reversed(lam))):
                 sums = [0] + [sum(row) for row in pat]
                 expect += math.prod((x[i] ** (sums[i + 1] - sums[i]) for i in range(n)), start=F(1))
             assert schur_gt(lam, x) == expect, lam
@@ -164,6 +178,48 @@ def test_robbins_enum_reports_the_pole_of_the_first_triangle():
         with pytest.raises(PoleError) as got:
             robbins_star_enum(k, x, u, v, w)
         assert str(got.value) == str(ref.value)
+
+
+def test_robbins_enum_matches_triangle_sum_with_negative_entries():
+    pt = sample_point(SEEDS[1], 4, p=0)
+    x, (u, v, w) = pt.u, (pt.gamma, pt.spin.tail, pt.q)
+    for k in ((-2,), (-3, 1), (-2, -1), (-3, -1, 2), (-1, 0, 4), (-3, -2, 0, 1), (-2, 0, 1, 3)):
+        xs = x[: len(k)]
+        expect = sum(mt_weight(M, xs, u, v, w) for M in monotone_triangles(k))
+        assert robbins_star_enum(k, xs, u, v, w) == expect, k
+
+
+def test_transfer_routes_equal_bialternants_at_seven_variables():
+    pt = sample_point(SEEDS[0], 7, p=0)
+    x, (u, v, w) = pt.u, (pt.gamma, pt.spin.tail, pt.q)
+    k = tuple(range(1, 8))
+    assert robbins_star_enum(k, x, u, v, w) == robbins_star_bialternant(k, x, u, v, w)
+    for lam in bounded_partitions(7, 3):
+        assert schur_gt(lam, x) == schur_bialternant(lam, x), lam
+
+
+# Several zero x_i: the transfer tabulates its entries top row first, so it
+# names the smallest row i that some triangle needs inverted, where the sum
+# triangle by triangle named the first row of the first triangle with a pole.
+@pytest.mark.parametrize(
+    "k, zeros, first_triangle",
+    [((0, 1, 3), (1, 2), 3), ((0, 1, 2, 4), (2, 3), 4), ((0, 1, 3, 4), (0, 1, 2, 3), 3)],
+)
+def test_robbins_enum_names_the_smallest_row_pole(k, zeros, first_triangle):
+    u, v, w = F(2, 9), F(3, 11), F(5, 13)
+    x = tuple(F(0) if i in zeros else F(2 * i + 3, 7) for i in range(len(k)))
+    rows = set()
+    for M in monotone_triangles(k):
+        try:
+            mt_weight(M, x, u, v, w)
+        except PoleError as exc:
+            rows.add(int(exc.what.split()[0][2:]))
+    with pytest.raises(PoleError) as ref:
+        sum(mt_weight(M, x, u, v, w) for M in monotone_triangles(k))
+    with pytest.raises(PoleError) as got:
+        robbins_star_enum(k, x, u, v, w)
+    assert ref.value.what == "x_%d (negative exponent)" % first_triangle
+    assert got.value.what == "x_%d (negative exponent)" % min(rows) != ref.value.what
 
 
 # messages taken from the term-by-term symmetrizer; at each point the
