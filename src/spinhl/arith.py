@@ -38,7 +38,10 @@ def rat(value):
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in rational %r" % value) from None
     raise TypeError("cannot interpret %r as a rational" % (value,))
 
 

@@ -159,11 +159,17 @@ def _cmd_bijection(args):
     return 0 if all_equal else 1
 
 
+_GAMMA_CHECKS = ("main2", "rec2")
+
+
 def _cmd_verify(args):
     seed = args.seed
     env = os.environ.get("SPINHL_SEED")
     if env is not None:
         seed = int(env)
+    if args.gamma is not None and args.what not in _GAMMA_CHECKS:
+        only = " and ".join(_GAMMA_CHECKS)
+        raise ValueError("--gamma applies to verify %s only, not to %s" % (only, args.what))
     gamma = rat(args.gamma) if args.gamma else None
     if args.what == "all":
         reports = run_all(n=args.n, p=args.p, D=args.D, seed=seed)
@@ -277,6 +283,12 @@ def main(argv=None):
             print("error: %s" % exc, file=sys.stderr)
             return 2
     try:
+        unknown = sorted(set(config) - set(_VERIFY_DEFAULTS))
+        if unknown:
+            raise ValueError(
+                "unknown key %r in config file %s (the keys are %s)"
+                % (unknown[0], args.config, ", ".join(_VERIFY_DEFAULTS))
+            )
         if args.command == "verify":
             for key, default in _VERIFY_DEFAULTS.items():
                 if getattr(args, key) is None:

@@ -31,7 +31,10 @@ the subset factor, relabeled onto every subset of that size (see
 Every reduction-chain equation that sums over subsets goes through
 ``_subset_sum``, over the proper subsets or all of them; the split kernel
 times the block of each subset does not depend on l and is tabulated once per
-chain (``_subset_table``).
+chain (``_subset_table``).  The chains and the second key lemma take every
+subset's block Pfaffian from one table of matrix entries per point
+(``block_pfaffians``), and the key-lemma subset sums run on tabulated factors
+(``_key_lemma_sum``).
 """
 
 from dataclasses import dataclass
@@ -39,9 +42,20 @@ from fractions import Fraction
 from itertools import combinations
 from math import prod
 
-from .arith import ParamPoint, SpinParams, invert, perm_sign, qpoch, rat_str, sample_point
+from .arith import (
+    ParamPoint,
+    SpinParams,
+    invert,
+    perm_sign,
+    qpoch,
+    rat_str,
+    sample_point,
+    tabled_sum,
+)
 from .pfaffian import (
     MGammaSpec,
+    block_pfaffians,
+    kernel_over_differences,
     littlewood_kernel,
     m_conjugated,
     m_gamma,
@@ -546,6 +560,50 @@ def check_rec2(n, p, spin, t, D, gamma, cache=None):
 # key polynomial lemmas (point mode)
 
 
+def _key_lemma_sum(u, q, poch, inside, pair_inside, block=None):
+    """The right side shared by both key lemmas: the sum over the subsets T
+    of [n] of perm_sign(T + Tc) poch(|Tc|) prod_{j in Tc} (1 - u_j)
+    prod_{i in T} inside(u_i) prod_{i in T, j in Tc} (u_i - q u_j)(1 - u_i u_j)
+    prod_{i<j in Tc} (1 - u_i u_j)(u_i - u_j) prod_{i<j in T} pair_inside(u_i, u_j),
+    times block(T) when ``block`` is given.
+
+    Each term is a product of one factor per Pochhammer length, per index
+    (in T or not) and per pair (by which of its two ends are in T), and the
+    sign is the parity of the pairs i < j with only j in T, so it rides on
+    those pair factors.  Every factor is tabulated once and the 2^n terms
+    are summed through ``tabled_sum``, on integer numerators."""
+    n = len(u)
+    pairs = tuple(combinations(range(n), 2))
+
+    def keys(T):
+        bits = [0] * n
+        for i in T:
+            bits[i] = 1
+        out = (n - len(T),) + tuple(bits) + tuple((bits[i], bits[j]) for i, j in pairs)
+        return out + ((T,) if block else ())
+
+    def entry(pos, key):
+        if pos == 0:
+            return poch(key)
+        if pos <= n:
+            ui = u[pos - 1]
+            return inside(ui) if key else 1 - ui
+        if pos > n + len(pairs):
+            return block(key)
+        i, j = pairs[pos - n - 1]
+        ui, uj = u[i], u[j]
+        if key == (1, 1):
+            return pair_inside(ui, uj)
+        if key == (0, 0):
+            return (1 - ui * uj) * (ui - uj)
+        if key == (1, 0):
+            return (ui - q * uj) * (1 - ui * uj)
+        return (q * ui - uj) * (1 - ui * uj)  # -(u_j - q u_i)(1 - u_i u_j)
+
+    subsets = (T for size in range(n + 1) for T in combinations(range(n), size))
+    return tabled_sum(map(keys, subsets), entry)
+
+
 def key_lemma1_sides(u, q, s):
     """Both sides of the polynomial identity behind the product-form proof."""
     u = tuple(Fraction(v) for v in u)
@@ -557,26 +615,13 @@ def key_lemma1_sides(u, q, s):
     for i in range(n):
         for j in range(i + 1, n):
             lhs *= (1 - q * u[i] * u[j]) * (u[i] - u[j])
-    rhs = Fraction(0)
-    idx = tuple(range(n))
-    for size in range(n + 1):
-        for T in combinations(idx, size):
-            Tc = tuple(j for j in idx if j not in T)
-            term = Fraction(perm_sign(T + Tc)) * qpoch(-s, q, n - size)
-            for j in Tc:
-                term *= 1 - u[j]
-            for i in T:
-                term *= u[i] - s
-            for a in range(len(Tc)):
-                for b in range(a + 1, len(Tc)):
-                    term *= (1 - u[Tc[a]] * u[Tc[b]]) * (u[Tc[a]] - u[Tc[b]])
-            for i in T:
-                for j in Tc:
-                    term *= (u[i] - q * u[j]) * (1 - u[i] * u[j])
-            for a in range(len(T)):
-                for b in range(a + 1, len(T)):
-                    term *= (1 - q * u[T[a]] * u[T[b]]) * (u[T[a]] - u[T[b]])
-            rhs += term
+    rhs = _key_lemma_sum(
+        u,
+        q,
+        lambda m: qpoch(-s, q, m),
+        lambda ui: ui - s,
+        lambda ui, uj: (1 - q * ui * uj) * (ui - uj),
+    )
     return lhs, rhs
 
 
@@ -587,7 +632,12 @@ def check_key_lemma1(n, point, s):
 
 def key_lemma2_sides(point, s, gamma, gamma_inv_s=None):
     """Both sides of the Pfaffian identity (sum over subsets with crossing
-    signs) driving the Pfaffian-form proof."""
+    signs) driving the Pfaffian-form proof.
+
+    The right side conjugates each gamma = 1 block over T by the diagonal
+    B(T, T) of ``b_matrix``; as Pf(B M B) = det(B) Pf(M), that is the
+    block's Pfaffian (``block_pfaffians``, one entry table per point) times
+    the pair products (1 - u_i u_j)(1 - q u_i u_j) over the pairs of T."""
     n = point.n
     t = point.t
     q = point.q
@@ -595,30 +645,19 @@ def key_lemma2_sides(point, s, gamma, gamma_inv_s=None):
     gamma = Fraction(gamma)
     u = point.u
     specg = MGammaSpec(point, gamma, s, gamma_inv_s)
-    spec1 = MGammaSpec(point, Fraction(1), s)
     gis = specg.gamma_inv_s
     lhs = m_conjugated(specg, tuple(range(1, n + 1))).pfaffian()
     for ui in u:
         lhs *= (1 + t) * (1 - s * ui)
-    rhs = Fraction(0)
-    idx = tuple(range(1, n + 1))
-    for size in range(n + 1):
-        for T in combinations(idx, size):
-            Tc = tuple(j for j in idx if j not in T)
-            term = Fraction(perm_sign(T + Tc))
-            term *= qpoch(-gis, t, n - size) * qpoch(-gamma * t, t, n - size)
-            for i in T:
-                for j in Tc:
-                    term *= (u[i - 1] - q * u[j - 1]) * (1 - u[i - 1] * u[j - 1])
-            for j in Tc:
-                term *= 1 - u[j - 1]
-            for i in T:
-                term *= (1 + t) * (u[i - 1] - s)
-            for a in range(len(Tc)):
-                for b in range(a + 1, len(Tc)):
-                    term *= (1 - u[Tc[a] - 1] * u[Tc[b] - 1]) * (u[Tc[a] - 1] - u[Tc[b] - 1])
-            term *= m_conjugated(spec1, T).pfaffian()
-            rhs += term
+    pfs = block_pfaffians(MGammaSpec(point, Fraction(1), s))
+    rhs = _key_lemma_sum(
+        u,
+        q,
+        lambda m: qpoch(-gis, t, m) * qpoch(-gamma * t, t, m),
+        lambda ui: (1 + t) * (ui - s),
+        lambda ui, uj: (1 - ui * uj) * (1 - q * ui * uj),
+        lambda T: pfs[tuple(i + 1 for i in T)],
+    )
     return lhs, rhs
 
 
@@ -772,8 +811,9 @@ def _chain_cor(point, p):
     spec1 = MGammaSpec(point, Fraction(1), point.s(0))
     full = tuple(range(1, n + 1))
     pf_full = pfaffian_side(spec1, full)
-    # the (1+t)/(1-u_i) factors over T live inside pfaffian_side
-    table = _subset_table(point, lambda T: pfaffian_side(spec1, T))
+    # pfaffian_side(spec1, T), its block restricted from one entry table
+    pfs = block_pfaffians(spec1)
+    table = _subset_table(point, lambda T: kernel_over_differences(point.u, t, T) * pfs[T])
     poch = poch_uniform(t)
     rhs_b = [_subset_sum(point, l, poch, table) for l in range(p + 2)]
     prefix = [_prefix_prod(point.u, point.spin, l) for l in range(p + 2)]
@@ -802,7 +842,9 @@ def _chain_cor(point, p):
     for size in range(n + 1):
         for T in combinations(full, size):
             Tc = tuple(j for j in full if j not in T)
-            term = m_conjugated(spec1, T).pfaffian()
+            # the conjugated Pfaffian: Pf(B M B) = det(B) Pf(M), and det B(T, T)
+            # is the product of b_matrix's pair factors over the pairs of T
+            term = pfs[T]
             for i in T:
                 term *= (1 + t) / (1 - point.u[i - 1])
             for i in T:
@@ -814,7 +856,8 @@ def _chain_cor(point, p):
                     term *= 1 - point.u[Tc[a] - 1] * point.u[Tc[b] - 1]
             for a in range(len(T)):
                 for b in range(a + 1, len(T)):
-                    term /= point.u[T[a] - 1] - point.u[T[b] - 1]
+                    ua, ub = point.u[T[a] - 1], point.u[T[b] - 1]
+                    term *= (1 - ua * ub) * (1 - q * ua * ub) / (ua - ub)
             rhs_fixed[T] = term
 
     def second_identification(l):
@@ -822,9 +865,10 @@ def _chain_cor(point, p):
         lhs = lhs_fixed
         for ui in point.u:
             lhs *= 1 - sl * ui
+        pochs = [qpoch(-sl, t, m) * qpoch(-t, t, m) for m in range(n + 1)]
         rhs = Fraction(0)
         for T, fixed in rhs_fixed.items():
-            term = qpoch(-sl, t, n - len(T)) * qpoch(-t, t, n - len(T)) * fixed
+            term = pochs[n - len(T)] * fixed
             for i in T:
                 term *= point.u[i - 1] - sl
             rhs += term
@@ -846,7 +890,9 @@ def _chain_main2(point, p, gamma):
     spec1 = MGammaSpec(point, Fraction(1), s0)
     results = {}
     lhs_main = rhs_main2(specg)
-    table = _subset_table(point, lambda T: pfaffian_side(spec1, T))
+    # pfaffian_side(spec1, T), its block restricted from one entry table
+    pfs = block_pfaffians(spec1)
+    table = _subset_table(point, lambda T: kernel_over_differences(point.u, t, T) * pfs[T])
     poch_1 = poch_uniform(t)
     poch_g = poch_gamma(t, gamma, s0 / gamma)
     L0 = max(p, 1)

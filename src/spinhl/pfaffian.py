@@ -9,6 +9,7 @@ matrices of small dimension.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .arith import ParamPoint, invert, tabled_sum
 
@@ -268,6 +269,22 @@ def m_gamma(spec, T, u=None):
     )
 
 
+def block_pfaffians(spec):
+    """Pf(m_gamma(spec, T)) for every subset T of [n], keyed by T in order of
+    size.  The entries over the labels 0..n are built once, and each block
+    is the restriction of that table to ``subset_labels(T)``."""
+    point = spec.point
+    table = SkewMatrix.from_function(
+        range(point.n + 1),
+        lambda a, b: m_gamma_entry(a, b, point.u, point.t, spec.gamma, spec.s, spec.gamma_inv_s),
+    )
+    return {
+        T: table.restrict(subset_labels(T)).pfaffian()
+        for size in range(point.n + 1)
+        for T in combinations(range(1, point.n + 1), size)
+    }
+
+
 def m_conjugated(spec, T, u=None):
     """The matrix over T conjugated by the diagonal B(T, T), with polynomial entries."""
     return m_gamma(spec, T, u=u).conjugate_diag(b_matrix(tuple(T), tuple(T), spec.point, u=u))
@@ -304,7 +321,7 @@ def pfaffian_kernel(u, t):
     return out
 
 
-def _kernel_over_differences(u, t, labels):
+def kernel_over_differences(u, t, labels):
     """``pfaffian_kernel`` of the u_i with i in ``labels`` (1-based, in
     order) times prod_{i<j} 1/(u_i - u_j): the Pfaffian side without its
     Pfaffian."""
@@ -320,7 +337,7 @@ def pfaffian_side(spec, T):
     prod_{i in T} (1+t)/(1-u_i) prod_{i<j in T} (1-q u_i u_j)/(u_i-u_j)
     times the Pfaffian of ``m_gamma(spec, T)``."""
     T = tuple(T)
-    return _kernel_over_differences(spec.point.u, spec.point.t, T) * m_gamma(spec, T).pfaffian()
+    return kernel_over_differences(spec.point.u, spec.point.t, T) * m_gamma(spec, T).pfaffian()
 
 
 def rhs_main2(spec, n=None):
@@ -348,7 +365,7 @@ def rhs_cor(point, n=None):
     """Product side of the Pfaffian-form identity at gamma = 1, built from the
     explicit matrix rather than the gamma-refined entries."""
     labels = tuple(range(1, (point.n if n is None else n) + 1))
-    out = _kernel_over_differences(point.u, point.t, labels)
+    out = kernel_over_differences(point.u, point.t, labels)
     mat = SkewMatrix.from_function(
         subset_labels(labels), lambda a, b: cor_entry(a, b, point.u, point.t)
     )

@@ -13,7 +13,7 @@ materialize every ensemble instead and are the brute-force reference.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 from .arith import invert
 from .symfun import as_parts
@@ -38,6 +38,42 @@ def vertex_weight(cfg, u, s, q):
     if j1 == 1 and j2 == 0:
         return (1 - q ** (g + 1)) * inv
     return (u - s * q**g) * inv
+
+
+def row_scale(u, s, q, n):
+    """The integer L(s) = num(1 - s u) den(u) den(s)^2 den(q)^n by which a
+    row of spectral value u scales its local weights of spin s, for vertices
+    holding at most n paths (see ``scaled_weight``).  A pole 1 - s u = 0
+    raises ``PoleError``."""
+    num = invert(1 - s * u, "1 - s*u").denominator
+    return num * u.denominator * s.denominator**2 * q.denominator**n
+
+
+def scaled_weight(cfg, u, s, q, n):
+    """``vertex_weight(cfg, u, s, q)`` times ``row_scale(u, s, q, n)``, written
+    out as an integer for an admissible configuration (i1, i2, j1, j2) whose
+    vertical edges hold at most n paths each; g = i1.
+
+    With s = a/b, u = c/d, q = e/f in lowest terms and N = bd - ac,
+    1/(1 - s u) = bd/N, so 1/(1 - s u) times L(s) is k b^2 d f^n with
+    k = sign(N) bd/gcd(N, bd), and each weight's own denominator divides
+    b^2 d f^n.  The pole N = 0 is left to ``row_scale``."""
+    g, _, j1, j2 = cfg
+    a, b = s.numerator, s.denominator
+    c, d = u.numerator, u.denominator
+    e, f = q.numerator, q.denominator
+    bd = b * d
+    N = bd - a * c
+    k = bd // gcd(N, bd)
+    if N < 0:
+        k = -k
+    if j1 == 0 and j2 == 0:
+        return k * (bd * f**g - a * c * e**g) * b * f ** (n - g)
+    if j1 == 0:
+        return k * c * (b * b * f ** (g - 1) - a * a * e ** (g - 1)) * f ** (n - g + 1)
+    if j2 == 0:
+        return k * (f ** (g + 1) - e ** (g + 1)) * b * b * d * f ** (n - g - 1)
+    return k * (c * b * f**g - a * d * e**g) * b * f ** (n - g)
 
 
 @dataclass(frozen=True)
@@ -93,15 +129,16 @@ def _weighted_successors(state, u, spin, q, memos, scale, room, budget):
     ``u`` may be a scalar or a series; ``memos[c]`` memoizes the local
     weights of column c by configuration, one memo per spin value (see
     ``row_transfer``).  With ``scale`` None the weights are taken as they are
-    and empty vertices (weight 1) are skipped.  Otherwise ``scale`` maps each
-    spin value s of the row to an integer L(s) for which every local weight
-    times L(s) is an integer: the row's weights are those integers, an empty
-    vertex included (it weighs L(s)), and every walk carries the extra factor
-    prod_c L(s_c).  Paths only move right going up, so two counts of the new
-    row only grow as it is built and bound it column by column: its paths in
-    the columns >= c may not exceed ``room[c]`` (``room[width]`` is 0, so no
-    path leaves on the right), and its excess sum_c m_c max(c - p, 0) past
-    the spin prefix length p may not exceed ``budget``."""
+    and empty vertices (weight 1) are skipped.  Otherwise ``scale`` is the
+    path bound n of the integer row scales L(s) = ``row_scale(u, s, q, n)``:
+    the row's weights are the integers ``scaled_weight(cfg, u, s, q, n)``,
+    an empty vertex included (it weighs L(s)), and every walk carries the
+    extra factor prod_c L(s_c).  Paths only move right going up, so two
+    counts of the new row only grow as it is built and bound it column by
+    column: its paths in the columns >= c may not exceed ``room[c]``
+    (``room[width]`` is 0, so no path leaves on the right), and its excess
+    sum_c m_c max(c - p, 0) past the spin prefix length p may not exceed
+    ``budget``."""
     width = len(state)
     p = spin.p
     tail = [0] * (width + 1)  # paths of ``state`` in the columns >= c
@@ -130,11 +167,10 @@ def _weighted_successors(state, u, spin, q, memos, scale, room, budget):
                 vw = memos[c].get(cfg)
                 if vw is None:
                     s = spin.lookup(c)
-                    vw = vertex_weight(cfg, u, s, q)
-                    if scale is not None:
-                        vw *= scale[s]
-                        assert vw.denominator == 1, "row scale does not clear %r" % (cfg,)
-                        vw = vw.numerator
+                    if scale is None:
+                        vw = vertex_weight(cfg, u, s, q)
+                    else:
+                        vw = scaled_weight(cfg, u, s, q, scale)
                     memos[c][cfg] = vw
                 w2 = vw if w is None else w * vw
                 if not w2:
@@ -148,12 +184,13 @@ def row_transfer(rows, spin, q, one, room, budget):
 
     ``rows`` lists one (u, weights, scale) triple per row from the bottom up,
     with ``weights`` the row's memo of local weights, a dict from spin value
-    to a dict from configuration to weight, and ``scale`` None or its integer
-    scales (see ``_weighted_successors``); ``one`` is the unit of the ring
-    the weights live in.  States are the occupancy rows between rows,
-    starting from the empty row of width len(room) - 1, and every new row
-    obeys the bounds ``room`` and ``budget`` of ``_weighted_successors``.
-    Returns the nonzero summed weights of the top states by state."""
+    to a dict from configuration to weight, and ``scale`` None or the path
+    bound of its integer scales (see ``_weighted_successors``); ``one`` is
+    the unit of the ring the weights live in.  States are the occupancy
+    rows between rows, starting from the empty row of width len(room) - 1,
+    and every new row obeys the bounds ``room`` and ``budget`` of
+    ``_weighted_successors``.  Returns the nonzero summed weights of the top
+    states by state."""
     spins = [spin.lookup(c) for c in range(len(room) - 1)]
     states = {(0,) * len(spins): one}
     for u, weights, scale in rows:
@@ -183,10 +220,11 @@ def f_lambda_vertex(lam, point, max_col=None):
     so every local weight of spin s is one of 1 - s u q^g, u (1 - s^2 q^(g-1)),
     1 - q^(g+1), u - s q^g with g + 1 <= n (g <= n for the first), over
     1 - s u; the row scale L(s) = num(1 - s u) den(u) den(s)^2 den(q)^n clears
-    all of them.  Each walk of the row then weighs prod_c L(s_c) times its
-    rational weight, and the sum is divided by the product of those row
-    denominators once.  A pole 1 - s_c u_r = 0 in a column c up to the
-    largest part makes L zero, and raises ``PoleError`` instead.
+    all of them, and ``scaled_weight`` writes each product out in integers.
+    Each walk of the row then weighs prod_c L(s_c) times its rational weight,
+    and the sum is divided by the product of those row denominators once.  A
+    pole 1 - s_c u_r = 0 in a column c up to the largest part raises
+    ``PoleError`` from ``row_scale``.
     """
     lam = as_parts(lam)
     n = len(lam)
@@ -201,17 +239,13 @@ def f_lambda_vertex(lam, point, max_col=None):
         top[part] += 1
     room = [sum(top[c:]) for c in range(len(top) + 1)]
     spins = [point.spin.lookup(c) for c in range(len(top))]
-    qden = point.q.denominator**n
-    rows = []
+    q = point.q
     den = 1
     for u in point.u:
-        scale = {
-            s: invert(1 - s * u, "1 - s*u").denominator * u.denominator * s.denominator**2 * qden
-            for s in set(spins)
-        }
+        scale = {s: row_scale(u, s, q, n) for s in set(spins)}
         den *= prod(scale[s] for s in spins)
-        rows.append((u, {}, scale))
-    states = row_transfer(rows, point.spin, point.q, 1, room, sum(lam))
+    rows = [(u, {}, n) for u in point.u]
+    states = row_transfer(rows, point.spin, q, 1, room, sum(lam))
     return Fraction(states.get(tuple(top), 0), den)
 
 

@@ -315,6 +315,64 @@ def test_malformed_pfaffian_file_exits_two(capsys, tmp_path, payload, detail):
     assert captured.err.startswith("error: bad matrix file %s: %s" % (path, detail))
 
 
+EVAL_F = ("eval-f", "--lambda", "1,0", "--p", "0")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (*EVAL_F, "--t", "1/0", "--spin", "1/3", "--u", "2/7,3/8"),
+        (*EVAL_F, "--t", "1/2", "--spin", "1/0", "--u", "2/7,3/8"),
+        (*EVAL_F, "--t", "1/2", "--spin", "1/3", "--u", "2/7,1/0"),
+        (*EVAL_F, "--t", "1/2", "--spin", "1/3", "--u", "2/7,3/8", "--gamma", "1/0"),
+        ("eval-robbins", "--bottom", "1,2", "--x", "1/2,1/0", "--u", "1", "--v", "1", "--w", "1"),
+        ("bijection", "--lambda", "1,0", "--t", "1/2", "--x", "1/0,1/3"),
+        ("verify", "main2", "--n", "1", "--gamma", "1/0"),
+    ],
+    ids=["eval-f --t", "eval-f --spin", "eval-f --u", "eval-f --gamma", "eval-robbins --x",
+         "bijection --x", "verify --gamma"],
+)
+def test_zero_denominator_flag_names_its_text(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert_one_clean_error_line(captured.err)
+    assert captured.err == "error: zero denominator in rational '1/0'\n"
+
+
+def test_zero_denominator_in_pfaffian_file_names_its_text(capsys, tmp_path):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"labels": [1, 2], "entries": [[1, 2, "1/0"]]}))
+    code = main(["pfaffian", "--file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert_one_clean_error_line(captured.err)
+    assert "'1/0'" in captured.err
+
+
+def test_unknown_config_key_exits_two(capsys, tmp_path):
+    cfg = tmp_path / "spinhl.cfg"
+    cfg.write_text("n = 2\ngamma = 1/0\n")
+    code = main(["--config", str(cfg), "verify", "lemma1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert_one_clean_error_line(captured.err)
+    assert "'gamma'" in captured.err
+
+
+@pytest.mark.parametrize("what", ["all", "main1", "lemma2", "rec2v"])
+def test_gamma_for_a_check_that_ignores_it_exits_two(capsys, what):
+    code = main(["verify", what, "--n", "2", "--D", "1", "--gamma", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert_one_clean_error_line(captured.err)
+    assert "--gamma" in captured.err and what in captured.err
+
+
 SERIES_EVAL = ("eval-f", "--t", "1/2", "--series")
 
 

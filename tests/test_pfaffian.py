@@ -11,6 +11,7 @@ from spinhl.pfaffian import (
     SkewMatrix,
     _perfect_matchings,
     b_matrix,
+    block_pfaffians,
     cor_entry,
     det,
     m_conjugated,
@@ -161,6 +162,18 @@ def test_conjugation_clears_to_product_formula():
                     ui, uj = pt.u[U[a] - 1], pt.u[U[b] - 1]
                     expect *= (1 - ui * uj) * (1 - q * ui * uj)
             assert conj == expect * plain, U
+
+
+def test_block_pfaffians_are_the_pfaffians_of_each_block():
+    for n in range(5):
+        pt = sample_point(21, n, p=1, pole_list=kernel_pole_list(n))
+        for gamma in (F(1), pt.gamma):
+            spec = MGammaSpec(pt, gamma, pt.s(0))
+            pfs = block_pfaffians(spec)
+            subsets = [T for size in range(n + 1) for T in combinations(range(1, n + 1), size)]
+            assert list(pfs) == subsets
+            for T in subsets:
+                assert pfs[T] == m_gamma(spec, T).pfaffian(), (n, gamma, T)
 
 
 def test_commutation_relation_for_nested_subsets():

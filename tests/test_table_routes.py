@@ -6,15 +6,20 @@ before the factor tables: a closure term summed by the public
 ``monotone_triangles``, or a product of powers summed over Gelfand-Tsetlin
 patterns built one by one.  The vertex transfer is checked against the plain
 ensemble enumeration, past the largest part where the reachability prune acts.
+The key-lemma right sides are checked against their subset sums term by
+term, each conjugated Pfaffian built from its own matrix.
 """
 
 import math
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
 from spinhl import vertex
-from spinhl.arith import ParamPoint, PoleError, SpinParams, qpoch, sample_point
+from spinhl.arith import ParamPoint, PoleError, SpinParams, perm_sign, qpoch, sample_point
+from spinhl.identities import key_lemma1_sides, key_lemma2_sides, lemma_point
+from spinhl.pfaffian import MGammaSpec, m_conjugated
 from spinhl.robbins import (
     monotone_triangles,
     mt_weight,
@@ -121,6 +126,57 @@ def robbins_reference(k, x, t, u, v, w):
         return val
 
     return antisymmetrize(g, x) / vandermonde(x)
+
+
+def subsets(idx):
+    for size in range(len(idx) + 1):
+        for T in combinations(idx, size):
+            yield T, tuple(j for j in idx if j not in T)
+
+
+def key_lemma1_rhs(u, q, s):
+    n = len(u)
+    rhs = F(0)
+    for T, Tc in subsets(tuple(range(n))):
+        term = F(perm_sign(T + Tc)) * qpoch(-s, q, n - len(T))
+        for j in Tc:
+            term *= 1 - u[j]
+        for i in T:
+            term *= u[i] - s
+        for a in range(len(Tc)):
+            for b in range(a + 1, len(Tc)):
+                term *= (1 - u[Tc[a]] * u[Tc[b]]) * (u[Tc[a]] - u[Tc[b]])
+        for i in T:
+            for j in Tc:
+                term *= (u[i] - q * u[j]) * (1 - u[i] * u[j])
+        for a in range(len(T)):
+            for b in range(a + 1, len(T)):
+                term *= (1 - q * u[T[a]] * u[T[b]]) * (u[T[a]] - u[T[b]])
+        rhs += term
+    return rhs
+
+
+def key_lemma2_rhs(point, s, gamma, gamma_inv_s=None):
+    n, t, q, u = point.n, point.t, point.q, point.u
+    gis = MGammaSpec(point, gamma, s, gamma_inv_s).gamma_inv_s
+    spec1 = MGammaSpec(point, F(1), s)
+    rhs = F(0)
+    for T, Tc in subsets(tuple(range(1, n + 1))):
+        term = F(perm_sign(T + Tc))
+        term *= qpoch(-gis, t, n - len(T)) * qpoch(-gamma * t, t, n - len(T))
+        for i in T:
+            for j in Tc:
+                term *= (u[i - 1] - q * u[j - 1]) * (1 - u[i - 1] * u[j - 1])
+        for j in Tc:
+            term *= 1 - u[j - 1]
+        for i in T:
+            term *= (1 + t) * (u[i - 1] - s)
+        for a in range(len(Tc)):
+            for b in range(a + 1, len(Tc)):
+                term *= (1 - u[Tc[a] - 1] * u[Tc[b] - 1]) * (u[Tc[a] - 1] - u[Tc[b] - 1])
+        term *= m_conjugated(spec1, T).pfaffian()
+        rhs += term
+    return rhs
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -270,3 +326,35 @@ def test_vertex_prune_past_the_largest_part(seed, monkeypatch):
             room = [sum(1 for part in lam if part >= c) for c in range(wide + 1)]
             for state in seen:
                 assert all(sum(state[c:]) <= room[c] for c in range(wide + 1)), (lam, state)
+
+
+@pytest.mark.parametrize("seed", (7, 8, 9))
+def test_key_lemma_sums_match_the_per_subset_references(seed):
+    for n in range(6):
+        pt = lemma_point(seed, n)
+        s, q, gamma = pt.spin.tail, pt.q, pt.gamma
+        lhs, rhs = key_lemma1_sides(pt.u, q, s)
+        assert rhs == key_lemma1_rhs(pt.u, q, s) == lhs, n
+        lhs, rhs = key_lemma2_sides(pt, s, gamma)
+        assert rhs == key_lemma2_rhs(pt, s, gamma) == lhs, n
+        # the s = 0 then gamma = 0 specialization needs gamma_inv_s explicitly
+        lhs, rhs = key_lemma2_sides(pt, 0, 0, gamma_inv_s=s)
+        assert rhs == key_lemma2_rhs(pt, F(0), F(0), gamma_inv_s=s) == lhs, n
+
+
+def test_key_lemma1_sum_matches_the_reference_off_the_identity_points():
+    # negative and repeated values, u_i = s and u_i u_j = 1: exact equality of
+    # the two routes does not need a generic point
+    q, s = F(-3, 7), F(-2, 5)
+    for u in ((F(-1, 2), F(3)), (s, F(5, 4), F(-7, 3)), (F(2), F(1, 2), F(-1, 3), F(2)), (F(0),) * 4):
+        assert key_lemma1_sides(u, q, s)[1] == key_lemma1_rhs(u, q, s), u
+
+
+def test_key_lemma2_pole_keeps_its_message():
+    # u_1 u_2 = 1 is a pole of the gamma = 1 entry (1, 2)
+    pt = ParamPoint(F(2, 3), F(3, 5), SpinParams((), F(1, 7)), (F(3, 4), F(4, 3), F(2, 9)))
+    with pytest.raises(PoleError) as ref:
+        key_lemma2_rhs(pt, pt.spin.tail, pt.gamma)
+    with pytest.raises(PoleError) as got:
+        key_lemma2_sides(pt, pt.spin.tail, pt.gamma)
+    assert str(got.value) == str(ref.value) == "vanishing denominator: (1+t)(1 - u_1*u_2)(1 - q*u_1*u_2)"

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,8 @@ from spinhl.vertex import (
     ensemble_weight,
     enumerate_ensembles,
     f_lambda_vertex,
+    row_scale,
+    scaled_weight,
     vertex_weight,
 )
 
@@ -115,3 +118,43 @@ def test_pole_past_the_largest_part_is_no_pole():
     expected = sum(ensemble_weight(e, pt) for e in enumerate_ensembles(lam, max_col=2))
     assert expected != 0
     assert f_lambda_vertex(lam, pt) == f_lambda_vertex(lam, pt, max_col=2) == expected
+
+
+def admissible_configurations(n):
+    """Every admissible (i1, i2, j1, j2) whose vertical edges hold at most n
+    paths, the vertices of an n-row transfer."""
+    for g in range(n + 1):
+        for j1 in (0, 1):
+            for j2 in (0, 1):
+                g2 = g + j1 - j2
+                if 0 <= g2 <= n:
+                    yield (g, g2, j1, j2)
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3, 4))
+def test_scaled_weights_are_the_weights_times_the_row_scale(seed):
+    rng = random.Random(seed)
+
+    def draw():
+        return F(rng.randint(-12, 12), rng.randint(1, 12))
+
+    for n in range(1, 6):
+        pt = sample_point(seed, n, p=2)
+        spins = [pt.s(c) for c in range(3)] + [-pt.s(0), F(0), draw()]
+        us = list(pt.u) + [-pt.u[0], F(0), draw()]
+        for t in (pt.t, -pt.t, F(0), draw()):
+            q = t * t
+            for u in us:
+                for s in spins:
+                    if s * u == 1:
+                        continue
+                    scale = row_scale(u, s, q, n)
+                    for cfg in admissible_configurations(n):
+                        got = scaled_weight(cfg, u, s, q, n)
+                        assert type(got) is int
+                        assert got == vertex_weight(cfg, u, s, q) * scale, (n, cfg, u, s, q)
+
+
+def test_row_scale_names_the_pole():
+    with pytest.raises(PoleError, match=r"1 - s\*u"):
+        row_scale(F(-3, 2), F(-2, 3), F(1, 4), 2)
