@@ -42,6 +42,15 @@ def _ints(text):
     return tuple(int(part) for part in text.split(","))
 
 
+def _int_setting(text, where):
+    """int(text) for a setting that does not come through argparse, with an
+    error that names where the text came from."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("%s must be an integer, got %r" % (where, text)) from None
+
+
 def _emit(obj):
     print(json.dumps(obj, indent=2, sort_keys=True))
 
@@ -166,7 +175,7 @@ def _cmd_verify(args):
     seed = args.seed
     env = os.environ.get("SPINHL_SEED")
     if env is not None:
-        seed = int(env)
+        seed = _int_setting(env, "SPINHL_SEED")
     if args.gamma is not None and args.what not in _GAMMA_CHECKS:
         only = " and ".join(_GAMMA_CHECKS)
         raise ValueError("--gamma applies to verify %s only, not to %s" % (only, args.what))
@@ -192,8 +201,13 @@ def _cmd_pfaffian(args):
     try:
         labels = tuple(data["labels"])
         upper = {(a, b): rat(value) for a, b, value in data["entries"]}
+        unlisted = [lab for pair in upper for lab in pair if lab not in labels]
+        if unlisted:
+            raise ValueError("entry label %r is not in \"labels\"" % (unlisted[0],))
         matrix = SkewMatrix(labels, upper)
-    except TypeError as exc:
+    except KeyError as exc:
+        raise ValueError("bad matrix file %s: no key %s" % (args.file, exc)) from None
+    except (TypeError, ValueError) as exc:
         raise ValueError("bad matrix file %s: %s" % (args.file, exc)) from None
     _emit({"value": rat_str(matrix.pfaffian())})
     return 0
@@ -292,7 +306,8 @@ def main(argv=None):
         if args.command == "verify":
             for key, default in _VERIFY_DEFAULTS.items():
                 if getattr(args, key) is None:
-                    setattr(args, key, int(config.get(key, default)))
+                    where = "key %r in config file %s" % (key, args.config)
+                    setattr(args, key, _int_setting(config.get(key, default), where))
         return args.func(args)
     except (ArithmeticError, RuntimeError, ValueError, KeyError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

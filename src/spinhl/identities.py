@@ -28,13 +28,13 @@ symmetric, so each subset size and shift takes one sum, and one product with
 the subset factor, relabeled onto every subset of that size (see
 ``_check_rec``).
 
-Every reduction-chain equation that sums over subsets goes through
-``_subset_sum``, over the proper subsets or all of them; the split kernel
-times the block of each subset does not depend on l and is tabulated once per
-chain (``_subset_table``).  The chains and the second key lemma take every
-subset's block Pfaffian from one table of matrix entries per point
-(``block_pfaffians``), and the key-lemma subset sums run on tabulated factors
-(``_key_lemma_sum``).
+Every point-mode sum over the subsets T of [n] (both key-lemma right sides,
+every reduction-chain term and the chain's second identification) is one
+``_subset_product_sum``: a Pochhammer factor times one factor per index and
+one per pair, chosen by which ends lie in T, and optionally a block of T, each
+factor tabulated once and the terms summed on integer numerators.  The chains
+and the second key lemma take every subset's block Pfaffian from one table of
+matrix entries per point (``block_pfaffians``).
 """
 
 from dataclasses import dataclass
@@ -55,7 +55,6 @@ from .arith import (
 from .pfaffian import (
     MGammaSpec,
     block_pfaffians,
-    kernel_over_differences,
     littlewood_kernel,
     m_conjugated,
     m_gamma,
@@ -557,22 +556,19 @@ def check_rec2(n, p, spin, t, D, gamma, cache=None):
 
 
 # ----------------------------------------------------------------------
-# key polynomial lemmas (point mode)
+# subset sums (point mode): the right sides of the key lemmas and the terms
+# of the reduction chains
 
 
-def _key_lemma_sum(u, q, poch, inside, pair_inside, block=None):
-    """The right side shared by both key lemmas: the sum over the subsets T
-    of [n] of perm_sign(T + Tc) poch(|Tc|) prod_{j in Tc} (1 - u_j)
-    prod_{i in T} inside(u_i) prod_{i in T, j in Tc} (u_i - q u_j)(1 - u_i u_j)
-    prod_{i<j in Tc} (1 - u_i u_j)(u_i - u_j) prod_{i<j in T} pair_inside(u_i, u_j),
-    times block(T) when ``block`` is given.
+def _subset_product_sum(n, poch, index, pair, block=None, proper=False):
+    """The sum over the subsets T of range(n) (the proper ones when
+    ``proper``) of poch(n - |T|) prod_i index(i, [i in T])
+    prod_{i<j} pair(i, j, ([i in T], [j in T])), times block(T) when
+    ``block`` is given.
 
-    Each term is a product of one factor per Pochhammer length, per index
-    (in T or not) and per pair (by which of its two ends are in T), and the
-    sign is the parity of the pairs i < j with only j in T, so it rides on
-    those pair factors.  Every factor is tabulated once and the 2^n terms
-    are summed through ``tabled_sum``, on integer numerators."""
-    n = len(u)
+    Every factor is tabulated once per distinct argument and the terms are
+    summed through ``tabled_sum``, on integer numerators, so a factor that
+    raises does so at the first subset that needs it."""
     pairs = tuple(combinations(range(n), 2))
 
     def keys(T):
@@ -586,22 +582,41 @@ def _key_lemma_sum(u, q, poch, inside, pair_inside, block=None):
         if pos == 0:
             return poch(key)
         if pos <= n:
-            ui = u[pos - 1]
-            return inside(ui) if key else 1 - ui
+            return index(pos - 1, key)
         if pos > n + len(pairs):
             return block(key)
-        i, j = pairs[pos - n - 1]
+        return pair(*pairs[pos - n - 1], key)
+
+    sizes = range(n) if proper else range(n + 1)
+    return tabled_sum(map(keys, (T for size in sizes for T in combinations(range(n), size))), entry)
+
+
+# ----------------------------------------------------------------------
+# key polynomial lemmas (point mode)
+
+
+def _key_lemma_sum(u, q, poch, inside, pair_inside, block=None):
+    """The right side shared by both key lemmas: the sum over the subsets T
+    of [n] of perm_sign(T + Tc) poch(|Tc|) prod_{j in Tc} (1 - u_j)
+    prod_{i in T} inside(u_i) prod_{i in T, j in Tc} (u_i - q u_j)(1 - u_i u_j)
+    prod_{i<j in Tc} (1 - u_i u_j)(u_i - u_j) prod_{i<j in T} pair_inside(u_i, u_j),
+    times block(T) when ``block`` is given.  The sign is the parity of the
+    pairs i < j with only j in T, so it rides on those pair factors."""
+
+    def index(i, bit):
+        return inside(u[i]) if bit else 1 - u[i]
+
+    def pair(i, j, ends):
         ui, uj = u[i], u[j]
-        if key == (1, 1):
+        if ends == (1, 1):
             return pair_inside(ui, uj)
-        if key == (0, 0):
+        if ends == (0, 0):
             return (1 - ui * uj) * (ui - uj)
-        if key == (1, 0):
+        if ends == (1, 0):
             return (ui - q * uj) * (1 - ui * uj)
         return (q * ui - uj) * (1 - ui * uj)  # -(u_j - q u_i)(1 - u_i u_j)
 
-    subsets = (T for size in range(n + 1) for T in combinations(range(n), size))
-    return tabled_sum(map(keys, subsets), entry)
+    return _subset_product_sum(len(u), poch, index, pair, block)
 
 
 def key_lemma1_sides(u, q, s):
@@ -625,31 +640,31 @@ def key_lemma1_sides(u, q, s):
     return lhs, rhs
 
 
-def check_key_lemma1(n, point, s):
-    lhs, rhs = key_lemma1_sides(point.u[:n], point.q, s)
-    return lhs == rhs
-
-
 def key_lemma2_sides(point, s, gamma, gamma_inv_s=None):
     """Both sides of the Pfaffian identity (sum over subsets with crossing
-    signs) driving the Pfaffian-form proof.
+    signs) driving the Pfaffian-form proof."""
+    specg = MGammaSpec(point, gamma, s, gamma_inv_s)
+    conjugated = m_conjugated(specg, tuple(range(1, point.n + 1))).pfaffian()
+    pfs = block_pfaffians(MGammaSpec(point, Fraction(1), s))
+    return _key_lemma2_from(point, specg, conjugated, pfs)
+
+
+def _key_lemma2_from(point, spec, conjugated, pfs):
+    """``key_lemma2_sides`` at the parameters of ``spec``, given the Pfaffian
+    ``conjugated`` of ``m_conjugated(spec, [n])`` and the gamma = 1 block
+    Pfaffians ``pfs`` (``block_pfaffians``).  The blocks do not depend on s,
+    and at gamma = 1 neither does ``conjugated``, so callers at several s
+    can share both.
 
     The right side conjugates each gamma = 1 block over T by the diagonal
     B(T, T) of ``b_matrix``; as Pf(B M B) = det(B) Pf(M), that is the
-    block's Pfaffian (``block_pfaffians``, one entry table per point) times
-    the pair products (1 - u_i u_j)(1 - q u_i u_j) over the pairs of T."""
-    n = point.n
-    t = point.t
-    q = point.q
-    s = Fraction(s)
-    gamma = Fraction(gamma)
-    u = point.u
-    specg = MGammaSpec(point, gamma, s, gamma_inv_s)
-    gis = specg.gamma_inv_s
-    lhs = m_conjugated(specg, tuple(range(1, n + 1))).pfaffian()
+    block's Pfaffian times the pair products (1 - u_i u_j)(1 - q u_i u_j)
+    over the pairs of T."""
+    t, q, u = point.t, point.q, point.u
+    s, gamma, gis = spec.s, spec.gamma, spec.gamma_inv_s
+    lhs = conjugated
     for ui in u:
         lhs *= (1 + t) * (1 - s * ui)
-    pfs = block_pfaffians(MGammaSpec(point, Fraction(1), s))
     rhs = _key_lemma_sum(
         u,
         q,
@@ -659,11 +674,6 @@ def key_lemma2_sides(point, s, gamma, gamma_inv_s=None):
         lambda T: pfs[tuple(i + 1 for i in T)],
     )
     return lhs, rhs
-
-
-def check_key_lemma2(n, point, s, gamma, gamma_inv_s=None):
-    lhs, rhs = key_lemma2_sides(point, s, gamma, gamma_inv_s)
-    return lhs == rhs
 
 
 def key_lemma2_A_sides(point, s, gamma):
@@ -690,11 +700,6 @@ def key_lemma2_A_sides(point, s, gamma):
     for ui in u[1:]:
         rhs *= (s - ui) * (1 - s * ui) * (1 - s * q * ui)
     return lhs, rhs
-
-
-def check_key_lemma2_A(n, point, s, gamma):
-    lhs, rhs = key_lemma2_A_sides(point, s, gamma)
-    return lhs == rhs
 
 
 # ----------------------------------------------------------------------
@@ -746,51 +751,74 @@ def polynomial_expansion_equal(fn_lhs, fn_rhs, degree_bound, nodes, extra_nodes)
 # reduction chains (point mode)
 
 
-def _kernel_split(point, T, Tc):
-    out = Fraction(1)
-    q = point.q
-    for i in T:
-        for j in Tc:
-            out *= (point.u[i - 1] - q * point.u[j - 1]) / (point.u[i - 1] - point.u[j - 1])
-    return out
+def _split_kernel(u, q, i, j):
+    """(u_i - q u_j)/(u_i - u_j), 0-based: the split kernel's factor of a
+    pair with only u_i in the subset."""
+    return (u[i] - q * u[j]) * invert(u[i] - u[j], "u_%d - u_%d" % (i + 1, j + 1))
 
 
-def _subset_table(point, block):
-    """The split kernel times ``block(T)`` for every subset T of [n], in
-    order of size: the part of a chain term that does not depend on l."""
-    idx = tuple(range(1, point.n + 1))
-    table = {}
-    for size in range(point.n + 1):
-        for T in combinations(idx, size):
-            table[T] = _kernel_split(point, T, tuple(j for j in idx if j not in T)) * block(T)
-    return table
+def _chain_kernel(point, inside, pair_inside, block=None):
+    """The factors of a chain term that do not depend on l, each computed
+    once per chain: ``inside(i)`` per index in T; per pair, by which of its
+    ends lie in T, ``pair_inside(i, j)`` for both and ``_split_kernel`` for
+    one; and ``block(T)``."""
+    u, q = point.u, point.q
+    pairs = {}
+    for i, j in combinations(range(point.n), 2):
+        one_end = _split_kernel(u, q, i, j), _split_kernel(u, q, j, i)
+        pairs[i, j] = {(0, 0): 1, (1, 0): one_end[0], (0, 1): one_end[1], (1, 1): pair_inside(i, j)}
+    return [inside(i) for i in range(point.n)], pairs, block
 
 
-def _subset_sum(point, l, poch, table, proper=True):
-    """The l-th term of a reduction chain: the sum over the subsets T of
-    ``table`` (the proper ones unless ``proper`` is false) of
-    poch(spin, l, n - |T|) prod_{i in T} (u_i - s_l) ``table[T]``, times
-    ``_outer_factor``."""
-    n = point.n
-    sl = point.s(l)
-    pochs = [poch(point.spin, l, m) for m in range(n + 1)]
-    total = Fraction(0)
-    for T, factor in table.items():
-        if proper and len(T) == n:
-            continue
-        term = pochs[n - len(T)] * factor
-        for i in T:
-            term *= point.u[i - 1] - sl
-        total += term
-    return total * _outer_factor(point.u, point.spin, l)
+def _littlewood_in_subset(point):
+    """``_chain_kernel`` with the in-subset factors of ``littlewood_kernel``:
+    1/(1 - u_i) per index and (1 - q u_i u_j)/(1 - u_i u_j) per pair."""
+    u, q = point.u, point.q
+    return _chain_kernel(
+        point,
+        lambda i: invert(1 - u[i], "1 - u_%d" % (i + 1)),
+        lambda i, j: (1 - q * u[i] * u[j]) * invert(1 - u[i] * u[j], "1 - u_%d*u_%d" % (i + 1, j + 1)),
+    )
+
+
+def _pfaffian_in_subset(point, pfs):
+    """``_chain_kernel`` with the in-subset factors of ``pfaffian_side``:
+    (1 + t)/(1 - u_i) per index, (1 - q u_i u_j)/(u_i - u_j) per pair, and
+    the block Pfaffian of T from the table ``pfs`` (``block_pfaffians``)."""
+    u, t, q = point.u, point.t, point.q
+    return _chain_kernel(
+        point,
+        lambda i: (1 + t) * invert(1 - u[i], "1 - u_%d" % (i + 1)),
+        lambda i, j: (1 - q * u[i] * u[j]) * invert(u[i] - u[j], "u_%d - u_%d" % (i + 1, j + 1)),
+        lambda T: pfs[tuple(i + 1 for i in T)],
+    )
+
+
+def _subset_sum(point, l, poch, kernel, proper=True):
+    """The l-th term of a reduction chain: the sum over the subsets T of [n]
+    (the proper ones unless ``proper`` is false) of poch(spin, l, n - |T|)
+    prod_{i in T} (u_i - s_l) times the split kernel
+    prod_{i in T, j not in T} (u_i - q u_j)/(u_i - u_j) times the kernel
+    over T (``_chain_kernel``), times ``_outer_factor``."""
+    u, sl = point.u, point.s(l)
+    inside, pairs, block = kernel
+    total = _subset_product_sum(
+        point.n,
+        lambda m: poch(point.spin, l, m),
+        lambda i, bit: (u[i] - sl) * inside[i] if bit else 1,
+        lambda i, j, ends: pairs[i, j][ends],
+        block,
+        proper,
+    )
+    return total * _outer_factor(u, point.spin, l)
 
 
 def _chain_main1(point, p):
     """Each displayed step reducing the product-form identity to the key lemma."""
     q, u, spin = point.q, point.u, point.spin
-    table = _subset_table(point, lambda T: littlewood_kernel([u[i - 1] for i in T], q))
+    kernel = _littlewood_in_subset(point)
     k1_full = rhs_main1(point)
-    rhs_a = [_subset_sum(point, l, poch_main1(q), table) for l in range(p + 2)]
+    rhs_a = [_subset_sum(point, l, poch_main1(q), kernel) for l in range(p + 2)]
     lhs_a = [_prefix_prod(u, spin, l) * (1 - _ratio(u, spin, l)) * k1_full for l in range(p + 2)]
     results = {"a[l=%d]" % l: lhs_a[l] == rhs_a[l] for l in range(p + 2)}
 
@@ -805,17 +833,14 @@ def _chain_main1(point, p):
 
 def _chain_cor(point, p):
     """Each displayed step reducing the Pfaffian-form identity (gamma = 1)."""
-    n = point.n
-    t = point.t
-    q = point.q
     spec1 = MGammaSpec(point, Fraction(1), point.s(0))
-    full = tuple(range(1, n + 1))
+    full = tuple(range(1, point.n + 1))
     pf_full = pfaffian_side(spec1, full)
     # pfaffian_side(spec1, T), its block restricted from one entry table
     pfs = block_pfaffians(spec1)
-    table = _subset_table(point, lambda T: kernel_over_differences(point.u, t, T) * pfs[T])
-    poch = poch_uniform(t)
-    rhs_b = [_subset_sum(point, l, poch, table) for l in range(p + 2)]
+    kernel = _pfaffian_in_subset(point, pfs)
+    poch = poch_uniform(point.t)
+    rhs_b = [_subset_sum(point, l, poch, kernel) for l in range(p + 2)]
     prefix = [_prefix_prod(point.u, point.spin, l) for l in range(p + 2)]
     results = {
         "b[l=%d]" % l: prefix[l] * (1 - _ratio(point.u, point.spin, l)) * pf_full == rhs_b[l]
@@ -827,55 +852,16 @@ def _chain_cor(point, p):
     results["B''"] = lhs_bpp == sum(rhs_b[: p + 1]) - ratio_p * sum(rhs_b[:p])
     results["B"] = pf_full == sum(rhs_b[:p]) + rhs_b[p] / (1 - ratio_p)
     for l in range(p + 2):
-        rhs = _subset_sum(point, l, poch, table, proper=False)
+        rhs = _subset_sum(point, l, poch, kernel, proper=False)
         results["reuse[l=%d]" % l] = prefix[l] * pf_full == rhs
 
-    # the second identification, with every factor that does not depend on l
-    # (the conjugated Pfaffians among them) taken once
-    lhs_fixed = m_conjugated(spec1, full).pfaffian()
-    for ui in point.u:
-        lhs_fixed *= (1 + t) / (1 - ui)
-    for a in range(n):
-        for b in range(a + 1, n):
-            lhs_fixed /= point.u[a] - point.u[b]
-    rhs_fixed = {}
-    for size in range(n + 1):
-        for T in combinations(full, size):
-            Tc = tuple(j for j in full if j not in T)
-            # the conjugated Pfaffian: Pf(B M B) = det(B) Pf(M), and det B(T, T)
-            # is the product of b_matrix's pair factors over the pairs of T
-            term = pfs[T]
-            for i in T:
-                term *= (1 + t) / (1 - point.u[i - 1])
-            for i in T:
-                for j in Tc:
-                    ui, uj = point.u[i - 1], point.u[j - 1]
-                    term *= (ui - q * uj) * (1 - ui * uj) / (ui - uj)
-            for a in range(len(Tc)):
-                for b in range(a + 1, len(Tc)):
-                    term *= 1 - point.u[Tc[a] - 1] * point.u[Tc[b] - 1]
-            for a in range(len(T)):
-                for b in range(a + 1, len(T)):
-                    ua, ub = point.u[T[a] - 1], point.u[T[b] - 1]
-                    term *= (1 - ua * ub) * (1 - q * ua * ub) / (ua - ub)
-            rhs_fixed[T] = term
-
-    def second_identification(l):
-        sl = point.s(l)
-        lhs = lhs_fixed
-        for ui in point.u:
-            lhs *= 1 - sl * ui
-        pochs = [qpoch(-sl, t, m) * qpoch(-t, t, m) for m in range(n + 1)]
-        rhs = Fraction(0)
-        for T, fixed in rhs_fixed.items():
-            term = pochs[n - len(T)] * fixed
-            for i in T:
-                term *= point.u[i - 1] - sl
-            rhs += term
-        return lhs, rhs
-
+    # the second identification is the second key lemma at gamma = 1 and
+    # s = s_l; at gamma = 1 neither its conjugated Pfaffian nor its blocks
+    # depend on s, so both are taken once
+    conjugated = m_conjugated(spec1, full).pfaffian()
     for l in range(p + 2):
-        lhs, rhs = second_identification(l)
+        spec = MGammaSpec(point, Fraction(1), point.s(l))
+        lhs, rhs = _key_lemma2_from(point, spec, conjugated, pfs)
         results["second_id[l=%d]" % l] = lhs == rhs
     return results
 
@@ -890,28 +876,26 @@ def _chain_main2(point, p, gamma):
     spec1 = MGammaSpec(point, Fraction(1), s0)
     results = {}
     lhs_main = rhs_main2(specg)
-    # pfaffian_side(spec1, T), its block restricted from one entry table
-    pfs = block_pfaffians(spec1)
-    table = _subset_table(point, lambda T: kernel_over_differences(point.u, t, T) * pfs[T])
+    kernel = _pfaffian_in_subset(point, block_pfaffians(spec1))
     poch_1 = poch_uniform(t)
     poch_g = poch_gamma(t, gamma, s0 / gamma)
     L0 = max(p, 1)
     ratio_p = _ratio(point.u, point.spin, L0)
 
     def total(poch):
-        sums = [_subset_sum(point, l, poch, table) for l in range(L0 + 1)]
+        sums = [_subset_sum(point, l, poch, kernel) for l in range(L0 + 1)]
         return sum(sums[:L0]) + sums[L0] / (1 - ratio_p)
 
     rhs_total = total(poch_g)
     results["to_show"] = lhs_main == rhs_total
     # the sum runs over all subsets, matching the subset sum of the key lemma
     # it reduces to
-    results["final_display"] = lhs_main == _subset_sum(point, 0, poch_g, table, proper=False)
+    results["final_display"] = lhs_main == _subset_sum(point, 0, poch_g, kernel, proper=False)
 
     # splitting off the l = 0 term: the gamma-weighted sum equals the uniform
     # sum plus the correction that cancels against the reused identity
     correction = _subset_sum(
-        point, 0, lambda sp, l, m: poch_g(sp, l, m) - poch_1(sp, l, m), table, proper=False
+        point, 0, lambda sp, l, m: poch_g(sp, l, m) - poch_1(sp, l, m), kernel, proper=False
     )
     results["cancel_split"] = rhs_total == total(poch_1) + correction
     return results
@@ -1009,64 +993,61 @@ def _interp_nodes(point, s, count):
     return nodes
 
 
-def check_lemma1_report(n, seed, npoints=None):
+def _lemma_report(name, n, seed, stride, identities, moved, npoints):
+    """The report of a key lemma: every (witness label, sides of a point) in
+    ``identities`` at ``npoints`` seeded points, then, for n <= 2, the two
+    sides of ``moved(point, x)`` compared as polynomials in the free x."""
     npoints = max(2 * n + 2, 10) if npoints is None else npoints
     params = {"n": n, "seed": seed, "points": npoints}
     for k in range(npoints):
-        point = lemma_point(seed + 101 * k, n)
-        if not check_key_lemma1(n, point, point.spin.tail):
-            return CheckReport("lemma1", params, "fail", {"point_index": k})
+        point = lemma_point(seed + stride * k, n)
+        for label, sides in identities:
+            lhs, rhs = sides(point)
+            if lhs != rhs:
+                return CheckReport(name, params, "fail", {"point_index": k, **label})
     if n <= 2:
         point = lemma_point(seed, n)
-        s = point.spin.tail
-        nodes = _interp_nodes(point, s, 2 * n + 4)
-
-        def side(which):
-            def fn(x):
-                u = (point.u[: n - 1] + (x,))[:n]
-                return key_lemma1_sides(u, point.q, s)[which]
-
-            return fn
-
+        nodes = _interp_nodes(point, point.spin.tail, 2 * n + 4)
         ok = polynomial_expansion_equal(
-            side(0), side(1), 2 * n - 1, nodes, nodes[2 * n :]
+            lambda x: moved(point, x)[0],
+            lambda x: moved(point, x)[1],
+            2 * n - 1,
+            nodes,
+            nodes[2 * n :],
         )
         if not ok:
-            return CheckReport("lemma1", params, "fail", {"expansion": "coefficients differ"})
+            return CheckReport(name, params, "fail", {"expansion": "coefficients differ"})
         params["expansion_degree"] = 2 * n - 1
-    return CheckReport("lemma1", params, "pass")
+    return CheckReport(name, params, "pass")
+
+
+def check_lemma1_report(n, seed, npoints=None):
+    """The first key lemma at seeded points, and in its last variable."""
+
+    def sides(pt):
+        return key_lemma1_sides(pt.u, pt.q, pt.spin.tail)
+
+    def moved(pt, x):
+        return key_lemma1_sides((pt.u[: n - 1] + (x,))[:n], pt.q, pt.spin.tail)
+
+    return _lemma_report("lemma1", n, seed, 101, (({}, sides),), moved, npoints)
 
 
 def check_lemma2_report(n, seed, npoints=None):
-    npoints = max(2 * n + 2, 10) if npoints is None else npoints
-    params = {"n": n, "seed": seed, "points": npoints}
-    for k in range(npoints):
-        point = lemma_point(seed + 211 * k, n)
-        s = point.spin.tail
-        if not check_key_lemma2(n, point, s, point.gamma):
-            return CheckReport("lemma2", params, "fail", {"point_index": k, "identity": "subset sum"})
-        if not check_key_lemma2_A(n, point, s, point.gamma):
-            return CheckReport("lemma2", params, "fail", {"point_index": k, "identity": "u_1 = s"})
-    if n <= 2:
-        point = lemma_point(seed, n)
-        s = point.spin.tail
-        gamma = point.gamma
-        nodes = _interp_nodes(point, s, 2 * n + 4)
+    """The second key lemma and its u_1 = s companion at seeded points, and
+    the lemma in its first variable."""
 
-        def side(which):
-            def fn(x):
-                moved = point.with_u((x,) + point.u[1:])
-                return key_lemma2_sides(moved, s, gamma)[which]
+    def sides(pt):
+        return key_lemma2_sides(pt, pt.spin.tail, pt.gamma)
 
-            return fn
+    def at_s(pt):
+        return key_lemma2_A_sides(pt, pt.spin.tail, pt.gamma)
 
-        ok = polynomial_expansion_equal(
-            side(0), side(1), 2 * n - 1, nodes, nodes[2 * n :]
-        )
-        if not ok:
-            return CheckReport("lemma2", params, "fail", {"expansion": "coefficients differ"})
-        params["expansion_degree"] = 2 * n - 1
-    return CheckReport("lemma2", params, "pass")
+    def moved(pt, x):
+        return key_lemma2_sides(pt.with_u((x,) + pt.u[1:]), pt.spin.tail, pt.gamma)
+
+    identities = (({"identity": "subset sum"}, sides), ({"identity": "u_1 = s"}, at_s))
+    return _lemma_report("lemma2", n, seed, 211, identities, moved, npoints)
 
 
 # ----------------------------------------------------------------------

@@ -296,13 +296,41 @@ def test_non_integer_config_value_exits_two(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "config, env, message",
+    [
+        (None, "abc", "error: SPINHL_SEED must be an integer, got 'abc'\n"),
+        ("n = 1/0\n", None, "error: key 'n' in config file {cfg} must be an integer, got '1/0'\n"),
+    ],
+    ids=["SPINHL_SEED", "config key"],
+)
+def test_non_integer_setting_names_its_source(capsys, tmp_path, monkeypatch, config, env, message):
+    cfg = tmp_path / "spinhl.cfg"
+    argv = ["verify", "lemma1"]
+    if config is not None:
+        cfg.write_text(config)
+        argv = ["--config", str(cfg)] + argv
+    if env is None:
+        monkeypatch.delenv("SPINHL_SEED", raising=False)
+    else:
+        monkeypatch.setenv("SPINHL_SEED", env)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == message.format(cfg=cfg)
+
+
+@pytest.mark.parametrize(
     "payload, detail",
     [
         ({"labels": [1, 2], "entries": [[1, 2, 0.5]]}, "cannot interpret 0.5 as a rational"),
         ([1, 2], "list indices must be integers"),
         ({"labels": [[1], [2]], "entries": []}, "unhashable type"),
+        ({"entries": [[1, 2, "3/4"]]}, "no key 'labels'"),
+        ({"labels": [1, 2]}, "no key 'entries'"),
+        ({"labels": [1, 2], "entries": [[1, 3, "3/4"]]}, 'entry label 3 is not in "labels"'),
     ],
-    ids=["float entry", "top-level list", "list labels"],
+    ids=["float entry", "top-level list", "list labels", "no labels", "no entries", "unlisted label"],
 )
 def test_malformed_pfaffian_file_exits_two(capsys, tmp_path, payload, detail):
     path = tmp_path / "matrix.json"

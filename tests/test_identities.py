@@ -16,8 +16,6 @@ from spinhl.identities import (
     check_cor_main2,
     check_hl_corollary,
     check_kawanaka,
-    check_key_lemma2,
-    check_key_lemma2_A,
     check_lemma1_report,
     check_lemma2_report,
     check_main1,
@@ -28,6 +26,8 @@ from spinhl.identities import (
     check_reduction_chain,
     family_weight,
     key_lemma1_sides,
+    key_lemma2_A_sides,
+    key_lemma2_sides,
     lemma_point,
     poch_gamma,
     poch_uniform,
@@ -98,9 +98,9 @@ def test_smallest_part_factors_on_series_match_the_scalars_at_x_zero():
 def test_subset_sum_pole_names_its_factor():
     # s_1 u_1 = 1: the l = 1 term divides by 1 - s_1 u_1
     pt = ParamPoint(F(1, 2), F(1), SpinParams((F(1, 5), F(2)), F(1, 3)), (F(1, 2), F(1, 7)))
-    table = {(): F(1), (1,): F(3), (2,): F(5)}
+    kernel = spinhl.identities._littlewood_in_subset(pt)
     with pytest.raises(PoleError) as err:
-        spinhl.identities._subset_sum(pt, 1, poch_uniform(pt.t), table)
+        spinhl.identities._subset_sum(pt, 1, poch_uniform(pt.t), kernel)
     assert err.value.what == "1 - s_1*u"
     assert str(err.value) == "vanishing denominator: 1 - s_1*u"
 
@@ -359,15 +359,55 @@ def test_key_lemma_reports():
         assert check_lemma2_report(n, seed=31).passed
 
 
+def _off_by_one(monkeypatch, name, calls):
+    """Patch the sides function ``name`` so its right side is off by one on
+    the calls whose 0-based index ``calls`` accepts."""
+    side = getattr(spinhl.identities, name)
+    seen = []
+
+    def patched(*args, **kwargs):
+        lhs, rhs = side(*args, **kwargs)
+        seen.append(None)
+        return lhs, rhs + int(calls(len(seen) - 1))
+
+    monkeypatch.setattr(spinhl.identities, name, patched)
+
+
+LEMMA_REPORT_FAILURES = [
+    ("lemma1", "key_lemma1_sides", lambda k: k == 3, {"point_index": 3}),
+    ("lemma2", "key_lemma2_sides", lambda k: k == 3, {"point_index": 3, "identity": "subset sum"}),
+    ("lemma2", "key_lemma2_A_sides", lambda k: k == 2, {"point_index": 2, "identity": "u_1 = s"}),
+    # past the ten sampled points, only the expansion in one variable calls
+    ("lemma1", "key_lemma1_sides", lambda k: k >= 10, {"expansion": "coefficients differ"}),
+    ("lemma2", "key_lemma2_sides", lambda k: k >= 10, {"expansion": "coefficients differ"}),
+]
+
+
+@pytest.mark.parametrize(
+    "check, side, calls, witness",
+    LEMMA_REPORT_FAILURES,
+    ids=["lemma1 point", "lemma2 subset sum", "lemma2 u_1 = s", "lemma1 expansion", "lemma2 expansion"],
+)
+def test_lemma_reports_name_their_failure(monkeypatch, check, side, calls, witness):
+    _off_by_one(monkeypatch, side, calls)
+    rep = run_check(check, n=2, seed=29)
+    assert rep.to_dict() == {
+        "check": check,
+        "params": {"n": 2, "seed": 29, "points": 10},
+        "status": "fail",
+        "witness": witness,
+    }
+
+
 def test_key_lemma2_gamma_one():
     pt = lemma_point(37, 2)
-    assert check_key_lemma2(2, pt, pt.spin.tail, F(1))
-    assert check_key_lemma2_A(2, pt, pt.spin.tail, pt.gamma)
+    lhs, rhs = key_lemma2_sides(pt, pt.spin.tail, F(1))
+    assert lhs == rhs
+    lhs, rhs = key_lemma2_A_sides(pt, pt.spin.tail, pt.gamma)
+    assert lhs == rhs
 
 
 def test_key_lemma2_empty_family():
-    from spinhl.identities import key_lemma2_sides
-
     pt = sample_point(41, 0)
     lhs, rhs = key_lemma2_sides(pt, pt.spin.tail, pt.gamma)
     assert lhs == 1 and rhs == 1
@@ -410,14 +450,16 @@ def test_reduction_chains():
 
 
 def test_reduction_chains_catch_a_wrong_split_kernel(monkeypatch):
-    # every chain equation built from the subset sums must see the kernel;
-    # ``reuse`` and ``final_display`` run over all subsets, the full one too
-    kernel = spinhl.identities._kernel_split
+    # every chain equation built from the subset sums must see the split
+    # kernel; ``reuse`` and ``final_display`` run over all subsets, the full
+    # one too.  Doubling the factor of the pair (1, 2) with only u_1 in T
+    # doubles every term whose subset holds 1 and not 2.
+    split = spinhl.identities._split_kernel
 
-    def doubled_on_singletons(point, T, Tc):
-        return kernel(point, T, Tc) * (2 if len(T) == 1 else 1)
+    def doubled_on_one_pair(u, q, i, j):
+        return split(u, q, i, j) * (2 if (i, j) == (0, 1) else 1)
 
-    monkeypatch.setattr(spinhl.identities, "_kernel_split", doubled_on_singletons)
+    monkeypatch.setattr(spinhl.identities, "_split_kernel", doubled_on_one_pair)
     failing = {}
     for which in ("main1", "cor", "main2"):
         rep = check_reduction_chain(4, 2, which, seed=7)
