@@ -68,8 +68,7 @@ def _point_from_args(args, n):
     u = _rats(args.u) if args.u else ()
     if len(u) != n:
         raise ValueError("--u needs exactly %d values" % n)
-    gamma = rat(args.gamma) if getattr(args, "gamma", None) else Fraction(1)
-    return ParamPoint(rat(args.t), gamma, spin, u)
+    return ParamPoint(rat(args.t), Fraction(1), spin, u)
 
 
 def _cmd_eval_f(args):
@@ -196,20 +195,20 @@ def _cmd_verify(args):
 
 
 def _cmd_pfaffian(args):
-    with open(args.file) as handle:
-        data = json.load(handle)
     try:
+        with open(args.file) as handle:
+            data = json.load(handle)
         labels = tuple(data["labels"])
         upper = {(a, b): rat(value) for a, b, value in data["entries"]}
         unlisted = [lab for pair in upper for lab in pair if lab not in labels]
         if unlisted:
             raise ValueError("entry label %r is not in \"labels\"" % (unlisted[0],))
-        matrix = SkewMatrix(labels, upper)
+        value = SkewMatrix(labels, upper).pfaffian()
     except KeyError as exc:
         raise ValueError("bad matrix file %s: no key %s" % (args.file, exc)) from None
     except (TypeError, ValueError) as exc:
         raise ValueError("bad matrix file %s: %s" % (args.file, exc)) from None
-    _emit({"value": rat_str(matrix.pfaffian())})
+    _emit({"value": rat_str(value)})
     return 0
 
 
@@ -241,7 +240,6 @@ def build_parser():
     pe.add_argument("--spin", help="comma list: p prefix values then the tail")
     pe.add_argument("--u", help="comma-separated spectral values")
     pe.add_argument("--t", required=True, help="square root of q")
-    pe.add_argument("--gamma")
     pe.add_argument("--series", action="store_true")
     pe.add_argument("--D", type=int, default=4, help="series degree cap")
     pe.set_defaults(func=_cmd_eval_f)

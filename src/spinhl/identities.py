@@ -14,12 +14,13 @@ has x-order at least sum_i max(lambda_i - p, 0) - n(n-1)/2 (the pair
 denominators of the symmetrizer formula can each absorb one order of
 vanishing), so summing over partitions with excess at most D + n(n-1)/2 is
 exact to degree D.  The sum is one row-by-row transfer of the higher spin six
-vertex model on series, whose final states are the partitions; it needs no
-symmetrizer and no division.  The transfer is ``vertex.row_transfer``, the
-same one that computes the scalar ``f_lambda_vertex``: this module only
-builds its rows (one spectral series per variable) and reads the partitions
-off its final states.  Every series check additionally extends the budget by
-one and confirms that no coefficient moves (the stabilization check).
+vertex model on series, whose final states are the multiplicity rows
+(m_0, m_1, ...) of the partitions; it needs no symmetrizer and no division.
+The transfer is ``vertex.row_transfer``, the same one that computes the
+scalar ``f_lambda_vertex``: this module only builds its rows (one spectral
+series per variable) and weights each final state through the family's
+Pochhammer factor.  Every series check additionally extends the budget by one
+and confirms that no coefficient moves (the stabilization check).
 
 The recurrences are checked after clearing denominators by the Vandermonde
 polynomial V, so each weighted sum H over a variable subset T is read only to
@@ -70,7 +71,6 @@ from .series import (
     u_substitution,
     vandermonde_exponents,
 )
-from .symfun import multiplicities
 from .vertex import row_transfer
 
 CHECK_NAMES = (
@@ -122,7 +122,8 @@ def _coeff_witness(diff):
 # ----------------------------------------------------------------------
 # weights of the partition sums: each Littlewood family is defined by its
 # Pochhammer factor (spin, r, m) -> the factor of a part r of multiplicity m,
-# which at m = n - |T| is also the subset factor of the recurrences and chains
+# which at m = n - |T| is also the subset factor of the recurrences and chains;
+# the weight of lambda is prod_r poch(spin, r, m_r) / (q; q)_{m_r}
 
 
 def poch_main1(q):
@@ -148,36 +149,10 @@ def poch_gamma(t, gamma, gamma_inv_s0):
     return poch
 
 
-def family_weight(poch, q):
-    """lam, spin -> prod_r poch(spin, r, m_r) / (q; q)_{m_r}."""
-
-    def weight(lam, spin):
-        w = Fraction(1)
-        for r, m in multiplicities(lam).items():
-            w *= poch(spin, r, m) / qpoch(q, q, m)
-        return w
-
-    return weight
-
-
-def weight_main1(lam, spin, q):
-    return family_weight(poch_main1(q), q)(lam, spin)
-
-
-def weight_cor(lam, spin, t):
-    # (t; t)_m (-t; t)_m = (q; q)_m
-    return family_weight(poch_uniform(t), t * t)(lam, spin)
-
-
-def weight_main2(lam, spin, t, gamma, gamma_inv_s0):
-    return family_weight(poch_gamma(t, gamma, gamma_inv_s0), t * t)(lam, spin)
-
-
-def weight_hl(lam, t):
-    w = Fraction(1)
-    for m in multiplicities(lam).values():
-        w *= qpoch(-t, t, m)
-    return w
+def poch_hl(t, from_part=0):
+    """(-t; t)_m for the parts r >= from_part and 1 below: the Hall-Littlewood
+    sums with P_lambda = F_lambda(all spins 0) / prod_r (q; q)_{m_r}."""
+    return lambda spin, r, m: qpoch(-t, t, m) if r >= from_part else 1
 
 
 # ----------------------------------------------------------------------
@@ -194,12 +169,10 @@ def _transfer_sweep(n, spin, t, cap, budget, var_indices, cache):
     Row k carries the spectral value u = (s + x_v)/(1 + s x_v) of the k-th
     listed variable x_v, and its series-valued vertex weights are kept in
     ``cache`` per variable.  The columns run to p + budget, and states whose
-    excess passes the budget are dropped as they appear.  Returns (lambda,
-    excess, series) for every final state, where the series is F_lambda
-    truncated at ``cap``.
+    excess passes the budget are dropped as they appear.  Returns the final
+    states, the multiplicity rows (m_0, m_1, ...) of the partitions lambda,
+    each mapped to F_lambda truncated at ``cap``.
     """
-    p = spin.p
-    width = p + budget + 1
     rows = [
         (
             u_substitution(var, spin.tail, cap, n),
@@ -208,37 +181,39 @@ def _transfer_sweep(n, spin, t, cap, budget, var_indices, cache):
         )
         for var in var_indices
     ]
-    room = [len(var_indices)] * width + [0]
-    states = row_transfer(rows, spin, t * t, TruncSeries.const(n, cap, 1), room, budget)
-    out = []
-    for state, acc in states.items():
-        lam = tuple(c for c in range(width - 1, -1, -1) for _ in range(state[c]))
-        out.append((lam, sum(max(v - p, 0) for v in lam), acc))
-    return out
+    room = [len(var_indices)] * (spin.p + budget + 1) + [0]
+    return row_transfer(rows, spin, t * t, TruncSeries.const(n, cap, 1), room, budget)
 
 
-def _lhs_sum(n, spin, t, cap, weight_fn, budget, cache, var_indices=None):
-    """Truncated partition sum of weight * F_lambda as a series in n variables.
+def _lhs_sum(n, spin, t, cap, poch, budget, cache, var_indices=None):
+    """Truncated partition sum of the family weight
+    prod_r poch(spin, r, m_r) / (q; q)_{m_r} times F_lambda, as a series in n
+    variables.
 
-    The weights depend on lambda only through its multiplicities, the final
-    states of one vertex-model transfer, so the transfer is shared by every
-    weight and kept in ``cache`` at the largest budget requested so far.  The
-    weight of each partition is kept there too, per weight function and spin,
-    so the sums at budgets B and B+1 and over variable subsets evaluate it
-    once."""
+    The weights depend on lambda only through its multiplicities m_r, the
+    final states of one vertex-model transfer, so the transfer is shared by
+    every family and kept in ``cache`` at the largest budget requested so far.
+    Each factor poch(spin, r, m) / (q; q)_m is kept there too, per family and
+    spin and by (r, m), so the sums at budgets B and B+1 and over variable
+    subsets evaluate it once."""
     var_indices = tuple(range(n)) if var_indices is None else tuple(var_indices)
     key = ("transfer", var_indices, n, spin.prefix, spin.tail, t, cap)
     got = cache.get(key)
     if got is None or got[0] < budget:
         got = cache[key] = (budget, _transfer_sweep(n, spin, t, cap, budget, var_indices, cache))
-    weights = cache.setdefault(("weights", weight_fn, spin), {})
+    factors = cache.setdefault(("poch factors", poch, spin, t), {})
+    q = t * t
     total = TruncSeries.zero(n, cap)
-    for lam, excess, series in got[1]:
-        if excess > budget:
+    for state, series in got[1].items():
+        if sum(m * max(r - spin.p, 0) for r, m in enumerate(state)) > budget:
             continue
-        w = weights.get(lam)
-        if w is None:
-            w = weights[lam] = weight_fn(lam, spin)
+        w = Fraction(1)
+        for r, m in enumerate(state):
+            if m:
+                f = factors.get((r, m))
+                if f is None:
+                    f = factors[r, m] = poch(spin, r, m) / qpoch(q, q, m)
+                w *= f
         if w:
             total = total + w * series
     return total
@@ -266,20 +241,20 @@ def _rhs_pf_series(n, s, t, gamma, s0, gamma_inv_s0, cap):
     return out * pfaffian_kernel([u.truncate(cap) for u in U], t)
 
 
-def _gated_sum(n, spin, t, cap, weight_fn, budget, cache, var_indices=None):
+def _gated_sum(n, spin, t, cap, poch, budget, cache, var_indices=None):
     """The stabilization gate: the partition sum at budget B + 1, and the
     first coefficient where the sum at B differs from it (None when none
     does).  The larger budget goes first, so one cached transfer serves
     both sums."""
-    extended = _lhs_sum(n, spin, t, cap, weight_fn, budget + 1, cache, var_indices)
-    lhs = _lhs_sum(n, spin, t, cap, weight_fn, budget, cache, var_indices)
+    extended = _lhs_sum(n, spin, t, cap, poch, budget + 1, cache, var_indices)
+    lhs = _lhs_sum(n, spin, t, cap, poch, budget, cache, var_indices)
     return extended, series_diff(lhs, extended)
 
 
-def _series_check(name, params, n, spin, t, cap, weight_fn, rhs, cache):
+def _series_check(name, params, n, spin, t, cap, poch, rhs, cache):
     """Shared skeleton: stabilized truncated sum on the left against an
     explicit series on the right."""
-    extended, drift = _gated_sum(n, spin, t, cap, weight_fn, cap + _pair_extra(n), cache)
+    extended, drift = _gated_sum(n, spin, t, cap, poch, cap + _pair_extra(n), cache)
     if drift is not None:
         return CheckReport(name, params, "stabilization_failed", _coeff_witness(drift))
     diff = series_diff(extended, rhs)
@@ -294,9 +269,8 @@ def check_main1(n, p, spin, t, D, cache=None):
     params = {"n": n, "p": p, "D": D, "t": rat_str(t), "s": rat_str(spin.tail)}
     if n == 0:
         return CheckReport("main1", params, "pass")
-    weight = family_weight(poch_main1(t * t), t * t)
     rhs = _rhs_main1_series(n, spin.tail, t, D)
-    return _series_check("main1", params, n, spin, t, D, weight, rhs, cache)
+    return _series_check("main1", params, n, spin, t, D, poch_main1(t * t), rhs, cache)
 
 
 def check_cor_main2(n, p, spin, t, D, cache=None):
@@ -305,9 +279,8 @@ def check_cor_main2(n, p, spin, t, D, cache=None):
     params = {"n": n, "p": p, "D": D, "t": rat_str(t), "s": rat_str(spin.tail)}
     if n == 0:
         return CheckReport("cor", params, "pass")
-    weight = family_weight(poch_uniform(t), t * t)
     rhs = _rhs_pf_series(n, spin.tail, t, Fraction(1), spin.lookup(0), spin.lookup(0), D)
-    return _series_check("cor", params, n, spin, t, D, weight, rhs, cache)
+    return _series_check("cor", params, n, spin, t, D, poch_uniform(t), rhs, cache)
 
 
 def check_main2(n, p, spin, t, D, gamma, gamma_inv_s0=None, cache=None):
@@ -329,16 +302,16 @@ def check_main2(n, p, spin, t, D, gamma, gamma_inv_s0=None, cache=None):
     }
     if n == 0:
         return CheckReport("main2", params, "pass")
-    weight = family_weight(poch_gamma(t, gamma, gamma_inv_s0), t * t)
+    poch = poch_gamma(t, gamma, gamma_inv_s0)
     rhs = _rhs_pf_series(n, spin.tail, t, gamma, s0, gamma_inv_s0, D)
-    return _series_check("main2", params, n, spin, t, D, weight, rhs, cache)
+    return _series_check("main2", params, n, spin, t, D, poch, rhs, cache)
 
 
-def _zero_spin_check(name, n, t, D, weight, other_weight, gamma, cache):
+def _zero_spin_check(name, n, t, D, poch, other_poch, gamma, cache):
     """Shared skeleton of ``hl`` and ``kawanaka``, with all spins zero: the
-    sum of ``weight`` must match the sum of ``other_weight`` (an independent
-    route to the same left side) and then, through ``_series_check``, the
-    Pfaffian side at s = 0 and the given gamma."""
+    sum of the family ``poch`` must match the sum of ``other_poch`` (an
+    independent route to the same left side) and then, through
+    ``_series_check``, the Pfaffian side at s = 0 and the given gamma."""
     cache = {} if cache is None else cache
     params = {"n": n, "D": D, "t": rat_str(t)}
     if n == 0:
@@ -347,52 +320,31 @@ def _zero_spin_check(name, n, t, D, weight, other_weight, gamma, cache):
     # the two weights agree partition by partition, so any budget compares
     # them; B + 1 is the one the transfer of ``_series_check`` is kept at
     budget = D + _pair_extra(n) + 1
-    lhs = _lhs_sum(n, spin, t, D, weight, budget, cache)
-    drift = series_diff(lhs, _lhs_sum(n, spin, t, D, other_weight, budget, cache))
+    lhs = _lhs_sum(n, spin, t, D, poch, budget, cache)
+    drift = series_diff(lhs, _lhs_sum(n, spin, t, D, other_poch, budget, cache))
     if drift is not None:
         return CheckReport(name, params, "fail", _coeff_witness(drift))
     rhs = _rhs_pf_series(n, Fraction(0), t, gamma, Fraction(0), Fraction(0), D)
-    return _series_check(name, params, n, spin, t, D, weight, rhs, cache)
+    return _series_check(name, params, n, spin, t, D, poch, rhs, cache)
 
 
 def check_hl_corollary(n, t, D, cache=None):
     """Littlewood identity for Hall-Littlewood polynomials: all spins zero, so
     u_i = x_i and each summand is homogeneous of degree |lambda|.
 
-    The left side is formed literally as the Hall-Littlewood weighted sum,
-    with P_lambda recovered from F_lambda by dividing out prod_r (q;q)_{m_r};
-    it must also agree with the zero-spin specialization of the gamma = 1
-    weights."""
-    q = t * t
-
-    def hl_weight_on_f(lam, sp):
-        w = weight_hl(lam, t)
-        for m in multiplicities(lam).values():
-            w /= qpoch(q, q, m)
-        return w
-
-    cor_weight = family_weight(poch_uniform(t), q)
-    return _zero_spin_check("hl", n, t, D, hl_weight_on_f, cor_weight, Fraction(1), cache)
+    The left side is formed literally as the Hall-Littlewood weighted sum
+    prod_r (-t; t)_{m_r} P_lambda (``poch_hl``); it must also agree with the
+    zero-spin specialization of the gamma = 1 weights."""
+    return _zero_spin_check("hl", n, t, D, poch_hl(t), poch_uniform(t), Fraction(1), cache)
 
 
 def check_kawanaka(n, t, D, cache=None):
     """Specialization path s_0 = 0, then gamma = 0, then all spins 0: the
     gamma-refined identity must degenerate without pole errors and its left
-    side must match the classical Hall-Littlewood weighted sum."""
-    q = t * t
-    kaw_weight = family_weight(poch_gamma(t, Fraction(0), Fraction(0)), q)
-
-    # independent route: sum of prod_{r>=1} (-t;t)_{m_r} P_lambda, with
-    # P_lambda = F_lambda(all spins 0) / prod_r (q;q)_{m_r}
-    def hl_sum_weight(lam, sp):
-        w = Fraction(1)
-        for r, m in multiplicities(lam).items():
-            w /= qpoch(q, q, m)
-            if r >= 1:
-                w *= qpoch(-t, t, m)
-        return w
-
-    return _zero_spin_check("kawanaka", n, t, D, kaw_weight, hl_sum_weight, Fraction(0), cache)
+    side must match the classical Hall-Littlewood weighted sum
+    prod_{r>=1} (-t; t)_{m_r} P_lambda (``poch_hl`` from part 1)."""
+    kawanaka = poch_gamma(t, Fraction(0), Fraction(0))
+    return _zero_spin_check("kawanaka", n, t, D, kawanaka, poch_hl(t, 1), Fraction(0), cache)
 
 
 # ----------------------------------------------------------------------
@@ -427,11 +379,11 @@ def _outer_factor(u, spin, l):
 # recurrences for the weighted sums, as series identities
 
 
-def _rec_h(n, k, spin, t, D, weight_fn, cache):
+def _rec_h(n, k, spin, t, D, poch, cache):
     """The stabilization gate on H over the first k of n variables, carried
     to degree D + k (n - k): the degree the cleared recurrence reads of it."""
     cap = D + k * (n - k)
-    return _gated_sum(n, spin, t, cap, weight_fn, cap + _pair_extra(k), cache, tuple(range(k)))
+    return _gated_sum(n, spin, t, cap, poch, cap + _pair_extra(k), cache, tuple(range(k)))
 
 
 def _rec_block(T, n, s, q, cap):
@@ -482,14 +434,12 @@ def _check_rec(name, n, p, spin, t, D, poch, inner_poch, L0, cache):
     """
     params = {"n": n, "p": p, "D": D, "t": rat_str(t), "s": rat_str(spin.tail)}
     q = t * t
-    lhs_weight = family_weight(poch, q)
-    inner_weight = lhs_weight if inner_poch is poch else family_weight(inner_poch, q)
     s = spin.tail
     cap = D + n * (n - 1) // 2
     full = tuple(range(n))
     max_l = max(L0, p)
 
-    h_full, drift = _rec_h(n, n, spin, t, D, lhs_weight, cache)
+    h_full, drift = _rec_h(n, n, spin, t, D, poch, cache)
     if drift is not None:
         return CheckReport(name, params, "stabilization_failed", _coeff_witness(drift))
     # the T-dependent part of the l-th term for T = (0, ..., k-1): the subset
@@ -500,7 +450,7 @@ def _check_rec(name, n, p, spin, t, D, poch, inner_poch, L0, cache):
     for k in range(n):
         block = _rec_block(full[:k], n, s, q, cap)
         for l in range(max_l + 1):
-            h, drift = _rec_h(n, k, spin.shift(l + 1), t, D, inner_weight, cache)
+            h, drift = _rec_h(n, k, spin.shift(l + 1), t, D, inner_poch, cache)
             if drift is not None:
                 return CheckReport(name, params, "stabilization_failed", _coeff_witness(drift))
             sl = spin.lookup(l)

@@ -14,7 +14,7 @@ from math import gcd, lcm
 from operator import add
 
 from .arith import PoleError, invert, perm_sign
-from .symfun import as_parts
+from .symfun import _check_cap, as_parts
 
 
 class TruncSeries:
@@ -200,7 +200,7 @@ class TruncSeries:
     __rmul__ = __mul__
 
     def inv(self):
-        """Multiplicative inverse; the constant term must be nonzero.
+        """Multiplicative inverse; a zero constant term is a ``PoleError``.
 
         With the series N/den and a0 the constant term of N, the homogeneous
         parts of 1/N = sum_k P_k / a0^(k+1) satisfy P_0 = 1 and
@@ -209,7 +209,7 @@ class TruncSeries:
         zero = (0,) * self.nvars
         a0 = self.num.get(zero, 0)
         if not a0:
-            raise ZeroDivisionError("series has no invertible constant term")
+            raise PoleError("series with zero constant term")
         cap = self.cap
         items, ends = self._graded()
         parts = [items[ends[d - 1] : ends[d]] for d in range(1, cap + 1)]
@@ -238,16 +238,11 @@ class TruncSeries:
                 num[e] = v * scale
         return TruncSeries._reduced(self.nvars, cap, sign * den, num)
 
-    def _reciprocal(self):
-        if not self.num.get((0,) * self.nvars):
-            raise PoleError("series with zero constant term")
-        return self.inv()
-
     def __truediv__(self, other):
-        return self * self._coerce(other)._reciprocal()
+        return self * self._coerce(other).inv()
 
     def __rtruediv__(self, other):
-        return self._reciprocal() * other
+        return self.inv() * other
 
     def evaluate(self, xs):
         """Exact value of the truncating polynomial at a rational point."""
@@ -408,6 +403,7 @@ def f_lambda_series(lam, spin, t, cap, nvars=None, var_indices=None, cache=None)
     """
     lam = as_parts(lam)
     n = len(lam)
+    _check_cap(n, "symmetrization")
     if var_indices is None:
         var_indices = tuple(range(n))
     else:

@@ -321,20 +321,23 @@ def test_non_integer_setting_names_its_source(capsys, tmp_path, monkeypatch, con
 
 
 @pytest.mark.parametrize(
-    "payload, detail",
+    "text, detail",
     [
-        ({"labels": [1, 2], "entries": [[1, 2, 0.5]]}, "cannot interpret 0.5 as a rational"),
-        ([1, 2], "list indices must be integers"),
-        ({"labels": [[1], [2]], "entries": []}, "unhashable type"),
-        ({"entries": [[1, 2, "3/4"]]}, "no key 'labels'"),
-        ({"labels": [1, 2]}, "no key 'entries'"),
-        ({"labels": [1, 2], "entries": [[1, 3, "3/4"]]}, 'entry label 3 is not in "labels"'),
+        (json.dumps({"labels": [1, 2], "entries": [[1, 2, 0.5]]}), "cannot interpret 0.5 as a rational"),
+        (json.dumps([1, 2]), "list indices must be integers"),
+        (json.dumps({"labels": [[1], [2]], "entries": []}), "unhashable type"),
+        (json.dumps({"entries": [[1, 2, "3/4"]]}), "no key 'labels'"),
+        (json.dumps({"labels": [1, 2]}), "no key 'entries'"),
+        (json.dumps({"labels": [1, 2], "entries": [[1, 3, "3/4"]]}), 'entry label 3 is not in "labels"'),
+        ('{"labels": [1, 2], }', "Expecting property name enclosed in double quotes"),
+        (json.dumps({"labels": [1, 2, 3], "entries": []}), "Pfaffian requires even dimension, got 3"),
     ],
-    ids=["float entry", "top-level list", "list labels", "no labels", "no entries", "unlisted label"],
+    ids=["float entry", "top-level list", "list labels", "no labels", "no entries", "unlisted label",
+         "invalid json", "odd dimension"],
 )
-def test_malformed_pfaffian_file_exits_two(capsys, tmp_path, payload, detail):
+def test_malformed_pfaffian_file_exits_two(capsys, tmp_path, text, detail):
     path = tmp_path / "matrix.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(text)
     code = main(["pfaffian", "--file", str(path)])
     captured = capsys.readouterr()
     assert code == 2
@@ -352,13 +355,12 @@ EVAL_F = ("eval-f", "--lambda", "1,0", "--p", "0")
         (*EVAL_F, "--t", "1/0", "--spin", "1/3", "--u", "2/7,3/8"),
         (*EVAL_F, "--t", "1/2", "--spin", "1/0", "--u", "2/7,3/8"),
         (*EVAL_F, "--t", "1/2", "--spin", "1/3", "--u", "2/7,1/0"),
-        (*EVAL_F, "--t", "1/2", "--spin", "1/3", "--u", "2/7,3/8", "--gamma", "1/0"),
         ("eval-robbins", "--bottom", "1,2", "--x", "1/2,1/0", "--u", "1", "--v", "1", "--w", "1"),
         ("bijection", "--lambda", "1,0", "--t", "1/2", "--x", "1/0,1/3"),
         ("verify", "main2", "--n", "1", "--gamma", "1/0"),
     ],
-    ids=["eval-f --t", "eval-f --spin", "eval-f --u", "eval-f --gamma", "eval-robbins --x",
-         "bijection --x", "verify --gamma"],
+    ids=["eval-f --t", "eval-f --spin", "eval-f --u", "eval-robbins --x", "bijection --x",
+         "verify --gamma"],
 )
 def test_zero_denominator_flag_names_its_text(capsys, argv):
     code = main(list(argv))
@@ -367,6 +369,24 @@ def test_zero_denominator_flag_names_its_text(capsys, argv):
     assert captured.out == ""
     assert_one_clean_error_line(captured.err)
     assert captured.err == "error: zero denominator in rational '1/0'\n"
+
+
+def test_eval_f_has_no_gamma_flag(capsys):
+    # F_lambda does not depend on gamma, so the flag is unknown to argparse
+    with pytest.raises(SystemExit) as err:
+        main([*EVAL_F, "--t", "1/2", "--spin", "1/3", "--u", "2/7,3/8", "--gamma", "2"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --gamma 2" in capsys.readouterr().err
+
+
+def test_series_symmetrizer_over_its_cap_exits_two(capsys):
+    code = main(["eval-f", "--lambda", "0,0,0,0,0,0,0,0,0", "--t", "1/2", "--spin", "1/3",
+                 "--series", "--D", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert_one_clean_error_line(captured.err)
+    assert captured.err == "error: symmetrization over 9! orderings exceeds cap 8\n"
 
 
 def test_zero_denominator_in_pfaffian_file_names_its_text(capsys, tmp_path):

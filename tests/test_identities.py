@@ -24,23 +24,29 @@ from spinhl.identities import (
     check_rec2,
     check_rec2v,
     check_reduction_chain,
-    family_weight,
     key_lemma1_sides,
     key_lemma2_A_sides,
     key_lemma2_sides,
     lemma_point,
     poch_gamma,
+    poch_hl,
+    poch_main1,
     poch_uniform,
     polynomial_expansion_equal,
     run_all,
     run_check,
     series_parameters,
-    weight_cor,
-    weight_main1,
-    weight_main2,
 )
 from spinhl.series import TruncSeries, f_lambda_series, u_substitution
 from spinhl.symfun import bounded_partitions, multiplicities, truncated_partition_list
+
+
+def _weight(poch, lam, spin, q):
+    """The family weight of lam: prod_r poch(spin, r, m_r) / (q; q)_{m_r}."""
+    w = F(1)
+    for r, m in multiplicities(lam).items():
+        w *= poch(spin, r, m) / qpoch(q, q, m)
+    return w
 
 
 def test_weights_trivial_partition():
@@ -48,9 +54,11 @@ def test_weights_trivial_partition():
     t = F(1, 2)
     q = t * t
     lam = (0, 0)
-    assert weight_main1(lam, spin, q) == (1 + spin.lookup(0)) * (1 + spin.lookup(0) * q) / ((1 - q) * (1 - q * q))
+    main1 = _weight(poch_main1(q), lam, spin, q)
+    assert main1 == (1 + spin.lookup(0)) * (1 + spin.lookup(0) * q) / ((1 - q) * (1 - q * q))
     # at gamma = 1 the refined weight collapses to the plain one
-    assert weight_main2(lam, spin, t, F(1), spin.lookup(0)) == weight_cor(lam, spin, t)
+    refined = _weight(poch_gamma(t, F(1), spin.lookup(0)), lam, spin, q)
+    assert refined == _weight(poch_uniform(t), lam, spin, q)
 
 
 def test_family_weights_match_the_explicit_formulas():
@@ -75,13 +83,22 @@ def test_family_weights_match_the_explicit_formulas():
     def refined(g, g_inv_s0):
         return lambda m: qpoch(-g * t, t, m) / qpoch(q, q, m) * qpoch(-g_inv_s0, t, m)
 
-    kawanaka = family_weight(poch_gamma(t, F(0), F(0)), q)
+    def hl(r, m):
+        return qpoch(-t, t, m) / qpoch(q, q, m)
+
+    zero = SpinParams.constant(F(0))
     for n in range(1, 5):
         for lam in bounded_partitions(n, 4):
-            assert weight_main1(lam, spin, q) == explicit(lam, lambda m: main1(0, m), main1), lam
-            assert weight_cor(lam, spin, t) == explicit(lam, lambda m: cor(0, m), cor), lam
-            assert weight_main2(lam, spin, t, gamma, gis0) == explicit(lam, refined(gamma, gis0), cor)
-            assert kawanaka(lam, spin) == explicit(lam, refined(F(0), F(0)), cor), lam
+            assert _weight(poch_main1(q), lam, spin, q) == explicit(lam, lambda m: main1(0, m), main1), lam
+            assert _weight(poch_uniform(t), lam, spin, q) == explicit(lam, lambda m: cor(0, m), cor), lam
+            weight = _weight(poch_gamma(t, gamma, gis0), lam, spin, q)
+            assert weight == explicit(lam, refined(gamma, gis0), cor), lam
+            kawanaka = _weight(poch_gamma(t, F(0), F(0)), lam, spin, q)
+            assert kawanaka == explicit(lam, refined(F(0), F(0)), cor), lam
+            # the Hall-Littlewood routes of hl and kawanaka, at zero spin
+            assert _weight(poch_hl(t), lam, zero, q) == explicit(lam, lambda m: hl(0, m), hl), lam
+            hl_above = explicit(lam, lambda m: 1 / qpoch(q, q, m), hl)
+            assert _weight(poch_hl(t, 1), lam, zero, q) == hl_above, lam
 
 
 def test_smallest_part_factors_on_series_match_the_scalars_at_x_zero():
@@ -105,13 +122,13 @@ def test_subset_sum_pole_names_its_factor():
     assert str(err.value) == "vanishing denominator: 1 - s_1*u"
 
 
-def _symmetrizer_sum(n, spin, t, cap, weight_fn, budget, var_indices):
+def _symmetrizer_sum(n, spin, t, cap, poch, budget, var_indices):
     """The partition sum term by term, each F_lambda by the symmetrizer."""
     total = TruncSeries.zero(n, cap)
     cache = {}
     for lam in truncated_partition_list(len(var_indices), spin.p, budget):
         f = f_lambda_series(lam, spin, t, cap, nvars=n, var_indices=var_indices, cache=cache)
-        total = total + weight_fn(lam, spin) * f
+        total = total + _weight(poch, lam, spin, t * t) * f
     return total
 
 
@@ -120,23 +137,18 @@ def test_transfer_sum_matches_symmetrizer_sum(seed):
     cases = []
     for p in (0, 1, 2):
         t, spin, gamma = series_parameters(seed, p)
-        q = t * t
-        weights = (
-            lambda lam, sp, q=q: weight_main1(lam, sp, q),
-            lambda lam, sp, t=t, g=gamma: weight_main2(lam, sp, t, g, sp.lookup(0) / g),
-        )
         for n, cap in ((2, 3), (3, 2)):
-            for weight_fn in weights:
-                cases.append((n, spin, t, cap, weight_fn, tuple(range(n))))
-                cases.append((n, spin.shift(1), t, cap, weight_fn, tuple(range(1, n))))
+            for sp, var_indices in ((spin, tuple(range(n))), (spin.shift(1), tuple(range(1, n)))):
+                for poch in (poch_main1(t * t), poch_gamma(t, gamma, sp.lookup(0) / gamma)):
+                    cases.append((n, sp, t, cap, poch, var_indices))
     t, _, _ = series_parameters(seed, 0)
     zero = SpinParams.constant(F(0))
     for n, cap in ((2, 3), (3, 2)):
-        cases.append((n, zero, t, cap, lambda lam, sp, t=t: weight_cor(lam, sp, t), tuple(range(n))))
-    for n, spin, t, cap, weight_fn, var_indices in cases:
+        cases.append((n, zero, t, cap, poch_uniform(t), tuple(range(n))))
+    for n, spin, t, cap, poch, var_indices in cases:
         budget = cap + _pair_extra(len(var_indices))
-        sweep = _lhs_sum(n, spin, t, cap, weight_fn, budget, {}, var_indices=var_indices)
-        oracle = _symmetrizer_sum(n, spin, t, cap, weight_fn, budget, var_indices)
+        sweep = _lhs_sum(n, spin, t, cap, poch, budget, {}, var_indices=var_indices)
+        oracle = _symmetrizer_sum(n, spin, t, cap, poch, budget, var_indices)
         assert sweep == oracle, (seed, n, cap, spin, var_indices)
 
 
@@ -158,7 +170,7 @@ def test_series_transfer_prunes_past_the_budget(monkeypatch):
             (spin.shift(1), (0, 2), 2),
         ):
             seen.clear()
-            _lhs_sum(3, sp, t, 3, lambda lam, s: F(1), budget, {}, var_indices=var_indices)
+            _lhs_sum(3, sp, t, 3, lambda spin, r, m: 1, budget, {}, var_indices=var_indices)
             assert seen, "the series sum does not go through the vertex transfer"
             for state in seen:
                 assert len(state) == sp.p + budget + 1
@@ -178,6 +190,26 @@ def test_hl_corollary_makes_one_transfer_sweep(monkeypatch):
     assert run_check("hl", n=3, p=1, D=3, seed=7).passed
     # hl runs at n = 2: budget D + n(n-1)/2 + 1, for the stabilization gate
     assert budgets == [5]
+
+
+def test_main1_evaluates_each_pochhammer_factor_once(monkeypatch):
+    # the sums at budgets B and B + 1 share one memo of the factors by (r, m)
+    calls = []
+    family = spinhl.identities.poch_main1
+
+    def counting(q):
+        poch = family(q)
+
+        def counted(spin, r, m):
+            calls.append((spin, r, m))
+            return poch(spin, r, m)
+
+        return counted
+
+    monkeypatch.setattr(spinhl.identities, "poch_main1", counting)
+    assert run_check("main1", n=3, p=1, D=2).passed
+    assert calls
+    assert len(calls) == len(set(calls))
 
 
 def test_stabilization_gate_catches_a_missing_margin(monkeypatch):
@@ -213,17 +245,17 @@ def test_reduced_cap_h_matches_the_full_cap_subset_sum():
     for p in (0, 1, 2):
         t, spin, _ = series_parameters(7, p)
         shift = spin.shift(1)
-        weight_fn = lambda lam, sp, q=t * t: weight_main1(lam, sp, q)
+        poch = poch_main1(t * t)
         cache = {}
         for k in range(n):
-            h, drift = _rec_h(n, k, shift, t, D, weight_fn, cache)
+            h, drift = _rec_h(n, k, shift, t, D, poch, cache)
             assert drift is None
             cap_k = D + k * (n - k)
             assert h.cap == cap_k
             for T in combinations(full, k):
                 order = T + tuple(j for j in full if j not in T)
                 budget = cap + _pair_extra(k)
-                old = _lhs_sum(n, shift, t, cap, weight_fn, budget, {}, var_indices=T)
+                old = _lhs_sum(n, shift, t, cap, poch, budget, {}, var_indices=T)
                 assert h.relabeled(order, cap_k) == old.truncate(cap_k), (p, T)
 
 
@@ -248,8 +280,8 @@ def test_recurrences_read_the_top_coefficient_of_each_reduced_h(monkeypatch):
     # cleared identity reads
     lhs_sum = spinhl.identities._lhs_sum
 
-    def bumped(n, spin, t, cap, weight_fn, budget, cache, var_indices=None):
-        out = lhs_sum(n, spin, t, cap, weight_fn, budget, cache, var_indices)
+    def bumped(n, spin, t, cap, poch, budget, cache, var_indices=None):
+        out = lhs_sum(n, spin, t, cap, poch, budget, cache, var_indices)
         if var_indices is not None and len(var_indices) == n - 1:
             top = tuple(cap if v == var_indices[0] else 0 for v in range(n))
             out = out + TruncSeries(n, cap, {top: 1})
