@@ -203,16 +203,20 @@ def _draw_rational(rng):
             return val
 
 
-def sample_point(seed, n, p=0, pole_list=(), max_tries=200):
+SAMPLE_TRIES = 200
+
+
+def sample_point(seed, n, p=0, pole_list=()):
     """Deterministically sample a generic ParamPoint with n spectral values.
 
     ``pole_list`` is an iterable of callables mapping a candidate point to a
     denominator value; candidates at which any of them vanishes are rejected.
-    The u_i are always pairwise distinct.  Raises RuntimeError once the retry
-    budget is exhausted, which signals a pathological pole list.
+    The u_i are always pairwise distinct.  Raises RuntimeError after
+    ``SAMPLE_TRIES`` rejected candidates, which signals a pathological pole
+    list.
     """
     pole_list = tuple(pole_list)
-    for attempt in range(max_tries):
+    for attempt in range(SAMPLE_TRIES):
         rng = random.Random(seed * 1000003 + attempt)
         t = _draw_rational(rng)
         gamma = _draw_rational(rng)
@@ -227,5 +231,5 @@ def sample_point(seed, n, p=0, pole_list=(), max_tries=200):
         if all(fn(point) != 0 for fn in pole_list):
             return point
     raise RuntimeError(
-        "sample_point: no generic point found after %d tries (seed=%r)" % (max_tries, seed)
+        "sample_point: no generic point found after %d tries (seed=%r)" % (SAMPLE_TRIES, seed)
     )

@@ -113,12 +113,13 @@ def ensemble_to_triangle(ens):
     return MonotoneTriangle(tuple(rows))
 
 
-def triangle_to_ensemble(M, max_col=None):
-    """Inverse map: rebuild the occupancy rows from the triangle rows."""
+def triangle_to_ensemble(M):
+    """Inverse map: rebuild the occupancy rows, in the columns up to the
+    largest entry, from the triangle rows."""
     lam = tuple(sorted(M.bottom, reverse=True))
     if len(set(lam)) != len(lam):
         raise ValueError("bottom row must be strictly increasing")
-    maxc = lam[0] if max_col is None else max_col
+    maxc = lam[0]
     occ = [(0,) * (maxc + 1)]
     for row in M.rows:
         occ.append(tuple(1 if c in row else 0 for c in range(maxc + 1)))

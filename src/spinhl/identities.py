@@ -63,6 +63,7 @@ from .pfaffian import (
     pfaffian_side,
     rhs_main1,
     rhs_main2,
+    s_over_gamma,
 )
 from .series import (
     TruncSeries,
@@ -136,14 +137,15 @@ def poch_uniform(t):
     return lambda spin, r, m: qpoch(-t, t, m) * qpoch(-spin.lookup(r), t, m)
 
 
-def poch_gamma(t, gamma, gamma_inv_s0):
-    """(-gamma t; t)_m (-gamma_inv_s0; t)_m at r = 0, and the gamma = 1 factor
-    above it: the gamma-refined family."""
+def poch_gamma(t, gamma):
+    """(-gamma t; t)_m (-s_0/gamma; t)_m at r = 0, and the gamma = 1 factor
+    above it: the gamma-refined family.  s_0/gamma is ``s_over_gamma``, so
+    gamma = 0 needs s_0 = 0 (the Kawanaka limit)."""
     uniform = poch_uniform(t)
 
     def poch(spin, r, m):
         if r == 0:
-            return qpoch(-gamma * t, t, m) * qpoch(-gamma_inv_s0, t, m)
+            return qpoch(-gamma * t, t, m) * qpoch(-s_over_gamma(spin.lookup(0), gamma), t, m)
         return uniform(spin, r, m)
 
     return poch
@@ -227,17 +229,18 @@ def _vandermonde_series(var_indices, nvars, cap):
     return TruncSeries(nvars, cap, vandermonde_exponents(tuple(var_indices), nvars))
 
 
-def _rhs_pf_series(n, s, t, gamma, s0, gamma_inv_s0, cap):
-    """Kernel times Pfaffian as a series: the Pfaffian of the series-valued
-    matrix is antisymmetric in the x variables, so it is divided exactly by
-    the u-differences (``divide_by_u_differences``) and then multiplied by
-    ``pfaffian_kernel`` on the u series."""
+def _rhs_pf_series(n, spin, t, gamma, cap):
+    """Kernel times Pfaffian as a series, with s_0 in the matrix entries and
+    u_i = (s + x_i)/(1 + s x_i) at the spin tail s: the Pfaffian of the
+    series-valued matrix is antisymmetric in the x variables, so it is
+    divided exactly by the u-differences (``divide_by_u_differences``) and
+    then multiplied by ``pfaffian_kernel`` on the u series."""
     work = cap + n * (n - 1) // 2
-    U = [u_substitution(i, s, work, n) for i in range(n)]
-    spec = MGammaSpec(ParamPoint(t, gamma, SpinParams.constant(s), ()), gamma, s0, gamma_inv_s0)
+    U = [u_substitution(i, spin.tail, work, n) for i in range(n)]
+    spec = MGammaSpec(ParamPoint(t, gamma, spin, ()), gamma, spin.lookup(0))
     # at n = 1 and gamma = 1 the Pfaffian is the rational 1, not a series
     pf = TruncSeries.zero(n, work) + m_gamma(spec, tuple(range(1, n + 1)), u=U).pfaffian()
-    out = divide_by_u_differences(pf, tuple(range(n)), s)
+    out = divide_by_u_differences(pf, tuple(range(n)), spin.tail)
     return out * pfaffian_kernel([u.truncate(cap) for u in U], t)
 
 
@@ -263,48 +266,41 @@ def _series_check(name, params, n, spin, t, cap, poch, rhs, cache):
     return CheckReport(name, params, "pass")
 
 
-def check_main1(n, p, spin, t, D, cache=None):
+def _series_params(n, spin, t, D):
+    return {"n": n, "p": spin.p, "D": D, "t": rat_str(t), "s": rat_str(spin.tail)}
+
+
+def check_main1(n, spin, t, D, cache=None):
     """Product-form Littlewood identity, coefficientwise to total degree D."""
     cache = {} if cache is None else cache
-    params = {"n": n, "p": p, "D": D, "t": rat_str(t), "s": rat_str(spin.tail)}
+    params = _series_params(n, spin, t, D)
     if n == 0:
         return CheckReport("main1", params, "pass")
     rhs = _rhs_main1_series(n, spin.tail, t, D)
     return _series_check("main1", params, n, spin, t, D, poch_main1(t * t), rhs, cache)
 
 
-def check_cor_main2(n, p, spin, t, D, cache=None):
+def check_cor_main2(n, spin, t, D, cache=None):
     """Pfaffian-form identity at gamma = 1, coefficientwise to degree D."""
     cache = {} if cache is None else cache
-    params = {"n": n, "p": p, "D": D, "t": rat_str(t), "s": rat_str(spin.tail)}
+    params = _series_params(n, spin, t, D)
     if n == 0:
         return CheckReport("cor", params, "pass")
-    rhs = _rhs_pf_series(n, spin.tail, t, Fraction(1), spin.lookup(0), spin.lookup(0), D)
+    rhs = _rhs_pf_series(n, spin, t, Fraction(1), D)
     return _series_check("cor", params, n, spin, t, D, poch_uniform(t), rhs, cache)
 
 
-def check_main2(n, p, spin, t, D, gamma, gamma_inv_s0=None, cache=None):
+def check_main2(n, spin, t, D, gamma, cache=None):
     """Gamma-refined Pfaffian identity, coefficientwise to degree D."""
     cache = {} if cache is None else cache
     gamma = Fraction(gamma)
-    s0 = spin.lookup(0)
-    if gamma_inv_s0 is None:
-        if gamma == 0:
-            raise ValueError("gamma = 0 needs an explicit gamma_inv_s0")
-        gamma_inv_s0 = s0 / gamma
-    params = {
-        "n": n,
-        "p": p,
-        "D": D,
-        "t": rat_str(t),
-        "s": rat_str(spin.tail),
-        "gamma": rat_str(gamma),
-    }
+    if gamma == 0:
+        raise ValueError("main2 needs gamma != 0: its weights divide s_0 by gamma")
+    params = {**_series_params(n, spin, t, D), "gamma": rat_str(gamma)}
     if n == 0:
         return CheckReport("main2", params, "pass")
-    poch = poch_gamma(t, gamma, gamma_inv_s0)
-    rhs = _rhs_pf_series(n, spin.tail, t, gamma, s0, gamma_inv_s0, D)
-    return _series_check("main2", params, n, spin, t, D, poch, rhs, cache)
+    rhs = _rhs_pf_series(n, spin, t, gamma, D)
+    return _series_check("main2", params, n, spin, t, D, poch_gamma(t, gamma), rhs, cache)
 
 
 def _zero_spin_check(name, n, t, D, poch, other_poch, gamma, cache):
@@ -324,7 +320,7 @@ def _zero_spin_check(name, n, t, D, poch, other_poch, gamma, cache):
     drift = series_diff(lhs, _lhs_sum(n, spin, t, D, other_poch, budget, cache))
     if drift is not None:
         return CheckReport(name, params, "fail", _coeff_witness(drift))
-    rhs = _rhs_pf_series(n, Fraction(0), t, gamma, Fraction(0), Fraction(0), D)
+    rhs = _rhs_pf_series(n, spin, t, gamma, D)
     return _series_check(name, params, n, spin, t, D, poch, rhs, cache)
 
 
@@ -343,7 +339,7 @@ def check_kawanaka(n, t, D, cache=None):
     gamma-refined identity must degenerate without pole errors and its left
     side must match the classical Hall-Littlewood weighted sum
     prod_{r>=1} (-t; t)_{m_r} P_lambda (``poch_hl`` from part 1)."""
-    kawanaka = poch_gamma(t, Fraction(0), Fraction(0))
+    kawanaka = poch_gamma(t, Fraction(0))
     return _zero_spin_check("kawanaka", n, t, D, kawanaka, poch_hl(t, 1), Fraction(0), cache)
 
 
@@ -406,15 +402,15 @@ def _rec_block(T, n, s, q, cap):
     return block * _vandermonde_series(Tc, n, cap)
 
 
-def _check_rec(name, n, p, spin, t, D, poch, inner_poch, L0, cache):
+def _check_rec(name, n, spin, t, D, poch, inner_poch, L0, cache):
     """Shared engine for the three recurrences.
 
     Both sides are multiplied by the full Vandermonde polynomial V in x, of
     degree n(n-1)/2, which clears the u-difference denominators of the
     shuffle factors termwise; agreement to degree D + n(n-1)/2 of the cleared
     identity certifies the recurrence itself to degree D.  The tail of the
-    sum over the smallest part l is geometric from L0 on and is summed in
-    closed form.
+    sum over the smallest part l is geometric from max(L0, p) on and is
+    summed in closed form.
 
     Each H is computed only as far as the cleared identity reads it.  The
     subset term of T carries V(T) V(Tc), homogeneous of degree
@@ -432,12 +428,12 @@ def _check_rec(name, n, p, spin, t, D, poch, inner_poch, L0, cache):
     ``poch`` is the Pochhammer factor of the family of H, and ``inner_poch``
     that of the sums H(T) over the spins past l.
     """
-    params = {"n": n, "p": p, "D": D, "t": rat_str(t), "s": rat_str(spin.tail)}
+    params = _series_params(n, spin, t, D)
     q = t * t
     s = spin.tail
     cap = D + n * (n - 1) // 2
     full = tuple(range(n))
-    max_l = max(L0, p)
+    max_l = max(L0, spin.p)
 
     h_full, drift = _rec_h(n, n, spin, t, D, poch, cache)
     if drift is not None:
@@ -480,27 +476,26 @@ def _check_rec(name, n, p, spin, t, D, poch, inner_poch, L0, cache):
     return CheckReport(name, params, "pass")
 
 
-def check_rec1(n, p, spin, t, D, cache=None):
+def check_rec1(n, spin, t, D, cache=None):
     """Recurrence of the product-form sum H_1 under removing the smallest part."""
     poch = poch_main1(t * t)
-    return _check_rec("rec1", n, p, spin, t, D, poch, poch, p, {} if cache is None else cache)
+    return _check_rec("rec1", n, spin, t, D, poch, poch, 0, {} if cache is None else cache)
 
 
-def check_rec2v(n, p, spin, t, D, cache=None):
+def check_rec2v(n, spin, t, D, cache=None):
     """Recurrence of the gamma = 1 Pfaffian-form sum."""
     poch = poch_uniform(t)
-    return _check_rec("rec2v", n, p, spin, t, D, poch, poch, p, {} if cache is None else cache)
+    return _check_rec("rec2v", n, spin, t, D, poch, poch, 0, {} if cache is None else cache)
 
 
-def check_rec2(n, p, spin, t, D, gamma, cache=None):
+def check_rec2(n, spin, t, D, gamma, cache=None):
     """Recurrence of the gamma-refined sum H_2; the right side involves the
     gamma = 1 sums, and gamma enters the Pochhammer weights only at l = 0."""
     cache = {} if cache is None else cache
     gamma = Fraction(gamma)
     if gamma == 0:
         raise ValueError("rec2 needs gamma != 0: its weights divide s_0 by gamma")
-    poch = poch_gamma(t, gamma, spin.lookup(0) / gamma)
-    rep = _check_rec("rec2", n, p, spin, t, D, poch, poch_uniform(t), max(p, 1), cache)
+    rep = _check_rec("rec2", n, spin, t, D, poch_gamma(t, gamma), poch_uniform(t), 1, cache)
     rep.params["gamma"] = rat_str(gamma)
     return rep
 
@@ -682,17 +677,17 @@ def _poly_eval(coeffs, x):
     return out
 
 
-def polynomial_expansion_equal(fn_lhs, fn_rhs, degree_bound, nodes, extra_nodes):
-    """Interpolate both sides through degree_bound + 1 nodes, confirm the
-    interpolants also match the functions at the extra nodes (certifying the
-    degree bound), and compare coefficient lists."""
-    base = nodes[: degree_bound + 1]
-    lhs_poly = _interpolate([(x, fn_lhs(x)) for x in base])
-    rhs_poly = _interpolate([(x, fn_rhs(x)) for x in base])
-    for x in extra_nodes:
-        if _poly_eval(lhs_poly, x) != fn_lhs(x):
-            return False
-        if _poly_eval(rhs_poly, x) != fn_rhs(x):
+def polynomial_expansion_equal(sides, degree_bound, nodes):
+    """Interpolate both sides of ``sides(x) -> (lhs, rhs)`` through the first
+    degree_bound + 1 nodes, confirm the interpolants also match the sides at
+    the remaining nodes (certifying the degree bound), and compare
+    coefficient lists.  Each node evaluates ``sides`` once."""
+    values = [(x, sides(x)) for x in nodes]
+    base = values[: degree_bound + 1]
+    lhs_poly = _interpolate([(x, lhs) for x, (lhs, _) in base])
+    rhs_poly = _interpolate([(x, rhs) for x, (_, rhs) in base])
+    for x, (lhs, rhs) in values[degree_bound + 1 :]:
+        if _poly_eval(lhs_poly, x) != lhs or _poly_eval(rhs_poly, x) != rhs:
             return False
     return lhs_poly == rhs_poly
 
@@ -763,9 +758,9 @@ def _subset_sum(point, l, poch, kernel, proper=True):
     return total * _outer_factor(u, point.spin, l)
 
 
-def _chain_main1(point, p):
+def _chain_main1(point):
     """Each displayed step reducing the product-form identity to the key lemma."""
-    q, u, spin = point.q, point.u, point.spin
+    q, u, spin, p = point.q, point.u, point.spin, point.spin.p
     kernel = _littlewood_in_subset(point)
     k1_full = rhs_main1(point)
     rhs_a = [_subset_sum(point, l, poch_main1(q), kernel) for l in range(p + 2)]
@@ -781,8 +776,9 @@ def _chain_main1(point, p):
     return results
 
 
-def _chain_cor(point, p):
+def _chain_cor(point):
     """Each displayed step reducing the Pfaffian-form identity (gamma = 1)."""
+    p = point.spin.p
     spec1 = MGammaSpec(point, Fraction(1), point.s(0))
     full = tuple(range(1, point.n + 1))
     pf_full = pfaffian_side(spec1, full)
@@ -816,20 +812,18 @@ def _chain_cor(point, p):
     return results
 
 
-def _chain_main2(point, p, gamma):
+def _chain_main2(point):
     """Steps reducing the gamma-refined identity to the key lemma via the
     gamma = 1 case."""
-    t = point.t
-    gamma = Fraction(gamma)
-    s0 = point.s(0)
+    t, gamma, s0 = point.t, point.gamma, point.s(0)
     specg = MGammaSpec(point, gamma, s0)
     spec1 = MGammaSpec(point, Fraction(1), s0)
     results = {}
     lhs_main = rhs_main2(specg)
     kernel = _pfaffian_in_subset(point, block_pfaffians(spec1))
     poch_1 = poch_uniform(t)
-    poch_g = poch_gamma(t, gamma, s0 / gamma)
-    L0 = max(p, 1)
+    poch_g = poch_gamma(t, gamma)
+    L0 = max(point.spin.p, 1)
     ratio_p = _ratio(point.u, point.spin, L0)
 
     def total(poch):
@@ -851,17 +845,16 @@ def _chain_main2(point, p, gamma):
     return results
 
 
-def check_reduction_chain(n, p, which, seed, gamma=None):
+def check_reduction_chain(n, p, which, seed):
     """Verify every displayed intermediate equation of a reduction chain as an
-    exact scalar identity at a seeded generic point."""
+    exact scalar identity at a seeded generic point with p prefix spins."""
     point = _chain_point(seed, n, p)
-    gamma = point.gamma if gamma is None else Fraction(gamma)
     if which == "main1":
-        results = _chain_main1(point, p)
+        results = _chain_main1(point)
     elif which == "cor":
-        results = _chain_cor(point, p)
+        results = _chain_cor(point)
     elif which == "main2":
-        results = _chain_main2(point, p, gamma)
+        results = _chain_main2(point)
     else:
         raise ValueError("unknown chain %r" % (which,))
     params = {"n": n, "p": p, "which": which, "seed": seed}
@@ -922,9 +915,10 @@ def _chain_point(seed, n, p):
     return sample_point(seed, n, p, pole_list=poles)
 
 
-def _interp_nodes(point, s, count):
+def _interp_nodes(point, count):
     """Deterministic interpolation nodes avoiding the denominators that the
-    conjugated matrices carry in the free variable."""
+    conjugated matrices carry in the free variable, at s the spin tail."""
+    s = point.spin.tail
     nodes = []
     k = 1
     while len(nodes) < count:
@@ -943,11 +937,11 @@ def _interp_nodes(point, s, count):
     return nodes
 
 
-def _lemma_report(name, n, seed, stride, identities, moved, npoints):
+def _lemma_report(name, n, seed, stride, identities, moved):
     """The report of a key lemma: every (witness label, sides of a point) in
-    ``identities`` at ``npoints`` seeded points, then, for n <= 2, the two
-    sides of ``moved(point, x)`` compared as polynomials in the free x."""
-    npoints = max(2 * n + 2, 10) if npoints is None else npoints
+    ``identities`` at max(2n + 2, 10) seeded points, then, for n <= 2, the
+    two sides of ``moved(point, x)`` compared as polynomials in the free x."""
+    npoints = max(2 * n + 2, 10)
     params = {"n": n, "seed": seed, "points": npoints}
     for k in range(npoints):
         point = lemma_point(seed + stride * k, n)
@@ -957,21 +951,14 @@ def _lemma_report(name, n, seed, stride, identities, moved, npoints):
                 return CheckReport(name, params, "fail", {"point_index": k, **label})
     if n <= 2:
         point = lemma_point(seed, n)
-        nodes = _interp_nodes(point, point.spin.tail, 2 * n + 4)
-        ok = polynomial_expansion_equal(
-            lambda x: moved(point, x)[0],
-            lambda x: moved(point, x)[1],
-            2 * n - 1,
-            nodes,
-            nodes[2 * n :],
-        )
-        if not ok:
+        nodes = _interp_nodes(point, 2 * n + 4)
+        if not polynomial_expansion_equal(lambda x: moved(point, x), 2 * n - 1, nodes):
             return CheckReport(name, params, "fail", {"expansion": "coefficients differ"})
         params["expansion_degree"] = 2 * n - 1
     return CheckReport(name, params, "pass")
 
 
-def check_lemma1_report(n, seed, npoints=None):
+def check_lemma1_report(n, seed):
     """The first key lemma at seeded points, and in its last variable."""
 
     def sides(pt):
@@ -980,10 +967,10 @@ def check_lemma1_report(n, seed, npoints=None):
     def moved(pt, x):
         return key_lemma1_sides((pt.u[: n - 1] + (x,))[:n], pt.q, pt.spin.tail)
 
-    return _lemma_report("lemma1", n, seed, 101, (({}, sides),), moved, npoints)
+    return _lemma_report("lemma1", n, seed, 101, (({}, sides),), moved)
 
 
-def check_lemma2_report(n, seed, npoints=None):
+def check_lemma2_report(n, seed):
     """The second key lemma and its u_1 = s companion at seeded points, and
     the lemma in its first variable."""
 
@@ -997,7 +984,7 @@ def check_lemma2_report(n, seed, npoints=None):
         return key_lemma2_sides(pt.with_u((x,) + pt.u[1:]), pt.spin.tail, pt.gamma)
 
     identities = (({"identity": "subset sum"}, sides), ({"identity": "u_1 = s"}, at_s))
-    return _lemma_report("lemma2", n, seed, 211, identities, moved, npoints)
+    return _lemma_report("lemma2", n, seed, 211, identities, moved)
 
 
 # ----------------------------------------------------------------------
@@ -1033,17 +1020,17 @@ def run_check(name, n=2, p=1, D=4, seed=7, gamma=None, cache=None):
         t, spin, sampled_gamma = series_parameters(seed, p)
         gamma = sampled_gamma if gamma is None else Fraction(gamma)
         if name == "main1":
-            rep = check_main1(n, p, spin, t, D, cache=cache)
+            rep = check_main1(n, spin, t, D, cache=cache)
         elif name == "cor":
-            rep = check_cor_main2(n, p, spin, t, D, cache=cache)
+            rep = check_cor_main2(n, spin, t, D, cache=cache)
         elif name == "main2":
-            rep = check_main2(n, p, spin, t, D, gamma, cache=cache)
+            rep = check_main2(n, spin, t, D, gamma, cache=cache)
         elif name == "rec1":
-            rep = check_rec1(n, p, spin, t, D, cache=cache)
+            rep = check_rec1(n, spin, t, D, cache=cache)
         elif name == "rec2":
-            rep = check_rec2(n, p, spin, t, D, gamma, cache=cache)
+            rep = check_rec2(n, spin, t, D, gamma, cache=cache)
         else:
-            rep = check_rec2v(n, p, spin, t, D, cache=cache)
+            rep = check_rec2v(n, spin, t, D, cache=cache)
     else:
         raise ValueError("unknown check %r" % (name,))
     rep.params["seed"] = seed

@@ -229,13 +229,23 @@ def m_gamma_entry(i, j, u, t, gamma, s, gamma_inv_s):
     )
 
 
+def s_over_gamma(s, gamma):
+    """s/gamma, and 0 at s = gamma = 0: the s = 0 then gamma = 0
+    specialization, along which s/gamma is identically 0."""
+    if gamma == 0:
+        if s != 0:
+            raise ValueError("gamma = 0 requires s = 0: s/gamma has no limit otherwise")
+        return Fraction(0)
+    return s / gamma
+
+
 @dataclass(frozen=True)
 class MGammaSpec:
     """Data defining the gamma-refined matrix: a point, gamma, and the scalar s
     standing in for the first spin value in the entries.
 
-    ``gamma_inv_s`` defaults to s/gamma; passing it explicitly supports the
-    s = 0 then gamma = 0 specialization, where s/gamma is identically 0.
+    ``gamma_inv_s`` defaults to ``s_over_gamma(s, gamma)``; passing it
+    explicitly lets s/gamma keep any value as s and gamma both go to 0.
     """
 
     point: ParamPoint
@@ -247,12 +257,7 @@ class MGammaSpec:
         object.__setattr__(self, "gamma", Fraction(self.gamma))
         object.__setattr__(self, "s", Fraction(self.s))
         if self.gamma_inv_s is None:
-            if self.gamma == 0:
-                if self.s != 0:
-                    raise ValueError("gamma = 0 requires s = 0 or an explicit gamma_inv_s")
-                object.__setattr__(self, "gamma_inv_s", Fraction(0))
-            else:
-                object.__setattr__(self, "gamma_inv_s", self.s / self.gamma)
+            object.__setattr__(self, "gamma_inv_s", s_over_gamma(self.s, self.gamma))
         else:
             object.__setattr__(self, "gamma_inv_s", Fraction(self.gamma_inv_s))
 
@@ -303,9 +308,9 @@ def littlewood_kernel(u, q):
     return out
 
 
-def rhs_main1(point, n=None):
+def rhs_main1(point):
     """Product side of the factorized Littlewood identity."""
-    return littlewood_kernel(point.u[: point.n if n is None else n], point.q)
+    return littlewood_kernel(point.u, point.q)
 
 
 def pfaffian_kernel(u, t):
@@ -340,9 +345,9 @@ def pfaffian_side(spec, T):
     return kernel_over_differences(spec.point.u, spec.point.t, T) * m_gamma(spec, T).pfaffian()
 
 
-def rhs_main2(spec, n=None):
+def rhs_main2(spec):
     """Kernel times Pfaffian on the gamma-refined identity's product side."""
-    return pfaffian_side(spec, range(1, (spec.point.n if n is None else n) + 1))
+    return pfaffian_side(spec, range(1, spec.point.n + 1))
 
 
 def cor_entry(i, j, u, t):
@@ -361,10 +366,10 @@ def cor_entry(i, j, u, t):
     )
 
 
-def rhs_cor(point, n=None):
+def rhs_cor(point):
     """Product side of the Pfaffian-form identity at gamma = 1, built from the
     explicit matrix rather than the gamma-refined entries."""
-    labels = tuple(range(1, (point.n if n is None else n) + 1))
+    labels = tuple(range(1, point.n + 1))
     out = kernel_over_differences(point.u, point.t, labels)
     mat = SkewMatrix.from_function(
         subset_labels(labels), lambda a, b: cor_entry(a, b, point.u, point.t)

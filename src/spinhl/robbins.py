@@ -61,38 +61,39 @@ class MonotoneTriangle:
             return "R"
         return "S"
 
-    def row_stats(self, r):
-        """Counts (l, r, s) of left-leaning, right-leaning, special entries in row r."""
-        above, below = self.rows[r], self.rows[r + 1]
-        lcnt = sum(1 for j, v in enumerate(above) if v == below[j])
-        rcnt = sum(1 for j, v in enumerate(above) if v == below[j + 1])
-        return lcnt, rcnt, r + 1 - lcnt - rcnt
+
+def _row_key(i, above, row):
+    """(r, l, s, d) of row i (0-based, i + 1 entries) under the row ``above``:
+    the counts of right-leaning, left-leaning and special entries of
+    ``above``, and d the row-sum increment corrected by the leaning counts."""
+    lcnt = sum(1 for a, b in zip(above, row) if a == b)
+    rcnt = sum(1 for a, b in zip(above, row[1:]) if a == b)
+    return rcnt, lcnt, i - lcnt - rcnt, sum(row) - sum(above) + rcnt - lcnt
+
+
+def _row_factor(x, u, v, w, i, key):
+    """u^r v^l (w + u x_i + v/x_i)^s x_i^d for the ``_row_key`` (r, l, s, d)
+    of row i (0-based)."""
+    rcnt, lcnt, scnt, d = key
+    xi = x[i]
+    if xi == 0 and (d < 0 or scnt):
+        raise PoleError("x_%d (negative exponent)" % (i + 1))
+    val = u**rcnt * v**lcnt * xi**d
+    return val * (w + u * xi + v / xi) ** scnt if scnt else val
 
 
 def mt_weight(M, x, u, v, w):
-    """Polynomial weight of a monotone triangle: row i contributes
-    u^{r_{i-1}} v^{l_{i-1}} (w + u x_i + v/x_i)^{s_{i-1}} x_i^{d_i} with
-    d_i the row-sum increment corrected by the leaning counts."""
+    """Polynomial weight of a monotone triangle: the product over its rows,
+    top first, of ``_row_factor``."""
     x = tuple(Fraction(val) for val in x)
     u, v, w = Fraction(u), Fraction(v), Fraction(w)
-    n = M.n
-    if len(x) != n:
+    if len(x) != M.n:
         raise ValueError("need one variable per row")
     out = Fraction(1)
-    prev_sum = 0
-    for i in range(1, n + 1):
-        if i == 1:
-            lcnt = rcnt = scnt = 0
-        else:
-            lcnt, rcnt, scnt = M.row_stats(i - 2)
-        d = sum(M.rows[i - 1]) - prev_sum + rcnt - lcnt
-        prev_sum = sum(M.rows[i - 1])
-        if x[i - 1] == 0 and (d < 0 or scnt):
-            raise PoleError("x_%d (negative exponent)" % i)
-        out *= u**rcnt * v**lcnt
-        if scnt:
-            out *= (w + u * x[i - 1] + v / x[i - 1]) ** scnt
-        out *= x[i - 1] ** d
+    above = ()
+    for i, row in enumerate(M.rows):
+        out *= _row_factor(x, u, v, w, i, _row_key(i, above, row))
+        above = row
     return out
 
 
@@ -233,29 +234,15 @@ def robbins_star_enum(k, x, u, v, w):
     down-arrowed monotone triangles with bottom row k.  Decorations factor per
     entry, so each triangle contributes its polynomial weight ``mt_weight``.
 
-    That weight is the product over rows i of u^r v^l (w + u x_i + v/x_i)^s
-    x_i^d, where (r, l, s, d) depend only on row i and the row above it, so
-    the sum is the ``interlacing_sum`` over strictly increasing rows."""
+    That weight is the product over rows of ``_row_factor``, whose key
+    depends only on the row and the row above it, so the sum is the
+    ``interlacing_sum`` over strictly increasing rows."""
     k = _strict_bottom(k)
     x = tuple(Fraction(val) for val in x)
     u, v, w = Fraction(u), Fraction(v), Fraction(w)
     if len(x) != len(k):
         raise ValueError("need one variable per row")
-
-    def row_key(i, above, row):
-        lcnt = sum(1 for a, b in zip(above, row) if a == b)
-        rcnt = sum(1 for a, b in zip(above, row[1:]) if a == b)
-        return rcnt, lcnt, i - lcnt - rcnt, sum(row) - sum(above) + rcnt - lcnt
-
-    def entry(i, key):
-        rcnt, lcnt, scnt, d = key
-        xi = x[i]
-        if xi == 0 and (d < 0 or scnt):
-            raise PoleError("x_%d (negative exponent)" % (i + 1))
-        val = u**rcnt * v**lcnt * xi**d
-        return val * (w + u * xi + v / xi) ** scnt if scnt else val
-
-    return interlacing_sum(k, True, row_key, entry)
+    return interlacing_sum(k, True, _row_key, lambda i, key: _row_factor(x, u, v, w, i, key))
 
 
 def robbins_star_bialternant(k, x, u, v, w):

@@ -105,15 +105,15 @@ def _pole_at(exc, ordering):
     return PoleError("%s at ordering (%s)" % (what, ", ".join(rat_str(v) for v in ordering)))
 
 
-def _check_cap(n, what, cap=SYMMETRIZE_CAP):
-    if n > cap:
-        raise ValueError("%s over %d! orderings exceeds cap %d" % (what, n, cap))
+def _check_cap(n, what):
+    if n > SYMMETRIZE_CAP:
+        raise ValueError("%s over %d! orderings exceeds cap %d" % (what, n, SYMMETRIZE_CAP))
 
 
-def symmetrize(g, u, cap=SYMMETRIZE_CAP):
+def symmetrize(g, u):
     """Sum of g over all orderings of the argument list u."""
     u = tuple(u)
-    _check_cap(len(u), "symmetrization", cap)
+    _check_cap(len(u), "symmetrization")
     total = Fraction(0)
     for ordering in permutations(u):
         try:
@@ -123,10 +123,10 @@ def symmetrize(g, u, cap=SYMMETRIZE_CAP):
     return total
 
 
-def antisymmetrize(g, u, cap=SYMMETRIZE_CAP):
+def antisymmetrize(g, u):
     """Signed sum of g over all orderings of the argument list u."""
     u = tuple(u)
-    _check_cap(len(u), "antisymmetrization", cap)
+    _check_cap(len(u), "antisymmetrization")
     total = Fraction(0)
     for perm in permutations(range(len(u))):
         ordering = tuple(u[i] for i in perm)

@@ -205,11 +205,10 @@ def row_transfer(rows, spin, q, one, room, budget):
     return states
 
 
-def f_lambda_vertex(lam, point, max_col=None):
+def f_lambda_vertex(lam, point):
     """F_lambda as the weighted sum over path ensembles, by a row-by-row
     transfer sum over occupancy states.  Columns beyond the largest part only
-    hold empty weight-1 vertices, so the transfer stops at the largest part;
-    ``max_col`` is only checked to cover it.
+    hold empty weight-1 vertices, so the transfer stops at the largest part.
 
     Each row memoizes its local weights.  The number of paths in the columns
     >= c never decreases from row to row, so a state holding more of them
@@ -232,8 +231,6 @@ def f_lambda_vertex(lam, point, max_col=None):
         return Fraction(1)
     if len(point.u) != n:
         raise ValueError("partition length mismatch")
-    if max_col is not None and max_col < lam[0]:
-        raise ValueError("max_col must be at least the largest part")
     top = [0] * (lam[0] + 1)
     for part in lam:
         top[part] += 1

@@ -106,7 +106,7 @@ def test_criterion_03_product_form_identity(series_cache):
     for seed in SEEDS:
         for n, p, D in GRID:
             t, spin, _ = series_parameters(seed, p)
-            rep = check_main1(n, p, spin, t, D, cache=series_cache)
+            rep = check_main1(n, spin, t, D, cache=series_cache)
             assert rep.passed, rep.to_dict()
     report(3, "product-form identity, stabilized series", started)
 
@@ -116,10 +116,10 @@ def test_criterion_04_pfaffian_form_identities(series_cache):
     for seed in SEEDS:
         for n, p, D in GRID:
             t, spin, gamma = series_parameters(seed, p)
-            rep = check_cor_main2(n, p, spin, t, D, cache=series_cache)
+            rep = check_cor_main2(n, spin, t, D, cache=series_cache)
             assert rep.passed, rep.to_dict()
             for g in (gamma, F(9, 4)):
-                rep = check_main2(n, p, spin, t, D, g, cache=series_cache)
+                rep = check_main2(n, spin, t, D, g, cache=series_cache)
                 assert rep.passed, rep.to_dict()
     # the two Pfaffian product-side builders agree at gamma = 1
     for seed in (11, 12, 13):
@@ -137,7 +137,7 @@ def test_criterion_04_pfaffian_form_identities(series_cache):
                     )
                 ],
             )
-            assert rhs_main2(MGammaSpec(pt, F(1), pt.s(0)), n) == rhs_cor(pt, n)
+            assert rhs_main2(MGammaSpec(pt, F(1), pt.s(0))) == rhs_cor(pt)
     report(4, "Pfaffian-form identities, two gammas plus builder agreement", started)
 
 
@@ -162,9 +162,9 @@ def test_criterion_06_recurrences(series_cache):
                 assert f_lambda_recurrence_rhs(lam, pt) == f_lambda(lam, pt), (n, lam)
     t, spin, gamma = series_parameters(7, 1)
     for n, D in ((1, 4), (2, 4), (3, 4), (4, 2)):
-        assert check_rec1(n, 1, spin, t, D, cache=series_cache).passed
-        assert check_rec2(n, 1, spin, t, D, gamma, cache=series_cache).passed
-        assert check_rec2v(n, 1, spin, t, D, cache=series_cache).passed
+        assert check_rec1(n, spin, t, D, cache=series_cache).passed
+        assert check_rec2(n, spin, t, D, gamma, cache=series_cache).passed
+        assert check_rec2v(n, spin, t, D, cache=series_cache).passed
     report(6, "length recurrence and the three sum recurrences", started)
 
 

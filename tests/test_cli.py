@@ -228,12 +228,14 @@ def test_chain_equation_names_are_pinned(which):
     assert rep.witness == {"equations": CHAIN_EQUATIONS[which]}
 
 
-def test_verify_rec2_at_gamma_zero_exits_two(capsys):
-    code = main(["verify", "rec2", "--gamma", "0"])
+@pytest.mark.parametrize("which", ["main2", "rec2"])
+def test_verify_rec2_at_gamma_zero_exits_two(capsys, which):
+    code = main(["verify", which, "--gamma", "0"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert_one_clean_error_line(captured.err)
+    assert captured.err == "error: %s needs gamma != 0: its weights divide s_0 by gamma\n" % which
 
 
 def assert_one_clean_error_line(err):

@@ -57,7 +57,7 @@ def test_weights_trivial_partition():
     main1 = _weight(poch_main1(q), lam, spin, q)
     assert main1 == (1 + spin.lookup(0)) * (1 + spin.lookup(0) * q) / ((1 - q) * (1 - q * q))
     # at gamma = 1 the refined weight collapses to the plain one
-    refined = _weight(poch_gamma(t, F(1), spin.lookup(0)), lam, spin, q)
+    refined = _weight(poch_gamma(t, F(1)), lam, spin, q)
     assert refined == _weight(poch_uniform(t), lam, spin, q)
 
 
@@ -77,8 +77,8 @@ def test_family_weights_match_the_explicit_formulas():
     def main1(r, m):
         return qpoch(-spin.lookup(r), q, m) / qpoch(q, q, m)
 
-    def cor(r, m):
-        return qpoch(-spin.lookup(r), t, m) / qpoch(t, t, m)
+    def cor(r, m, sp=spin):
+        return qpoch(-sp.lookup(r), t, m) / qpoch(t, t, m)
 
     def refined(g, g_inv_s0):
         return lambda m: qpoch(-g * t, t, m) / qpoch(q, q, m) * qpoch(-g_inv_s0, t, m)
@@ -87,14 +87,16 @@ def test_family_weights_match_the_explicit_formulas():
         return qpoch(-t, t, m) / qpoch(q, q, m)
 
     zero = SpinParams.constant(F(0))
+    # gamma = 0 needs s_0 = 0, the Kawanaka limit
+    s0_zero = SpinParams((F(0),) + spin.prefix[1:], spin.tail)
     for n in range(1, 5):
         for lam in bounded_partitions(n, 4):
             assert _weight(poch_main1(q), lam, spin, q) == explicit(lam, lambda m: main1(0, m), main1), lam
             assert _weight(poch_uniform(t), lam, spin, q) == explicit(lam, lambda m: cor(0, m), cor), lam
-            weight = _weight(poch_gamma(t, gamma, gis0), lam, spin, q)
+            weight = _weight(poch_gamma(t, gamma), lam, spin, q)
             assert weight == explicit(lam, refined(gamma, gis0), cor), lam
-            kawanaka = _weight(poch_gamma(t, F(0), F(0)), lam, spin, q)
-            assert kawanaka == explicit(lam, refined(F(0), F(0)), cor), lam
+            kawanaka = _weight(poch_gamma(t, F(0)), lam, s0_zero, q)
+            assert kawanaka == explicit(lam, refined(F(0), F(0)), lambda r, m: cor(r, m, s0_zero)), lam
             # the Hall-Littlewood routes of hl and kawanaka, at zero spin
             assert _weight(poch_hl(t), lam, zero, q) == explicit(lam, lambda m: hl(0, m), hl), lam
             hl_above = explicit(lam, lambda m: 1 / qpoch(q, q, m), hl)
@@ -139,7 +141,7 @@ def test_transfer_sum_matches_symmetrizer_sum(seed):
         t, spin, gamma = series_parameters(seed, p)
         for n, cap in ((2, 3), (3, 2)):
             for sp, var_indices in ((spin, tuple(range(n))), (spin.shift(1), tuple(range(1, n)))):
-                for poch in (poch_main1(t * t), poch_gamma(t, gamma, sp.lookup(0) / gamma)):
+                for poch in (poch_main1(t * t), poch_gamma(t, gamma)):
                     cases.append((n, sp, t, cap, poch, var_indices))
     t, _, _ = series_parameters(seed, 0)
     zero = SpinParams.constant(F(0))
@@ -294,13 +296,13 @@ def test_recurrences_read_the_top_coefficient_of_each_reduced_h(monkeypatch):
 
 def test_main1_degenerate_cases():
     t, spin, _ = series_parameters(3, 1)
-    assert check_main1(0, 1, spin, t, 4).passed
-    assert check_main1(1, 1, spin, t, 5).passed
+    assert check_main1(0, spin, t, 4).passed
+    assert check_main1(1, spin, t, 5).passed
 
 
 def test_main1_small():
     t, spin, _ = series_parameters(5, 1)
-    rep = check_main1(2, 1, spin, t, 4)
+    rep = check_main1(2, spin, t, 4)
     assert rep.passed
     assert rep.to_dict()["status"] == "pass"
 
@@ -308,21 +310,42 @@ def test_main1_small():
 def test_cor_and_main2_small():
     cache = {}
     t, spin, gamma = series_parameters(7, 1)
-    assert check_cor_main2(2, 1, spin, t, 4, cache=cache).passed
-    assert check_main2(2, 1, spin, t, 4, gamma, cache=cache).passed
-    assert check_main2(2, 1, spin, t, 4, F(1), cache=cache).passed
+    assert check_cor_main2(2, spin, t, 4, cache=cache).passed
+    assert check_main2(2, spin, t, 4, gamma, cache=cache).passed
+    assert check_main2(2, spin, t, 4, F(1), cache=cache).passed
 
 
 def test_main2_rejects_gamma_zero_without_limit_data():
     t, spin, _ = series_parameters(7, 1)
-    with pytest.raises(ValueError):
-        check_main2(1, 1, spin, t, 3, F(0))
+    with pytest.raises(ValueError, match="gamma != 0"):
+        check_main2(1, spin, t, 3, F(0))
+
+
+def test_poch_gamma_reads_s0_from_the_spin():
+    t = F(2, 5)
+    kawanaka = poch_gamma(t, F(0))
+    with pytest.raises(ValueError, match="gamma = 0 requires s = 0"):
+        kawanaka(SpinParams((F(1, 3),), F(1, 7)), 0, 2)
+    # at s_0 = 0 both factors of r = 0 are (0; t)_m = 1
+    s0_zero = SpinParams((F(0), F(1, 3)), F(1, 7))
+    assert [kawanaka(s0_zero, 0, m) for m in range(4)] == [1, 1, 1, 1]
+    spin = SpinParams((F(3, 4),), F(1, 7))
+    assert poch_gamma(t, F(3, 2))(spin, 0, 2) == qpoch(-F(3, 2) * t, t, 2) * qpoch(-F(1, 2), t, 2)
+
+
+@pytest.mark.parametrize("prefix", [(), (F(1, 5),), (F(1, 5), F(2, 7))])
+def test_series_reports_take_p_from_the_spin(prefix):
+    spin = SpinParams(prefix, F(1, 3))
+    t = F(1, 2)
+    for check in (check_main1, check_rec1):
+        rep = check(2, spin, t, 1)
+        assert rep.passed and rep.params["p"] == len(prefix), check
 
 
 def test_rec2_rejects_gamma_zero():
     t, spin, _ = series_parameters(7, 1)
     with pytest.raises(ValueError, match="gamma != 0"):
-        check_rec2(1, 1, spin, t, 3, F(0))
+        check_rec2(1, spin, t, 3, F(0))
 
 
 def test_chain_ratio_pole_keeps_its_name():
@@ -335,7 +358,7 @@ def test_chain_ratio_pole_keeps_its_name():
 def test_series_vertex_pole_names_its_factor():
     # s_0 u = 1 at x = 0: the column-0 denominator 1 - s_0 u has no constant term
     with pytest.raises(PoleError, match=r"1 - s\*u"):
-        check_main1(2, 1, SpinParams((F(3),), F(1, 3)), F(1, 2), 2)
+        check_main1(2, SpinParams((F(3),), F(1, 3)), F(1, 2), 2)
 
 
 def test_hl_and_kawanaka_small():
@@ -349,16 +372,16 @@ def test_smoke_bounded_specialization():
     # tail spin -1/q stays well defined and internally consistent
     t = F(2, 5)
     spin = SpinParams((), -1 / (t * t))
-    assert check_main1(2, 0, spin, t, 3).passed
+    assert check_main1(2, spin, t, 3).passed
 
 
 def test_recurrences_small():
     cache = {}
     t, spin, gamma = series_parameters(13, 1)
-    assert check_rec1(2, 1, spin, t, 3, cache=cache).passed
-    assert check_rec2v(2, 1, spin, t, 3, cache=cache).passed
-    assert check_rec2(2, 1, spin, t, 3, gamma, cache=cache).passed
-    assert check_rec1(1, 1, spin, t, 4, cache=cache).passed
+    assert check_rec1(2, spin, t, 3, cache=cache).passed
+    assert check_rec2v(2, spin, t, 3, cache=cache).passed
+    assert check_rec2(2, spin, t, 3, gamma, cache=cache).passed
+    assert check_rec1(1, spin, t, 4, cache=cache).passed
 
 
 def test_key_lemma1_length_one_is_exact_identity():
@@ -450,8 +473,8 @@ def test_rec2_at_gamma_one_reduces_to_rec2v():
     # gamma = 1 collapses the refined recurrence onto the plain one termwise
     cache = {}
     t, spin, _ = series_parameters(17, 1)
-    assert check_rec2(2, 1, spin, t, 3, F(1), cache=cache).passed
-    assert check_rec2v(2, 1, spin, t, 3, cache=cache).passed
+    assert check_rec2(2, spin, t, 3, F(1), cache=cache).passed
+    assert check_rec2v(2, spin, t, 3, cache=cache).passed
 
 
 def test_recurrences_with_empty_prefix():
@@ -459,17 +482,35 @@ def test_recurrences_with_empty_prefix():
     # the plain recurrences, a single gamma term for the refined one)
     cache = {}
     t, spin, gamma = series_parameters(19, 0)
-    assert check_rec1(2, 0, spin, t, 3, cache=cache).passed
-    assert check_rec2v(2, 0, spin, t, 3, cache=cache).passed
-    assert check_rec2(2, 0, spin, t, 3, gamma, cache=cache).passed
+    assert check_rec1(2, spin, t, 3, cache=cache).passed
+    assert check_rec2v(2, spin, t, 3, cache=cache).passed
+    assert check_rec2(2, spin, t, 3, gamma, cache=cache).passed
 
 
 def test_polynomial_expansion_helper():
     nodes = [F(k, 3) for k in range(1, 9)]
     f = lambda x: 2 * x * x + x - 3
     g = lambda x: (2 * x - 1) * x + 2 * x - 3
-    assert polynomial_expansion_equal(f, g, 2, nodes, nodes[5:])
-    assert not polynomial_expansion_equal(f, lambda x: f(x) + 1, 2, nodes, nodes[5:])
+    assert polynomial_expansion_equal(lambda x: (f(x), g(x)), 2, nodes)
+    assert not polynomial_expansion_equal(lambda x: (f(x), f(x) + 1), 2, nodes)
+    # past the first three nodes a cubic term breaks the degree bound
+    assert not polynomial_expansion_equal(lambda x: (f(x) + x**3, g(x) + x**3), 2, nodes)
+
+
+@pytest.mark.parametrize("n, calls", [(1, 16), (2, 18)])
+@pytest.mark.parametrize("check, side", [("lemma1", "key_lemma1_sides"), ("lemma2", "key_lemma2_sides")])
+def test_lemma_reports_evaluate_each_node_once(monkeypatch, check, side, n, calls):
+    # ten sampled points, then one call per interpolation node (2n + 4)
+    seen = []
+    sides = getattr(spinhl.identities, side)
+
+    def counting(*args, **kwargs):
+        seen.append(None)
+        return sides(*args, **kwargs)
+
+    monkeypatch.setattr(spinhl.identities, side, counting)
+    assert run_check(check, n=n, seed=29).passed
+    assert len(seen) == calls
 
 
 def test_reduction_chains():

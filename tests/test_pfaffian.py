@@ -262,4 +262,4 @@ def test_rhs_main2_at_gamma_one_matches_direct_builder():
         for n in (1, 2, 3, 4):
             pt = sample_point(seed, n, p=1, pole_list=kernel_pole_list(n))
             spec = MGammaSpec(pt, F(1), pt.s(0))
-            assert rhs_main2(spec, n) == rhs_cor(pt, n)
+            assert rhs_main2(spec) == rhs_cor(pt)

@@ -321,7 +321,7 @@ def test_vertex_prune_past_the_largest_part(seed, monkeypatch):
             wide = lam[0] + 2
             seen.clear()
             expect = sum(ensemble_weight(e, point) for e in enumerate_ensembles(lam, max_col=wide))
-            assert f_lambda_vertex(lam, point, max_col=wide) == expect, lam
+            assert f_lambda_vertex(lam, point) == expect, lam
             # no transfer state holds more paths in the columns >= c than lambda
             room = [sum(1 for part in lam if part >= c) for c in range(wide + 1)]
             for state in seen:

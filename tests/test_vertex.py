@@ -58,13 +58,6 @@ def test_oracle_agreement_small_grid():
         assert f_lambda_vertex(lam, pt) == f_lambda(lam, pt), lam
 
 
-def test_max_col_must_cover_largest_part():
-    pt = sample_point(1, 2, p=0, pole_list=spin_pole_list(3))
-    with pytest.raises(ValueError):
-        f_lambda_vertex((3, 1), pt, max_col=2)
-    assert f_lambda_vertex((3, 1), pt, max_col=5) == f_lambda_vertex((3, 1), pt)
-
-
 def test_enumeration_matches_transfer_sum():
     pt = sample_point(12, 3, p=1, pole_list=spin_pole_list(4))
     for lam in [(2, 1, 0), (3, 1, 1), (2, 2, 2)]:
@@ -111,13 +104,13 @@ def test_pole_in_a_reachable_column_raises():
 
 def test_pole_past_the_largest_part_is_no_pole():
     # columns past the largest part hold only empty vertices, so a pole
-    # there leaves the sum finite, with or without max_col covering it
+    # there leaves the sum finite; the enumeration runs through that column
     spin = SpinParams((F(2, 7), F(3, 5)), F(3, 11))
     pt = ParamPoint(F(2, 5), F(1), spin, (F(2, 9), F(5, 3)))  # s_1 u_2 = 1
     lam = (0, 0)
     expected = sum(ensemble_weight(e, pt) for e in enumerate_ensembles(lam, max_col=2))
     assert expected != 0
-    assert f_lambda_vertex(lam, pt) == f_lambda_vertex(lam, pt, max_col=2) == expected
+    assert f_lambda_vertex(lam, pt) == expected
 
 
 def admissible_configurations(n):
