@@ -178,7 +178,7 @@ def _cmd_verify(args):
     if args.gamma is not None and args.what not in _GAMMA_CHECKS:
         only = " and ".join(_GAMMA_CHECKS)
         raise ValueError("--gamma applies to verify %s only, not to %s" % (only, args.what))
-    gamma = rat(args.gamma) if args.gamma else None
+    gamma = rat(args.gamma) if args.gamma is not None else None
     if args.what == "all":
         reports = run_all(n=args.n, p=args.p, D=args.D, seed=seed)
     else:

@@ -19,8 +19,11 @@ vertex model on series, whose final states are the multiplicity rows
 The transfer is ``vertex.row_transfer``, the same one that computes the
 scalar ``f_lambda_vertex``: this module only builds its rows (one spectral
 series per variable) and weights each final state through the family's
-Pochhammer factor.  Every series check additionally extends the budget by one
-and confirms that no coefficient moves (the stabilization check).
+Pochhammer factor.  On series the transfer sums every target state's
+predecessors, and this module sums the weighted final states, each in one
+fused ``series.ProductSum`` on packed integer keys, reduced once.
+Every series check additionally extends the budget by one and confirms that
+no coefficient moves (the stabilization check).
 
 The recurrences are checked after clearing denominators by the Vandermonde
 polynomial V, so each weighted sum H over a variable subset T is read only to
@@ -197,7 +200,8 @@ def _lhs_sum(n, spin, t, cap, poch, budget, cache, var_indices=None):
     every family and kept in ``cache`` at the largest budget requested so far.
     Each factor poch(spin, r, m) / (q; q)_m is kept there too, per family and
     spin and by (r, m), so the sums at budgets B and B+1 and over variable
-    subsets evaluate it once."""
+    subsets evaluate it once.  The weighted states are added in one
+    ``ProductSum``."""
     var_indices = tuple(range(n)) if var_indices is None else tuple(var_indices)
     key = ("transfer", var_indices, n, spin.prefix, spin.tail, t, cap)
     got = cache.get(key)
@@ -205,7 +209,8 @@ def _lhs_sum(n, spin, t, cap, poch, budget, cache, var_indices=None):
         got = cache[key] = (budget, _transfer_sweep(n, spin, t, cap, budget, var_indices, cache))
     factors = cache.setdefault(("poch factors", poch, spin, t), {})
     q = t * t
-    total = TruncSeries.zero(n, cap)
+    one = TruncSeries.const(n, cap, 1)
+    total = one.product_sum()
     for state, series in got[1].items():
         if sum(m * max(r - spin.p, 0) for r, m in enumerate(state)) > budget:
             continue
@@ -217,8 +222,8 @@ def _lhs_sum(n, spin, t, cap, poch, budget, cache, var_indices=None):
                     f = factors[r, m] = poch(spin, r, m) / qpoch(q, q, m)
                 w *= f
         if w:
-            total = total + w * series
-    return total
+            total.add(w, series, one)
+    return total.series()
 
 
 def _rhs_main1_series(n, s, t, cap):

@@ -1,6 +1,14 @@
 """Truncated multivariate power series over exact rationals, the substitution
 u_i = (s + x_i)/(1 + s x_i), and F_lambda as a truncated series.
 
+A series keys each term by one packed integer: the exponents written as
+digits in base cap + 1 under a top digit holding the total degree (see
+``TruncSeries``).  Multiplying monomials adds their keys, and truncation is
+one compare, so the ring operations never build exponent tuples; tuples
+appear only where a series is read out (``coeffs``, ``coefficient``,
+``items_sorted``, ``to_json``, ``series_diff``), built from a mapping, or
+divided by the Vandermonde polynomial.
+
 Inside the symmetrizer the pairwise differences u_i - u_j vanish at x = 0, so
 permutation terms are not individually power series.  Each difference factors
 as (x_i - x_j) times a unit, so the implementation antisymmetrizes the
@@ -11,25 +19,70 @@ prod_{i<j} (x_i - x_j), and multiplies back the inverted unit cofactor.
 from fractions import Fraction
 from itertools import permutations
 from math import gcd, lcm
-from operator import add
 
 from .arith import PoleError, invert, perm_sign
 from .symfun import _check_cap, as_parts
+
+
+def _pack(exps, base):
+    """The key of a monomial: the total degree, then each exponent, as the
+    digits of one integer in ``base`` (most significant first)."""
+    key = sum(exps)
+    for e in exps:
+        key = key * base + e
+    return key
+
+
+def _unpack(key, base, nvars):
+    """The exponent tuple of a key (the inverse of ``_pack``)."""
+    exps = [0] * nvars
+    for i in range(nvars - 1, -1, -1):
+        key, exps[i] = divmod(key, base)
+    return tuple(exps)
+
+
+def _repack(num, nvars, old_cap, cap, order=None):
+    """``num`` moved from the keys of ``old_cap`` to those of ``cap``,
+    dropping the terms past ``cap``, with x_i renamed x_{order[i]} when
+    ``order`` is given: each digit of an old key is read off and added back
+    at the place value of its new position."""
+    base, new = old_cap + 1, cap + 1
+    order = range(nvars) if order is None else order
+    # the new place value of each old exponent digit, lowest digit first
+    place = [new ** (nvars - 1 - order[i]) for i in reversed(range(nvars))]
+    top = new**nvars
+    out = {}
+    for k, v in num.items():
+        key = 0
+        for value in place:
+            k, e = divmod(k, base)
+            key += e * value
+        # k is now the total degree
+        if k <= cap:
+            out[key + k * top] = v
+    return out
 
 
 class TruncSeries:
     """Power series in nvars variables truncated beyond total degree ``cap``.
 
     A series is stored as one positive integer denominator ``den`` and a dict
-    ``num`` from exponent tuples to nonzero integer numerators; absent keys
-    are zero.  The pair is kept in lowest terms (gcd of ``den`` and every
-    numerator is 1), so equal series have equal ``den``, ``num`` and hash.
-    ``coeffs`` reads the same series as an exponents -> Fraction mapping.
+    ``num`` from packed keys to nonzero integer numerators; absent keys are
+    zero.  The key of x^e is the integer with digits (|e|, e_0, ...,
+    e_{nvars-1}) in base cap + 1, most significant first, so keys sort in
+    graded lexicographic order, the key of a product of two monomials is the
+    sum of their keys, and a product lies within the cap exactly when that
+    sum is below (cap + 1)^(nvars + 1): up to the cap no digit carries, and
+    past it the top digit alone reaches the bound.  The pair is kept in
+    lowest terms (gcd of ``den`` and every numerator is 1), so equal series
+    have equal ``den``, ``num`` and hash.  ``coeffs`` reads the same series
+    as an exponent tuples -> Fraction mapping.
 
     Ring operations work on the integers and reduce once per result: a
-    product buckets its right operand by total degree and skips every bucket
-    past the cap, a sum brings both operands to the lcm of the denominators,
-    and ``inv`` solves N * Q = 1 degree by degree (see there).  Ring
+    product runs over its right operand in key order and stops at the cap, a
+    sum brings both operands to the lcm of the denominators, and ``inv``
+    solves N * Q = 1 degree by degree (see there).  ``ProductSum`` adds
+    many products c * a * w on one integer dict and reduces once.  Ring
     operations truncate consistently, so coefficients up to the cap only ever
     depend on inputs up to the cap.
     """
@@ -38,28 +91,29 @@ class TruncSeries:
 
     def __init__(self, nvars, cap, coeffs=None):
         fracs = {}
+        base = cap + 1
         if coeffs:
             for exps, c in coeffs.items():
                 c = Fraction(c)
                 if c and sum(exps) <= cap:
-                    fracs[tuple(exps)] = c
+                    fracs[_pack(exps, base)] = c
         # over the lcm of reduced denominators the numerators share no factor
         # with it, so the pair is already in lowest terms
         den = lcm(*(c.denominator for c in fracs.values()))
         self.nvars = nvars
         self.cap = cap
         self.den = den
-        self.num = {e: c.numerator * (den // c.denominator) for e, c in fracs.items()}
+        self.num = {k: c.numerator * (den // c.denominator) for k, c in fracs.items()}
 
     @classmethod
     def _reduced(cls, nvars, cap, den, num):
-        """Series num/den from nonzero integer numerators and a positive
-        denominator, reduced to lowest terms."""
+        """Series num/den from nonzero integer numerators under packed keys
+        and a positive denominator, reduced to lowest terms."""
         if den != 1:
             g = gcd(den, *num.values())
             if g != 1:
                 den //= g
-                num = {e: v // g for e, v in num.items()}
+                num = {k: v // g for k, v in num.items()}
         out = cls.__new__(cls)
         out.nvars = nvars
         out.cap = cap
@@ -69,11 +123,12 @@ class TruncSeries:
 
     @classmethod
     def const(cls, nvars, cap, value):
-        return cls(nvars, cap, {(0,) * nvars: Fraction(value)})
+        c = Fraction(value)
+        return cls._reduced(nvars, cap, c.denominator, {0: c.numerator} if c else {})
 
     @classmethod
     def zero(cls, nvars, cap):
-        return cls(nvars, cap)
+        return cls._reduced(nvars, cap, 1, {})
 
     @classmethod
     def variable(cls, nvars, cap, i):
@@ -81,54 +136,53 @@ class TruncSeries:
         exps[i] = 1
         return cls(nvars, cap, {tuple(exps): Fraction(1)})
 
+    def product_sum(self):
+        """An empty ``ProductSum`` of this series' shape."""
+        return ProductSum(self.nvars, self.cap)
+
+    def _key(self, exps):
+        return _pack(exps, self.cap + 1)
+
+    def _exps(self, key):
+        return _unpack(key, self.cap + 1, self.nvars)
+
     @property
     def coeffs(self):
-        den = self.den
-        return {e: Fraction(v, den) for e, v in self.num.items()}
+        den, base, nvars = self.den, self.cap + 1, self.nvars
+        return {_unpack(k, base, nvars): Fraction(v, den) for k, v in self.num.items()}
 
     def truncate(self, cap):
         if cap > self.cap:
             raise ValueError("cannot extend a truncated series")
-        num = {e: v for e, v in self.num.items() if sum(e) <= cap}
+        num = _repack(self.num, self.nvars, self.cap, cap)
         return TruncSeries._reduced(self.nvars, cap, self.den, num)
 
     def relabeled(self, order, cap):
         """The series with x_i renamed x_{order[i]} (``order`` a permutation
         of the variables), read at ``cap >= self.cap`` with every coefficient
         past ``self.cap`` zero.  Numerators and denominator are kept as they
-        are."""
+        are; only the keys are rewritten, in the base of ``cap``."""
         if cap < self.cap:
             raise ValueError("cannot truncate while relabeling")
-        back = [0] * self.nvars
-        for i, j in enumerate(order):
-            back[j] = i
-        num = {tuple([e[i] for i in back]): v for e, v in self.num.items()}
+        num = _repack(self.num, self.nvars, self.cap, cap, order)
         return TruncSeries._reduced(self.nvars, cap, self.den, num)
 
     def coefficient(self, exps):
-        return Fraction(self.num.get(tuple(exps), 0), self.den)
+        # past the cap a key is at least (cap + 1)^(nvars + 1), so it is absent
+        return Fraction(self.num.get(self._key(exps), 0), self.den)
 
     @property
     def constant_term(self):
-        return Fraction(self.num.get((0,) * self.nvars, 0), self.den)
+        return Fraction(self.num.get(0, 0), self.den)
 
     def __bool__(self):
         return bool(self.num)
 
     def order(self):
         """Smallest total degree with a nonzero coefficient (None if zero)."""
-        return min((sum(e) for e in self.num), default=None)
-
-    def _graded(self):
-        """Terms sorted by total degree, and for each degree d <= cap the
-        number of terms of degree at most d."""
-        items = sorted(self.num.items(), key=lambda item: sum(item[0]))
-        ends = [0] * (self.cap + 1)
-        for e, _ in items:
-            ends[sum(e)] += 1
-        for d in range(1, self.cap + 1):
-            ends[d] += ends[d - 1]
-        return items, ends
+        if not self.num:
+            return None
+        return min(self.num) // (self.cap + 1) ** self.nvars
 
     def _coerce(self, other):
         if isinstance(other, TruncSeries):
@@ -154,7 +208,7 @@ class TruncSeries:
 
     def __neg__(self):
         return TruncSeries._reduced(
-            self.nvars, self.cap, self.den, {e: -v for e, v in self.num.items()}
+            self.nvars, self.cap, self.den, {k: -v for k, v in self.num.items()}
         )
 
     def __add__(self, other):
@@ -162,11 +216,11 @@ class TruncSeries:
         d1, d2 = self.den, other.den
         g = gcd(d1, d2)
         m1, m2 = d2 // g, d1 // g
-        out = {e: v * m1 for e, v in self.num.items()} if m1 != 1 else dict(self.num)
+        out = {k: v * m1 for k, v in self.num.items()} if m1 != 1 else dict(self.num)
         get = out.get
-        for e, v in other.num.items():
-            out[e] = get(e, 0) + v * m2
-        num = {e: v for e, v in out.items() if v}
+        for k, v in other.num.items():
+            out[k] = get(k, 0) + v * m2
+        num = {k: v for k, v in out.items() if v}
         return TruncSeries._reduced(self.nvars, self.cap, d1 * m1, num)
 
     __radd__ = __add__
@@ -183,19 +237,21 @@ class TruncSeries:
             if not c:
                 return TruncSeries.zero(self.nvars, self.cap)
             a, b = c.numerator, c.denominator
-            num = {e: v * a for e, v in self.num.items()}
+            num = {k: v * a for k, v in self.num.items()}
             return TruncSeries._reduced(self.nvars, self.cap, self.den * b, num)
         other = self._coerce(other)
-        cap = self.cap
-        items, ends = other._graded()
+        limit = (self.cap + 1) ** (self.nvars + 1)
+        items = sorted(other.num.items())
         out = {}
         get = out.get
-        for e1, v1 in self.num.items():
-            for e2, v2 in items[: ends[cap - sum(e1)]]:
-                key = tuple(map(add, e1, e2))
+        for k1, v1 in self.num.items():
+            for k2, v2 in items:
+                key = k1 + k2
+                if key >= limit:
+                    break
                 out[key] = get(key, 0) + v1 * v2
-        num = {e: v for e, v in out.items() if v}
-        return TruncSeries._reduced(self.nvars, cap, self.den * other.den, num)
+        num = {k: v for k, v in out.items() if v}
+        return TruncSeries._reduced(self.nvars, self.cap, self.den * other.den, num)
 
     __rmul__ = __mul__
 
@@ -205,37 +261,39 @@ class TruncSeries:
         With the series N/den and a0 the constant term of N, the homogeneous
         parts of 1/N = sum_k P_k / a0^(k+1) satisfy P_0 = 1 and
         P_k = -sum_{j=1..k} N_j P_{k-j} a0^(j-1), all in integers; then
-        1/f = den * sum_k P_k a0^(cap-k) / a0^(cap+1), reduced once."""
-        zero = (0,) * self.nvars
-        a0 = self.num.get(zero, 0)
+        1/f = den * sum_k P_k a0^(cap-k) / a0^(cap+1), reduced once.  Keys of
+        degrees j and k - j add up to a key of degree k without carries."""
+        a0 = self.num.get(0, 0)
         if not a0:
             raise PoleError("series with zero constant term")
         cap = self.cap
-        items, ends = self._graded()
-        parts = [items[ends[d - 1] : ends[d]] for d in range(1, cap + 1)]
+        top = (cap + 1) ** self.nvars
+        parts = [[] for _ in range(cap + 1)]
+        for k, v in self.num.items():
+            parts[k // top].append((k, v))
         powers = [1]
         for _ in range(cap):
             powers.append(powers[-1] * a0)
-        P = [{zero: 1}]
+        P = [{0: 1}]
         for k in range(1, cap + 1):
             acc = {}
             get = acc.get
             for j in range(1, k + 1):
                 prev = P[k - j]
                 scale = powers[j - 1]
-                for e1, v1 in parts[j - 1]:
+                for k1, v1 in parts[j]:
                     v1 *= scale
-                    for e2, v2 in prev.items():
-                        key = tuple(map(add, e1, e2))
+                    for k2, v2 in prev.items():
+                        key = k1 + k2
                         acc[key] = get(key, 0) - v1 * v2
-            P.append({e: v for e, v in acc.items() if v})
+            P.append({key: v for key, v in acc.items() if v})
         den = powers[cap] * a0
         sign = -1 if den < 0 else 1
         num = {}
         for k, part in enumerate(P):
             scale = sign * self.den * powers[cap - k]
-            for e, v in part.items():
-                num[e] = v * scale
+            for key, v in part.items():
+                num[key] = v * scale
         return TruncSeries._reduced(self.nvars, cap, sign * den, num)
 
     def __truediv__(self, other):
@@ -248,16 +306,18 @@ class TruncSeries:
         """Exact value of the truncating polynomial at a rational point."""
         xs = tuple(Fraction(v) for v in xs)
         total = Fraction(0)
-        for e, v in self.num.items():
+        for k, v in self.num.items():
             term = Fraction(v)
-            for x, k in zip(xs, e):
-                term *= x**k
+            for x, e in zip(xs, self._exps(k)):
+                term *= x**e
             total += term
         return total / self.den
 
     def items_sorted(self):
-        """(exponents, coefficient) pairs in graded lexicographic order."""
-        return sorted(self.coeffs.items(), key=lambda item: (sum(item[0]), item[0]))
+        """(exponents, coefficient) pairs in graded lexicographic order, the
+        order of the keys."""
+        den = self.den
+        return [(self._exps(k), Fraction(self.num[k], den)) for k in sorted(self.num)]
 
     def __str__(self):
         lines = [
@@ -280,13 +340,64 @@ class TruncSeries:
         ]
 
 
+class ProductSum:
+    """A running sum of products c * a * w of series of one shape: the fused
+    multiply-add of the vertex transfer and the partition sums.
+
+    The sum is kept as one integer dict under packed keys over one
+    denominator, the lcm of the denominators added so far; a term whose
+    denominator does not divide it rescales the dict once.  ``add`` runs
+    over the terms of w in key order and stops at the cap, so w should be
+    the short factor: in the vertex transfer it is a walk weight, a
+    polynomial in one variable x_v with at most cap + 1 terms, and c a w
+    adds shifted copies of a along x_v.  ``series`` reduces once."""
+
+    __slots__ = ("nvars", "cap", "limit", "den", "num")
+
+    def __init__(self, nvars, cap):
+        self.nvars = nvars
+        self.cap = cap
+        self.limit = (cap + 1) ** (nvars + 1)
+        self.den = 1
+        self.num = {}
+
+    def add(self, c, a, w):
+        """Add c * a * w, with c rational and a, w series of this shape."""
+        shape = (self.nvars, self.cap)
+        if (a.nvars, a.cap) != shape or (w.nvars, w.cap) != shape:
+            raise ValueError("series shape mismatch")
+        d = c.denominator * a.den * w.den
+        den = self.den
+        if den % d:
+            grown = lcm(den, d)
+            f = grown // den
+            self.num = {k: v * f for k, v in self.num.items()}
+            self.den = den = grown
+        m = c.numerator * (den // d)
+        items = [(k, v * m) for k, v in sorted(w.num.items())]
+        limit = self.limit
+        out = self.num
+        get = out.get
+        for k1, v1 in a.num.items():
+            for k2, v2 in items:
+                key = k1 + k2
+                if key >= limit:
+                    break
+                out[key] = get(key, 0) + v1 * v2
+
+    def series(self):
+        """The sum as a ``TruncSeries``, reduced to lowest terms."""
+        num = {k: v for k, v in self.num.items() if v}
+        return TruncSeries._reduced(self.nvars, self.cap, self.den, num)
+
+
 def series_diff(a, b):
     """First differing coefficient of two same-shape series in graded-lex
-    order, or None when equal."""
-    keys = set(a.num) | set(b.num)
-    for e in sorted(keys, key=lambda e: (sum(e), e)):
-        if a.num.get(e, 0) * b.den != b.num.get(e, 0) * a.den:
-            return e, a.coefficient(e), b.coefficient(e)
+    order (the order of the keys), or None when equal."""
+    b = a._coerce(b)
+    for k in sorted(set(a.num) | set(b.num)):
+        if a.num.get(k, 0) * b.den != b.num.get(k, 0) * a.den:
+            return a._exps(k), Fraction(a.num.get(k, 0), a.den), Fraction(b.num.get(k, 0), b.den)
     return None
 
 
@@ -329,32 +440,38 @@ def divide_by_vandermonde(f, var_indices):
     """Exact quotient of a series by prod_{a<b} (x_{i_a} - x_{i_b}).
 
     The numerator must be antisymmetric under permuting the listed variables.
-    The lex-leading coefficient of the Vandermonde polynomial is +-1, so
-    repeated elimination of the lex-leading term runs on the integer
-    numerators, and the quotient keeps the denominator of ``f``; it raises
-    ``ArithmeticError`` when a leading term is not divisible.  The Vandermonde
-    polynomial is homogeneous, so each elimination stays in one total degree,
-    and the quotient's cap drops by that degree."""
+    The Vandermonde polynomial is homogeneous, so its lex-leading term is
+    also its largest key, and that term's coefficient is +-1: repeated
+    elimination of the largest key of ``f`` runs on the integer numerators,
+    and the quotient keeps the denominator of ``f``; it raises
+    ``ArithmeticError`` when a leading term is not divisible.  Each
+    elimination stays in one total degree, and the quotient's cap drops by
+    the degree of V, so its keys are rewritten in the quotient's base."""
     m = len(var_indices)
     d = m * (m - 1) // 2
-    div = vandermonde_exponents(var_indices, f.nvars)
-    lead = max(div)
-    sign = div[lead]
+    poly = vandermonde_exponents(var_indices, f.nvars)
+    lead_exps = max(poly)
+    sign = poly[lead_exps]
+    div = {f._key(e): c for e, c in poly.items()}
+    lead = f._key(lead_exps)
     quo = {}
     cur = dict(f.num)
     while cur:
-        e = max(cur)
-        diff = tuple(a - b for a, b in zip(e, lead))
-        if any(k < 0 for k in diff):
+        k = max(cur)
+        if any(a < b for a, b in zip(f._exps(k), lead_exps)):
             raise ArithmeticError("series is not divisible by the Vandermonde polynomial")
-        c = quo[diff] = cur[e] * sign
-        for de, dc in div.items():
-            key = tuple(a + b for a, b in zip(de, diff))
+        # every exponent of k covers the leading one, so k - lead is the
+        # quotient monomial's key and adding it to a key of V does not carry
+        shift = k - lead
+        c = quo[shift] = cur[k] * sign
+        for dk, dc in div.items():
+            key = dk + shift
             val = cur.get(key, 0) - c * dc
             if val:
                 cur[key] = val
             else:
                 del cur[key]
+    quo = _repack(quo, f.nvars, f.cap, f.cap - d)
     return TruncSeries._reduced(f.nvars, f.cap - d, f.den, quo)
 
 

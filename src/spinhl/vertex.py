@@ -133,7 +133,9 @@ def _weighted_successors(state, u, spin, q, memos, scale, room, budget):
     path bound n of the integer row scales L(s) = ``row_scale(u, s, q, n)``:
     the row's weights are the integers ``scaled_weight(cfg, u, s, q, n)``,
     an empty vertex included (it weighs L(s)), and every walk carries the
-    extra factor prod_c L(s_c).  Paths only move right going up, so two
+    extra factor prod_c L(s_c).  Without a scale, a walk with no path
+    entering column c and none of ``state`` at or past it is empty from c
+    on, and ends there.  Paths only move right going up, so two
     counts of the new row only grow as it is built and bound it column by
     column: its paths in the columns >= c may not exceed ``room[c]``
     (``room[width]`` is 0, so no path leaves on the right), and its excess
@@ -150,6 +152,9 @@ def _weighted_successors(state, u, spin, q, memos, scale, room, budget):
         c, h, excess, w, row = stack.pop()
         if c == width:
             out.append((row, w))
+            continue
+        if not h and not tail[c] and scale is None:
+            out.append((row + (0,) * (width - c), w))
             continue
         g = state[c]
         for g2 in (g + h - 1, g + h):
@@ -190,17 +195,35 @@ def row_transfer(rows, spin, q, one, room, budget):
     rows between rows, starting from the empty row of width len(room) - 1,
     and every new row obeys the bounds ``room`` and ``budget`` of
     ``_weighted_successors``.  Returns the nonzero summed weights of the top
-    states by state."""
+    states by state.
+
+    On series, each target state adds the products acc * w of its
+    predecessors' sums and their walk weights (each w a polynomial in the
+    row's variable alone) into one ``series.ProductSum``, made by the unit's
+    ``product_sum``, on integers over the lcm of their denominators, and is
+    reduced once per row.  Scalars have no ``product_sum`` and add the
+    products as they come."""
     spins = [spin.lookup(c) for c in range(len(room) - 1)]
+    product_sum = getattr(one, "product_sum", None)
     states = {(0,) * len(spins): one}
     for u, weights, scale in rows:
         memos = [weights.setdefault(s, {}) for s in spins]
         nxt = {}
         for state, acc in states.items():
-            for row, w in _weighted_successors(state, u, spin, q, memos, scale, room, budget):
+            successors = _weighted_successors(state, u, spin, q, memos, scale, room, budget)
+            if product_sum is not None:
+                for row, w in successors:
+                    total = nxt.get(row)
+                    if total is None:
+                        total = nxt[row] = product_sum()
+                    total.add(1, acc, w)
+                continue
+            for row, w in successors:
                 term = acc * w
                 got = nxt.get(row)
                 nxt[row] = term if got is None else got + term
+        if product_sum is not None:
+            nxt = {row: total.series() for row, total in nxt.items()}
         states = {state: acc for state, acc in nxt.items() if acc}
     return states
 

@@ -221,6 +221,20 @@ def test_verify_chain_stdout_is_pinned(capsys, monkeypatch):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, seed
 
 
+# SHA-256 of the stdout of `spinhl eval-f --series --lambda 2,1,0 --p 1
+# --spin 2/5,1/3 --t 2/7 --D 4` (35 coefficients in three variables), taken
+# while the series engine keyed its terms by exponent tuples
+EVAL_F_SERIES_DIGEST = "fe2fcc7a49aae71137918f81f41cf2087c4486d28707798983c9905827f992a6"
+
+
+def test_eval_f_series_stdout_is_pinned(capsys):
+    argv = ("--lambda", "2,1,0", "--p", "1", "--spin", "2/5,1/3", "--t", "2/7", "--D", "4")
+    code, out = run_cli(capsys, "eval-f", "--series", *argv)
+    assert code == 0
+    assert out.count('"exponents"') == 35
+    assert hashlib.sha256(out.encode()).hexdigest() == EVAL_F_SERIES_DIGEST
+
+
 @pytest.mark.parametrize("which", sorted(CHAIN_EQUATIONS))
 def test_chain_equation_names_are_pinned(which):
     rep = check_reduction_chain(4, 2, which, 7)
@@ -245,26 +259,34 @@ def assert_one_clean_error_line(err):
     assert "Fraction(" not in err
 
 
+BAD_RANGE = "need n >= 1, p >= 0 and D >= 0"
+
+
+def verify_case(argv, message=BAD_RANGE):
+    return pytest.param(argv, message, id=" ".join(argv))
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ("rec1", "--n", "0"),
-        ("chain", "--n", "0"),
-        ("hl", "--D", "-2"),
-        ("lemma1", "--n", "0"),
-        ("main1", "--n", "-1"),
-        ("main1", "--D", "-1"),
-        ("all", "--p", "-1"),
+        verify_case(("rec1", "--n", "0")),
+        verify_case(("chain", "--n", "0")),
+        verify_case(("hl", "--D", "-2")),
+        verify_case(("lemma1", "--n", "0")),
+        verify_case(("main1", "--n", "-1")),
+        verify_case(("main1", "--D", "-1")),
+        verify_case(("all", "--p", "-1")),
+        # an empty --gamma is a bad rational, not a request for the sampled one
+        verify_case(("main2", "--n", "1", "--D", "1", "--gamma", ""), "Invalid literal for Fraction: ''"),
     ],
-    ids=lambda argv: " ".join(argv),
 )
-def test_bad_verify_arguments_exit_two(capsys, argv):
+def test_bad_verify_arguments_exit_two(capsys, argv, message):
     code = main(["verify", *argv])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert_one_clean_error_line(captured.err)
-    assert "need n >= 1, p >= 0 and D >= 0" in captured.err
+    assert message in captured.err
 
 
 @pytest.mark.parametrize(

@@ -154,6 +154,94 @@ def test_transfer_sum_matches_symmetrizer_sum(seed):
         assert sweep == oracle, (seed, n, cap, spin, var_indices)
 
 
+def reference_successors(state, u, spin, q, memo, room, budget):
+    """Every admissible next row above ``state`` with its walk weight, the
+    product of the series vertex weights along the walk (empty vertices
+    weigh 1); the column scan and its two prunes as the library ran them
+    before packed series keys."""
+    width = len(state)
+    p = spin.p
+    tail = [0] * (width + 1)
+    for c in range(width - 1, -1, -1):
+        tail[c] = tail[c + 1] + state[c]
+    out = []
+    stack = [(0, 1, sum(m * (c - p) for c, m in enumerate(state) if c > p), None, ())]
+    while stack:
+        c, h, excess, w, row = stack.pop()
+        if c == width:
+            out.append((row, w))
+            continue
+        g = state[c]
+        for g2 in (g + h - 1, g + h):
+            if g2 < 0:
+                continue
+            h2 = g + h - g2
+            excess2 = excess + h2 if c >= p else excess
+            if excess2 > budget or tail[c + 1] + h2 > room[c + 1]:
+                continue
+            cfg = (g, g2, h, h2)
+            w2 = w
+            if cfg != (0, 0, 0, 0):
+                s = spin.lookup(c)
+                vw = memo.get((s, cfg))
+                if vw is None:
+                    vw = memo[s, cfg] = spinhl.vertex.vertex_weight(cfg, u, s, q)
+                w2 = vw if w is None else w * vw
+                if not w2:
+                    continue
+            stack.append((c + 1, h2, excess2, w2, row + (g2,)))
+    return out
+
+
+def reference_transfer_sweep(n, spin, t, cap, budget, var_indices):
+    """The series transfer as ``identities._transfer_sweep`` ran it before
+    packed series keys: one row per listed variable, and each target state
+    the sum of acc * w over its predecessors, one ``TruncSeries`` product
+    and one sum at a time."""
+    q = t * t
+    width = spin.p + budget + 1
+    room = [len(var_indices)] * width + [0]
+    states = {(0,) * width: TruncSeries.const(n, cap, 1)}
+    for var in var_indices:
+        u = u_substitution(var, spin.tail, cap, n)
+        memo = {}
+        nxt = {}
+        for state, acc in states.items():
+            for row, w in reference_successors(state, u, spin, q, memo, room, budget):
+                term = acc * w
+                nxt[row] = nxt[row] + term if row in nxt else term
+        states = {state: acc for state, acc in nxt.items() if acc}
+    return states
+
+
+def transfer_grid(n, D_max):
+    """(t, spin, cap, var_indices) of the sweeps behind the series checks at
+    n variables and degree D <= D_max: all n variables at p = 0..2 (seed 7),
+    the rec* sums over the first k < n variables at degree D + k (n - k)
+    with the spins shifted past each smallest part l <= p, and all spins
+    zero."""
+    for D in range(D_max + 1):
+        for p in range(3):
+            t, spin, _ = series_parameters(7, p)
+            yield t, spin, D, tuple(range(n))
+            for k in range(1, n):
+                for l in range(p + 1):
+                    yield t, spin.shift(l + 1), D + k * (n - k), tuple(range(k))
+        t, _, _ = series_parameters(7, 0)
+        yield t, SpinParams.constant(F(0)), D, tuple(range(n))
+
+
+# D_max drops at n = 4 and 5, where the reference's sweeps take seconds
+@pytest.mark.parametrize("n, D_max", [(1, 4), (2, 4), (3, 4), (4, 3), (5, 1)])
+def test_transfer_sweep_matches_the_product_by_product_reference(n, D_max):
+    for t, spin, cap, var_indices in transfer_grid(n, D_max):
+        budget = cap + _pair_extra(len(var_indices)) + 1
+        got = spinhl.identities._transfer_sweep(n, spin, t, cap, budget, var_indices, {})
+        assert got == reference_transfer_sweep(n, spin, t, cap, budget, var_indices), (
+            n, spin, cap, var_indices,
+        )
+
+
 def test_series_transfer_prunes_past_the_budget(monkeypatch):
     seen = []
     successors = spinhl.vertex._weighted_successors

@@ -6,6 +6,7 @@ import pytest
 
 from spinhl.arith import PoleError, SpinParams
 from spinhl.series import (
+    ProductSum,
     TruncSeries,
     divide_by_u_differences,
     divide_by_vandermonde,
@@ -225,6 +226,31 @@ def test_sorted_output_and_json():
     assert "0,2: -3/1" in str(s)
 
 
+def test_series_diff_witness_is_pinned():
+    # the first differing coefficient in graded-lex order, with its two
+    # values; pinned while the series engine keyed its terms by exponent
+    # tuples.  The pairs differ at several degrees and orders within one
+    # degree, and once where only one side has a term.
+    a = TruncSeries(3, 4, {
+        (0, 0, 0): F(1, 2), (1, 1, 0): F(2, 3), (0, 0, 3): F(5, 7),
+        (0, 1, 2): F(-1, 3), (2, 0, 1): F(3), (0, 4, 0): F(1, 9),
+    })
+    b = TruncSeries(3, 4, {
+        (0, 0, 0): F(1, 2), (1, 1, 0): F(2, 3), (0, 0, 3): F(-5, 7),
+        (0, 1, 2): F(1, 3), (1, 0, 2): F(7, 4), (0, 4, 0): F(1, 9), (3, 0, 0): F(1, 6),
+    })
+    assert series_diff(a, b) == ((0, 0, 3), F(5, 7), F(-5, 7))
+    assert series_diff(b, a) == ((0, 0, 3), F(-5, 7), F(5, 7))
+    c = TruncSeries(3, 4, {
+        (0, 0, 0): F(1, 2), (1, 1, 0): F(2, 3), (0, 1, 2): F(-1, 3), (2, 0, 1): F(3), (0, 4, 0): F(1, 9),
+    })
+    d = TruncSeries(3, 4, {
+        (0, 0, 0): F(1, 2), (1, 1, 0): F(2, 3), (0, 1, 2): F(-1, 3), (1, 0, 2): F(7, 4), (0, 4, 0): F(2, 9),
+    })
+    assert series_diff(c, d) == ((1, 0, 2), F(0), F(7, 4))
+    assert series_diff(c, c) is None
+
+
 def test_evaluation():
     s = TruncSeries(2, 3, {(1, 1): F(2), (0, 0): F(1, 3)})
     assert s.evaluate((F(1, 2), F(1, 5))) == F(1, 3) + 2 * F(1, 10)
@@ -342,12 +368,79 @@ def assert_same(series, ref):
     assert_canonical(series)
 
 
+def numerators(series):
+    """``num`` read by exponent tuple: each packed key's digits (|e|, e_0,
+    e_1, ...) in base cap + 1, checked to be a monomial within the cap;
+    written out here apart from the library's unpacking."""
+    out = {}
+    base = series.cap + 1
+    for key, v in series.num.items():
+        digits = []
+        for _ in range(series.nvars + 1):
+            key, digit = divmod(key, base)
+            digits.append(digit)
+        assert key == 0
+        degree, *exps = reversed(digits)
+        assert degree == sum(exps) <= series.cap
+        out[tuple(exps)] = v
+    return out
+
+
 def assert_canonical(series):
     assert series.den > 0
     assert gcd(series.den, *series.num.values()) == 1
     assert all(isinstance(v, int) and v for v in series.num.values())
+    # the exact numerators over the exact denominator, key by key
+    assert numerators(series) == {e: c * series.den for e, c in series.coeffs.items()}
     twin = TruncSeries(series.nvars, series.cap, series.coeffs)
     assert (twin.den, twin.num, hash(twin)) == (series.den, series.num, hash(series))
+
+
+def random_monomial(rng, nvars, degree):
+    exps = [0] * nvars
+    for _ in range(degree):
+        exps[rng.randrange(nvars)] += 1
+    return tuple(exps)
+
+
+def random_univariate(rng, nvars, cap, var):
+    """Random coefficients of a polynomial in x_var alone, up to the cap."""
+    coeffs = {}
+    for k in range(cap + 1):
+        if rng.random() < 0.7:
+            exps = [0] * nvars
+            exps[var] = k
+            coeffs[tuple(exps)] = F(rng.randint(-9, 9), rng.randint(1, 9))
+    return {e: c for e, c in coeffs.items() if c}
+
+
+def product_sum(nvars, cap, terms):
+    total = ProductSum(nvars, cap)
+    for c, a, w in terms:
+        total.add(c, a, w)
+    return total.series()
+
+
+def test_mixed_shapes_are_rejected():
+    # keys of different caps are written in different bases
+    total = ProductSum(2, 3)
+    one = TruncSeries.const(2, 3, 1)
+    for other in (TruncSeries.const(2, 4, 1), TruncSeries.const(3, 3, 1)):
+        for a, w in ((other, one), (one, other)):
+            with pytest.raises(ValueError):
+                total.add(1, a, w)
+        with pytest.raises(ValueError):
+            series_diff(one, other)
+
+
+def ref_relabel(a, order):
+    out = {}
+    for e, c in a.items():
+        moved = [0] * len(e)
+        for i, j in enumerate(order):
+            moved[j] = e[i]
+        out[tuple(moved)] = c
+    return out
 
 
 @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
@@ -357,8 +450,38 @@ def test_engine_matches_fraction_reference(nvars):
         for _ in range(3):
             ca = dense_random_coeffs(rng, nvars, cap, rng.randint(0, 6))
             cb = dense_random_coeffs(rng, nvars, cap, rng.randint(0, 6))
+            # a term at exactly the cap in each operand (at cap 0 a new
+            # nonzero constant term)
+            ca[random_monomial(rng, nvars, cap)] = F(rng.randint(1, 9), rng.randint(1, 9))
+            cb[random_monomial(rng, nvars, cap)] = F(-rng.randint(1, 9), rng.randint(1, 9))
             a, b = TruncSeries(nvars, cap, ca), TruncSeries(nvars, cap, cb)
             c = F(rng.randint(-20, 20), rng.randint(1, 20))
+            # reading out: coefficients inside, at and past the cap, the
+            # graded-lex listing and the order
+            for e in list(ca) + [random_monomial(rng, nvars, d) for d in range(cap + 3)]:
+                assert a.coefficient(e) == ca.get(e, 0)
+            assert a.items_sorted() == sorted(ca.items(), key=lambda item: (sum(item[0]), item[0]))
+            assert a.order() == min(sum(e) for e in ca)
+            # the fused multiply-add: a walk weight in one variable, a
+            # generic factor, a zero multiplier, and terms that cancel
+            var = rng.randrange(nvars)
+            cw = random_univariate(rng, nvars, cap, var)
+            w = TruncSeries(nvars, cap, cw)
+            c2 = F(rng.randint(-20, 20), rng.randint(1, 20))
+            terms = [(c, a, w), (1, b, w), (c2, a, b), (0, b, b)]
+            expect = ref_add(ref_scale(ref_mul(ca, cw, cap), c), ref_mul(cb, cw, cap))
+            expect = ref_add(expect, ref_scale(ref_mul(ca, cb, cap), c2))
+            assert_same(product_sum(nvars, cap, terms), expect)
+            assert_same(product_sum(nvars, cap, [(c, a, w), (-c, w, a)]), {})
+            assert_same(product_sum(nvars, cap, []), {})
+            # relabeling into a larger cap rewrites every key in a new base;
+            # products there reach past the old cap
+            order = tuple(rng.sample(range(nvars), nvars))
+            ra, rb = ref_relabel(ca, order), ref_relabel(cb, order)
+            wide = cap + rng.randint(1, 3)
+            assert_same(a.relabeled(order, wide), ra)
+            assert_same(a.relabeled(order, wide) * b.relabeled(order, wide), ref_mul(ra, rb, wide))
+            assert_same(a.relabeled(order, cap), ra)
             assert_same(a, ca)
             assert_same(a * b, ref_mul(ca, cb, cap))
             assert_same(a + b, ref_add(ca, cb))
@@ -377,7 +500,7 @@ def test_engine_matches_fraction_reference(nvars):
             assert_same(a * 0, {})
             assert_same(zero + zero, {})
             assert_same(-zero, {})
-            assert (zero.den, zero.num) == (1, {})
+            assert (zero.den, zero.num, numerators(zero)) == (1, {}, {})
 
 
 def test_engine_vandermonde_division_matches_fraction_reference():
@@ -415,5 +538,10 @@ def test_equal_values_have_one_canonical_form():
             assert_canonical(s)
             assert (s.den, s.num, hash(s)) == (routes[0].den, routes[0].num, hash(routes[0]))
     half = TruncSeries(1, 2, {(0,): F(1, 2), (1,): F(-3, 4)})
-    assert (half.den, half.num) == (4, {(0,): 2, (1,): -3})
-    assert ((half + half).den, (half + half).num) == (2, {(0,): 2, (1,): -3})
+    # x_0 at cap 2 has the digits (1, 1) in base 3: key 4
+    assert (half.den, half.num) == (4, {0: 2, 4: -3})
+    assert (half.den, numerators(half)) == (4, {(0,): 2, (1,): -3})
+    assert ((half + half).den, (half + half).num) == (2, {0: 2, 4: -3})
+    mixed = TruncSeries(2, 3, {(0, 0): F(1, 6), (1, 2): F(-1, 4), (3, 0): F(5, 6), (0, 1): F(1, 3)})
+    # digits (|e|, e_0, e_1) in base 4
+    assert (mixed.den, mixed.num) == (12, {0: 2, 16 * 3 + 4 + 2: -3, 16 * 3 + 4 * 3: 10, 16 + 1: 4})
