@@ -23,7 +23,10 @@ Pochhammer factor.  On series the transfer sums every target state's
 predecessors, and this module sums the weighted final states, each in one
 fused ``series.ProductSum`` on packed integer keys, reduced once.
 Every series check additionally extends the budget by one and confirms that
-no coefficient moves (the stabilization check).
+no coefficient moves (the stabilization check).  The Pfaffian sides are
+``series.pfaffian_side_series``: by the minor summation formula the series
+Pfaffian over the u-differences is a sum of scalar block Pfaffians times
+Schur polynomials, so no series Pfaffian is taken.
 
 The recurrences are checked after clearing denominators by the Vandermonde
 polynomial V, so each weighted sum H over a variable subset T is read only to
@@ -61,8 +64,6 @@ from .pfaffian import (
     block_pfaffians,
     littlewood_kernel,
     m_conjugated,
-    m_gamma,
-    pfaffian_kernel,
     pfaffian_side,
     rhs_main1,
     rhs_main2,
@@ -70,7 +71,7 @@ from .pfaffian import (
 )
 from .series import (
     TruncSeries,
-    divide_by_u_differences,
+    pfaffian_side_series,
     series_diff,
     u_substitution,
     vandermonde_exponents,
@@ -235,18 +236,12 @@ def _vandermonde_series(var_indices, nvars, cap):
 
 
 def _rhs_pf_series(n, spin, t, gamma, cap):
-    """Kernel times Pfaffian as a series, with s_0 in the matrix entries and
-    u_i = (s + x_i)/(1 + s x_i) at the spin tail s: the Pfaffian of the
-    series-valued matrix is antisymmetric in the x variables, so it is
-    divided exactly by the u-differences (``divide_by_u_differences``) and
-    then multiplied by ``pfaffian_kernel`` on the u series."""
-    work = cap + n * (n - 1) // 2
-    U = [u_substitution(i, spin.tail, work, n) for i in range(n)]
+    """Kernel times Pfaffian over the u-differences as a series, with s_0 in
+    the matrix entries and u_i = (s + x_i)/(1 + s x_i) at the spin tail s:
+    the scalar block Pfaffians times Schur polynomials of
+    ``series.pfaffian_side_series``."""
     spec = MGammaSpec(ParamPoint(t, gamma, spin, ()), gamma, spin.lookup(0))
-    # at n = 1 and gamma = 1 the Pfaffian is the rational 1, not a series
-    pf = TruncSeries.zero(n, work) + m_gamma(spec, tuple(range(1, n + 1)), u=U).pfaffian()
-    out = divide_by_u_differences(pf, tuple(range(n)), spin.tail)
-    return out * pfaffian_kernel([u.truncate(cap) for u in U], t)
+    return pfaffian_side_series(spec, n, cap)
 
 
 def _gated_sum(n, spin, t, cap, poch, budget, cache, var_indices=None):
@@ -450,6 +445,10 @@ def _check_rec(name, n, spin, t, D, poch, inner_poch, L0, cache):
     subset_sums = [TruncSeries.zero(n, cap) for _ in range(max_l + 1)]
     for k in range(n):
         block = _rec_block(full[:k], n, s, q, cap)
+        renamings = []
+        for T in combinations(full, k):
+            order = T + tuple(j for j in full if j not in T)
+            renamings.append((perm_sign(order), order))
         for l in range(max_l + 1):
             h, drift = _rec_h(n, k, spin.shift(l + 1), t, D, inner_poch, cache)
             if drift is not None:
@@ -459,9 +458,7 @@ def _check_rec(name, n, spin, t, D, poch, inner_poch, L0, cache):
             for i in range(k):
                 term = term * (u_substitution(i, s, h.cap, n) - sl)
             term = block * term.relabeled(full, cap)
-            for T in combinations(full, k):
-                order = T + tuple(j for j in full if j not in T)
-                subset_sums[l] = subset_sums[l] + perm_sign(order) * term.relabeled(order, cap)
+            subset_sums[l] = subset_sums[l] + term.relabeled_sum(renamings, cap)
 
     lhs = _vandermonde_series(full, n, cap) * h_full.relabeled(full, cap)
 

@@ -1,5 +1,7 @@
 """Truncated multivariate power series over exact rationals, the substitution
-u_i = (s + x_i)/(1 + s x_i), and F_lambda as a truncated series.
+u_i = (s + x_i)/(1 + s x_i), and F_lambda, Schur polynomials and the
+Pfaffian side of the identities (by the minor summation formula, see
+``pfaffian_side_series``) as truncated series.
 
 A series keys each term by one packed integer: the exponents written as
 digits in base cap + 1 under a top digit holding the total degree (see
@@ -17,11 +19,13 @@ prod_{i<j} (x_i - x_j), and multiplies back the inverted unit cofactor.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import gcd, lcm
+from operator import mul
 
 from .arith import PoleError, invert, perm_sign
-from .symfun import _check_cap, as_parts
+from .pfaffian import SkewMatrix, m_gamma_entry, pfaffian_kernel
+from .symfun import _check_cap, as_parts, rows_between
 
 
 def _pack(exps, base):
@@ -41,26 +45,33 @@ def _unpack(key, base, nvars):
     return tuple(exps)
 
 
-def _repack(num, nvars, old_cap, cap, order=None):
-    """``num`` moved from the keys of ``old_cap`` to those of ``cap``,
-    dropping the terms past ``cap``, with x_i renamed x_{order[i]} when
-    ``order`` is given: each digit of an old key is read off and added back
-    at the place value of its new position."""
+def _repack(num, nvars, old_cap, cap, renamings=((1, None),)):
+    """The sum over (sign, order) in ``renamings`` of sign times ``num``
+    moved from the keys of ``old_cap`` to those of ``cap``, dropping the
+    terms past ``cap``, with x_i renamed x_{order[i]} (kept when ``order`` is
+    None): each old key's digits are read off once and added back at the
+    place values of their new positions under every renaming."""
     base, new = old_cap + 1, cap + 1
-    order = range(nvars) if order is None else order
     # the new place value of each old exponent digit, lowest digit first
-    place = [new ** (nvars - 1 - order[i]) for i in reversed(range(nvars))]
+    places = []
+    for sign, order in renamings:
+        order = range(nvars) if order is None else order
+        places.append((sign, [new ** (nvars - 1 - order[i]) for i in reversed(range(nvars))]))
     top = new**nvars
     out = {}
+    get = out.get
     for k, v in num.items():
-        key = 0
-        for value in place:
+        digits = []
+        for _ in range(nvars):
             k, e = divmod(k, base)
-            key += e * value
+            digits.append(e)
         # k is now the total degree
         if k <= cap:
-            out[key + k * top] = v
-    return out
+            k *= top
+            for sign, place in places:
+                key = k + sum(map(mul, digits, place))
+                out[key] = get(key, 0) + sign * v
+    return {k: v for k, v in out.items() if v}
 
 
 class TruncSeries:
@@ -162,9 +173,15 @@ class TruncSeries:
         of the variables), read at ``cap >= self.cap`` with every coefficient
         past ``self.cap`` zero.  Numerators and denominator are kept as they
         are; only the keys are rewritten, in the base of ``cap``."""
+        return self.relabeled_sum(((1, order),), cap)
+
+    def relabeled_sum(self, renamings, cap):
+        """The sum of sign * ``relabeled(order, cap)`` over the (sign, order)
+        pairs of ``renamings``, on one integer dict over ``den``: each key is
+        read once, and the sum is reduced once."""
         if cap < self.cap:
             raise ValueError("cannot truncate while relabeling")
-        num = _repack(self.num, self.nvars, self.cap, cap, order)
+        num = _repack(self.num, self.nvars, self.cap, cap, renamings)
         return TruncSeries._reduced(self.nvars, cap, self.den, num)
 
     def coefficient(self, exps):
@@ -483,10 +500,17 @@ def divide_by_u_differences(f, var_indices, s):
     Each difference is (1 - s^2)(x_i - x_j)/((1 + s x_i)(1 + s x_j)), so the
     quotient is f / V times prod_a (1 + s x_{i_a})^(m-1) / (1 - s^2)^pairs;
     the cap drops by the number of pairs."""
+    return _times_u_unit(divide_by_vandermonde(f, var_indices), var_indices, s)
+
+
+def _times_u_unit(f, var_indices, s):
+    """f times prod_a (1 + s x_{i_a})^(m-1) / (1 - s^2)^pairs: what dividing
+    by prod_{a<b} (u_{i_a} - u_{i_b}) leaves once the Vandermonde polynomial
+    is divided out."""
     m = len(var_indices)
-    out = divide_by_vandermonde(f, var_indices)
+    out = f
     for var in var_indices:
-        lin = one_plus_sx(var, s, f.nvars, out.cap)
+        lin = one_plus_sx(var, s, f.nvars, f.cap)
         for _ in range(m - 1):
             out = out * lin
     pairs = m * (m - 1) // 2
@@ -562,3 +586,73 @@ def f_lambda_series(lam, spin, t, cap, nvars=None, var_indices=None, cache=None)
     out = divide_by_u_differences(total, var_indices, s)
     cache[fkey] = out
     return out
+
+
+def schur_series(lam, nvars, cap):
+    """The Schur polynomial s_lambda(x_0, ..., x_{nvars-1}) as a series: one
+    monomial per Gelfand-Tsetlin pattern on lambda reversed, whose weakly
+    interlacing rows come from ``symfun.rows_between``, with x_i to the power
+    of row i's sum less that of the row above it (``symfun.schur_gt``)."""
+    lam = as_parts(lam)
+    if len(lam) > nvars:
+        raise ValueError("partition longer than variable list")
+
+    def monomials(row):
+        # exponents of x_0 .. x_{len(row)-1} -> number of patterns on row
+        if len(row) < 2:
+            return {row: 1}
+        out = {}
+        for above in rows_between(row, strict=False):
+            e = sum(row) - sum(above)
+            for exps, c in monomials(above).items():
+                out[exps + (e,)] = out.get(exps + (e,), 0) + c
+        return out
+
+    return TruncSeries(nvars, cap, monomials(tuple(reversed(lam + (0,) * (nvars - len(lam))))))
+
+
+def pfaffian_side_series(spec, n, cap):
+    """``pfaffian.pfaffian_side(spec, [n])`` as a series truncated at ``cap``,
+    with u_i = (s + x_{i-1})/(1 + s x_{i-1}) at the spin tail s of the point.
+
+    Every entry of ``m_gamma(spec, [n])`` on labels 1 <= i < j is one
+    antisymmetric series A(x_{i-1}, x_{j-1}) = sum c_ab x_{i-1}^a x_{j-1}^b,
+    and every label-0 entry (odd n) one g(x_{j-1}) = sum h_a x_{j-1}^a.  So
+    the matrix is Y C Y^T, with Y_{i,a} = x_i^a under a border row for label
+    0 and C the scalar skew matrix of the c_ab bordered by the h_a, and the
+    minor summation formula (Ishikawa-Wakayama 1995, Stembridge 1990) gives
+    Pf = sum_I Pf(C_I) det(x_i^a)_{a in I} over the n-sets I of exponents,
+    the border joining each I for odd n.  Over prod_{i<j} (x_i - x_j) each
+    det is (-1)^(n(n-1)/2) s_lambda with lambda_k = a_{n+1-k} - (n - k) for
+    I = {a_1 < ... < a_n}, so only the I with |lambda| <= cap are read: they
+    have a_n <= cap + n - 1 and a + b <= cap + 2n - 3 for any two a, b in
+    I.  The c_ab come from one bivariate entry at that cap, the h_a from one
+    univariate entry, and every Pf(C_I) from one scalar table, in the order
+    in which the dense matrix's first entries raise their poles.  The
+    u-differences leave the unit of ``divide_by_u_differences``, and
+    ``pfaffian_kernel`` follows at ``cap``."""
+    s, t = spec.point.spin.tail, spec.point.t
+
+    def entry(i, j, entry_cap):
+        u = [u_substitution(v, s, entry_cap, j) for v in range(j)]
+        # at gamma = 1 the label-0 entry is the rational 1, not a series
+        out = TruncSeries.zero(j, entry_cap) + m_gamma_entry(i, j, u, t, spec.gamma, spec.s, spec.gamma_inv_s)
+        return out.coeffs
+
+    exponents = range(cap + n)
+    border = (-1,) if n % 2 else ()  # the label of the border row and column
+    upper = {}
+    if border:
+        upper.update(((-1, a), c) for (a,), c in entry(0, 1, cap + n - 1).items())
+    if n > 1:
+        upper.update(((a, b), c) for (a, b), c in entry(1, 2, cap + 2 * n - 3).items() if a < b < cap + n)
+    table = SkewMatrix(border + tuple(exponents), upper)
+    pairs = n * (n - 1) // 2
+    total = TruncSeries.zero(n, cap)
+    for I in combinations(exponents, n):
+        if sum(I) - pairs <= cap:
+            pf = table.restrict(border + I).pfaffian()
+            if pf:
+                total = total + pf * schur_series(tuple(I[k] - k for k in reversed(range(n))), n, cap)
+    out = _times_u_unit(total if pairs % 2 == 0 else -total, range(n), s)
+    return out * pfaffian_kernel([u_substitution(i, s, cap, n) for i in range(n)], t)

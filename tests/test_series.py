@@ -11,11 +11,12 @@ from spinhl.series import (
     divide_by_u_differences,
     divide_by_vandermonde,
     f_lambda_series,
+    schur_series,
     series_diff,
     u_substitution,
     vandermonde_exponents,
 )
-from spinhl.symfun import bounded_partitions
+from spinhl.symfun import bounded_partitions, schur_gt
 from spinhl.vertex import enumerate_ensembles
 
 
@@ -278,6 +279,40 @@ def test_relabeled_renames_variables_and_pads_with_zeros():
     with pytest.raises(ValueError):
         s.relabeled((0, 1, 2), 1)
 
+
+
+def test_relabeled_sum_is_the_sum_of_signed_relabelings():
+    rng = random.Random(23)
+    for nvars, cap, wide in ((3, 4, 4), (3, 4, 7), (4, 3, 6)):
+        a = random_series(rng, nvars, cap, terms=12)
+        orders = [tuple(rng.sample(range(nvars), nvars)) for _ in range(5)]
+        # a repeated order with both signs cancels, and with one sign doubles
+        renamings = [(rng.choice((1, -1)), order) for order in orders]
+        renamings += [(1, orders[0]), (-1, orders[0]), (1, orders[1])]
+        want = TruncSeries.zero(nvars, wide)
+        for sign, order in renamings:
+            want = want + sign * a.relabeled(order, wide)
+        got = a.relabeled_sum(renamings, wide)
+        assert (got.den, got.num) == (want.den, want.num), (nvars, cap, wide)
+        assert a.relabeled_sum(renamings[-3:-1], wide) == 0
+        with pytest.raises(ValueError):
+            a.relabeled_sum(renamings, cap - 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_schur_series_evaluates_to_the_gelfand_tsetlin_sum(n):
+    x = (F(2, 3), F(-5, 7), F(3, 11), F(7, 5))[:n]
+    # every lambda with |lambda| <= 4 and at most n parts, zeros padded
+    shapes = [lam for lam in bounded_partitions(n, 4) if sum(lam) <= 4]
+    for lam in shapes:
+        got = schur_series(lam, n, 4)
+        assert got.den == 1, lam
+        assert got.evaluate(x) == schur_gt(lam, x), lam
+        assert schur_series(lam[: n - lam.count(0)], n, 4) == got, lam
+        if sum(lam):
+            assert schur_series(lam, n, sum(lam) - 1) == 0, lam
+    with pytest.raises(ValueError):
+        schur_series((1,) * (n + 1), n, 4)
 
 # ----------------------------------------------------------------------
 # reference engine: plain dicts of Fractions, term by term, with the inverse
