@@ -20,7 +20,7 @@ from .bijection import (
     robbins_parameters,
     strict_ensembles,
 )
-from .identities import CHECK_NAMES, run_all, run_check
+from .identities import CHECK_NAMES, GAMMA_CHECKS, run_all, run_check
 from .pfaffian import SkewMatrix
 from .robbins import (
     damts,
@@ -167,16 +167,13 @@ def _cmd_bijection(args):
     return 0 if all_equal else 1
 
 
-_GAMMA_CHECKS = ("main2", "rec2")
-
-
 def _cmd_verify(args):
     seed = args.seed
     env = os.environ.get("SPINHL_SEED")
     if env is not None:
         seed = _int_setting(env, "SPINHL_SEED")
-    if args.gamma is not None and args.what not in _GAMMA_CHECKS:
-        only = " and ".join(_GAMMA_CHECKS)
+    if args.gamma is not None and args.what not in GAMMA_CHECKS:
+        only = " and ".join(GAMMA_CHECKS)
         raise ValueError("--gamma applies to verify %s only, not to %s" % (only, args.what))
     gamma = rat(args.gamma) if args.gamma is not None else None
     if args.what == "all":

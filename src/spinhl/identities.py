@@ -42,6 +42,11 @@ one per pair, chosen by which ends lie in T, and optionally a block of T, each
 factor tabulated once and the terms summed on integer numerators.  The chains
 and the second key lemma take every subset's block Pfaffian from one table of
 matrix entries per point (``block_pfaffians``).
+
+Each kind of check has one driver (``_series_check`` for the five series
+identities, ``_check_rec``, ``_lemma_report``, ``check_reduction_chain``), and
+each checks its inputs by one range rule, ``_check_inputs``.  ``_BATTERY``
+lists the checks in ``run_all``'s order; ``CHECK_NAMES`` is read from it.
 """
 
 from dataclasses import dataclass
@@ -78,19 +83,16 @@ from .series import (
 )
 from .vertex import row_transfer
 
-CHECK_NAMES = (
-    "main1",
-    "cor",
-    "main2",
-    "hl",
-    "kawanaka",
-    "rec1",
-    "rec2",
-    "rec2v",
-    "lemma1",
-    "lemma2",
-    "chain",
+# the battery of ``run_all``, (check, gamma) in report order: every check at
+# its sampled parameters, and main2 once more at gamma = 7/5
+_BATTERY = (
+    ("main1", None), ("cor", None), ("main2", None), ("main2", Fraction(7, 5)),
+    ("hl", None), ("kawanaka", None), ("rec1", None), ("rec2", None), ("rec2v", None),
+    ("lemma1", None), ("lemma2", None), ("chain", None),
 )
+CHECK_NAMES = tuple(dict.fromkeys(name for name, _ in _BATTERY))
+# the checks that take a gamma; their weights divide s_0 by it
+GAMMA_CHECKS = ("main2", "rec2")
 
 
 @dataclass
@@ -254,10 +256,49 @@ def _gated_sum(n, spin, t, cap, poch, budget, cache, var_indices=None):
     return extended, series_diff(lhs, extended)
 
 
-def _series_check(name, params, n, spin, t, cap, poch, rhs, cache):
-    """Shared skeleton: stabilized truncated sum on the left against an
-    explicit series on the right."""
-    extended, drift = _gated_sum(n, spin, t, cap, poch, cap + _pair_extra(n), cache)
+def _check_inputs(least_n, n, p=0, D=0, cache=None):
+    """The input range of every check: p >= 0, D >= 0 and n >= ``least_n``,
+    0 for the series identities (n = 0 passes) and 1 for ``run_check``, the
+    recurrences, lemmas and chains.  Returns the memo: ``cache`` or a new one."""
+    if n < least_n or p < 0 or D < 0:
+        raise ValueError("need n >= %d, p >= 0 and D >= 0, got n=%s, p=%s, D=%s" % (least_n, n, p, D))
+    return {} if cache is None else cache
+
+
+def _nonzero_gamma(name, gamma):
+    """gamma as a rational; the checks of GAMMA_CHECKS refuse 0."""
+    gamma = Fraction(gamma)
+    if gamma == 0:
+        raise ValueError("%s needs gamma != 0: its weights divide s_0 by gamma" % name)
+    return gamma
+
+
+def _series_check(name, n, spin, t, D, poch, gamma, cache, other_poch=None):
+    """The one driver of the series identities: the gated partition sum of
+    the family ``poch`` against the right side, the product side for ``gamma``
+    None and the Pfaffian side at ``gamma`` otherwise, built before the sum.
+    The zero-spin checks (reports of n, D and t only) first compare the sum
+    with that of ``other_poch``, an independent route to the same left side."""
+    cache = _check_inputs(0, n, spin.p, D, cache)
+    if other_poch is None:
+        params = _series_params(n, spin, t, D)
+    else:
+        params = {"n": n, "D": D, "t": rat_str(t)}
+    if n == 0:
+        return CheckReport(name, params, "pass")
+    budget = D + _pair_extra(n)
+    if other_poch is not None:
+        # the two weights agree partition by partition, so any budget compares
+        # them; B + 1 is the one the transfer of the gate is kept at
+        lhs, other = (_lhs_sum(n, spin, t, D, f, budget + 1, cache) for f in (poch, other_poch))
+        drift = series_diff(lhs, other)
+        if drift is not None:
+            return CheckReport(name, params, "fail", _coeff_witness(drift))
+    if gamma is None:
+        rhs = _rhs_main1_series(n, spin.tail, t, D)
+    else:
+        rhs = _rhs_pf_series(n, spin, t, gamma, D)
+    extended, drift = _gated_sum(n, spin, t, D, poch, budget, cache)
     if drift is not None:
         return CheckReport(name, params, "stabilization_failed", _coeff_witness(drift))
     diff = series_diff(extended, rhs)
@@ -272,56 +313,20 @@ def _series_params(n, spin, t, D):
 
 def check_main1(n, spin, t, D, cache=None):
     """Product-form Littlewood identity, coefficientwise to total degree D."""
-    cache = {} if cache is None else cache
-    params = _series_params(n, spin, t, D)
-    if n == 0:
-        return CheckReport("main1", params, "pass")
-    rhs = _rhs_main1_series(n, spin.tail, t, D)
-    return _series_check("main1", params, n, spin, t, D, poch_main1(t * t), rhs, cache)
+    return _series_check("main1", n, spin, t, D, poch_main1(t * t), None, cache)
 
 
 def check_cor_main2(n, spin, t, D, cache=None):
     """Pfaffian-form identity at gamma = 1, coefficientwise to degree D."""
-    cache = {} if cache is None else cache
-    params = _series_params(n, spin, t, D)
-    if n == 0:
-        return CheckReport("cor", params, "pass")
-    rhs = _rhs_pf_series(n, spin, t, Fraction(1), D)
-    return _series_check("cor", params, n, spin, t, D, poch_uniform(t), rhs, cache)
+    return _series_check("cor", n, spin, t, D, poch_uniform(t), Fraction(1), cache)
 
 
 def check_main2(n, spin, t, D, gamma, cache=None):
     """Gamma-refined Pfaffian identity, coefficientwise to degree D."""
-    cache = {} if cache is None else cache
-    gamma = Fraction(gamma)
-    if gamma == 0:
-        raise ValueError("main2 needs gamma != 0: its weights divide s_0 by gamma")
-    params = {**_series_params(n, spin, t, D), "gamma": rat_str(gamma)}
-    if n == 0:
-        return CheckReport("main2", params, "pass")
-    rhs = _rhs_pf_series(n, spin, t, gamma, D)
-    return _series_check("main2", params, n, spin, t, D, poch_gamma(t, gamma), rhs, cache)
-
-
-def _zero_spin_check(name, n, t, D, poch, other_poch, gamma, cache):
-    """Shared skeleton of ``hl`` and ``kawanaka``, with all spins zero: the
-    sum of the family ``poch`` must match the sum of ``other_poch`` (an
-    independent route to the same left side) and then, through
-    ``_series_check``, the Pfaffian side at s = 0 and the given gamma."""
-    cache = {} if cache is None else cache
-    params = {"n": n, "D": D, "t": rat_str(t)}
-    if n == 0:
-        return CheckReport(name, params, "pass")
-    spin = SpinParams.constant(Fraction(0))
-    # the two weights agree partition by partition, so any budget compares
-    # them; B + 1 is the one the transfer of ``_series_check`` is kept at
-    budget = D + _pair_extra(n) + 1
-    lhs = _lhs_sum(n, spin, t, D, poch, budget, cache)
-    drift = series_diff(lhs, _lhs_sum(n, spin, t, D, other_poch, budget, cache))
-    if drift is not None:
-        return CheckReport(name, params, "fail", _coeff_witness(drift))
-    rhs = _rhs_pf_series(n, spin, t, gamma, D)
-    return _series_check(name, params, n, spin, t, D, poch, rhs, cache)
+    gamma = _nonzero_gamma("main2", gamma)
+    rep = _series_check("main2", n, spin, t, D, poch_gamma(t, gamma), gamma, cache)
+    rep.params["gamma"] = rat_str(gamma)
+    return rep
 
 
 def check_hl_corollary(n, t, D, cache=None):
@@ -331,7 +336,8 @@ def check_hl_corollary(n, t, D, cache=None):
     The left side is formed literally as the Hall-Littlewood weighted sum
     prod_r (-t; t)_{m_r} P_lambda (``poch_hl``); it must also agree with the
     zero-spin specialization of the gamma = 1 weights."""
-    return _zero_spin_check("hl", n, t, D, poch_hl(t), poch_uniform(t), Fraction(1), cache)
+    zero = SpinParams.constant(0)
+    return _series_check("hl", n, zero, t, D, poch_hl(t), Fraction(1), cache, poch_uniform(t))
 
 
 def check_kawanaka(n, t, D, cache=None):
@@ -340,7 +346,8 @@ def check_kawanaka(n, t, D, cache=None):
     side must match the classical Hall-Littlewood weighted sum
     prod_{r>=1} (-t; t)_{m_r} P_lambda (``poch_hl`` from part 1)."""
     kawanaka = poch_gamma(t, Fraction(0))
-    return _zero_spin_check("kawanaka", n, t, D, kawanaka, poch_hl(t, 1), Fraction(0), cache)
+    zero = SpinParams.constant(0)
+    return _series_check("kawanaka", n, zero, t, D, kawanaka, Fraction(0), cache, poch_hl(t, 1))
 
 
 # ----------------------------------------------------------------------
@@ -428,10 +435,11 @@ def _check_rec(name, n, spin, t, D, poch, inner_poch, L0, cache):
     ``poch`` is the Pochhammer factor of the family of H, and ``inner_poch``
     that of the sums H(T) over the spins past l.
     """
+    cache = _check_inputs(1, n, spin.p, D, cache)
     params = _series_params(n, spin, t, D)
     q = t * t
     s = spin.tail
-    cap = D + n * (n - 1) // 2
+    cap = D + _pair_extra(n)
     full = tuple(range(n))
     max_l = max(L0, spin.p)
 
@@ -481,22 +489,19 @@ def _check_rec(name, n, spin, t, D, poch, inner_poch, L0, cache):
 def check_rec1(n, spin, t, D, cache=None):
     """Recurrence of the product-form sum H_1 under removing the smallest part."""
     poch = poch_main1(t * t)
-    return _check_rec("rec1", n, spin, t, D, poch, poch, 0, {} if cache is None else cache)
+    return _check_rec("rec1", n, spin, t, D, poch, poch, 0, cache)
 
 
 def check_rec2v(n, spin, t, D, cache=None):
     """Recurrence of the gamma = 1 Pfaffian-form sum."""
     poch = poch_uniform(t)
-    return _check_rec("rec2v", n, spin, t, D, poch, poch, 0, {} if cache is None else cache)
+    return _check_rec("rec2v", n, spin, t, D, poch, poch, 0, cache)
 
 
 def check_rec2(n, spin, t, D, gamma, cache=None):
     """Recurrence of the gamma-refined sum H_2; the right side involves the
     gamma = 1 sums, and gamma enters the Pochhammer weights only at l = 0."""
-    cache = {} if cache is None else cache
-    gamma = Fraction(gamma)
-    if gamma == 0:
-        raise ValueError("rec2 needs gamma != 0: its weights divide s_0 by gamma")
+    gamma = _nonzero_gamma("rec2", gamma)
     rep = _check_rec("rec2", n, spin, t, D, poch_gamma(t, gamma), poch_uniform(t), 1, cache)
     rep.params["gamma"] = rat_str(gamma)
     return rep
@@ -850,6 +855,7 @@ def _chain_main2(point):
 def check_reduction_chain(n, p, which, seed):
     """Verify every displayed intermediate equation of a reduction chain as an
     exact scalar identity at a seeded generic point with p prefix spins."""
+    _check_inputs(1, n, p)
     point = _chain_point(seed, n, p)
     if which == "main1":
         results = _chain_main1(point)
@@ -943,6 +949,7 @@ def _lemma_report(name, n, seed, stride, identities, moved):
     """The report of a key lemma: every (witness label, sides of a point) in
     ``identities`` at max(2n + 2, 10) seeded points, then, for n <= 2, the
     two sides of ``moved(point, x)`` compared as polynomials in the free x."""
+    _check_inputs(1, n)
     npoints = max(2 * n + 2, 10)
     params = {"n": n, "seed": seed, "points": npoints}
     for k in range(npoints):
@@ -993,46 +1000,39 @@ def check_lemma2_report(n, seed):
 # drivers
 
 
+def _chain_report(n, p, seed):
+    """The three reduction chains as one report: each chain's status, or the
+    witness of each failing chain."""
+    reports = {which: check_reduction_chain(n, p, which, seed) for which in ("main1", "cor", "main2")}
+    params = {"n": n, "p": p, "seed": seed}
+    failing = [{which: rep.witness} for which, rep in reports.items() if not rep.passed]
+    if failing:
+        return CheckReport("chain", params, "fail", failing)
+    return CheckReport("chain", params, "pass", {which: rep.status for which, rep in reports.items()})
+
+
+# the checks run at the sampled (t, spin), and at the sampled gamma unless one is given
+_SAMPLED_CHECKS = {
+    "main1": check_main1, "cor": check_cor_main2, "main2": check_main2,
+    "rec1": check_rec1, "rec2": check_rec2, "rec2v": check_rec2v,
+}
+
+
 def run_check(name, n=2, p=1, D=4, seed=7, gamma=None, cache=None):
     """Run one named check with deterministically sampled parameters."""
-    if n < 1 or p < 0 or D < 0:
-        raise ValueError("need n >= 1, p >= 0 and D >= 0, got n=%s, p=%s, D=%s" % (n, p, D))
-    cache = {} if cache is None else cache
-    if name == "lemma1":
-        return check_lemma1_report(n, seed)
-    if name == "lemma2":
-        return check_lemma2_report(n, seed)
-    if name == "chain":
-        reports = [check_reduction_chain(n, p, which, seed) for which in ("main1", "cor", "main2")]
-        merged = {}
-        failing = []
-        for rep, which in zip(reports, ("main1", "cor", "main2")):
-            merged[which] = rep.status
-            if not rep.passed:
-                failing.append({which: rep.witness})
-        params = {"n": n, "p": p, "seed": seed}
-        if failing:
-            return CheckReport("chain", params, "fail", failing)
-        return CheckReport("chain", params, "pass", merged)
-    if name in ("hl", "kawanaka"):
+    _check_inputs(1, n, p, D)
+    if name in _SAMPLED_CHECKS:
+        t, spin, sampled_gamma = series_parameters(seed, p)
+        gammas = (sampled_gamma if gamma is None else gamma,) if name in GAMMA_CHECKS else ()
+        rep = _SAMPLED_CHECKS[name](n, spin, t, D, *gammas, cache=cache)
+    elif name in ("hl", "kawanaka"):
         t, _, _ = series_parameters(seed, 0)
         check = check_hl_corollary if name == "hl" else check_kawanaka
         rep = check(min(n, 2), t, D, cache=cache)
-    elif name in ("main1", "cor", "main2", "rec1", "rec2", "rec2v"):
-        t, spin, sampled_gamma = series_parameters(seed, p)
-        gamma = sampled_gamma if gamma is None else Fraction(gamma)
-        if name == "main1":
-            rep = check_main1(n, spin, t, D, cache=cache)
-        elif name == "cor":
-            rep = check_cor_main2(n, spin, t, D, cache=cache)
-        elif name == "main2":
-            rep = check_main2(n, spin, t, D, gamma, cache=cache)
-        elif name == "rec1":
-            rep = check_rec1(n, spin, t, D, cache=cache)
-        elif name == "rec2":
-            rep = check_rec2(n, spin, t, D, gamma, cache=cache)
-        else:
-            rep = check_rec2v(n, spin, t, D, cache=cache)
+    elif name in ("lemma1", "lemma2"):
+        rep = (check_lemma1_report if name == "lemma1" else check_lemma2_report)(n, seed)
+    elif name == "chain":
+        rep = _chain_report(n, p, seed)
     else:
         raise ValueError("unknown check %r" % (name,))
     rep.params["seed"] = seed
@@ -1042,21 +1042,4 @@ def run_check(name, n=2, p=1, D=4, seed=7, gamma=None, cache=None):
 def run_all(n=2, p=1, D=4, seed=7):
     """Run the whole battery at one parameter choice; reports in fixed order."""
     cache = {}
-    names = [
-        ("main1", None),
-        ("cor", None),
-        ("main2", None),
-        ("main2", Fraction(7, 5)),
-        ("hl", None),
-        ("kawanaka", None),
-        ("rec1", None),
-        ("rec2", None),
-        ("rec2v", None),
-        ("lemma1", None),
-        ("lemma2", None),
-        ("chain", None),
-    ]
-    return [
-        run_check(name, n=n, p=p, D=D, seed=seed, gamma=gamma, cache=cache)
-        for name, gamma in names
-    ]
+    return [run_check(name, n=n, p=p, D=D, seed=seed, gamma=gamma, cache=cache) for name, gamma in _BATTERY]

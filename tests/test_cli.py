@@ -7,7 +7,7 @@ import pytest
 from spinhl import cli
 from spinhl.arith import ParamPoint, SpinParams, rat
 from spinhl.cli import main
-from spinhl.identities import check_reduction_chain
+from spinhl.identities import CHECK_NAMES, GAMMA_CHECKS, check_reduction_chain
 from spinhl.symfun import f_lambda
 
 
@@ -435,14 +435,25 @@ def test_unknown_config_key_exits_two(capsys, tmp_path):
     assert "'gamma'" in captured.err
 
 
-@pytest.mark.parametrize("what", ["all", "main1", "lemma2", "rec2v"])
+# every verify target falls in exactly one of these two tests, by GAMMA_CHECKS
+VERIFY_TARGETS = CHECK_NAMES + ("all",)
+
+
+@pytest.mark.parametrize("what", [w for w in VERIFY_TARGETS if w not in GAMMA_CHECKS])
 def test_gamma_for_a_check_that_ignores_it_exits_two(capsys, what):
-    code = main(["verify", what, "--n", "2", "--D", "1", "--gamma", "2"])
+    code = main(["verify", what, "--n", "1", "--D", "0", "--gamma", "2"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert_one_clean_error_line(captured.err)
     assert "--gamma" in captured.err and what in captured.err
+
+
+@pytest.mark.parametrize("what", [w for w in VERIFY_TARGETS if w in GAMMA_CHECKS])
+def test_gamma_for_a_gamma_check_is_used(capsys, what):
+    code, out = run_cli(capsys, "verify", what, "--n", "1", "--D", "0", "--gamma", "2")
+    assert code == 0
+    assert json.loads(out)["checks"][0]["params"]["gamma"] == "2/1"
 
 
 SERIES_EVAL = ("eval-f", "--t", "1/2", "--series")

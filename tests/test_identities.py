@@ -5,8 +5,9 @@ import pytest
 
 import spinhl.identities
 import spinhl.vertex
-from spinhl.arith import ParamPoint, PoleError, SpinParams, perm_sign, qpoch, sample_point
+from spinhl.arith import ParamPoint, PoleError, SpinParams, perm_sign, qpoch, rat_str, sample_point
 from spinhl.identities import (
+    _BATTERY,
     _lhs_sum,
     _outer_factor,
     _pair_extra,
@@ -730,9 +731,39 @@ def test_run_check_rejects_bad_arguments(name, n, p, D):
         run_check(name, n=n, p=p, D=D)
 
 
+RANGE_T, RANGE_SPIN, RANGE_GAMMA = series_parameters(7, 1)
+
+
+@pytest.mark.parametrize(
+    "call, least_n",
+    [
+        pytest.param(lambda: check_rec1(0, RANGE_SPIN, RANGE_T, 2), 1, id="rec1 n=0"),
+        pytest.param(lambda: check_rec2(0, RANGE_SPIN, RANGE_T, 2, RANGE_GAMMA), 1, id="rec2 n=0"),
+        pytest.param(lambda: check_rec2v(0, RANGE_SPIN, RANGE_T, 2), 1, id="rec2v n=0"),
+        pytest.param(lambda: check_reduction_chain(0, 1, "main1", 7), 1, id="chain n=0"),
+        pytest.param(lambda: check_lemma1_report(0, 7), 1, id="lemma1 n=0"),
+        pytest.param(lambda: check_lemma2_report(0, 7), 1, id="lemma2 n=0"),
+        pytest.param(lambda: check_main1(2, RANGE_SPIN, RANGE_T, -1), 0, id="main1 D=-1"),
+        pytest.param(lambda: check_rec1(2, RANGE_SPIN, RANGE_T, -1), 1, id="rec1 D=-1"),
+        pytest.param(lambda: check_hl_corollary(2, RANGE_T, -1), 0, id="hl D=-1"),
+        pytest.param(lambda: check_main1(-1, RANGE_SPIN, RANGE_T, 2), 0, id="main1 n=-1"),
+        pytest.param(lambda: check_reduction_chain(2, -1, "main1", 7), 1, id="chain p=-1"),
+    ],
+)
+def test_public_checks_reject_inputs_out_of_range(call, least_n):
+    # the range rule of run_check: p >= 0 and D >= 0 everywhere, n >= 0 for
+    # the series identities (n = 0 passes) and n >= 1 for the rest
+    with pytest.raises(ValueError, match="need n >= %d, p >= 0 and D >= 0, got n=" % least_n):
+        call()
+
+
 def test_run_all_battery():
     reports = run_all(n=2, p=1, D=3, seed=7)
     assert all(r.passed for r in reports), [(r.check, r.status) for r in reports]
+    assert [r.check for r in reports] == [name for name, _ in _BATTERY]
+    for rep, (_, gamma) in zip(reports, _BATTERY):
+        if gamma is not None:
+            assert rep.params["gamma"] == rat_str(gamma)
     names = [r.check for r in reports]
     assert names.count("main2") == 2
     d = reports[0].to_dict()

@@ -2,14 +2,17 @@
 
 ``bench/tracer.py`` lists its spans and counters by module and attribute
 path, and ``Tracer.install`` raises ``KeyError`` on a name that is gone, so a
-rename in spinhl would break ``bench/run.py --trace 1``.  This test only
-reads the tracer; it installs nothing.
+rename in spinhl would break ``bench/run.py --trace 1``.  The tracer also
+keeps its own copy of the check names for the per-check spans, which must
+equal spinhl's.  These tests only read the tracer; they install nothing.
 """
 
 import importlib.util
 import os
 
 import pytest
+
+from spinhl.identities import CHECK_NAMES
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TRACER = os.path.join(ROOT, "bench", "tracer.py")
@@ -32,3 +35,8 @@ def test_traced_name_resolves(module_name, path):
     owner, attr = tracer._resolve(module_name, path)
     # install reads the original from the owner's own namespace
     assert attr in vars(owner), "%s.%s" % (module_name, path)
+
+
+def test_tracer_check_names_are_spinhl_check_names():
+    # a renamed or added check would otherwise drop out of the per-check spans
+    assert tracer.CHECK_NAMES == CHECK_NAMES
