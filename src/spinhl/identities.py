@@ -56,6 +56,7 @@ from math import prod
 
 from .arith import (
     ParamPoint,
+    PoleError,
     SpinParams,
     invert,
     perm_sign,
@@ -204,14 +205,17 @@ def _lhs_sum(n, spin, t, cap, poch, budget, cache, var_indices=None):
     Each factor poch(spin, r, m) / (q; q)_m is kept there too, per family and
     spin and by (r, m), so the sums at budgets B and B+1 and over variable
     subsets evaluate it once.  The weighted states are added in one
-    ``ProductSum``."""
+    ``ProductSum``.  At q = 1 the factor 1/(q; q)_m has a pole for every
+    m >= 1, raised as ``PoleError`` before the transfer runs."""
+    q = t * t
+    if q == 1:
+        raise PoleError("1 - q")
     var_indices = tuple(range(n)) if var_indices is None else tuple(var_indices)
     key = ("transfer", var_indices, n, spin.prefix, spin.tail, t, cap)
     got = cache.get(key)
     if got is None or got[0] < budget:
         got = cache[key] = (budget, _transfer_sweep(n, spin, t, cap, budget, var_indices, cache))
     factors = cache.setdefault(("poch factors", poch, spin, t), {})
-    q = t * t
     one = TruncSeries.const(n, cap, 1)
     total = one.product_sum()
     for state, series in got[1].items():

@@ -11,32 +11,45 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .arith import ParamPoint, invert, tabled_sum
+from .arith import ParamPoint, invert, over_common_denominator, tabled_sum
 
 
 def det(rows):
-    """Exact determinant of a square matrix of rationals (Gaussian elimination)."""
-    m = [[Fraction(v) for v in row] for row in rows]
-    n = len(m)
-    if any(len(row) != n for row in m):
+    """Exact determinant of a square matrix of rationals, fraction-free.
+
+    Each row is cleared to integers over the lcm of its denominators, the
+    integer matrix is reduced by Bareiss elimination (E. H. Bareiss,
+    Sylvester's identity and multistep integer-preserving Gaussian
+    elimination, Math. Comp. 22, 1968), whose every division is exact, with
+    a row swap on a zero pivot, and its determinant is divided once by the
+    product of the row denominators."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("determinant needs a square matrix")
+    den = 1
+    m = []
+    for row in rows:
+        nums, scale = over_common_denominator(row)
+        den *= scale
+        m.append(nums)
     sign = 1
-    out = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
+    prev = 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            piv = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if piv is None:
+                return Fraction(0)
+            m[k], m[piv] = m[piv], m[k]
             sign = -sign
-        out *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return sign * out
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        for row in m[k + 1 :]:
+            lead = row[k]
+            for c in range(k + 1, n):
+                row[c] = (row[c] * pivot - lead * pivot_row[c]) // prev
+        prev = pivot
+    return Fraction(sign * m[-1][-1], den) if n else Fraction(1)
 
 
 class SkewMatrix:

@@ -6,9 +6,11 @@ top row.  Vertical edges may carry any multiplicity g >= 0, horizontal edges
 carry at most one path.  Summing products of local vertex weights over all
 ensembles reproduces F_lambda, giving an oracle that never touches the
 symmetrizer formula.  ``row_transfer`` sums them row by row; it serves the
-scalar ``f_lambda_vertex`` and, on series, the truncated partition sums of
-``spinhl.identities``.  ``enumerate_ensembles`` and ``ensemble_weight``
-materialize every ensemble instead and are the brute-force reference.
+scalar ``f_lambda_vertex``, which forms only the states that can still reach
+the one top state lambda, and, on series, the truncated partition sums of
+``spinhl.identities``, which keep every top state.  ``enumerate_ensembles``
+and ``ensemble_weight`` materialize every ensemble instead and are the
+brute-force reference.
 """
 
 from dataclasses import dataclass
@@ -122,7 +124,7 @@ class PathEnsemble:
         return max(max(row) for row in self.occ)
 
 
-def _weighted_successors(state, u, spin, q, memos, scale, room, budget):
+def _weighted_successors(state, u, spin, q, memos, scale, low, room, budget):
     """All admissible next occupancy rows above ``state`` with their weight,
     scanning columns left to right with the entering flux fixed to 1.
 
@@ -137,8 +139,9 @@ def _weighted_successors(state, u, spin, q, memos, scale, room, budget):
     entering column c and none of ``state`` at or past it is empty from c
     on, and ends there.  Paths only move right going up, so two
     counts of the new row only grow as it is built and bound it column by
-    column: its paths in the columns >= c may not exceed ``room[c]``
-    (``room[width]`` is 0, so no path leaves on the right), and its excess
+    column: its paths in the columns >= c, fixed once the flux leaving
+    column c - 1 is, may not exceed ``room[c]`` (``room[width]`` is 0, so no
+    path leaves on the right) nor fall below ``low[c]``, and its excess
     sum_c m_c max(c - p, 0) past the spin prefix length p may not exceed
     ``budget``."""
     width = len(state)
@@ -163,7 +166,7 @@ def _weighted_successors(state, u, spin, q, memos, scale, room, budget):
             h2 = g + h - g2
             # the columns left of c are final; h2 paths move on to c + 1
             excess2 = excess + h2 if c >= p else excess
-            if excess2 > budget or tail[c + 1] + h2 > room[c + 1]:
+            if excess2 > budget or not low[c + 1] <= tail[c + 1] + h2 <= room[c + 1]:
                 continue
             cfg = (g, g2, h, h2)
             if cfg == (0, 0, 0, 0) and scale is None:
@@ -184,7 +187,7 @@ def _weighted_successors(state, u, spin, q, memos, scale, room, budget):
     return out
 
 
-def row_transfer(rows, spin, q, one, room, budget):
+def row_transfer(rows, spin, q, one, room, budget, single_top=False):
     """Row-by-row transfer sum of the higher spin six vertex model.
 
     ``rows`` lists one (u, weights, scale) triple per row from the bottom up,
@@ -197,6 +200,13 @@ def row_transfer(rows, spin, q, one, room, budget):
     ``_weighted_successors``.  Returns the nonzero summed weights of the top
     states by state.
 
+    With ``single_top`` the caller wants only the top state holding exactly
+    room[c] paths in the columns >= c.  A horizontal edge carries at most one
+    path, so those paths grow by at most one per row, and a state after row
+    r holding fewer than room[c] - (rows left) of them cannot reach the top;
+    such states are never formed, and the last row yields the top alone.
+    Otherwise every top state is wanted and the lower bound is 0.
+
     On series, each target state adds the products acc * w of its
     predecessors' sums and their walk weights (each w a polynomial in the
     row's variable alone) into one ``series.ProductSum``, made by the unit's
@@ -206,11 +216,14 @@ def row_transfer(rows, spin, q, one, room, budget):
     spins = [spin.lookup(c) for c in range(len(room) - 1)]
     product_sum = getattr(one, "product_sum", None)
     states = {(0,) * len(spins): one}
-    for u, weights, scale in rows:
+    low = [0] * len(room)
+    for r, (u, weights, scale) in enumerate(rows, 1):
         memos = [weights.setdefault(s, {}) for s in spins]
+        if single_top:
+            low = [paths - (len(rows) - r) for paths in room]
         nxt = {}
         for state, acc in states.items():
-            successors = _weighted_successors(state, u, spin, q, memos, scale, room, budget)
+            successors = _weighted_successors(state, u, spin, q, memos, scale, low, room, budget)
             if product_sum is not None:
                 for row, w in successors:
                     total = nxt.get(row)
@@ -234,9 +247,11 @@ def f_lambda_vertex(lam, point):
     hold empty weight-1 vertices, so the transfer stops at the largest part.
 
     Each row memoizes its local weights.  The number of paths in the columns
-    >= c never decreases from row to row, so a state holding more of them
-    than the top boundary for some c cannot reach lambda and is never formed;
-    that bound also keeps every state's excess within |lambda|.
+    >= c never decreases from row to row and grows by at most one per row,
+    so a state after row r holding more of them than the top boundary, or
+    fewer than the top boundary less n - r, for some c cannot reach lambda
+    and is never formed (``row_transfer``'s ``single_top``); the upper bound
+    also keeps every state's excess within |lambda|.
 
     The transfer runs on integers.  A vertex of row r holds at most n paths,
     so every local weight of spin s is one of 1 - s u q^g, u (1 - s^2 q^(g-1)),
@@ -265,7 +280,7 @@ def f_lambda_vertex(lam, point):
         scale = {s: row_scale(u, s, q, n) for s in set(spins)}
         den *= prod(scale[s] for s in spins)
     rows = [(u, {}, n) for u in point.u]
-    states = row_transfer(rows, point.spin, q, 1, room, sum(lam))
+    states = row_transfer(rows, point.spin, q, 1, room, sum(lam), single_top=True)
     return Fraction(states.get(tuple(top), 0), den)
 
 

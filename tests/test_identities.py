@@ -526,6 +526,28 @@ def test_series_vertex_pole_names_its_factor():
         check_main1(2, SpinParams((F(3),), F(1, 3)), F(1, 2), 2)
 
 
+@pytest.mark.parametrize("t", (1, -1))
+def test_family_weights_at_q_one_raise_before_the_transfer(t, monkeypatch):
+    # every weight divides by (q; q)_m, which vanishes at q = 1 for m >= 1;
+    # the transfer there would sum to 0 and report a false fail
+    def no_sweep(*args):
+        raise AssertionError("the transfer ran at q = 1")
+
+    monkeypatch.setattr(spinhl.identities, "_transfer_sweep", no_sweep)
+    spin = SpinParams((), F(1, 3))
+    for check in (
+        lambda: check_main1(2, spin, t, 2),
+        lambda: check_hl_corollary(2, t, 2),
+        lambda: check_rec1(2, spin, t, 2),
+        lambda: check_rec2v(2, spin, t, 2),
+        lambda: check_kawanaka(2, t, 2),
+        lambda: _lhs_sum(2, spin, F(t), 2, poch_main1(F(1)), 2, {}),
+    ):
+        with pytest.raises(PoleError) as err:
+            check()
+        assert str(err.value) == "vanishing denominator: 1 - q"
+
+
 def test_hl_and_kawanaka_small():
     t, _, _ = series_parameters(11, 0)
     assert check_hl_corollary(1, t, 5).passed

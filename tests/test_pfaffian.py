@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -125,6 +125,42 @@ def test_zero_label_parity_convention():
     assert subset_labels((3,)) == (0, 3)
     assert subset_labels(()) == ()
     assert subset_labels((1, 2, 3)) == (0, 1, 2, 3)
+
+
+def leibniz_det(rows):
+    """The determinant as the signed sum over permutations."""
+    n = len(rows)
+    total = F(0)
+    for sigma in permutations(range(n)):
+        total += perm_sign(sigma) * math.prod(F(rows[i][sigma[i]]) for i in range(n))
+    return total
+
+
+@pytest.mark.parametrize("seed", (7, 8, 9))
+def test_det_matches_the_leibniz_sum(seed):
+    rng = random.Random(seed)
+    for n in range(7):
+        ints = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        rats = [[F(rng.randint(-30, 30), rng.randint(1, 15)) for _ in range(n)] for _ in range(n)]
+        for rows in (ints, rats):
+            got = det(rows)
+            assert isinstance(got, F) and got == leibniz_det(rows), (n, rows)
+    # a zero leading pivot forces a row swap, and a zero pivot further down too
+    swap = [[0, F(2, 3), 5], [F(-1, 2), 4, 0], [7, 1, F(1, 9)]]
+    late = [[1, 2, 3, 4], [2, 4, F(1, 2), 0], [F(3, 5), 1, 1, 1], [0, F(-7, 3), 2, 5]]
+    # a singular matrix (row 3 = row 1 + 2 row 2) and a zero column
+    singular = [[F(1, 2), 3, -1], [2, F(-1, 3), 4], [F(9, 2), F(7, 3), 7]]
+    zero_col = [[F(rng.randint(-9, 9), rng.randint(1, 9)), 0, rng.randint(-9, 9)] for _ in range(3)]
+    for rows in (swap, late, singular, zero_col):
+        assert det(rows) == leibniz_det(rows), rows
+    assert det(singular) == det(zero_col) == 0
+    assert det(swap) != 0 and det(late) != 0
+
+
+@pytest.mark.parametrize("rows", ([[1, 2]], [[1], [2]], [[1, 2], [3]], [[]]))
+def test_det_rejects_a_non_square_matrix(rows):
+    with pytest.raises(ValueError, match="square"):
+        det(rows)
 
 
 def test_b_matrix_identity_and_determinant():

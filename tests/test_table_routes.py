@@ -311,8 +311,9 @@ def test_vertex_prune_past_the_largest_part(seed, monkeypatch):
     successors = vertex._weighted_successors
 
     def recording(state, *args):
-        seen.append(state)
-        return successors(state, *args)
+        out = successors(state, *args)
+        seen.append((state, out))
+        return out
 
     monkeypatch.setattr(vertex, "_weighted_successors", recording)
     for n, max_part in ((1, 3), (2, 3), (3, 2), (4, 1)):
@@ -322,10 +323,15 @@ def test_vertex_prune_past_the_largest_part(seed, monkeypatch):
             seen.clear()
             expect = sum(ensemble_weight(e, point) for e in enumerate_ensembles(lam, max_col=wide))
             assert f_lambda_vertex(lam, point) == expect, lam
-            # no transfer state holds more paths in the columns >= c than lambda
+            # no transfer state holds more paths in the columns >= c than
+            # lambda, nor fewer than lambda less the rows still to come
             room = [sum(1 for part in lam if part >= c) for c in range(wide + 1)]
-            for state in seen:
-                assert all(sum(state[c:]) <= room[c] for c in range(wide + 1)), (lam, state)
+            top = tuple(sum(1 for part in lam if part == c) for c in range(lam[0] + 1))
+            for state, out in seen:
+                r = sum(state)  # each row brings one path in from the left
+                assert all(room[c] - (n - r) <= sum(state[c:]) <= room[c] for c in range(wide + 1)), (lam, state)
+                if r == n - 1:
+                    assert {row for row, _ in out} <= {top}, (lam, state, out)
 
 
 @pytest.mark.parametrize("seed", (7, 8, 9))
