@@ -10,8 +10,9 @@ antisymmetrizer formula when k is strictly increasing.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
-from .arith import PoleError, vandermonde
+from .arith import PoleError, over_common_denominator, vandermonde
 from .symfun import interlacing_sum, permutation_sum, rows_between
 
 
@@ -245,6 +246,26 @@ def robbins_star_enum(k, x, u, v, w):
     return interlacing_sum(k, True, _row_key, lambda i, key: _row_factor(x, u, v, w, i, key))
 
 
+def _integer_tables(x, pair, single):
+    """The tables of ``permutation_sum`` for rational factors: for each a < b
+    the entries pair(x_a, x_b) and pair(x_b, x_a) over their common
+    denominator, and each row of ``single`` over its own.  An ordering uses
+    one order of each pair and one entry of each row, so every term shares
+    the product of those denominators."""
+    n = len(x)
+    pnum = [[0] * n for _ in range(n)]
+    den = 1
+    for a, b in combinations(range(n), 2):
+        (pnum[a][b], pnum[b][a]), d = over_common_denominator((pair(x[a], x[b]), pair(x[b], x[a])))
+        den *= d
+    snum = []
+    for row in single:
+        nums, d = over_common_denominator(row)
+        snum.append(nums)
+        den *= d
+    return pnum, snum, den
+
+
 def robbins_star_bialternant(k, x, u, v, w):
     """Modified Robbins polynomial by the antisymmetrizer formula; the x_i
     must be pairwise distinct.  The pair factors u x_a x_b + v + w x_a and the
@@ -259,9 +280,8 @@ def robbins_star_bialternant(k, x, u, v, w):
         raise PoleError("x_i - x_j")
     if any(val == 0 for val in x) and any(val < 0 for val in k):
         raise PoleError("x_i (negative exponent)")
-    num = permutation_sum(
-        x, lambda xa, xb: u * xa * xb + v + w * xa, [[xa**e for e in k] for xa in x], signed=True
-    )
+    pair = lambda xa, xb: u * xa * xb + v + w * xa
+    num = permutation_sum(*_integer_tables(x, pair, [[xa**e for e in k] for xa in x]), signed=True)
     return num / vandermonde(x)
 
 
@@ -286,4 +306,4 @@ def robbins_bialternant(k, x, t, u, v, w):
         return t * xb + u * xa * xb + v + w * xa
 
     single = [[pair(xa, xa) * xa ** (e - 1) for e in k] for xa in x]
-    return permutation_sum(x, pair, single, signed=True) / vandermonde(x)
+    return permutation_sum(*_integer_tables(x, pair, single), signed=True) / vandermonde(x)

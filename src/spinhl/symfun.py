@@ -137,90 +137,95 @@ def antisymmetrize(g, u):
     return total
 
 
-def permutation_sum(values, pair, single, signed=False):
-    """Sum over the orderings sigma of range(n) of
+def permutation_sum(pair, single, den, signed=False):
+    """Sum over the orderings sigma of range(n) of [sgn(sigma)] *
+    prod_{i<j} pair[sigma_i][sigma_j] * prod_i single[sigma_i][i], over den.
 
-        [sgn(sigma)] * prod_{i<j} pair(values[sigma_i], values[sigma_j])
-                     * prod_i single[sigma_i][i],
-
-    the sign taken when ``signed``.  The pair factors are tabulated once for
-    every a != b, and ``single`` is a per-call n x n table (row a for
-    values[a], column i for the position).  Each term uses every unordered
-    pair {a, b} once, in one of its two orders, and every row of ``single``
-    once, so with both orders of each pair and each row over one common
-    denominator all n! terms share a single denominator: each term is a
-    product of integers, and the sum is reduced once.
+    The tables hold integers (``single`` row a for value a, column i for the
+    position).  The sum is a transfer over the set S of values already
+    placed, 2^n states instead of n! orderings: placing a at position |S|
+    takes single[a][|S|] and pair[a][b] for every b still to come, and each
+    such b < a is an inversion, a sign flip when ``signed``.
     """
-    n = len(values)
+    n = len(single)
     _check_cap(n, "antisymmetrization" if signed else "symmetrization")
-    pnum = [[0] * n for _ in range(n)]
-    den = 1
-    for a, b in combinations(range(n), 2):
-        (pnum[a][b], pnum[b][a]), d = over_common_denominator(
-            (pair(values[a], values[b]), pair(values[b], values[a]))
-        )
-        den *= d
-    snum = []
-    for row in single:
-        nums, d = over_common_denominator(row)
-        snum.append(nums)
-        den *= d
-    index_pairs = tuple(combinations(range(n), 2))
-    total = 0
-    for perm in permutations(range(n)):
-        term = prod(pnum[perm[i]][perm[j]] for i, j in index_pairs)
-        term *= prod(snum[a][i] for i, a in enumerate(perm))
-        total += -term if signed and perm_sign(perm) < 0 else term
+    level = {0: 1}
+    for i in range(n):
+        nxt = {}
+        for placed, val in level.items():
+            rest = [a for a in range(n) if not placed >> a & 1]
+            for idx, a in enumerate(rest):
+                row, term = pair[a], val * single[a][i]
+                for b in rest:
+                    if b != a:
+                        term *= row[b]
+                key = placed | 1 << a
+                nxt[key] = nxt.get(key, 0) + (-term if signed and idx % 2 else term)
+        level = nxt
+    (total,) = level.values()
     return Fraction(total, den)
+
+
+def _pair_table(x, q):
+    """Integer numerators of (x_a - q x_b)/(x_a - x_b) for distinct x, and
+    the product of the pair denominators: with x_a = p_a/r_a and q = e/f both
+    orders of {a, b} are over f (p_a r_b - p_b r_a), up to sign."""
+    e, f = q.numerator, q.denominator
+    pair = [[0] * len(x) for _ in x]
+    den = 1
+    for a, b in combinations(range(len(x)), 2):
+        ab, ba = x[a].numerator * x[b].denominator, x[b].numerator * x[a].denominator
+        pair[a][b], pair[b][a] = f * ab - e * ba, e * ab - f * ba
+        den *= f * (ab - ba)
+    return pair, den
 
 
 def f_lambda(lam, point):
     """Exact value of the spin Hall-Littlewood function at a generic point,
-    by the symmetrizer formula over all n! orderings of the u_i.
+    by the symmetrizer formula summed by ``permutation_sum``.
 
     The pair factors (u_a - q u_b)/(u_a - u_b) and, for every variable u_a
-    and part value k of lambda, the factor
-    (1-q)/(1 - s_k u_a) * prod_{j<k} (u_a - s_j)/(1 - s_j u_a) are tabulated
-    once; each ordering contributes a product of table entries (see
-    ``permutation_sum``).  A vanishing denominator is reported at the first
-    ordering, position and factor that evaluating the terms one by one meets.
+    and part value k, the factor (1-q)/(1 - s_k u_a) * prod_{j<k} (u_a - s_j)/(1 - s_j u_a)
+    are tabulated once as integers: with u_a = p/r and s_j = c_j/d_j the
+    latter is (1-q) r d_k / prod_{j<=k} (r d_j - c_j p) * prod_{j<k} (p d_j - c_j r),
+    and the (1-q)^n of every ordering multiplies the sum once.  A vanishing
+    denominator is reported at the first ordering, position and factor that
+    evaluating the terms one by one meets.
     """
     lam = as_parts(lam)
     n = len(lam)
     if len(point.u) != n:
         raise ValueError("partition length %d != number of spectral values %d" % (n, len(point.u)))
-    if n == 0:
-        return Fraction(1)
     _check_cap(n, "symmetrization")
     u, q = point.u, point.q
     for i, j in combinations(range(n), 2):
         if u[i] == u[j]:
             raise _pole_at(PoleError("u_%d - u_%d" % (i + 1, j + 1)), u)
-    spins = [point.spin.lookup(j) for j in range(lam[0] + 1)]
-    factor = {}
+    spins = [point.spin.lookup(j) for j in range(max(lam, default=0) + 1)]
+    nums, dens = [], []  # per a: p d_j - c_j r and r d_j - c_j p, j <= lambda_1
     pole = {}  # (a, k) -> j of the first vanishing 1 - s_j u_a a term checks
     for a, ua in enumerate(u):
-        dens = [1 - s * ua for s in spins]
+        p, r = ua.numerator, ua.denominator
+        nums.append([p * s.denominator - s.numerator * r for s in spins])
+        dens.append([r * s.denominator - s.numerator * p for s in spins])
+        if 0 not in dens[a]:
+            continue
         for k in set(lam):
-            j = next((j for j in (k, *range(k)) if dens[j] == 0), None)
+            j = next((j for j in (k, *range(k)) if dens[a][j] == 0), None)
             if j is not None:
                 pole[a, k] = j
-                continue
-            val = (1 - q) / dens[k]
-            for j in range(k):
-                val *= (ua - spins[j]) / dens[j]
-            factor[a, k] = val
     if pole:
         for perm in permutations(range(n)):
             for i, a in enumerate(perm):
                 if (a, lam[i]) in pole:
                     what = "1 - s_%d*u_%d" % (pole[a, lam[i]], i + 1)
                     raise _pole_at(PoleError(what), tuple(u[b] for b in perm))
-    return permutation_sum(
-        u,
-        lambda ua, ub: (ua - q * ub) / (ua - ub),
-        [[factor[a, k] for k in lam] for a in range(n)],
-    )
+    pair, den = _pair_table(u, q)
+    single = [
+        [ua.denominator * spins[k].denominator * prod(nums[a][:k]) * prod(dens[a][k + 1 :]) for k in lam]
+        for a, ua in enumerate(u)
+    ]
+    return (1 - q) ** n * permutation_sum(pair, single, den * prod(map(prod, dens)))
 
 
 def f_lambda_recurrence_rhs(lam, point):
@@ -358,7 +363,8 @@ def schur(lam, x):
 
 def hall_littlewood_P(lam, x, q):
     """Hall-Littlewood polynomial P_lambda(x; q) by its symmetrizer formula,
-    with the pair factors and the powers x_a^(lambda_i) tabulated once."""
+    with the pair factors and the powers x_a^(lambda_i) tabulated once as
+    integers (see ``permutation_sum``)."""
     x = tuple(Fraction(v) for v in x)
     q = Fraction(q)
     n = len(x)
@@ -370,7 +376,8 @@ def hall_littlewood_P(lam, x, q):
         raise PoleError("x_i - x_j")
     norm = Fraction(1 - q) ** n
     for m in multiplicities(lam).values():
-        norm /= qpoch(q, q, m)
-    return norm * permutation_sum(
-        x, lambda xa, xb: (xa - q * xb) / (xa - xb), [[xa**k for k in lam] for xa in x]
-    )
+        norm *= invert(qpoch(q, q, m), "(q; q)_%d" % m)
+    pair, den = _pair_table(x, q)
+    top = max(lam, default=0)
+    single = [[xa.numerator**k * xa.denominator ** (top - k) for k in lam] for xa in x]
+    return norm * permutation_sum(pair, single, den * prod(xa.denominator for xa in x) ** top)

@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+import spinhl.symfun
 from spinhl.arith import ParamPoint, PoleError, SpinParams, qpoch, sample_point
 from spinhl.pfaffian import det
 from spinhl.symfun import (
@@ -170,6 +171,20 @@ def test_hall_littlewood_basics():
     assert hall_littlewood_P((1, 0), x, q) == x[0] + x[1]
     for lam in [(2, 0), (2, 1), (3, 3)]:
         assert hall_littlewood_P(lam, x, F(0)) == schur(lam, x)
+    assert hall_littlewood_P((), (), q) == 1
+
+
+@pytest.mark.parametrize("q, lam, m", [(1, (1, 1), 2), (1, (1, 0), 1), (-1, (1, 1), 2)])
+def test_hall_littlewood_names_the_q_pochhammer_pole_before_the_sum(q, lam, m, monkeypatch):
+    # the norm divides by (q; q)_m per part multiplicity m: zero at q = 1,
+    # and at q = -1 once a part repeats
+    def no_sum(*args):
+        raise AssertionError("the symmetrizer sum ran")
+
+    monkeypatch.setattr(spinhl.symfun, "permutation_sum", no_sum)
+    with pytest.raises(PoleError) as err:
+        hall_littlewood_P(lam, (F(1, 2), F(1, 3)), q)
+    assert str(err.value) == "vanishing denominator: (q; q)_%d" % m
 
 
 def test_recurrence_examples():

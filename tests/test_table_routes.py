@@ -4,15 +4,19 @@ Each reference evaluates its formula term by term, the way the library did
 before the factor tables: a closure term summed by the public
 ``symmetrize``/``antisymmetrize``, ``mt_weight`` summed over
 ``monotone_triangles``, or a product of powers summed over Gelfand-Tsetlin
-patterns built one by one.  The vertex transfer is checked against the plain
-ensemble enumeration, past the largest part where the reachability prune acts.
+patterns built one by one.  The subset transfer ``permutation_sum`` is
+checked against the loop over all n! orderings it replaced, and ``f_lambda``
+against the vertex model at six and seven variables.  The vertex transfer is
+checked against the plain ensemble enumeration, past the largest part where
+the reachability prune acts.
 The key-lemma right sides are checked against their subset sums term by
 term, each conjugated Pfaffian built from its own matrix.
 """
 
 import math
+import random
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -33,6 +37,7 @@ from spinhl.symfun import (
     f_lambda,
     hall_littlewood_P,
     multiplicities,
+    permutation_sum,
     rows_between,
     schur_bialternant,
     schur_gt,
@@ -80,6 +85,17 @@ def f_reference(lam, point):
         return val
 
     return symmetrize(term, point.u)
+
+
+def reference_permutation_sum(pair, single, den, signed=False):
+    """The integer tables of ``permutation_sum`` summed ordering by ordering."""
+    n = len(single)
+    total = 0
+    for perm in permutations(range(n)):
+        term = math.prod(pair[perm[i]][perm[j]] for i, j in combinations(range(n), 2))
+        term *= math.prod(single[a][i] for i, a in enumerate(perm))
+        total += -term if signed and perm_sign(perm) < 0 else term
+    return F(total, den)
 
 
 def gt_patterns(bottom):
@@ -184,6 +200,35 @@ def test_f_lambda_matches_symmetrized_term(seed):
     for point, shapes in seeded_points(seed):
         for lam in shapes:
             assert f_lambda(lam, point) == f_reference(lam, point), (point.n, point.spin.p, lam)
+
+
+@pytest.mark.parametrize("signed", (False, True))
+def test_permutation_sum_matches_the_ordering_loop(signed):
+    rng = random.Random(7)
+    for n in range(8):
+        ones = [[1] * n for _ in range(n)]
+        assert permutation_sum(ones, ones, 1, signed) == (int(n < 2) if signed else math.factorial(n))
+        for den, size in ((1, 9), (-7, 9), (3, 10**20)):
+            # entries up to 9 bring zeros and negatives into both tables
+            pair = [[rng.randint(-size, size) for _ in range(n)] for _ in range(n)]
+            single = [[rng.randint(-size, size) for _ in range(n)] for _ in range(n)]
+            tables = (pair, single, den, signed)
+            assert permutation_sum(*tables) == reference_permutation_sum(*tables), (n, den)
+            if n >= 2:
+                pair[1][0] = 0  # one order of the pair {0, 1} vanishes
+                assert permutation_sum(*tables) == reference_permutation_sum(*tables), (n, den)
+    big = [[1] * 9 for _ in range(9)]
+    what = "antisymmetrization" if signed else "symmetrization"
+    with pytest.raises(ValueError, match="^%s over 9! orderings exceeds cap 8$" % what):
+        permutation_sum(big, big, 1, signed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_f_lambda_matches_the_vertex_model_at_seven_variables(seed):
+    for n in (6, 7):
+        point = sample_point(seed, n, p=1, pole_list=spin_poles(2))
+        for lam in bounded_partitions(n, 2):
+            assert f_lambda(lam, point) == f_lambda_vertex(lam, point), (n, lam)
 
 
 def test_hall_littlewood_matches_symmetrized_term():
