@@ -1,17 +1,25 @@
 """Skew-symmetric matrices, exact Pfaffians, and the Pfaffian right-hand sides.
 
-The Pfaffian is computed by a Laplace expansion memoized over label subsets,
-whose entries may be any commutative ring elements supporting +, -, *
-(exact rationals or truncated power series); the signed perfect-matching sum
-over integer numerators is kept as an independent cross-check for rational
-matrices of small dimension.
+The Pfaffian is computed by a Laplace expansion memoized over position
+tuples, whose entries may be any commutative ring elements supporting +, -,
+* (exact rationals or truncated power series); ``SkewMatrix.pfaffians``
+expands many principal blocks of one table from a single memo, so blocks
+share the sub-blocks they expand into.  The signed perfect-matching sum is
+kept as an independent cross-check for rational matrices of small
+dimension: it scales each label by the lcm of the denominators in its row,
+walks the matchings on the integer entries with no memo, and divides once.
+
+The gamma-refined entries at rational u are one integer numerator over one
+integer denominator in closed form; at series u they follow the ring
+formula, which the tests also compare with the closed form on rationals.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
-from .arith import ParamPoint, invert, over_common_denominator, tabled_sum
+from .arith import ParamPoint, PoleError, invert, over_common_denominator
 
 
 def det(rows):
@@ -109,68 +117,81 @@ class SkewMatrix:
             {(a, b): diag[a] * val * diag[b] for (a, b), val in self.upper.items()},
         )
 
-    def pfaffian(self):
-        """Pfaffian via Laplace expansion, memoized over label subsets."""
-        m = self.dim
-        if m % 2:
-            raise ValueError("Pfaffian requires even dimension, got %d" % m)
-        labels = self.labels
-        memo = {}
+    def pfaffians(self, blocks):
+        """Laplace Pfaffians of the principal blocks over the label sets in
+        ``blocks``, each given in table order, from one memo over position
+        tuples: every block expands along its first position, and a sub-block
+        reached from two blocks is expanded once.  ``pfaffian()`` is the
+        block over all labels."""
+        pos = self._pos
+        starts = []
+        for block in blocks:
+            missing = [lab for lab in block if lab not in pos]
+            if missing:
+                raise KeyError("labels %r not present" % (missing,))
+            positions = tuple(pos[lab] for lab in block)
+            if any(a >= b for a, b in zip(positions, positions[1:])):
+                raise ValueError("block labels must be distinct and in table order")
+            if len(positions) % 2:
+                raise ValueError("Pfaffian requires even dimension, got %d" % len(positions))
+            starts.append(positions)
+        at = [[0] * self.dim for _ in range(self.dim)]
+        for (a, b), val in self.upper.items():
+            at[pos[a]][pos[b]] = val
+        memo = {(): 1}
 
         def pf(positions):
-            if not positions:
-                return 1
-            if positions in memo:
-                return memo[positions]
-            first = positions[0]
+            got = memo.get(positions)
+            if got is not None:
+                return got
+            row = at[positions[0]]
             acc = 0
             for idx in range(1, len(positions)):
-                a = self.entry(labels[first], labels[positions[idx]])
+                a = row[positions[idx]]
                 if not a:
                     continue
-                rest = positions[1:idx] + positions[idx + 1 :]
-                term = a * pf(rest)
+                term = a * pf(positions[1:idx] + positions[idx + 1 :])
                 acc = acc + term if idx % 2 else acc - term
             memo[positions] = acc
             return acc
 
-        return pf(tuple(range(m)))
+        return [pf(positions) for positions in starts]
+
+    def pfaffian(self):
+        """Pfaffian via Laplace expansion, memoized over position tuples."""
+        return self.pfaffians([self.labels])[0]
 
     def pfaffian_matchings(self):
         """Pfaffian straight from the signed perfect-matching sum (small dims).
 
-        Rational entries only: the sum runs through ``tabled_sum``, with the
-        sign of each matching at key position 0 and its pairs after it, so
-        every term is a product of integer numerators.  ``pfaffian()`` takes
-        any ring."""
+        Rational entries only.  Label a is scaled by d_a, the lcm of the
+        denominators in its row, so D M D has integer entries and
+        Pf(D M D) = prod_a d_a Pf(M).  Every perfect matching with a nonzero
+        product is walked with no memo, pairing the first free position with
+        the one at index idx among the free ones (sign (-1)^(idx-1)) and
+        carrying the integer product down; the sum is divided once.
+        ``pfaffian()`` takes any ring."""
         m = self.dim
         if m % 2:
             raise ValueError("Pfaffian requires even dimension, got %d" % m)
-        labels = self.labels
+        rows = [over_common_denominator(self.entry(a, b) for b in self.labels) for a in self.labels]
+        scale = [den for _, den in rows]
+        ints = [[num * d for num, d in zip(nums, scale)] for nums, _ in rows]
+        total = 0
 
-        def entry(i, key):
-            return key if i == 0 else self.entry(labels[key[0]], labels[key[1]])
+        def walk(free, product):
+            nonlocal total
+            if not free:
+                total += product
+                return
+            row = ints[free[0]]
+            for idx in range(1, len(free)):
+                v = row[free[idx]]
+                if v:
+                    walk(free[1:idx] + free[idx + 1 :], product * v if idx % 2 else -product * v)
 
-        return tabled_sum(
-            ((sign,) + matching for sign, matching in _perfect_matchings(tuple(range(m)))), entry
-        )
-
-
-def _perfect_matchings(positions):
-    """(sign, matching) for every perfect matching of ``positions``, the sign
-    being that of the flattened matching as a permutation of ``positions``:
-    pairing the first position with the one at index idx moves it past
-    idx - 1 others."""
-    if not positions:
-        yield 1, ()
-        return
-    first = positions[0]
-    for idx in range(1, len(positions)):
-        pair = (first, positions[idx])
-        rest = positions[1:idx] + positions[idx + 1 :]
-        flip = -1 if idx % 2 == 0 else 1
-        for sign, sub in _perfect_matchings(rest):
-            yield flip * sign, (pair,) + sub
+        walk(tuple(range(m)), 1)
+        return Fraction(total, prod(scale))
 
 
 def subset_labels(T):
@@ -203,8 +224,64 @@ def m_gamma_entry(i, j, u, t, gamma, s, gamma_inv_s):
 
     ``u`` is the 0-based list of spectral values (rationals or series), and
     the scalars t, gamma, s, gamma_inv_s are exact rationals.  At gamma = 1
-    the correction terms drop and no inverses of (1 - s u) are needed.
+    the correction terms drop and no inverses of (1 - s u) are needed.  When
+    the entry's u values are rationals it is written in closed form
+    (``_rational_entry``), otherwise by the ring formula (``_ring_entry``).
     """
+    if all(isinstance(u[k - 1], (int, Fraction)) for k in (i, j) if k):
+        return _rational_entry(i, j, u, t, gamma, s, gamma_inv_s)
+    return _ring_entry(i, j, u, t, gamma, s, gamma_inv_s)
+
+
+def _rational_entry(i, j, u, t, gamma, s, gamma_inv_s):
+    """``_ring_entry`` at rational u, as one integer over one integer.
+
+    With t = e/f, u_i = a/b, u_j = c/d, B = bd and P = ac, the gamma = 1
+    entry is (ad - cb) N / ((f + e)(B - P)(f^2 B - e^2 P)) with
+    N = (f^2 + e^2)(f B - e P) + (ad + cb) e (f - e) f.  With gamma = g/h,
+    gamma_inv_s = k/kd and s = sn/sd, the correction (gamma - 1) F of the
+    core puts N over G = h^2 kd^2 (f + e)(sd b - sn a)(sd d - sn c) and adds
+    (g - h)(e kd - k f)(B - P) sd^2 R, R being the bracket's numerator over
+    h f^3 kd B; the label-0 entry is 1 + (g - h)(e kd - k f)(d - c) sd over
+    h kd (f + e)(sd d - sn c).  Each pole is read off the integer that
+    vanishes with it, in the ring formula's order and with its names."""
+    e, f = t.numerator, t.denominator
+    g, h = gamma.numerator, gamma.denominator
+    k, kd = gamma_inv_s.numerator, gamma_inv_s.denominator
+    sn, sd = s.numerator, s.denominator
+    c, d = u[j - 1].numerator, u[j - 1].denominator
+    if i == 0:
+        if gamma == 1:
+            return Fraction(1)
+        den = h * kd * (f + e) * (sd * d - sn * c)
+        if not den:
+            raise PoleError("(1+t)(1 - s*u_%d)" % j)
+        return Fraction(den + (g - h) * (e * kd - k * f) * (d - c) * sd, den)
+    a, b = u[i - 1].numerator, u[i - 1].denominator
+    B, P = b * d, a * c
+    ad, cb = a * d, c * b
+    fB_eP = f * B - e * P
+    num = (f * f + e * e) * fB_eP + (ad + cb) * e * (f - e) * f
+    den = (f + e) * (B - P) * (f * f * B - e * e * P)
+    if gamma != 1:
+        G = h * h * kd * kd * (f + e) * (sd * b - sn * a) * (sd * d - sn * c)
+        if not G:
+            raise PoleError("(1+t)(1 - s*u_%d)(1 - s*u_%d)" % (i, j))
+        bracket = (
+            (f + e) * (kd + k) * (f * f * h * B + e * e * g * P)
+            + (h + g) * (e * e * kd - k * f * f) * fB_eP
+            - (h + g) * e * f * (e * kd + k * f) * (ad + cb)
+        )
+        num = num * G + (g - h) * (e * kd - k * f) * (B - P) * sd * sd * bracket
+        den *= G
+    if not den:
+        raise PoleError("(1+t)(1 - u_%d*u_%d)(1 - q*u_%d*u_%d)" % (i, j, i, j))
+    return Fraction((ad - cb) * num, den)
+
+
+def _ring_entry(i, j, u, t, gamma, s, gamma_inv_s):
+    """``m_gamma_entry`` by the ring formula, for u in any ring (the series
+    Pfaffian side, and the reference the closed form is tested against)."""
     q = t * t
     if i == 0:
         if gamma == 1:
@@ -289,18 +366,15 @@ def m_gamma(spec, T, u=None):
 
 def block_pfaffians(spec):
     """Pf(m_gamma(spec, T)) for every subset T of [n], keyed by T in order of
-    size.  The entries over the labels 0..n are built once, and each block
-    is the restriction of that table to ``subset_labels(T)``."""
+    size.  The entries over the labels 0..n are built once, and every block
+    over ``subset_labels(T)`` is expanded from that table's one memo."""
     point = spec.point
     table = SkewMatrix.from_function(
         range(point.n + 1),
         lambda a, b: m_gamma_entry(a, b, point.u, point.t, spec.gamma, spec.s, spec.gamma_inv_s),
     )
-    return {
-        T: table.restrict(subset_labels(T)).pfaffian()
-        for size in range(point.n + 1)
-        for T in combinations(range(1, point.n + 1), size)
-    }
+    subsets = [T for size in range(point.n + 1) for T in combinations(range(1, point.n + 1), size)]
+    return dict(zip(subsets, table.pfaffians([subset_labels(T) for T in subsets])))
 
 
 def m_conjugated(spec, T, u=None):

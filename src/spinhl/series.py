@@ -627,10 +627,11 @@ def pfaffian_side_series(spec, n, cap):
     I = {a_1 < ... < a_n}, so only the I with |lambda| <= cap are read: they
     have a_n <= cap + n - 1 and a + b <= cap + 2n - 3 for any two a, b in
     I.  The c_ab come from one bivariate entry at that cap, the h_a from one
-    univariate entry, and every Pf(C_I) from one scalar table, in the order
-    in which the dense matrix's first entries raise their poles.  The
-    u-differences leave the unit of ``divide_by_u_differences``, and
-    ``pfaffian_kernel`` follows at ``cap``."""
+    univariate entry, in the order in which the dense matrix's first
+    entries raise their poles, and every Pf(C_I) from one memo over one
+    scalar table (``SkewMatrix.pfaffians``).  The u-differences leave the
+    unit of ``divide_by_u_differences``, and ``pfaffian_kernel`` follows at
+    ``cap``."""
     s, t = spec.point.spin.tail, spec.point.t
 
     def entry(i, j, entry_cap):
@@ -648,11 +649,10 @@ def pfaffian_side_series(spec, n, cap):
         upper.update(((a, b), c) for (a, b), c in entry(1, 2, cap + 2 * n - 3).items() if a < b < cap + n)
     table = SkewMatrix(border + tuple(exponents), upper)
     pairs = n * (n - 1) // 2
+    reads = [I for I in combinations(exponents, n) if sum(I) - pairs <= cap]
     total = TruncSeries.zero(n, cap)
-    for I in combinations(exponents, n):
-        if sum(I) - pairs <= cap:
-            pf = table.restrict(border + I).pfaffian()
-            if pf:
-                total = total + pf * schur_series(tuple(I[k] - k for k in reversed(range(n))), n, cap)
+    for I, pf in zip(reads, table.pfaffians([border + I for I in reads])):
+        if pf:
+            total = total + pf * schur_series(tuple(I[k] - k for k in reversed(range(n))), n, cap)
     out = _times_u_unit(total if pairs % 2 == 0 else -total, range(n), s)
     return out * pfaffian_kernel([u_substitution(i, s, cap, n) for i in range(n)], t)

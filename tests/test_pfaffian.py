@@ -6,16 +6,18 @@ from itertools import combinations, permutations
 import pytest
 
 from spinhl.arith import ParamPoint, PoleError, SpinParams, perm_sign, sample_point
+from spinhl.identities import series_parameters
 from spinhl.pfaffian import (
     MGammaSpec,
     SkewMatrix,
-    _perfect_matchings,
+    _ring_entry,
     b_matrix,
     block_pfaffians,
     cor_entry,
     det,
     m_conjugated,
     m_gamma,
+    m_gamma_entry,
     pfaffian_kernel,
     pfaffian_side,
     rhs_cor,
@@ -23,7 +25,7 @@ from spinhl.pfaffian import (
     rhs_main2,
     subset_labels,
 )
-from spinhl.series import u_substitution
+from spinhl.series import pfaffian_side_series, u_substitution
 
 
 def random_skew(rng, labels):
@@ -79,12 +81,37 @@ def test_laplace_matches_matching_sum():
             SkewMatrix(tuple(range(1, dim + 1)), {}).pfaffian_matchings()
 
 
+def reference_perfect_matchings(positions):
+    """(sign, matching) for every perfect matching of ``positions``, the sign
+    being that of the flattened matching as a permutation of ``positions``:
+    pairing the first position with the one at index idx moves it past
+    idx - 1 others.  The recursion ``pfaffian_matchings`` walks."""
+    if not positions:
+        yield 1, ()
+        return
+    first = positions[0]
+    for idx in range(1, len(positions)):
+        pair = (first, positions[idx])
+        rest = positions[1:idx] + positions[idx + 1 :]
+        flip = -1 if idx % 2 == 0 else 1
+        for sign, sub in reference_perfect_matchings(rest):
+            yield flip * sign, (pair,) + sub
+
+
 def test_matching_sign_is_the_permutation_sign():
+    rng = random.Random(31)
     for dim in range(0, 9, 2):
-        matchings = list(_perfect_matchings(tuple(range(dim))))
+        matchings = list(reference_perfect_matchings(tuple(range(dim))))
         for sign, matching in matchings:
             assert sign == perm_sign([pos for pair in matching for pos in pair]), matching
         assert len({matching for _, matching in matchings}) == len(matchings) == math.prod(range(1, dim, 2))
+        # the matching sum over those signs, term by term in Fractions
+        mat = random_skew(rng, tuple(range(1, dim + 1)))
+        expect = sum(
+            (sign * math.prod((mat.entry(a + 1, b + 1) for a, b in matching), start=F(1)) for sign, matching in matchings),
+            F(0),
+        )
+        assert mat.pfaffian_matchings() == expect, dim
 
 
 def test_pfaffian_antisymmetry_under_permutations():
@@ -299,3 +326,118 @@ def test_rhs_main2_at_gamma_one_matches_direct_builder():
             pt = sample_point(seed, n, p=1, pole_list=kernel_pole_list(n))
             spec = MGammaSpec(pt, F(1), pt.s(0))
             assert rhs_main2(spec) == rhs_cor(pt)
+
+
+def _entry_or_pole(fn, *args):
+    try:
+        return fn(*args)
+    except PoleError as err:
+        return ("pole", err.what)
+
+
+def entry_specs(pt):
+    """(gamma, s, gamma_inv_s) at a point: gamma 1, the sampled gamma and
+    7/5 at s = s_0, and gamma = s = 0 with an explicit s/gamma."""
+    s = pt.s(0)
+    specs = [MGammaSpec(pt, gamma, s) for gamma in (F(1), pt.gamma, F(7, 5))]
+    specs.append(MGammaSpec(pt, F(0), F(0), F(-3, 7)))
+    return [(spec.gamma, spec.s, spec.gamma_inv_s) for spec in specs]
+
+
+def test_closed_form_entries_match_the_ring_formula():
+    for n in range(1, 7):
+        for seed in (3, 4):
+            pt = sample_point(seed, n, p=1, pole_list=kernel_pole_list(n))
+            for gamma, s, gis in entry_specs(pt):
+                for i in range(n + 1):
+                    for j in range(i + 1, n + 1):
+                        args = (i, j, pt.u, pt.t, gamma, s, gis)
+                        got = m_gamma_entry(*args)
+                        assert isinstance(got, F)
+                        assert got == _ring_entry(*args), (n, seed, gamma, i, j)
+
+
+def test_closed_form_entries_raise_the_ring_formula_poles():
+    s_pole = "(1+t)(1 - s*u_%d)(1 - s*u_%d)"
+    u_pole = "(1+t)(1 - u_%d*u_%d)(1 - q*u_%d*u_%d)"
+    cases = (
+        # (u, t, s, gamma, entry (i, j), the pole it must name, or None)
+        ((F(1, 3), F(2, 5)), F(-1), F(1, 7), F(3, 2), (0, 2), "(1+t)(1 - s*u_2)"),
+        ((F(1, 3), F(7, 1)), F(2, 9), F(1, 7), F(3, 2), (0, 2), "(1+t)(1 - s*u_2)"),
+        ((F(1, 3), F(7, 1)), F(2, 9), F(1, 7), F(1), (0, 2), None),
+        # 1 + t vanishes in two denominators at once: the first one names it
+        ((F(1, 3), F(2, 5)), F(-1), F(1, 7), F(3, 2), (1, 2), s_pole % (1, 2)),
+        ((F(1, 3), F(2, 5)), F(-1), F(1, 7), F(1), (1, 2), u_pole % (1, 2, 1, 2)),
+        ((F(1, 3), F(7, 1)), F(2, 9), F(1, 7), F(3, 2), (1, 2), s_pole % (1, 2)),
+        ((F(5, 1), F(2, 9)), F(2, 9), F(1, 5), F(3, 2), (1, 2), s_pole % (1, 2)),
+        ((F(1, 3), F(7, 1)), F(2, 9), F(1, 7), F(1), (1, 2), None),
+        ((F(3, 2), F(2, 3)), F(2, 9), F(1, 7), F(3, 2), (1, 2), u_pole % (1, 2, 1, 2)),
+        ((F(3, 2), F(2, 3)), F(2, 9), F(1, 7), F(1), (1, 2), u_pole % (1, 2, 1, 2)),
+        ((F(9, 2), F(1, 2)), F(2, 3), F(1, 7), F(3, 2), (1, 2), u_pole % (1, 2, 1, 2)),
+        ((F(9, 2), F(1, 2)), F(2, 3), F(1, 7), F(1), (1, 2), u_pole % (1, 2, 1, 2)),
+        # s u_1 = 1 and u_1 u_2 = 1 at once: the s pole comes first
+        ((F(2), F(1, 2)), F(2, 9), F(1, 2), F(3, 2), (1, 2), s_pole % (1, 2)),
+        ((F(2), F(1, 2)), F(2, 9), F(1, 2), F(1), (1, 2), u_pole % (1, 2, 1, 2)),
+    )
+    for u, t, s, gamma, (i, j), pole in cases:
+        args = (i, j, u, t, gamma, s, s / gamma)
+        got = _entry_or_pole(m_gamma_entry, *args)
+        assert got == _entry_or_pole(_ring_entry, *args), (u, t, s, gamma, i, j)
+        if pole is None:
+            assert isinstance(got, F), (u, t, s, gamma, i, j)
+        else:
+            assert got == ("pole", pole), (u, t, s, gamma, i, j)
+
+
+def recorded_pfaffians(monkeypatch):
+    """Every (table, blocks, values) that ``SkewMatrix.pfaffians`` returns
+    while the test runs."""
+    calls = []
+    shared = SkewMatrix.pfaffians
+
+    def record(self, blocks):
+        blocks = list(blocks)
+        values = shared(self, blocks)
+        calls.append((self, blocks, values))
+        return values
+
+    monkeypatch.setattr(SkewMatrix, "pfaffians", record)
+    return calls
+
+
+def test_shared_memo_blocks_equal_their_restricted_pfaffians(monkeypatch):
+    calls = recorded_pfaffians(monkeypatch)
+    for n in range(6):
+        pt = sample_point(21, n, p=1, pole_list=kernel_pole_list(n))
+        for gamma in (F(1), pt.gamma):
+            block_pfaffians(MGammaSpec(pt, gamma, pt.s(0)))
+    for n, cap in ((1, 3), (2, 3), (3, 3), (4, 2), (5, 2)):
+        for p in range(2):
+            t, spin, sampled = series_parameters(7, p)
+            for gamma in (F(1), sampled):
+                spec = MGammaSpec(ParamPoint(t, gamma, spin, ()), gamma, spin.lookup(0))
+                pfaffian_side_series(spec, n, cap)
+    monkeypatch.undo()
+    # one call per block_pfaffians and per pfaffian_side_series
+    assert len(calls) == 12 + 20
+    blocks_read = 0
+    for table, blocks, values in calls:
+        assert len(values) == len(blocks)
+        for block, value in zip(blocks, values):
+            assert value == table.restrict(block).pfaffian(), block
+        blocks_read += len(blocks)
+    assert blocks_read > 2 * sum(2**n for n in range(6))
+
+
+def test_shared_memo_rejects_a_block_out_of_table_order():
+    mat = random_skew(random.Random(3), (1, 2, 3, 4, 5, 6))
+    assert mat.pfaffians([(1, 2), (3, 4, 5, 6), ()]) == [
+        mat.entry(1, 2), mat.restrict((3, 4, 5, 6)).pfaffian(), 1,
+    ]
+    for block in ((2, 1), (1, 3, 2, 4), (1, 1), (1, 2, 4, 4)):
+        with pytest.raises(ValueError):
+            mat.pfaffians([(1, 2), block])
+    with pytest.raises(ValueError):
+        mat.pfaffians([(1, 2, 3)])
+    with pytest.raises(KeyError):
+        mat.pfaffians([(1, 7)])

@@ -3,9 +3,12 @@
 Each digest is the SHA-256 of the JSON list of "p/q" strings a route returns
 on a fixed seeded input, taken before the vertex transfer, the matching-sum
 Pfaffian, the monotone-triangle enumeration and the alternants' determinant
-ran on integer numerators, and before the symmetrizer sums ran as a transfer
-over subsets.
-They pin the same routes the ``point_oracles`` benchmark digests do.
+ran on integer numerators, before the symmetrizer sums ran as a transfer
+over subsets, and before the gamma-refined entries were written in closed
+integer form, the block Pfaffians shared one Laplace memo and the matching
+sum ran on a matrix cleared to integers.
+They pin the same routes the ``point_oracles`` benchmark digests do, and
+the second key lemma's entry table, block Pfaffians and both sides.
 """
 
 import hashlib
@@ -14,7 +17,8 @@ import random
 from fractions import Fraction as F
 
 from spinhl.arith import rat_str, sample_point
-from spinhl.pfaffian import SkewMatrix
+from spinhl.identities import key_lemma2_A_sides, key_lemma2_sides, lemma_point
+from spinhl.pfaffian import MGammaSpec, SkewMatrix, block_pfaffians, m_gamma
 from spinhl.robbins import robbins_star_bialternant, robbins_star_enum
 from spinhl.symfun import bounded_partitions, f_lambda, hall_littlewood_P, schur_bialternant
 from spinhl.vertex import f_lambda_vertex
@@ -25,6 +29,9 @@ ROBBINS_DIGEST = "806afb61b394bc292f1af3905d9bc4c15bb1965c90a3ef5e28f3fb5f5fa93e
 ALTERNANT_DIGEST = "cdb002b2cf95c655d96294698423bd2e95f0048809433542c11f9f0a8ff99341"
 SYMMETRIZER_DIGEST = "a44d9d4ead6bbf995204aef5da591fb5c088009351cf741c5ed0edfb097a3039"
 BIALTERNANT_DIGEST = "1d1a9aa7574c9fbe87de907940441dda8fdebafe0fe03d17855985864a3cbffe"
+M_GAMMA_DIGEST = "9bd652a31cafefb9decf8d7c57424023f9798931c43f22905a1f4f49ead6a553"
+BLOCKS_DIGEST = "c091c5b826243ee7cd9a9f6ff01247e50f79f044514ac5ba16777b025027963d"
+LEMMA2_DIGEST = "6c5d89ff4701637b95c5c4560c05b4cd964429a227e4bbc2363c6137c209a82b"
 
 
 def digest(values):
@@ -66,3 +73,31 @@ def test_bialternants_are_pinned():
     x4 = sample_point(7, 4, p=0)
     hl = [hall_littlewood_P(lam, x4.u, x4.q) for lam in bounded_partitions(4, 3)]
     assert digest([star, *hl]) == BIALTERNANT_DIGEST
+
+
+def lemma_specs():
+    point = lemma_point(7, 5)
+    return [MGammaSpec(point, gamma, point.spin.tail) for gamma in (F(1), point.gamma)]
+
+
+def test_gamma_refined_entries_are_pinned():
+    # the full table over the labels 0..5, at gamma = 1 and the sampled gamma
+    values = [v for spec in lemma_specs() for v in m_gamma(spec, range(1, 6)).upper.values()]
+    assert len(values) == 30
+    assert digest(values) == M_GAMMA_DIGEST
+
+
+def test_block_pfaffians_are_pinned():
+    values = [v for spec in lemma_specs() for v in block_pfaffians(spec).values()]
+    assert len(values) == 64
+    assert digest(values) == BLOCKS_DIGEST
+
+
+def test_second_key_lemma_sides_are_pinned():
+    # both identities of run_check("lemma2", n=5, seed=7), at its 12 points
+    values = []
+    for k in range(12):
+        pt = lemma_point(7 + 211 * k, 5)
+        values += key_lemma2_sides(pt, pt.spin.tail, pt.gamma)
+        values += key_lemma2_A_sides(pt, pt.spin.tail, pt.gamma)
+    assert digest(values) == LEMMA2_DIGEST
