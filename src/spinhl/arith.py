@@ -9,7 +9,7 @@ the square root of q.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import lcm, prod
 
 Rat = Fraction
 
@@ -89,38 +89,6 @@ def over_common_denominator(values):
 def vandermonde(x):
     """prod_{i<j} (x_j - x_i)."""
     return prod((x[j] - x[i] for i in range(len(x)) for j in range(i + 1, len(x))), start=Fraction(1))
-
-
-def tabled_sum(items, entry):
-    """Exact sum over the key tuples in ``items`` of prod_i entry(i, key_i).
-
-    ``entry`` is called once per distinct (i, key), when the first item that
-    needs it comes up, so an error it raises surfaces at that item.  The
-    entries of each position i are kept as integer numerators over one
-    common denominator, widened (and the running sum rescaled) when a new
-    entry needs it: every term is a product of integers, and the sum is
-    divided once.
-    """
-    nums, dens = [], []  # per position: key -> numerator over dens[i]
-    total = 0
-    for keys in items:
-        term = 1
-        for i, key in enumerate(keys):
-            if i == len(nums):
-                nums.append({})
-                dens.append(1)
-            num = nums[i].get(key)
-            if num is None:
-                val = Fraction(entry(i, key))
-                scale = val.denominator // gcd(dens[i], val.denominator)
-                if scale > 1:
-                    dens[i] *= scale
-                    total *= scale
-                    nums[i] = {k: v * scale for k, v in nums[i].items()}
-                num = nums[i][key] = val.numerator * (dens[i] // val.denominator)
-            term *= num
-        total += term
-    return Fraction(total, prod(dens))
 
 
 @dataclass(frozen=True)

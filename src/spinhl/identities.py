@@ -37,11 +37,13 @@ the subset factor, relabeled onto every subset of that size (see
 
 Every point-mode sum over the subsets T of [n] (both key-lemma right sides,
 every reduction-chain term and the chain's second identification) is one
-``_subset_product_sum``: a Pochhammer factor times one factor per index and
-one per pair, chosen by which ends lie in T, and optionally a block of T, each
-factor tabulated once and the terms summed on integer numerators.  The chains
-and the second key lemma take every subset's block Pfaffian from one table of
-matrix entries per point (``block_pfaffians``).
+``_subset_product_sum`` over plain factor tables: a Pochhammer factor per
+n - |T|, two factors per index and four per pair, chosen by which ends lie
+in T, and optionally a block per T.  The callers evaluate every factor before
+the sum, each table row is cleared to integers over its own least common
+denominator, and the terms are summed on integers and divided once.  The
+chains and the second key lemma take every subset's block Pfaffian from one
+table of matrix entries per point (``block_pfaffians``).
 
 Each kind of check has one driver (``_series_check`` for the five series
 identities, ``_check_rec``, ``_lemma_report``, ``check_reduction_chain``), and
@@ -59,11 +61,11 @@ from .arith import (
     PoleError,
     SpinParams,
     invert,
+    over_common_denominator,
     perm_sign,
     qpoch,
     rat_str,
     sample_point,
-    tabled_sum,
 )
 from .pfaffian import (
     MGammaSpec,
@@ -518,33 +520,40 @@ def check_rec2(n, spin, t, D, gamma, cache=None):
 
 def _subset_product_sum(n, poch, index, pair, block=None, proper=False):
     """The sum over the subsets T of range(n) (the proper ones when
-    ``proper``) of poch(n - |T|) prod_i index(i, [i in T])
-    prod_{i<j} pair(i, j, ([i in T], [j in T])), times block(T) when
-    ``block`` is given.
+    ``proper``) of poch[n - |T|] prod_i index[i][i in T]
+    prod_{i<j} pair[i, j][i in T, j in T], times block[T] (T ascending) when
+    ``block`` is not None.
 
-    Every factor is tabulated once per distinct argument and the terms are
-    summed through ``tabled_sum``, on integer numerators, so a factor that
-    raises does so at the first subset that needs it."""
-    pairs = tuple(combinations(range(n), 2))
+    Each row of the tables (the poch list, each index's two factors, each
+    pair's four, the block table) is cleared to integer numerators over its
+    own least common denominator once, every term is a product of those
+    integers, and the sum is divided once."""
+    den = 1
 
-    def keys(T):
-        bits = [0] * n
-        for i in T:
-            bits[i] = 1
-        out = (n - len(T),) + tuple(bits) + tuple((bits[i], bits[j]) for i, j in pairs)
-        return out + ((T,) if block else ())
+    def cleared(row):
+        # the dict ``row`` on integer numerators over its lcm, which den takes on
+        nonlocal den
+        nums, d = over_common_denominator(row.values())
+        den *= d
+        return dict(zip(row, nums))
 
-    def entry(pos, key):
-        if pos == 0:
-            return poch(key)
-        if pos <= n:
-            return index(pos - 1, key)
-        if pos > n + len(pairs):
-            return block(key)
-        return pair(*pairs[pos - n - 1], key)
-
-    sizes = range(n) if proper else range(n + 1)
-    return tabled_sum(map(keys, (T for size in sizes for T in combinations(range(n), size))), entry)
+    poch = cleared(dict(enumerate(poch)))
+    index = [cleared(dict(enumerate(row))) for row in index]
+    pair = {ij: cleared(ends) for ij, ends in pair.items()}
+    if block is not None:
+        block = cleared(block)
+    total = 0
+    for size in range(n if proper else n + 1):
+        for T in combinations(range(n), size):
+            bits = [0] * n
+            for i in T:
+                bits[i] = 1
+            term = poch[n - size] * prod(index[i][bits[i]] for i in range(n))
+            term *= prod(ends[bits[i], bits[j]] for (i, j), ends in pair.items())
+            if block is not None:
+                term *= block[T]
+            total += term
+    return Fraction(total, den)
 
 
 # ----------------------------------------------------------------------
@@ -556,23 +565,21 @@ def _key_lemma_sum(u, q, poch, inside, pair_inside, block=None):
     of [n] of perm_sign(T + Tc) poch(|Tc|) prod_{j in Tc} (1 - u_j)
     prod_{i in T} inside(u_i) prod_{i in T, j in Tc} (u_i - q u_j)(1 - u_i u_j)
     prod_{i<j in Tc} (1 - u_i u_j)(u_i - u_j) prod_{i<j in T} pair_inside(u_i, u_j),
-    times block(T) when ``block`` is given.  The sign is the parity of the
-    pairs i < j with only j in T, so it rides on those pair factors."""
-
-    def index(i, bit):
-        return inside(u[i]) if bit else 1 - u[i]
-
-    def pair(i, j, ends):
+    times block[T] (0-based T) when ``block`` is given.  The sign is the
+    parity of the pairs i < j with only j in T, so it rides on those pair
+    factors."""
+    n = len(u)
+    pair = {}
+    for i, j in combinations(range(n), 2):
         ui, uj = u[i], u[j]
-        if ends == (1, 1):
-            return pair_inside(ui, uj)
-        if ends == (0, 0):
-            return (1 - ui * uj) * (ui - uj)
-        if ends == (1, 0):
-            return (ui - q * uj) * (1 - ui * uj)
-        return (q * ui - uj) * (1 - ui * uj)  # -(u_j - q u_i)(1 - u_i u_j)
-
-    return _subset_product_sum(len(u), poch, index, pair, block)
+        pair[i, j] = {
+            (0, 0): (1 - ui * uj) * (ui - uj),
+            (1, 0): (ui - q * uj) * (1 - ui * uj),
+            (0, 1): (q * ui - uj) * (1 - ui * uj),  # -(u_j - q u_i)(1 - u_i u_j)
+            (1, 1): pair_inside(ui, uj),
+        }
+    index = [(1 - ui, inside(ui)) for ui in u]
+    return _subset_product_sum(n, [poch(m) for m in range(n + 1)], index, pair, block)
 
 
 def key_lemma1_sides(u, q, s):
@@ -601,16 +608,21 @@ def key_lemma2_sides(point, s, gamma, gamma_inv_s=None):
     signs) driving the Pfaffian-form proof."""
     specg = MGammaSpec(point, gamma, s, gamma_inv_s)
     conjugated = m_conjugated(specg, tuple(range(1, point.n + 1))).pfaffian()
-    pfs = block_pfaffians(MGammaSpec(point, Fraction(1), s))
-    return _key_lemma2_from(point, specg, conjugated, pfs)
+    blocks = _zero_based(block_pfaffians(MGammaSpec(point, Fraction(1), s)))
+    return _key_lemma2_from(point, specg, conjugated, blocks)
 
 
-def _key_lemma2_from(point, spec, conjugated, pfs):
+def _zero_based(pfs):
+    """The table of ``block_pfaffians``, keyed by the 0-based T."""
+    return {tuple(i - 1 for i in T): pf for T, pf in pfs.items()}
+
+
+def _key_lemma2_from(point, spec, conjugated, blocks):
     """``key_lemma2_sides`` at the parameters of ``spec``, given the Pfaffian
     ``conjugated`` of ``m_conjugated(spec, [n])`` and the gamma = 1 block
-    Pfaffians ``pfs`` (``block_pfaffians``).  The blocks do not depend on s,
-    and at gamma = 1 neither does ``conjugated``, so callers at several s
-    can share both.
+    Pfaffians ``blocks`` (``block_pfaffians`` keyed by the 0-based T).  The
+    blocks do not depend on s, and at gamma = 1 neither does ``conjugated``,
+    so callers at several s can share both.
 
     The right side conjugates each gamma = 1 block over T by the diagonal
     B(T, T) of ``b_matrix``; as Pf(B M B) = det(B) Pf(M), that is the
@@ -627,7 +639,7 @@ def _key_lemma2_from(point, spec, conjugated, pfs):
         lambda m: qpoch(-gis, t, m) * qpoch(-gamma * t, t, m),
         lambda ui: (1 + t) * (ui - s),
         lambda ui, uj: (1 - ui * uj) * (1 - q * ui * uj),
-        lambda T: pfs[tuple(i + 1 for i in T)],
+        blocks,
     )
     return lhs, rhs
 
@@ -717,7 +729,7 @@ def _chain_kernel(point, inside, pair_inside, block=None):
     """The factors of a chain term that do not depend on l, each computed
     once per chain: ``inside(i)`` per index in T; per pair, by which of its
     ends lie in T, ``pair_inside(i, j)`` for both and ``_split_kernel`` for
-    one; and ``block(T)``."""
+    one; and the table ``block``, keyed by the 0-based T."""
     u, q = point.u, point.q
     pairs = {}
     for i, j in combinations(range(point.n), 2):
@@ -740,13 +752,14 @@ def _littlewood_in_subset(point):
 def _pfaffian_in_subset(point, pfs):
     """``_chain_kernel`` with the in-subset factors of ``pfaffian_side``:
     (1 + t)/(1 - u_i) per index, (1 - q u_i u_j)/(u_i - u_j) per pair, and
-    the block Pfaffian of T from the table ``pfs`` (``block_pfaffians``)."""
+    the block Pfaffian of T from the table ``pfs`` (``block_pfaffians``),
+    re-keyed by the 0-based T."""
     u, t, q = point.u, point.t, point.q
     return _chain_kernel(
         point,
         lambda i: (1 + t) * invert(1 - u[i], "1 - u_%d" % (i + 1)),
         lambda i, j: (1 - q * u[i] * u[j]) * invert(u[i] - u[j], "u_%d - u_%d" % (i + 1, j + 1)),
-        lambda T: pfs[tuple(i + 1 for i in T)],
+        _zero_based(pfs),
     )
 
 
@@ -756,35 +769,51 @@ def _subset_sum(point, l, poch, kernel, proper=True):
     prod_{i in T} (u_i - s_l) times the split kernel
     prod_{i in T, j not in T} (u_i - q u_j)/(u_i - u_j) times the kernel
     over T (``_chain_kernel``), times ``_outer_factor``."""
-    u, sl = point.u, point.s(l)
+    u, sl, n = point.u, point.s(l), point.n
     inside, pairs, block = kernel
     total = _subset_product_sum(
-        point.n,
-        lambda m: poch(point.spin, l, m),
-        lambda i, bit: (u[i] - sl) * inside[i] if bit else 1,
-        lambda i, j, ends: pairs[i, j][ends],
+        n,
+        [poch(point.spin, l, m) for m in range(n + 1)],
+        [(1, (u[i] - sl) * inside[i]) for i in range(n)],
+        pairs,
         block,
         proper,
     )
     return total * _outer_factor(u, point.spin, l)
 
 
+def _chain_steps(point, letter, full, sums, telescope=False):
+    """The l-steps that the main1 and cor chains share, for the full side
+    ``full`` and the subset sums ``sums`` at l = 0..p+1, X being the
+    upper-case ``letter``: ``letter``[l=l] checks prefix_l (1 - ratio_l) full
+    against sums[l]; X'' checks (1 - ratio_p) full against the sums up to p
+    less ratio_p times those below p, and ``telescope`` the same of the left
+    sides; X checks full against the sums below p plus the geometric tail
+    sums[p] / (1 - ratio_p).  Each ratio and prefix product is computed once.
+    Returns the results, in that order, and the prefix products."""
+    u, spin, p = point.u, point.spin, point.spin.p
+    ratios = [_ratio(u, spin, l) for l in range(p + 2)]
+    prefix = [Fraction(1)]
+    for ratio in ratios[:-1]:
+        prefix.append(prefix[-1] * ratio)
+    lhs = [prefix[l] * (1 - ratios[l]) * full for l in range(p + 2)]
+    results = {"%s[l=%d]" % (letter, l): lhs[l] == sums[l] for l in range(p + 2)}
+    ratio_p = ratios[p]
+    lhs_pp = (1 - ratio_p) * full
+    results[letter.upper() + "''"] = lhs_pp == sum(sums[: p + 1]) - ratio_p * sum(sums[:p])
+    if telescope:
+        results["telescope"] = sum(lhs[: p + 1]) - ratio_p * sum(lhs[:p]) == lhs_pp
+    # full sum over l with geometric tail
+    results[letter.upper()] = full == sum(sums[:p]) + sums[p] / (1 - ratio_p)
+    return results, prefix
+
+
 def _chain_main1(point):
     """Each displayed step reducing the product-form identity to the key lemma."""
-    q, u, spin, p = point.q, point.u, point.spin, point.spin.p
     kernel = _littlewood_in_subset(point)
     k1_full = rhs_main1(point)
-    rhs_a = [_subset_sum(point, l, poch_main1(q), kernel) for l in range(p + 2)]
-    lhs_a = [_prefix_prod(u, spin, l) * (1 - _ratio(u, spin, l)) * k1_full for l in range(p + 2)]
-    results = {"a[l=%d]" % l: lhs_a[l] == rhs_a[l] for l in range(p + 2)}
-
-    ratio_p = _ratio(u, spin, p)
-    lhs_app = (1 - ratio_p) * k1_full
-    results["A''"] = lhs_app == sum(rhs_a[: p + 1]) - ratio_p * sum(rhs_a[:p])
-    results["telescope"] = sum(lhs_a[: p + 1]) - ratio_p * sum(lhs_a[:p]) == lhs_app
-    # full sum over l with geometric tail
-    results["A"] = k1_full == sum(rhs_a[:p]) + rhs_a[p] / (1 - ratio_p)
-    return results
+    sums = [_subset_sum(point, l, poch_main1(point.q), kernel) for l in range(point.spin.p + 2)]
+    return _chain_steps(point, "a", k1_full, sums, telescope=True)[0]
 
 
 def _chain_cor(point):
@@ -794,20 +823,10 @@ def _chain_cor(point):
     full = tuple(range(1, point.n + 1))
     pf_full = pfaffian_side(spec1, full)
     # pfaffian_side(spec1, T), its block restricted from one entry table
-    pfs = block_pfaffians(spec1)
-    kernel = _pfaffian_in_subset(point, pfs)
+    kernel = _pfaffian_in_subset(point, block_pfaffians(spec1))
     poch = poch_uniform(point.t)
-    rhs_b = [_subset_sum(point, l, poch, kernel) for l in range(p + 2)]
-    prefix = [_prefix_prod(point.u, point.spin, l) for l in range(p + 2)]
-    results = {
-        "b[l=%d]" % l: prefix[l] * (1 - _ratio(point.u, point.spin, l)) * pf_full == rhs_b[l]
-        for l in range(p + 2)
-    }
-
-    ratio_p = _ratio(point.u, point.spin, p)
-    lhs_bpp = (1 - ratio_p) * pf_full
-    results["B''"] = lhs_bpp == sum(rhs_b[: p + 1]) - ratio_p * sum(rhs_b[:p])
-    results["B"] = pf_full == sum(rhs_b[:p]) + rhs_b[p] / (1 - ratio_p)
+    sums = [_subset_sum(point, l, poch, kernel) for l in range(p + 2)]
+    results, prefix = _chain_steps(point, "b", pf_full, sums)
     for l in range(p + 2):
         rhs = _subset_sum(point, l, poch, kernel, proper=False)
         results["reuse[l=%d]" % l] = prefix[l] * pf_full == rhs
@@ -818,7 +837,7 @@ def _chain_cor(point):
     conjugated = m_conjugated(spec1, full).pfaffian()
     for l in range(p + 2):
         spec = MGammaSpec(point, Fraction(1), point.s(l))
-        lhs, rhs = _key_lemma2_from(point, spec, conjugated, pfs)
+        lhs, rhs = _key_lemma2_from(point, spec, conjugated, kernel[2])
         results["second_id[l=%d]" % l] = lhs == rhs
     return results
 

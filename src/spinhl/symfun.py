@@ -342,6 +342,8 @@ def schur_bialternant(lam, x):
     x = tuple(Fraction(v) for v in x)
     n = len(x)
     lam = as_parts(lam)
+    if len(lam) > n:
+        raise ValueError("partition longer than variable list")
     lam = lam + (0,) * (n - len(lam))
     if len(set(x)) != n:
         raise PoleError("x_i - x_j")

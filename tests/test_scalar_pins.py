@@ -6,9 +6,13 @@ Pfaffian, the monotone-triangle enumeration and the alternants' determinant
 ran on integer numerators, before the symmetrizer sums ran as a transfer
 over subsets, and before the gamma-refined entries were written in closed
 integer form, the block Pfaffians shared one Laplace memo and the matching
-sum ran on a matrix cleared to integers.
-They pin the same routes the ``point_oracles`` benchmark digests do, and
-the second key lemma's entry table, block Pfaffians and both sides.
+sum ran on a matrix cleared to integers.  The subset sums of the chains and
+of the first key lemma were taken before those sums ran over factor tables
+cleared to integers once per table.
+They pin the same routes the ``point_oracles`` benchmark digests do, the
+second key lemma's entry table, block Pfaffians and both sides, every
+subset sum of the three reduction chains at one point, and both sides of
+the first key lemma for n = 0..6.
 """
 
 import hashlib
@@ -17,7 +21,19 @@ import random
 from fractions import Fraction as F
 
 from spinhl.arith import rat_str, sample_point
-from spinhl.identities import key_lemma2_A_sides, key_lemma2_sides, lemma_point
+from spinhl.identities import (
+    _chain_point,
+    _littlewood_in_subset,
+    _pfaffian_in_subset,
+    _subset_sum,
+    key_lemma1_sides,
+    key_lemma2_A_sides,
+    key_lemma2_sides,
+    lemma_point,
+    poch_gamma,
+    poch_main1,
+    poch_uniform,
+)
 from spinhl.pfaffian import MGammaSpec, SkewMatrix, block_pfaffians, m_gamma
 from spinhl.robbins import robbins_star_bialternant, robbins_star_enum
 from spinhl.symfun import bounded_partitions, f_lambda, hall_littlewood_P, schur_bialternant
@@ -32,6 +48,8 @@ BIALTERNANT_DIGEST = "1d1a9aa7574c9fbe87de907940441dda8fdebafe0fe03d17855985864a
 M_GAMMA_DIGEST = "9bd652a31cafefb9decf8d7c57424023f9798931c43f22905a1f4f49ead6a553"
 BLOCKS_DIGEST = "c091c5b826243ee7cd9a9f6ff01247e50f79f044514ac5ba16777b025027963d"
 LEMMA2_DIGEST = "6c5d89ff4701637b95c5c4560c05b4cd964429a227e4bbc2363c6137c209a82b"
+CHAIN_SUMS_DIGEST = "d81d0e9e8d2769345944398cc64e8b5860f36245a0cb585966764b08f46feb47"
+LEMMA1_DIGEST = "c93df1bac71f474d048716bc0a83c27dbf720563ef4081d7f70e4716497c5482"
 
 
 def digest(values):
@@ -101,3 +119,31 @@ def test_second_key_lemma_sides_are_pinned():
         values += key_lemma2_sides(pt, pt.spin.tail, pt.gamma)
         values += key_lemma2_A_sides(pt, pt.spin.tail, pt.gamma)
     assert digest(values) == LEMMA2_DIGEST
+
+
+def test_chain_subset_sums_are_pinned():
+    # the (poch, kernel) of the main1, cor and main2 chains at l = 0..p+1,
+    # over the proper subsets and over all of them
+    pt = _chain_point(7, 5, 1)
+    pf_kernel = _pfaffian_in_subset(pt, block_pfaffians(MGammaSpec(pt, F(1), pt.s(0))))
+    chains = (
+        (poch_main1(pt.q), _littlewood_in_subset(pt)),
+        (poch_uniform(pt.t), pf_kernel),
+        (poch_gamma(pt.t, pt.gamma), pf_kernel),
+    )
+    values = [
+        _subset_sum(pt, l, poch, kernel, proper)
+        for poch, kernel in chains
+        for l in range(pt.spin.p + 2)
+        for proper in (True, False)
+    ]
+    assert len(values) == 18
+    assert digest(values) == CHAIN_SUMS_DIGEST
+
+
+def test_first_key_lemma_sides_are_pinned():
+    values = []
+    for n in range(7):
+        pt = lemma_point(7, n)
+        values += key_lemma1_sides(pt.u, pt.q, pt.spin.tail)
+    assert digest(values) == LEMMA1_DIGEST

@@ -160,6 +160,16 @@ def test_schur_gt_equals_bialternant():
                 assert schur_gt(lam, xs) == schur_bialternant(lam, xs), lam
 
 
+def test_schur_routes_reject_a_partition_longer_than_the_variables():
+    # the alternant ratio once dropped the parts past n: (2, 1, 1) at two
+    # variables gave s_(2,1)
+    x = (F(1, 2), F(1, 3))
+    for route in (schur_gt, schur_bialternant, schur):
+        with pytest.raises(ValueError, match="partition longer than variable list"):
+            route((2, 1, 1), x)
+    assert schur_bialternant((2, 1), x) == schur_gt((2, 1), x) == F(5, 36)
+
+
 def test_schur_falls_back_on_repeated_points():
     xs = (F(1), F(1), F(1))
     assert schur((1, 0, 0), xs) == 3

@@ -10,7 +10,8 @@ against the vertex model at six and seven variables.  The vertex transfer is
 checked against the plain ensemble enumeration, past the largest part where
 the reachability prune acts.
 The key-lemma right sides are checked against their subset sums term by
-term, each conjugated Pfaffian built from its own matrix.
+term, each conjugated Pfaffian built from its own matrix, and the subset-sum
+engine under them against a loop over the subsets on ``Fraction``s.
 """
 
 import math
@@ -22,7 +23,7 @@ import pytest
 
 from spinhl import vertex
 from spinhl.arith import ParamPoint, PoleError, SpinParams, perm_sign, qpoch, sample_point
-from spinhl.identities import key_lemma1_sides, key_lemma2_sides, lemma_point
+from spinhl.identities import _subset_product_sum, key_lemma1_sides, key_lemma2_sides, lemma_point
 from spinhl.pfaffian import MGammaSpec, m_conjugated
 from spinhl.robbins import (
     monotone_triangles,
@@ -377,6 +378,64 @@ def test_vertex_prune_past_the_largest_part(seed, monkeypatch):
                 assert all(room[c] - (n - r) <= sum(state[c:]) <= room[c] for c in range(wide + 1)), (lam, state)
                 if r == n - 1:
                     assert {row for row, _ in out} <= {top}, (lam, state, out)
+
+
+def subset_product_reference(n, poch, index, pair, block, proper):
+    total = F(0)
+    for size in range(n if proper else n + 1):
+        for T in combinations(range(n), size):
+            term = F(poch[n - size])
+            for i in range(n):
+                term *= index[i][i in T]
+            for (i, j), ends in pair.items():
+                term *= ends[i in T, j in T]
+            if block is not None:
+                term *= block[T]
+            total += term
+    return total
+
+
+def random_subset_tables(rng, n):
+    # a zero one time in ten, else a plain integer or a rational, either sign
+    def value():
+        kind = rng.randrange(10)
+        if kind == 0:
+            return F(0)
+        sign = rng.choice((-1, 1))
+        if kind < 3:
+            return sign * rng.randint(1, 5)
+        return F(sign * rng.randint(1, 30), rng.randint(1, 20))
+
+    poch = [value() for _ in range(n + 1)]
+    index = [(value(), value()) for _ in range(n)]
+    pair = {ij: {ends: value() for ends in ((0, 0), (1, 0), (0, 1), (1, 1))} for ij in combinations(range(n), 2)}
+    block = {T: value() for size in range(n + 1) for T in combinations(range(n), size)}
+    return poch, index, pair, block
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_subset_product_sum_matches_the_per_subset_loop(seed):
+    rng = random.Random(seed)
+    nonzero = 0
+    for n in range(6):
+        for _ in range(4):
+            poch, index, pair, block = random_subset_tables(rng, n)
+            for blocks in (None, block):
+                for proper in (False, True):
+                    got = _subset_product_sum(n, poch, index, pair, blocks, proper)
+                    assert got == subset_product_reference(n, poch, index, pair, blocks, proper), (n, proper)
+                    nonzero += got != 0
+    assert nonzero > 64  # of 96 sums, 8 of them over no subset (n = 0, proper)
+    # a table that is all zeros or all integers clears over denominator 1
+    n = 3
+    poch, index, pair, block = random_subset_tables(rng, n)
+    for zeros in ({T: 0 for T in block}, {T: F(0) for T in block}):
+        assert _subset_product_sum(n, poch, index, pair, zeros) == 0
+    index = [(F(0), F(0))] + index[1:]
+    assert _subset_product_sum(n, poch, index, pair, block, True) == 0
+    ints = [(2, -3)] * n
+    expect = subset_product_reference(n, poch, ints, pair, block, False)
+    assert _subset_product_sum(n, poch, ints, pair, block) == expect != 0
 
 
 @pytest.mark.parametrize("seed", (7, 8, 9))
