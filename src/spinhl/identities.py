@@ -17,11 +17,11 @@ exact to degree D.  The sum is one row-by-row transfer of the higher spin six
 vertex model on series, whose final states are the multiplicity rows
 (m_0, m_1, ...) of the partitions; it needs no symmetrizer and no division.
 The transfer is ``vertex.row_transfer``, the same one that computes the
-scalar ``f_lambda_vertex``: this module only builds its rows (one spectral
-series per variable) and weights each final state through the family's
-Pochhammer factor.  On series the transfer sums every target state's
-predecessors, and this module sums the weighted final states, each in one
-fused ``series.ProductSum`` on packed integer keys, reduced once.
+scalar ``f_lambda_vertex``.  Each state keeps its partial F_mu in the
+monomial-symmetric basis, the new row's variable taking the smallest part
+(``series.SymmetricSum``), so row k reads its univariate weights to degree
+cap // k only.  Each final state is expanded into a series once, weighted by
+the family's Pochhammer factor and added into one ``series.ProductSum``.
 Every series check additionally extends the budget by one and confirms that
 no coefficient moves (the stabilization check).  The Pfaffian sides are
 ``series.pfaffian_side_series``: by the minor summation formula the series
@@ -78,7 +78,10 @@ from .pfaffian import (
     s_over_gamma,
 )
 from .series import (
+    ProductSum,
+    SymmetricSum,
     TruncSeries,
+    expand_symmetric,
     pfaffian_side_series,
     series_diff,
     u_substitution,
@@ -177,23 +180,19 @@ def _pair_extra(n):
 def _transfer_sweep(n, spin, t, cap, budget, var_indices, cache):
     """The vertex-model transfer on series, one row per listed variable.
 
-    Row k carries the spectral value u = (s + x_v)/(1 + s x_v) of the k-th
-    listed variable x_v, and its series-valued vertex weights are kept in
-    ``cache`` per variable.  The columns run to p + budget, and states whose
-    excess passes the budget are dropped as they appear.  Returns the final
-    states, the multiplicity rows (m_0, m_1, ...) of the partitions lambda,
-    each mapped to F_lambda truncated at ``cap``.
-    """
-    rows = [
-        (
-            u_substitution(var, spin.tail, cap, n),
-            cache.setdefault(("vertex weights", var, n, cap, t, spin.tail), {}),
-            None,
-        )
-        for var in var_indices
-    ]
+    Row k's spectral value is u = (s + x)/(1 + s x) in one variable to degree
+    d = cap // k (s at d = 0), and its vertex weights are kept in ``cache``
+    per degree.  The columns run to p + budget, and states whose excess passes
+    the budget are dropped as they appear.  Returns the final states, the
+    multiplicity rows (m_0, m_1, ...) of the partitions lambda, each mapped to
+    F_lambda truncated at ``cap`` in the listed variables."""
+    rows = []
+    for d in (cap // k for k in range(1, len(var_indices) + 1)):
+        u = u_substitution(0, spin.tail, d, 1) if d else spin.tail
+        rows.append((u, cache.setdefault(("vertex weights", d, t, spin.tail), {}), None))
     room = [len(var_indices)] * (spin.p + budget + 1) + [0]
-    return row_transfer(rows, spin, t * t, TruncSeries.const(n, cap, 1), room, budget)
+    states = row_transfer(rows, spin, t * t, SymmetricSum.one(cap), room, budget)
+    return expand_symmetric(states, n, cap, var_indices)
 
 
 def _lhs_sum(n, spin, t, cap, poch, budget, cache, var_indices=None):
@@ -219,9 +218,9 @@ def _lhs_sum(n, spin, t, cap, poch, budget, cache, var_indices=None):
         got = cache[key] = (budget, _transfer_sweep(n, spin, t, cap, budget, var_indices, cache))
     factors = cache.setdefault(("poch factors", poch, spin, t), {})
     one = TruncSeries.const(n, cap, 1)
-    total = one.product_sum()
+    total = ProductSum(n, cap)
     for state, series in got[1].items():
-        if sum(m * max(r - spin.p, 0) for r, m in enumerate(state)) > budget:
+        if sum(m * r for r, m in enumerate(state[spin.p + 1 :], 1)) > budget:
             continue
         w = Fraction(1)
         for r, m in enumerate(state):

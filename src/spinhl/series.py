@@ -9,7 +9,10 @@ digits in base cap + 1 under a top digit holding the total degree (see
 one compare, so the ring operations never build exponent tuples; tuples
 appear only where a series is read out (``coeffs``, ``coefficient``,
 ``items_sorted``, ``to_json``, ``series_diff``), built from a mapping, or
-divided by the Vandermonde polynomial.
+divided by the Vandermonde polynomial.  The states of the vertex transfer on
+series are symmetric and are kept apart, one integer per partition
+(``SymmetricSum``), until each final state is expanded once
+(``expand_symmetric``).
 
 Inside the symmetrizer the pairwise differences u_i - u_j vanish at x = 0, so
 permutation terms are not individually power series.  Each difference factors
@@ -93,9 +96,10 @@ class TruncSeries:
     product runs over its right operand in key order and stops at the cap, a
     sum brings both operands to the lcm of the denominators, and ``inv``
     solves N * Q = 1 degree by degree (see there).  ``ProductSum`` adds
-    many products c * a * w on one integer dict and reduces once.  Ring
-    operations truncate consistently, so coefficients up to the cap only ever
-    depend on inputs up to the cap.
+    many products c * a * w on one integer dict and reduces once, and
+    ``SymmetricSum`` carries a transfer state in the monomial-symmetric
+    basis.  Ring operations truncate consistently, so coefficients up to the
+    cap only ever depend on inputs up to the cap.
     """
 
     __slots__ = ("nvars", "cap", "den", "num")
@@ -146,10 +150,6 @@ class TruncSeries:
         exps = [0] * nvars
         exps[i] = 1
         return cls(nvars, cap, {tuple(exps): Fraction(1)})
-
-    def product_sum(self):
-        """An empty ``ProductSum`` of this series' shape."""
-        return ProductSum(self.nvars, self.cap)
 
     def _key(self, exps):
         return _pack(exps, self.cap + 1)
@@ -359,15 +359,15 @@ class TruncSeries:
 
 class ProductSum:
     """A running sum of products c * a * w of series of one shape: the fused
-    multiply-add of the vertex transfer and the partition sums.
+    multiply-add of the partition sums, which add each final transfer state
+    times its family weight.
 
     The sum is kept as one integer dict under packed keys over one
     denominator, the lcm of the denominators added so far; a term whose
     denominator does not divide it rescales the dict once.  ``add`` runs
     over the terms of w in key order and stops at the cap, so w should be
-    the short factor: in the vertex transfer it is a walk weight, a
-    polynomial in one variable x_v with at most cap + 1 terms, and c a w
-    adds shifted copies of a along x_v.  ``series`` reduces once."""
+    the short factor (in the partition sums it is the constant 1).
+    ``series`` reduces once."""
 
     __slots__ = ("nvars", "cap", "limit", "den", "num")
 
@@ -408,6 +408,131 @@ class ProductSum:
         return TruncSeries._reduced(self.nvars, self.cap, self.den, num)
 
 
+class SymmetricSum:
+    """A state's sum in the vertex transfer on series (``vertex.row_transfer``),
+    kept in the monomial-symmetric basis.
+
+    After r rows a transfer state holds its partial F_mu(x_1, ..., x_r),
+    truncated at total degree ``cap`` and symmetric in the row variables.  It
+    is kept as one integer numerator per partition nu, a non-increasing
+    tuple of length r with |nu| <= cap, the coefficient of x^nu, over one
+    positive denominator ``den``.  The new row's variable takes the smallest
+    part: a target state's coefficient at nu + (e,), e <= nu_r, is the sum
+    over its predecessors of acc[nu] times the x^e coefficient of the walk
+    weight, one product per stored partition and walk term.  Since
+    (r + 1) e <= cap, row r + 1 reads its walk weights only to degree
+    cap // (r + 1).  ``add`` sums the products on one integer dict over the
+    lcm of their denominators; a sum is taken to lowest terms once, when it
+    first serves as a predecessor, and ``expand_symmetric`` turns the final
+    states into ``TruncSeries``.
+    """
+
+    __slots__ = ("cap", "den", "num", "terms")
+
+    def __init__(self, cap, num=None):
+        self.cap = cap
+        self.den = 1
+        self.num = {} if num is None else num
+        # (nu, numerator, the largest part the next row may add to nu), set
+        # once the sum is reduced
+        self.terms = None
+
+    @classmethod
+    def one(cls, cap):
+        """The sum before the first row: 1 on the empty partition."""
+        return cls(cap, {(): 1})
+
+    def __bool__(self):
+        return any(self.num.values())
+
+    def product_sum(self):
+        """An empty sum of this cap, for a state of the next row."""
+        return SymmetricSum(self.cap)
+
+    def _reduce(self):
+        """Take the sum to lowest terms and list its terms."""
+        num = {k: v for k, v in self.num.items() if v}
+        den = self.den
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {k: v // g for k, v in num.items()}
+        self.den, self.num = den, num
+        cap = self.cap
+        self.terms = [(nu, v, min(nu[-1], cap - sum(nu)) if nu else cap) for nu, v in num.items()]
+        return self.terms
+
+    def add(self, acc, w):
+        """Add acc times the walk weight w of the next row: a ``TruncSeries``
+        in its one variable, or a rational when only its constant term is
+        read."""
+        terms = acc._reduce() if acc.terms is None else acc.terms
+        if isinstance(w, TruncSeries):
+            step = w.cap + 2  # x^e in one variable has the key e * step
+            coeffs = [w.num.get(e * step, 0) for e in range(w.cap + 1)]
+            d = acc.den * w.den
+        else:
+            coeffs = [w.numerator]
+            d = acc.den * w.denominator
+        den = self.den
+        if den % d:
+            grown = lcm(den, d)
+            f = grown // den
+            self.num = {k: v * f for k, v in self.num.items()}
+            self.den = den = grown
+        m = den // d
+        if m != 1:
+            coeffs = [c * m for c in coeffs]
+        top = len(coeffs) - 1
+        out = self.num
+        get = out.get
+        for nu, v, most in terms:
+            for e in range(min(most, top) + 1):
+                c = coeffs[e]
+                if c:
+                    key = nu + (e,)
+                    out[key] = get(key, 0) + v * c
+
+
+def _arrangements(groups, places):
+    """The sums of part times place over the distinct ways to put the parts
+    of ``groups`` ((part, multiplicity) pairs) on distinct ``places``."""
+    sums = [(0, places)]
+    for part, mult in groups:
+        sums = [
+            (lead + part * sum(chosen), [p for p in free if p not in chosen])
+            for lead, free in sums
+            for chosen in combinations(free, mult)
+        ]
+    return [lead for lead, _ in sums]
+
+
+def expand_symmetric(states, nvars, cap, var_indices):
+    """The ``SymmetricSum`` at ``cap`` of each final state as a
+    ``TruncSeries`` in ``nvars`` variables, with x_1, ..., x_r the listed
+    variables: each nonzero partition coefficient goes to every distinct
+    permutation of the partition, each partition's keys are built once for
+    all states, and each series is reduced once."""
+    base = cap + 1
+    places = [base ** (nvars - 1 - v) for v in var_indices]
+    keys = {}
+    out = {}
+    for state, acc in states.items():
+        num = {}
+        for nu, v in acc.num.items():
+            if not v:
+                continue
+            got = keys.get(nu)
+            if got is None:
+                groups = [(part, nu.count(part)) for part in set(nu) if part]
+                lead = sum(nu) * base**nvars
+                got = keys[nu] = [lead + k for k in _arrangements(groups, places)]
+            num.update(dict.fromkeys(got, v))
+        out[state] = TruncSeries._reduced(nvars, cap, acc.den, num)
+    return out
+
+
 def series_diff(a, b):
     """First differing coefficient of two same-shape series in graded-lex
     order (the order of the keys), or None when equal."""
@@ -419,17 +544,19 @@ def series_diff(a, b):
 
 
 def u_substitution(i, s, cap, nvars):
-    """Series of (s + x_i)/(1 + s x_i): the spectral value as a power series."""
+    """Series of (s + x_i)/(1 + s x_i): the spectral value as a power series,
+    s + (1 - s^2) sum_{k>=1} (-s)^(k-1) x_i^k.  With s = a/b its x_i^k
+    coefficient is (b^2 - a^2)(-a)^(k-1)/b^(k+1), so the series is written on
+    integers over b^(cap+1) and reduced once."""
     s = Fraction(s)
-    coeffs = {(0,) * nvars: s}
-    unit = 1 - s * s
-    power = Fraction(1)
+    a, b = s.numerator, s.denominator
+    base = cap + 1
+    step = base**nvars + base ** (nvars - 1 - i)  # x_i^k has the key k * step
+    lead = b * b - a * a
+    num = {0: a * b**cap}
     for k in range(1, cap + 1):
-        exps = [0] * nvars
-        exps[i] = k
-        coeffs[tuple(exps)] = unit * power
-        power *= -s
-    return TruncSeries(nvars, cap, coeffs)
+        num[k * step] = lead * (-a) ** (k - 1) * b ** (cap - k)
+    return TruncSeries._reduced(nvars, cap, b ** (cap + 1), {k: v for k, v in num.items() if v})
 
 
 def one_plus_sx(i, s, nvars, cap):

@@ -128,14 +128,18 @@ def _weighted_successors(state, u, spin, q, memos, scale, low, room, budget):
     """All admissible next occupancy rows above ``state`` with their weight,
     scanning columns left to right with the entering flux fixed to 1.
 
-    ``u`` may be a scalar or a series; ``memos[c]`` memoizes the local
-    weights of column c by configuration, one memo per spin value (see
-    ``row_transfer``).  With ``scale`` None the weights are taken as they are
-    and empty vertices (weight 1) are skipped.  Otherwise ``scale`` is the
-    path bound n of the integer row scales L(s) = ``row_scale(u, s, q, n)``:
-    the row's weights are the integers ``scaled_weight(cfg, u, s, q, n)``,
-    an empty vertex included (it weighs L(s)), and every walk carries the
-    extra factor prod_c L(s_c).  Without a scale, a walk with no path
+    ``u`` may be a scalar or a series; on the series rows of
+    ``spinhl.identities`` it is a series in the row's one variable, read to
+    the degree that row needs (a smaller one each row, and only the constant
+    term s once the rows outnumber the cap, see ``row_transfer``), so each
+    walk weight is a univariate series or a rational.  ``memos[c]`` memoizes
+    the local weights of column c by configuration, one memo per spin value.
+    With ``scale`` None the weights are taken as they are and empty vertices
+    (weight 1) are skipped.  Otherwise ``scale`` is the path bound n of the
+    integer row scales L(s) = ``row_scale(u, s, q, n)``: the row's weights
+    are the integers ``scaled_weight(cfg, u, s, q, n)``, an empty vertex
+    included (it weighs L(s)), and every walk carries the extra factor
+    prod_c L(s_c).  Without a scale, a walk with no path
     entering column c and none of ``state`` at or past it is empty from c
     on, and ends there.  Paths only move right going up, so two
     counts of the new row only grow as it is built and bound it column by
@@ -207,12 +211,21 @@ def row_transfer(rows, spin, q, one, room, budget, single_top=False):
     such states are never formed, and the last row yields the top alone.
     Otherwise every top state is wanted and the lower bound is 0.
 
-    On series, each target state adds the products acc * w of its
-    predecessors' sums and their walk weights (each w a polynomial in the
-    row's variable alone) into one ``series.ProductSum``, made by the unit's
-    ``product_sum``, on integers over the lcm of their denominators, and is
-    reduced once per row.  Scalars have no ``product_sum`` and add the
-    products as they come."""
+    On series, ``one`` is ``series.SymmetricSum.one(cap)``: after r rows a
+    state's sum is its partial F_mu in the r row variables, symmetric in
+    them, and is kept in the monomial-symmetric basis, one integer per
+    partition nu with |nu| <= cap over one denominator.  The new row's
+    variable takes the smallest part, so a target state's coefficient at
+    nu + (e,) adds acc[nu] times the x^e coefficient of a walk weight, one
+    product per stored partition, and row r reads its walk weights only to
+    degree cap // r.  Each target state sums these products in one
+    ``SymmetricSum``, made by the unit's ``product_sum``, on integers over
+    the lcm of their denominators, and is reduced once, when it first serves
+    as a predecessor; the caller expands each final state into a series once
+    (``series.expand_symmetric``).  Pruning drops whole states only, and a
+    state's excess never falls from row to row, so every kept state keeps
+    all its predecessors and stays symmetric.  Scalars have no
+    ``product_sum`` and add the products as they come."""
     spins = [spin.lookup(c) for c in range(len(room) - 1)]
     product_sum = getattr(one, "product_sum", None)
     states = {(0,) * len(spins): one}
@@ -229,14 +242,12 @@ def row_transfer(rows, spin, q, one, room, budget, single_top=False):
                     total = nxt.get(row)
                     if total is None:
                         total = nxt[row] = product_sum()
-                    total.add(1, acc, w)
+                    total.add(acc, w)
                 continue
             for row, w in successors:
                 term = acc * w
                 got = nxt.get(row)
                 nxt[row] = term if got is None else got + term
-        if product_sum is not None:
-            nxt = {row: total.series() for row, total in nxt.items()}
         states = {state: acc for state, acc in nxt.items() if acc}
     return states
 

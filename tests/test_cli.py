@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import spinhl
 from spinhl import cli
 from spinhl.arith import ParamPoint, SpinParams, rat
 from spinhl.cli import main
@@ -484,3 +488,17 @@ def test_one_variable_at_s_one_has_no_difference_pole(capsys):
     code, out = run_cli(capsys, *SERIES_EVAL, "--lambda", "0", "--spin", "1/2,1", "--D", "2")
     assert code == 0
     assert json.loads(out) == {"D": 2, "lambda": [0], "series": [{"coefficient": "3/2", "exponents": [0]}]}
+
+
+def test_python_dash_m_runs_the_command_line(capsys, monkeypatch):
+    # a checkout on PYTHONPATH, not installed, runs as ``python -m spinhl``
+    monkeypatch.delenv("SPINHL_SEED", raising=False)
+    argv = ["verify", "main1", "--n", "2", "--p", "1", "--D", "1", "--seed", "7"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spinhl.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("SPINHL_SEED", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "spinhl", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert run_cli(capsys, *argv) == (0, proc.stdout)

@@ -244,6 +244,29 @@ def test_transfer_sweep_matches_the_product_by_product_reference(n, D_max):
         )
 
 
+def wider_transfer_grid():
+    """(n, t, spin, cap, var_indices) of sweeps beside those of the checks:
+    listed variables that are not the first k (including a gap), a p = 3
+    prefix, caps of at least twice the rows, so that several rows carry walk
+    weights past their constant term, and n = 6 at D = 1, where every row
+    after the first reads constant terms only."""
+    for p in (1, 3):
+        t, spin, _ = series_parameters(7, p)
+        for n, var_indices, cap in ((3, (0, 2), 4), (3, (0, 2), 5), (4, (1, 3), 6), (4, (0, 1, 3), 6)):
+            yield n, t, spin, cap, var_indices
+    t, spin, _ = series_parameters(7, 1)
+    yield 6, t, spin, 1, tuple(range(6))
+
+
+def test_transfer_sweep_matches_the_reference_on_a_wider_grid():
+    for n, t, spin, cap, var_indices in wider_transfer_grid():
+        budget = cap + _pair_extra(len(var_indices)) + 1
+        got = spinhl.identities._transfer_sweep(n, spin, t, cap, budget, var_indices, {})
+        assert got == reference_transfer_sweep(n, spin, t, cap, budget, var_indices), (
+            n, spin, cap, var_indices,
+        )
+
+
 def reference_rhs_pf_series(n, spin, t, gamma, cap):
     """The Pfaffian side as ``identities._rhs_pf_series`` computed it before
     the minor summation formula: the Laplace Pfaffian of the series matrix
@@ -524,6 +547,24 @@ def test_series_vertex_pole_names_its_factor():
     # s_0 u = 1 at x = 0: the column-0 denominator 1 - s_0 u has no constant term
     with pytest.raises(PoleError, match=r"1 - s\*u"):
         check_main1(2, SpinParams((F(3),), F(1, 3)), F(1, 2), 2)
+
+
+@pytest.mark.parametrize(
+    "spin",
+    [SpinParams((F(2),), F(1, 2)), SpinParams((F(1, 3), F(3)), F(1, 3))],
+    ids=["column 0", "column 1"],
+)
+def test_series_transfer_pole_keeps_its_message(spin):
+    # 1 - s_c s = 0 in prefix column c: the first row's walks reach the
+    # column, and its weights there divide by 1 - s_c u
+    t = F(1, 3)
+    for check in (
+        lambda: _lhs_sum(2, spin, t, 2, poch_main1(t * t), 3, {}),
+        lambda: check_main1(2, spin, t, 2),
+    ):
+        with pytest.raises(PoleError) as err:
+            check()
+        assert str(err.value) == "vanishing denominator: 1 - s*u"
 
 
 @pytest.mark.parametrize("t", (1, -1))

@@ -113,6 +113,16 @@ def test_u_substitution_limits():
     assert (us - s).order() == 1
 
 
+@pytest.mark.parametrize("s", [F(0), F(1), F(-1), F(2, 7), F(-5, 3), F(4)])
+def test_u_substitution_is_the_ring_quotient(s):
+    # the closed form on integers against (s + x_i) / (1 + s x_i) in the ring
+    for nvars in (1, 2, 3):
+        for i in range(nvars):
+            for cap in range(6):
+                x = TruncSeries.variable(nvars, cap, i)
+                assert u_substitution(i, s, cap, nvars) == (s + x) * (1 + s * x).inv(), (nvars, i, cap)
+
+
 def test_vandermonde_division_round_trip():
     rng = random.Random(17)
     V = TruncSeries(3, 9, vandermonde_exponents((0, 1, 2), 3))
