@@ -20,8 +20,8 @@ The transfer is ``vertex.row_transfer``, the same one that computes the
 scalar ``f_lambda_vertex``.  Each state keeps its partial F_mu in the
 monomial-symmetric basis, the new row's variable taking the smallest part
 (``series.SymmetricSum``), so row k reads its univariate weights to degree
-cap // k only.  Each final state is expanded into a series once, weighted by
-the family's Pochhammer factor and added into one ``series.ProductSum``.
+cap // k only.  The family's weighted sum of the final states is formed in
+that basis too, and only the sum is expanded into a series, once.
 Every series check additionally extends the budget by one and confirms that
 no coefficient moves (the stabilization check).  The Pfaffian sides are
 ``series.pfaffian_side_series``: by the minor summation formula the series
@@ -78,7 +78,6 @@ from .pfaffian import (
     s_over_gamma,
 )
 from .series import (
-    ProductSum,
     SymmetricSum,
     TruncSeries,
     expand_symmetric,
@@ -177,22 +176,22 @@ def _pair_extra(n):
     return n * (n - 1) // 2
 
 
-def _transfer_sweep(n, spin, t, cap, budget, var_indices, cache):
-    """The vertex-model transfer on series, one row per listed variable.
+def _transfer_sweep(nrows, spin, t, cap, budget, cache):
+    """The vertex-model transfer on series over ``nrows`` rows.
 
     Row k's spectral value is u = (s + x)/(1 + s x) in one variable to degree
     d = cap // k (s at d = 0), and its vertex weights are kept in ``cache``
     per degree.  The columns run to p + budget, and states whose excess passes
     the budget are dropped as they appear.  Returns the final states, the
     multiplicity rows (m_0, m_1, ...) of the partitions lambda, each mapped to
-    F_lambda truncated at ``cap`` in the listed variables."""
+    F_lambda(x_1, ..., x_nrows) truncated at ``cap`` as a ``SymmetricSum``,
+    so one sweep serves every list of ``nrows`` variables."""
     rows = []
-    for d in (cap // k for k in range(1, len(var_indices) + 1)):
+    for d in (cap // k for k in range(1, nrows + 1)):
         u = u_substitution(0, spin.tail, d, 1) if d else spin.tail
         rows.append((u, cache.setdefault(("vertex weights", d, t, spin.tail), {}), None))
-    room = [len(var_indices)] * (spin.p + budget + 1) + [0]
-    states = row_transfer(rows, spin, t * t, SymmetricSum.one(cap), room, budget)
-    return expand_symmetric(states, n, cap, var_indices)
+    room = [nrows] * (spin.p + budget + 1) + [0]
+    return row_transfer(rows, spin, t * t, SymmetricSum.one(cap), room, budget)
 
 
 def _lhs_sum(n, spin, t, cap, poch, budget, cache, var_indices=None):
@@ -202,24 +201,26 @@ def _lhs_sum(n, spin, t, cap, poch, budget, cache, var_indices=None):
 
     The weights depend on lambda only through its multiplicities m_r, the
     final states of one vertex-model transfer, so the transfer is shared by
-    every family and kept in ``cache`` at the largest budget requested so far.
-    Each factor poch(spin, r, m) / (q; q)_m is kept there too, per family and
-    spin and by (r, m), so the sums at budgets B and B+1 and over variable
-    subsets evaluate it once.  The weighted states are added in one
-    ``ProductSum``.  At q = 1 the factor 1/(q; q)_m has a pole for every
-    m >= 1, raised as ``PoleError`` before the transfer runs."""
+    every family and every list of as many variables, and kept in ``cache``
+    at the largest budget requested so far.  Each factor
+    poch(spin, r, m) / (q; q)_m is kept there too, per family and spin and by
+    (r, m), so the sums at budgets B and B+1 and over variable subsets
+    evaluate it once.  The weighted states are added in the
+    monomial-symmetric basis, on integers over the lcm of their
+    denominators, and the sum is expanded onto the listed variables once.
+    At q = 1 the factor 1/(q; q)_m has a pole for every m >= 1, raised as
+    ``PoleError`` before the transfer runs."""
     q = t * t
     if q == 1:
         raise PoleError("1 - q")
     var_indices = tuple(range(n)) if var_indices is None else tuple(var_indices)
-    key = ("transfer", var_indices, n, spin.prefix, spin.tail, t, cap)
+    key = ("transfer", len(var_indices), spin.prefix, spin.tail, t, cap)
     got = cache.get(key)
     if got is None or got[0] < budget:
-        got = cache[key] = (budget, _transfer_sweep(n, spin, t, cap, budget, var_indices, cache))
+        got = cache[key] = (budget, _transfer_sweep(len(var_indices), spin, t, cap, budget, cache))
     factors = cache.setdefault(("poch factors", poch, spin, t), {})
-    one = TruncSeries.const(n, cap, 1)
-    total = ProductSum(n, cap)
-    for state, series in got[1].items():
+    total = SymmetricSum(cap)
+    for state, acc in got[1].items():
         if sum(m * r for r, m in enumerate(state[spin.p + 1 :], 1)) > budget:
             continue
         w = Fraction(1)
@@ -230,8 +231,8 @@ def _lhs_sum(n, spin, t, cap, poch, budget, cache, var_indices=None):
                     f = factors[r, m] = poch(spin, r, m) / qpoch(q, q, m)
                 w *= f
         if w:
-            total.add(w, series, one)
-    return total.series()
+            total.add_scaled(w, acc)
+    return expand_symmetric(total, n, cap, var_indices)
 
 
 def _rhs_main1_series(n, s, t, cap):

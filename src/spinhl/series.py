@@ -10,8 +10,8 @@ one compare, so the ring operations never build exponent tuples; tuples
 appear only where a series is read out (``coeffs``, ``coefficient``,
 ``items_sorted``, ``to_json``, ``series_diff``), built from a mapping, or
 divided by the Vandermonde polynomial.  The states of the vertex transfer on
-series are symmetric and are kept apart, one integer per partition
-(``SymmetricSum``), until each final state is expanded once
+series are symmetric and are kept, and weighted, one integer per partition
+(``SymmetricSum``); a partition sum is expanded into a series once
 (``expand_symmetric``).
 
 Inside the symmetrizer the pairwise differences u_i - u_j vanish at x = 0, so
@@ -46,6 +46,13 @@ def _unpack(key, base, nvars):
     for i in range(nvars - 1, -1, -1):
         key, exps[i] = divmod(key, base)
     return tuple(exps)
+
+
+def _check_exponents(exps, nvars):
+    """Raise ``ValueError`` unless ``exps`` holds ``nvars`` nonnegative
+    exponents: ``_pack`` would carry any other tuple into a wrong key."""
+    if len(exps) != nvars or any(e < 0 for e in exps):
+        raise ValueError("need %d nonnegative exponents, got %r" % (nvars, tuple(exps)))
 
 
 def _repack(num, nvars, old_cap, cap, renamings=((1, None),)):
@@ -95,11 +102,13 @@ class TruncSeries:
     Ring operations work on the integers and reduce once per result: a
     product runs over its right operand in key order and stops at the cap, a
     sum brings both operands to the lcm of the denominators, and ``inv``
-    solves N * Q = 1 degree by degree (see there).  ``ProductSum`` adds
-    many products c * a * w on one integer dict and reduces once, and
-    ``SymmetricSum`` carries a transfer state in the monomial-symmetric
-    basis.  Ring operations truncate consistently, so coefficients up to the
-    cap only ever depend on inputs up to the cap.
+    solves N * Q = 1 degree by degree (see there); ``SymmetricSum`` carries
+    transfer states and partition sums in the monomial-symmetric basis.
+    Ring operations truncate consistently, so coefficients up to the cap
+    only ever depend on inputs up to the cap.  Exponent tuples handed in
+    (to the constructor or ``coefficient``) must have one nonnegative entry
+    per variable, and ``evaluate`` one value per variable; anything else
+    raises ``ValueError`` rather than packing into another monomial.
     """
 
     __slots__ = ("nvars", "cap", "den", "num")
@@ -109,6 +118,7 @@ class TruncSeries:
         base = cap + 1
         if coeffs:
             for exps, c in coeffs.items():
+                _check_exponents(exps, nvars)
                 c = Fraction(c)
                 if c and sum(exps) <= cap:
                     fracs[_pack(exps, base)] = c
@@ -185,6 +195,7 @@ class TruncSeries:
         return TruncSeries._reduced(self.nvars, cap, self.den, num)
 
     def coefficient(self, exps):
+        _check_exponents(exps, self.nvars)
         # past the cap a key is at least (cap + 1)^(nvars + 1), so it is absent
         return Fraction(self.num.get(self._key(exps), 0), self.den)
 
@@ -322,6 +333,8 @@ class TruncSeries:
     def evaluate(self, xs):
         """Exact value of the truncating polynomial at a rational point."""
         xs = tuple(Fraction(v) for v in xs)
+        if len(xs) != self.nvars:
+            raise ValueError("need %d values, got %d" % (self.nvars, len(xs)))
         total = Fraction(0)
         for k, v in self.num.items():
             term = Fraction(v)
@@ -357,60 +370,10 @@ class TruncSeries:
         ]
 
 
-class ProductSum:
-    """A running sum of products c * a * w of series of one shape: the fused
-    multiply-add of the partition sums, which add each final transfer state
-    times its family weight.
-
-    The sum is kept as one integer dict under packed keys over one
-    denominator, the lcm of the denominators added so far; a term whose
-    denominator does not divide it rescales the dict once.  ``add`` runs
-    over the terms of w in key order and stops at the cap, so w should be
-    the short factor (in the partition sums it is the constant 1).
-    ``series`` reduces once."""
-
-    __slots__ = ("nvars", "cap", "limit", "den", "num")
-
-    def __init__(self, nvars, cap):
-        self.nvars = nvars
-        self.cap = cap
-        self.limit = (cap + 1) ** (nvars + 1)
-        self.den = 1
-        self.num = {}
-
-    def add(self, c, a, w):
-        """Add c * a * w, with c rational and a, w series of this shape."""
-        shape = (self.nvars, self.cap)
-        if (a.nvars, a.cap) != shape or (w.nvars, w.cap) != shape:
-            raise ValueError("series shape mismatch")
-        d = c.denominator * a.den * w.den
-        den = self.den
-        if den % d:
-            grown = lcm(den, d)
-            f = grown // den
-            self.num = {k: v * f for k, v in self.num.items()}
-            self.den = den = grown
-        m = c.numerator * (den // d)
-        items = [(k, v * m) for k, v in sorted(w.num.items())]
-        limit = self.limit
-        out = self.num
-        get = out.get
-        for k1, v1 in a.num.items():
-            for k2, v2 in items:
-                key = k1 + k2
-                if key >= limit:
-                    break
-                out[key] = get(key, 0) + v1 * v2
-
-    def series(self):
-        """The sum as a ``TruncSeries``, reduced to lowest terms."""
-        num = {k: v for k, v in self.num.items() if v}
-        return TruncSeries._reduced(self.nvars, self.cap, self.den, num)
-
-
 class SymmetricSum:
-    """A state's sum in the vertex transfer on series (``vertex.row_transfer``),
-    kept in the monomial-symmetric basis.
+    """A symmetric truncated series in r variables kept in the
+    monomial-symmetric basis: a state's sum in the vertex transfer on series
+    (``vertex.row_transfer``), or a weighted sum of final states.
 
     After r rows a transfer state holds its partial F_mu(x_1, ..., x_r),
     truncated at total degree ``cap`` and symmetric in the row variables.  It
@@ -421,10 +384,10 @@ class SymmetricSum:
     over its predecessors of acc[nu] times the x^e coefficient of the walk
     weight, one product per stored partition and walk term.  Since
     (r + 1) e <= cap, row r + 1 reads its walk weights only to degree
-    cap // (r + 1).  ``add`` sums the products on one integer dict over the
-    lcm of their denominators; a sum is taken to lowest terms once, when it
-    first serves as a predecessor, and ``expand_symmetric`` turns the final
-    states into ``TruncSeries``.
+    cap // (r + 1).  ``add`` sums the products, and ``add_scaled`` rational
+    multiples of whole sums, on one integer dict over the lcm of their
+    denominators; a sum is taken to lowest terms once, when it is first read,
+    and ``expand_symmetric`` turns a sum into a ``TruncSeries``.
     """
 
     __slots__ = ("cap", "den", "num", "terms")
@@ -463,6 +426,17 @@ class SymmetricSum:
         self.terms = [(nu, v, min(nu[-1], cap - sum(nu)) if nu else cap) for nu, v in num.items()]
         return self.terms
 
+    def _scale_to(self, d):
+        """Bring the numerators onto the lcm of ``den`` and ``d`` (rescaling
+        the dict only when ``d`` does not divide ``den``); returns den // d."""
+        den = self.den
+        if den % d:
+            grown = lcm(den, d)
+            f = grown // den
+            self.num = {k: v * f for k, v in self.num.items()}
+            self.den = den = grown
+        return den // d
+
     def add(self, acc, w):
         """Add acc times the walk weight w of the next row: a ``TruncSeries``
         in its one variable, or a rational when only its constant term is
@@ -475,13 +449,7 @@ class SymmetricSum:
         else:
             coeffs = [w.numerator]
             d = acc.den * w.denominator
-        den = self.den
-        if den % d:
-            grown = lcm(den, d)
-            f = grown // den
-            self.num = {k: v * f for k, v in self.num.items()}
-            self.den = den = grown
-        m = den // d
+        m = self._scale_to(d)
         if m != 1:
             coeffs = [c * m for c in coeffs]
         top = len(coeffs) - 1
@@ -493,6 +461,16 @@ class SymmetricSum:
                 if c:
                     key = nu + (e,)
                     out[key] = get(key, 0) + v * c
+
+    def add_scaled(self, c, acc):
+        """Add c times the sum ``acc`` of the same rows, c rational."""
+        if acc.terms is None:
+            acc._reduce()
+        m = c.numerator * self._scale_to(c.denominator * acc.den)
+        out = self.num
+        get = out.get
+        for nu, v in acc.num.items():
+            out[nu] = get(nu, 0) + v * m
 
 
 def _arrangements(groups, places):
@@ -508,29 +486,21 @@ def _arrangements(groups, places):
     return [lead for lead, _ in sums]
 
 
-def expand_symmetric(states, nvars, cap, var_indices):
-    """The ``SymmetricSum`` at ``cap`` of each final state as a
-    ``TruncSeries`` in ``nvars`` variables, with x_1, ..., x_r the listed
-    variables: each nonzero partition coefficient goes to every distinct
-    permutation of the partition, each partition's keys are built once for
-    all states, and each series is reduced once."""
+def expand_symmetric(acc, nvars, cap, var_indices):
+    """The ``SymmetricSum`` ``acc`` at ``cap`` as a ``TruncSeries`` in
+    ``nvars`` variables, with x_1, ..., x_r the listed variables: each
+    nonzero partition coefficient goes to every distinct permutation of the
+    partition, and the series is reduced once."""
     base = cap + 1
     places = [base ** (nvars - 1 - v) for v in var_indices]
-    keys = {}
-    out = {}
-    for state, acc in states.items():
-        num = {}
-        for nu, v in acc.num.items():
-            if not v:
-                continue
-            got = keys.get(nu)
-            if got is None:
-                groups = [(part, nu.count(part)) for part in set(nu) if part]
-                lead = sum(nu) * base**nvars
-                got = keys[nu] = [lead + k for k in _arrangements(groups, places)]
-            num.update(dict.fromkeys(got, v))
-        out[state] = TruncSeries._reduced(nvars, cap, acc.den, num)
-    return out
+    top = base**nvars
+    num = {}
+    for nu, v in acc.num.items():
+        if v:
+            groups = [(part, nu.count(part)) for part in set(nu) if part]
+            lead = sum(nu) * top
+            num.update(dict.fromkeys([lead + k for k in _arrangements(groups, places)], v))
+    return TruncSeries._reduced(nvars, cap, acc.den, num)
 
 
 def series_diff(a, b):

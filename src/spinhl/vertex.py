@@ -221,7 +221,8 @@ def row_transfer(rows, spin, q, one, room, budget, single_top=False):
     degree cap // r.  Each target state sums these products in one
     ``SymmetricSum``, made by the unit's ``product_sum``, on integers over
     the lcm of their denominators, and is reduced once, when it first serves
-    as a predecessor; the caller expands each final state into a series once
+    as a predecessor; the caller adds the final states, weighted, in the
+    same basis and expands the sum into a series once
     (``series.expand_symmetric``).  Pruning drops whole states only, and a
     state's excess never falls from row to row, so every kept state keeps
     all its predecessors and stays symmetric.  Scalars have no

@@ -39,7 +39,13 @@ from spinhl.identities import (
     series_parameters,
 )
 from spinhl.pfaffian import MGammaSpec, m_gamma, pfaffian_kernel
-from spinhl.series import TruncSeries, divide_by_u_differences, f_lambda_series, u_substitution
+from spinhl.series import (
+    TruncSeries,
+    divide_by_u_differences,
+    expand_symmetric,
+    f_lambda_series,
+    u_substitution,
+)
 from spinhl.symfun import bounded_partitions, multiplicities, truncated_partition_list
 
 
@@ -237,11 +243,16 @@ def transfer_grid(n, D_max):
 @pytest.mark.parametrize("n, D_max", [(1, 4), (2, 4), (3, 4), (4, 3), (5, 1)])
 def test_transfer_sweep_matches_the_product_by_product_reference(n, D_max):
     for t, spin, cap, var_indices in transfer_grid(n, D_max):
-        budget = cap + _pair_extra(len(var_indices)) + 1
-        got = spinhl.identities._transfer_sweep(n, spin, t, cap, budget, var_indices, {})
-        assert got == reference_transfer_sweep(n, spin, t, cap, budget, var_indices), (
-            n, spin, cap, var_indices,
-        )
+        assert_sweep_matches_the_reference(n, t, spin, cap, var_indices)
+
+
+def assert_sweep_matches_the_reference(n, t, spin, cap, var_indices):
+    budget = cap + _pair_extra(len(var_indices)) + 1
+    states = spinhl.identities._transfer_sweep(len(var_indices), spin, t, cap, budget, {})
+    got = {state: expand_symmetric(acc, n, cap, var_indices) for state, acc in states.items()}
+    assert got == reference_transfer_sweep(n, spin, t, cap, budget, var_indices), (
+        n, spin, cap, var_indices,
+    )
 
 
 def wider_transfer_grid():
@@ -260,11 +271,75 @@ def wider_transfer_grid():
 
 def test_transfer_sweep_matches_the_reference_on_a_wider_grid():
     for n, t, spin, cap, var_indices in wider_transfer_grid():
-        budget = cap + _pair_extra(len(var_indices)) + 1
-        got = spinhl.identities._transfer_sweep(n, spin, t, cap, budget, var_indices, {})
-        assert got == reference_transfer_sweep(n, spin, t, cap, budget, var_indices), (
-            n, spin, cap, var_indices,
-        )
+        assert_sweep_matches_the_reference(n, t, spin, cap, var_indices)
+
+
+def reference_lhs_sum(n, spin, t, cap, poch, budget, var_indices, sweep=None):
+    """The partition sum as ``identities._lhs_sum`` formed it before the
+    weighting in the monomial-symmetric basis: every state of the
+    product-by-product reference sweep (``sweep``, or one at ``budget``)
+    whose excess is within the budget, times its family weight, added by
+    ``TruncSeries`` ``*`` and ``+``."""
+    q = t * t
+    if sweep is None:
+        sweep = reference_transfer_sweep(n, spin, t, cap, budget, var_indices)
+    total = TruncSeries.zero(n, cap)
+    for state, series in sweep.items():
+        if sum(m * r for r, m in enumerate(state[spin.p + 1 :], 1)) > budget:
+            continue
+        w = F(1)
+        for r, m in enumerate(state):
+            if m:
+                w *= poch(spin, r, m) / qpoch(q, q, m)
+        total = total + w * series
+    return total
+
+
+def assert_lhs_sums_match_the_reference(n, t, spin, cap, var_indices, gamma):
+    """``_lhs_sum`` of all five families at budgets B + 1, then B, from one
+    cache, against ``reference_lhs_sum`` over a reference sweep per budget."""
+    families = (poch_main1(t * t), poch_uniform(t), poch_gamma(t, gamma), poch_hl(t), poch_hl(t, 1))
+    budget = cap + _pair_extra(len(var_indices))
+    cache = {}
+    for b in (budget + 1, budget):
+        sweep = reference_transfer_sweep(n, spin, t, cap, b, var_indices)
+        for k, poch in enumerate(families):
+            got = _lhs_sum(n, spin, t, cap, poch, b, cache, var_indices=var_indices)
+            expect = reference_lhs_sum(n, spin, t, cap, poch, b, var_indices, sweep)
+            assert got == expect, (n, spin, cap, var_indices, b, k)
+
+
+@pytest.mark.parametrize("n, D_max", [(1, 4), (2, 4), (3, 3), (4, 2)])
+def test_lhs_sum_matches_the_reference_weighted_sum(n, D_max):
+    _, _, gamma = series_parameters(7, 1)
+    for t, spin, cap, var_indices in transfer_grid(n, D_max):
+        assert_lhs_sums_match_the_reference(n, t, spin, cap, var_indices, gamma)
+
+
+def test_lhs_sum_matches_the_reference_weighted_sum_on_a_wider_grid():
+    _, _, gamma = series_parameters(7, 1)
+    for n, t, spin, cap, var_indices in wider_transfer_grid():
+        assert_lhs_sums_match_the_reference(n, t, spin, cap, var_indices, gamma)
+
+
+def test_one_sweep_serves_every_variable_list_of_one_length(monkeypatch):
+    rows = []
+    sweep = spinhl.identities._transfer_sweep
+
+    def counting(nrows, *args):
+        rows.append(nrows)
+        return sweep(nrows, *args)
+
+    monkeypatch.setattr(spinhl.identities, "_transfer_sweep", counting)
+    t, spin, _ = series_parameters(7, 1)
+    cap = 3
+    budget = cap + _pair_extra(2) + 1
+    poch = poch_main1(t * t)
+    cache = {}
+    for n, var_indices in ((3, (0, 1)), (4, (1, 3))):
+        got = _lhs_sum(n, spin, t, cap, poch, budget, cache, var_indices=var_indices)
+        assert got == reference_lhs_sum(n, spin, t, cap, poch, budget, var_indices), var_indices
+    assert rows == [2]
 
 
 def reference_rhs_pf_series(n, spin, t, gamma, cap):
