@@ -56,12 +56,17 @@ def qpoch(a, q, n):
 
     The empty product (n = 0) is 1.
     """
+    return qpochs(a, q, n)[n]
+
+
+def qpochs(a, q, n):
+    """[(a;q)_0, (a;q)_1, ..., (a;q)_n], by one running product."""
     if n < 0:
         raise ValueError("negative length in q-Pochhammer symbol")
-    out = Fraction(1)
+    out = [Fraction(1)]
     power = Fraction(1)
     for _ in range(n):
-        out *= 1 - a * power
+        out.append(out[-1] * (1 - a * power))
         power *= q
     return out
 

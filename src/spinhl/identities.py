@@ -64,14 +64,15 @@ from .arith import (
     over_common_denominator,
     perm_sign,
     qpoch,
+    qpochs,
     rat_str,
     sample_point,
 )
 from .pfaffian import (
     MGammaSpec,
     block_pfaffians,
+    conjugated_pfaffian,
     littlewood_kernel,
-    m_conjugated,
     pfaffian_side,
     rhs_main1,
     rhs_main2,
@@ -562,7 +563,7 @@ def _subset_product_sum(n, poch, index, pair, block=None, proper=False):
 
 def _key_lemma_sum(u, q, poch, inside, pair_inside, block=None):
     """The right side shared by both key lemmas: the sum over the subsets T
-    of [n] of perm_sign(T + Tc) poch(|Tc|) prod_{j in Tc} (1 - u_j)
+    of [n] of perm_sign(T + Tc) poch[|Tc|] prod_{j in Tc} (1 - u_j)
     prod_{i in T} inside(u_i) prod_{i in T, j in Tc} (u_i - q u_j)(1 - u_i u_j)
     prod_{i<j in Tc} (1 - u_i u_j)(u_i - u_j) prod_{i<j in T} pair_inside(u_i, u_j),
     times block[T] (0-based T) when ``block`` is given.  The sign is the
@@ -579,7 +580,7 @@ def _key_lemma_sum(u, q, poch, inside, pair_inside, block=None):
             (1, 1): pair_inside(ui, uj),
         }
     index = [(1 - ui, inside(ui)) for ui in u]
-    return _subset_product_sum(n, [poch(m) for m in range(n + 1)], index, pair, block)
+    return _subset_product_sum(n, poch, index, pair, block)
 
 
 def key_lemma1_sides(u, q, s):
@@ -596,7 +597,7 @@ def key_lemma1_sides(u, q, s):
     rhs = _key_lemma_sum(
         u,
         q,
-        lambda m: qpoch(-s, q, m),
+        qpochs(-s, q, n),
         lambda ui: ui - s,
         lambda ui, uj: (1 - q * ui * uj) * (ui - uj),
     )
@@ -607,7 +608,7 @@ def key_lemma2_sides(point, s, gamma, gamma_inv_s=None):
     """Both sides of the Pfaffian identity (sum over subsets with crossing
     signs) driving the Pfaffian-form proof."""
     specg = MGammaSpec(point, gamma, s, gamma_inv_s)
-    conjugated = m_conjugated(specg, tuple(range(1, point.n + 1))).pfaffian()
+    conjugated = conjugated_pfaffian(specg, range(1, point.n + 1))
     blocks = _zero_based(block_pfaffians(MGammaSpec(point, Fraction(1), s)))
     return _key_lemma2_from(point, specg, conjugated, blocks)
 
@@ -619,16 +620,18 @@ def _zero_based(pfs):
 
 def _key_lemma2_from(point, spec, conjugated, blocks):
     """``key_lemma2_sides`` at the parameters of ``spec``, given the Pfaffian
-    ``conjugated`` of ``m_conjugated(spec, [n])`` and the gamma = 1 block
-    Pfaffians ``blocks`` (``block_pfaffians`` keyed by the 0-based T).  The
-    blocks do not depend on s, and at gamma = 1 neither does ``conjugated``,
-    so callers at several s can share both.
+    ``conjugated`` of ``m_conjugated(spec, [n])`` (``conjugated_pfaffian``)
+    and the gamma = 1 block Pfaffians ``blocks`` (``block_pfaffians`` keyed
+    by the 0-based T).  The blocks do not depend on s, and at gamma = 1
+    neither does ``conjugated``, so callers at several s can share both.
 
-    The right side conjugates each gamma = 1 block over T by the diagonal
-    B(T, T) of ``b_matrix``; as Pf(B M B) = det(B) Pf(M), that is the
+    Both sides use Pf(B M B) = det(B) Pf(M) for a diagonal B, so no matrix
+    is conjugated entry by entry: ``conjugated`` is det(B(n, n)) times the
+    Pfaffian of ``m_gamma``, and the right side conjugates each gamma = 1
+    block over T by the diagonal B(T, T) of ``b_matrix``, which is the
     block's Pfaffian times the pair products (1 - u_i u_j)(1 - q u_i u_j)
     over the pairs of T."""
-    t, q, u = point.t, point.q, point.u
+    t, q, u, n = point.t, point.q, point.u, point.n
     s, gamma, gis = spec.s, spec.gamma, spec.gamma_inv_s
     lhs = conjugated
     for ui in u:
@@ -636,7 +639,7 @@ def _key_lemma2_from(point, spec, conjugated, blocks):
     rhs = _key_lemma_sum(
         u,
         q,
-        lambda m: qpoch(-gis, t, m) * qpoch(-gamma * t, t, m),
+        [a * b for a, b in zip(qpochs(-gis, t, n), qpochs(-gamma * t, t, n))],
         lambda ui: (1 + t) * (ui - s),
         lambda ui, uj: (1 - ui * uj) * (1 - q * ui * uj),
         blocks,
@@ -655,7 +658,7 @@ def key_lemma2_A_sides(point, s, gamma):
     u = point.u
     specg = MGammaSpec(point, gamma, s)
     u_sub = (s,) + u[1:]
-    lhs = (1 + t) * (1 - s * s) * m_conjugated(specg, tuple(range(1, n + 1)), u=u_sub).pfaffian()
+    lhs = (1 + t) * (1 - s * s) * conjugated_pfaffian(specg, range(1, n + 1), u=u_sub)
     for ui in u[1:]:
         lhs *= 1 - s * ui
     spec_shift = MGammaSpec(point, t * gamma, q * s)
@@ -663,7 +666,7 @@ def key_lemma2_A_sides(point, s, gamma):
         (1 + gamma * t)
         * (1 + s / gamma)
         * (1 - s)
-        * m_conjugated(spec_shift, tuple(range(2, n + 1))).pfaffian()
+        * conjugated_pfaffian(spec_shift, range(2, n + 1))
     )
     for ui in u[1:]:
         rhs *= (s - ui) * (1 - s * ui) * (1 - s * q * ui)
@@ -834,7 +837,7 @@ def _chain_cor(point):
     # the second identification is the second key lemma at gamma = 1 and
     # s = s_l; at gamma = 1 neither its conjugated Pfaffian nor its blocks
     # depend on s, so both are taken once
-    conjugated = m_conjugated(spec1, full).pfaffian()
+    conjugated = conjugated_pfaffian(spec1, full)
     for l in range(p + 2):
         spec = MGammaSpec(point, Fraction(1), point.s(l))
         lhs, rhs = _key_lemma2_from(point, spec, conjugated, kernel[2])

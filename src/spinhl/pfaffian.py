@@ -4,10 +4,13 @@ The Pfaffian is computed by a Laplace expansion memoized over position
 tuples, whose entries may be any commutative ring elements supporting +, -,
 * (exact rationals or truncated power series); ``SkewMatrix.pfaffians``
 expands many principal blocks of one table from a single memo, so blocks
-share the sub-blocks they expand into.  The signed perfect-matching sum is
-kept as an independent cross-check for rational matrices of small
-dimension: it scales each label by the lcm of the denominators in its row,
-walks the matchings on the integer entries with no memo, and divides once.
+share the sub-blocks they expand into.  A rational table is first cleared
+to integers: label a is scaled by d_a, the lcm of the denominators in its
+row, so D M D has integer entries, and the Pfaffian of each block of D M D
+is divided once by the product of its own d_a.  The signed perfect-matching
+sum is kept as an independent cross-check for rational matrices of small
+dimension: it walks the matchings of the same cleared table with no memo,
+and divides once.
 
 The gamma-refined entries at rational u are one integer numerator over one
 integer denominator in closed form; at series u they follow the ring
@@ -122,7 +125,14 @@ class SkewMatrix:
         ``blocks``, each given in table order, from one memo over position
         tuples: every block expands along its first position, and a sub-block
         reached from two blocks is expanded once.  ``pfaffian()`` is the
-        block over all labels."""
+        block over all labels.
+
+        When every entry is an int or a Fraction, the memo runs on the
+        integer table D M D of ``_cleared`` and each block's value is divided
+        by the product of its own d_a, as the block of D M D over a set S is
+        D_S M_S D_S and Pf(D_S M_S D_S) = prod_{a in S} d_a Pf(M_S); the
+        values are then Fractions.  Other entries (series) are expanded as
+        they are."""
         pos = self._pos
         starts = []
         for block in blocks:
@@ -135,9 +145,13 @@ class SkewMatrix:
             if len(positions) % 2:
                 raise ValueError("Pfaffian requires even dimension, got %d" % len(positions))
             starts.append(positions)
-        at = [[0] * self.dim for _ in range(self.dim)]
-        for (a, b), val in self.upper.items():
-            at[pos[a]][pos[b]] = val
+        rational = all(isinstance(val, (int, Fraction)) for val in self.upper.values())
+        if rational:
+            at, scale = self._cleared()
+        else:
+            at = [[0] * self.dim for _ in range(self.dim)]
+            for (a, b), val in self.upper.items():
+                at[pos[a]][pos[b]] = val
         memo = {(): 1}
 
         def pf(positions):
@@ -155,17 +169,26 @@ class SkewMatrix:
             memo[positions] = acc
             return acc
 
+        if rational:
+            return [Fraction(pf(positions), prod(scale[i] for i in positions)) for positions in starts]
         return [pf(positions) for positions in starts]
 
     def pfaffian(self):
         """Pfaffian via Laplace expansion, memoized over position tuples."""
         return self.pfaffians([self.labels])[0]
 
+    def _cleared(self):
+        """The rational table cleared to integers: the rows of D M D over
+        positions, and the scales d_a, d_a being the lcm of the denominators
+        in the row of label a (so of its column too)."""
+        rows = [over_common_denominator(self.entry(a, b) for b in self.labels) for a in self.labels]
+        scale = [den for _, den in rows]
+        return [[num * d for num, d in zip(nums, scale)] for nums, _ in rows], scale
+
     def pfaffian_matchings(self):
         """Pfaffian straight from the signed perfect-matching sum (small dims).
 
-        Rational entries only.  Label a is scaled by d_a, the lcm of the
-        denominators in its row, so D M D has integer entries and
+        Rational entries only.  On the integer table D M D of ``_cleared``,
         Pf(D M D) = prod_a d_a Pf(M).  Every perfect matching with a nonzero
         product is walked with no memo, pairing the first free position with
         the one at index idx among the free ones (sign (-1)^(idx-1)) and
@@ -174,9 +197,7 @@ class SkewMatrix:
         m = self.dim
         if m % 2:
             raise ValueError("Pfaffian requires even dimension, got %d" % m)
-        rows = [over_common_denominator(self.entry(a, b) for b in self.labels) for a in self.labels]
-        scale = [den for _, den in rows]
-        ints = [[num * d for num, d in zip(nums, scale)] for nums, _ in rows]
+        ints, scale = self._cleared()
         total = 0
 
         def walk(free, product):
@@ -380,6 +401,13 @@ def block_pfaffians(spec):
 def m_conjugated(spec, T, u=None):
     """The matrix over T conjugated by the diagonal B(T, T), with polynomial entries."""
     return m_gamma(spec, T, u=u).conjugate_diag(b_matrix(tuple(T), tuple(T), spec.point, u=u))
+
+
+def conjugated_pfaffian(spec, T, u=None):
+    """The Pfaffian of ``m_conjugated(spec, T, u)`` without conjugating its
+    entries: Pf(B M B) = det(B) Pf(M) for the diagonal B = B(T, T)."""
+    T = tuple(T)
+    return prod(b_matrix(T, T, spec.point, u=u).values()) * m_gamma(spec, T, u=u).pfaffian()
 
 
 def littlewood_kernel(u, q):

@@ -13,10 +13,11 @@ yields Hall-Littlewood polynomials up to the factor prod_r (q;q)_{m_r(lambda)}.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import prod
 
-from .arith import PoleError, invert, over_common_denominator, perm_sign, qpoch, rat_str, vandermonde
+from .arith import PoleError, invert, over_common_denominator, perm_sign, qpoch, rat_str
 from .pfaffian import det
 
 SYMMETRIZE_CAP = 8
@@ -265,11 +266,18 @@ def f_lambda_recurrence_rhs(lam, point):
     return pref * total
 
 
+@lru_cache(maxsize=4096)
 def rows_between(row, strict=True):
-    """All strictly (or weakly) increasing rows b with row[j] <= b[j] <= row[j+1]."""
+    """All strictly (or weakly) increasing rows b with row[j] <= b[j] <= row[j+1],
+    as a tuple of tuples.
+
+    The Schur, Robbins and monotone-triangle routes ask for the same rows
+    over and over, across shapes too, so the answers are kept in a bounded
+    cache keyed by the tuple ``row``; being tuples, they cannot be changed
+    under a later caller."""
     m = len(row)
     if m == 1:
-        return []
+        return ()
     out = []
 
     def rec(j, acc):
@@ -285,7 +293,7 @@ def rows_between(row, strict=True):
             acc.pop()
 
     rec(0, [])
-    return out
+    return tuple(out)
 
 
 def interlacing_sum(bottom, strict, key, entry):
@@ -338,7 +346,14 @@ def schur_gt(lam, x):
 
 
 def schur_bialternant(lam, x):
-    """Schur polynomial as a ratio of alternants; needs distinct x_i."""
+    """Schur polynomial as a ratio of alternants; needs distinct x_i.
+
+    With x_i = p_i/r_i, exponents k_j = lambda_j + n - 1 - j and K = k_0 =
+    lambda_1 + n - 1, row i of the numerator alternant times r_i^K is the
+    integer row [p_i^(k_j) r_i^(K - k_j)], so ``det`` of those rows is
+    divided by (prod_i r_i)^K and by the Vandermonde prod_{i<j} (x_i - x_j).
+    That is prod_{i<j} (p_i r_j - p_j r_i) over (prod_i r_i)^(n-1), so the
+    divisor is (prod_i r_i)^lambda_1 times those integer differences."""
     x = tuple(Fraction(v) for v in x)
     n = len(x)
     lam = as_parts(lam)
@@ -347,9 +362,12 @@ def schur_bialternant(lam, x):
     lam = lam + (0,) * (n - len(lam))
     if len(set(x)) != n:
         raise PoleError("x_i - x_j")
-    num = det([[xi ** (lam[j] + n - 1 - j) for j in range(n)] for xi in x])
-    # det [x_i^(n-1-j)] = prod_{i<j} (x_i - x_j), the Vandermonde of x reversed
-    return num / vandermonde(x[::-1])
+    exps = [lam[j] + n - 1 - j for j in range(n)]
+    p = [xi.numerator for xi in x]
+    r = [xi.denominator for xi in x]
+    num = det([[pi**k * ri ** (exps[0] - k) for k in exps] for pi, ri in zip(p, r)])
+    diffs = prod(p[i] * r[j] - p[j] * r[i] for i, j in combinations(range(n), 2))
+    return num / (prod(r) ** max(lam, default=0) * diffs)
 
 
 def schur(lam, x):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 
-from .arith import invert
+from .arith import PoleError, invert
 from .symfun import as_parts
 
 
@@ -43,12 +43,18 @@ def vertex_weight(cfg, u, s, q):
 
 
 def row_scale(u, s, q, n):
-    """The integer L(s) = num(1 - s u) den(u) den(s)^2 den(q)^n by which a
-    row of spectral value u scales its local weights of spin s, for vertices
-    holding at most n paths (see ``scaled_weight``).  A pole 1 - s u = 0
-    raises ``PoleError``."""
-    num = invert(1 - s * u, "1 - s*u").denominator
-    return num * u.denominator * s.denominator**2 * q.denominator**n
+    """The integer L(s) = num(1 - s u) den(u) den(s)^2 den(q)^n, numerator
+    taken without sign, by which a row of spectral value u scales its local
+    weights of spin s, for vertices holding at most n paths (see
+    ``scaled_weight``).  With s = a/b, u = c/d in lowest terms and
+    N = bd - ac, 1 - s u = N/bd, so L(s) = |N|/gcd(N, bd) d b^2 den(q)^n.
+    A pole N = 0 raises ``PoleError``."""
+    a, b = s.numerator, s.denominator
+    c, d = u.numerator, u.denominator
+    N = b * d - a * c
+    if not N:
+        raise PoleError("1 - s*u")
+    return abs(N) // gcd(N, b * d) * d * b * b * q.denominator**n
 
 
 def scaled_weight(cfg, u, s, q, n):
@@ -285,12 +291,12 @@ def f_lambda_vertex(lam, point):
     for part in lam:
         top[part] += 1
     room = [sum(top[c:]) for c in range(len(top) + 1)]
-    spins = [point.spin.lookup(c) for c in range(len(top))]
-    q = point.q
-    den = 1
-    for u in point.u:
-        scale = {s: row_scale(u, s, q, n) for s in set(spins)}
-        den *= prod(scale[s] for s in spins)
+    spin, q = point.spin, point.q
+    # the columns past the spin prefix all take the tail spin's scale
+    powers = [(spin.lookup(c), 1) for c in range(min(spin.p, len(top)))]
+    if len(top) > spin.p:
+        powers.append((spin.tail, len(top) - spin.p))
+    den = prod(row_scale(u, s, q, n) ** k for u in point.u for s, k in powers)
     rows = [(u, {}, n) for u in point.u]
     states = row_transfer(rows, point.spin, q, 1, room, sum(lam), single_top=True)
     return Fraction(states.get(tuple(top), 0), den)

@@ -9,6 +9,7 @@ from spinhl.arith import (
     SpinParams,
     invert,
     qpoch,
+    qpochs,
     rat,
     rat_str,
     sample_point,
@@ -37,6 +38,23 @@ def test_qpoch_splitting():
         for m in range(9):
             for n in range(9 - m):
                 assert qpoch(a, q, m + n) == qpoch(a, q, m) * qpoch(a * q**m, q, n)
+
+
+def test_qpochs_lists_every_prefix():
+    # one running product gives each (a; q)_m the direct product gives
+    for a, q in ((F(-3, 7), F(2, 5)), (F(1), F(2, 3)), (F(5, 2), F(-1, 4))):
+        for n in range(7):
+            got = qpochs(a, q, n)
+            assert len(got) == n + 1
+            for m, value in enumerate(got):
+                direct = F(1)
+                for i in range(m):
+                    direct *= 1 - a * q**i
+                assert type(value) is F and value == direct == qpoch(a, q, m), (a, q, m)
+    with pytest.raises(ValueError, match="negative length"):
+        qpochs(F(1, 2), F(1, 3), -1)
+    with pytest.raises(ValueError, match="negative length"):
+        qpoch(F(1, 2), F(1, 3), -1)
 
 
 def test_field_axioms_randomized():

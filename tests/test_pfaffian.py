@@ -6,13 +6,14 @@ from itertools import combinations, permutations
 import pytest
 
 from spinhl.arith import ParamPoint, PoleError, SpinParams, perm_sign, sample_point
-from spinhl.identities import series_parameters
+from spinhl.identities import lemma_point, series_parameters
 from spinhl.pfaffian import (
     MGammaSpec,
     SkewMatrix,
     _ring_entry,
     b_matrix,
     block_pfaffians,
+    conjugated_pfaffian,
     cor_entry,
     det,
     m_conjugated,
@@ -441,3 +442,82 @@ def test_shared_memo_rejects_a_block_out_of_table_order():
         mat.pfaffians([(1, 2, 3)])
     with pytest.raises(KeyError):
         mat.pfaffians([(1, 7)])
+
+
+def laplace_reference(mat, blocks):
+    """The Laplace memo of ``SkewMatrix.pfaffians`` on the entries as they
+    are, the route it took on rational tables before they were cleared to
+    integers: every block expands along its first position, one memo."""
+    pos = {lab: i for i, lab in enumerate(mat.labels)}
+    at = [[0] * mat.dim for _ in range(mat.dim)]
+    for (a, b), val in mat.upper.items():
+        at[pos[a]][pos[b]] = val
+    memo = {(): 1}
+
+    def pf(positions):
+        got = memo.get(positions)
+        if got is not None:
+            return got
+        row = at[positions[0]]
+        acc = 0
+        for idx in range(1, len(positions)):
+            a = row[positions[idx]]
+            if not a:
+                continue
+            term = a * pf(positions[1:idx] + positions[idx + 1 :])
+            acc = acc + term if idx % 2 else acc - term
+        memo[positions] = acc
+        return acc
+
+    return [pf(tuple(pos[lab] for lab in block)) for block in blocks]
+
+
+def even_blocks(labels):
+    return [B for size in range(0, len(labels) + 1, 2) for B in combinations(labels, size)]
+
+
+def seeded_tables(rng, dim):
+    """Rational, integer-only and mixed tables over the labels 1..dim, with
+    negative and zero entries; the mixed one has a zero row at label 2."""
+    labels = tuple(range(1, dim + 1))
+
+    def mixed(a, b):
+        if 2 in (a, b):
+            return rng.choice((0, F(0)))
+        return rng.choice((0, rng.randint(-40, 40), F(rng.randint(-30, 30), rng.randint(1, 15))))
+
+    return {
+        "rational": SkewMatrix.from_function(labels, lambda a, b: F(rng.randint(-30, 30), rng.randint(1, 15))),
+        "integer": SkewMatrix.from_function(labels, lambda a, b: rng.randint(-9, 9)),
+        "mixed": SkewMatrix.from_function(labels, mixed),
+    }
+
+
+@pytest.mark.parametrize("seed", (7, 8))
+def test_cleared_laplace_equals_the_fraction_memo_on_every_even_block(seed):
+    rng = random.Random(seed)
+    for dim in range(13):
+        for kind, mat in seeded_tables(rng, dim).items():
+            blocks = even_blocks(mat.labels)
+            got = mat.pfaffians(blocks)
+            assert got == laplace_reference(mat, blocks), (kind, dim, mat.upper)
+            assert all(type(v) is F for v in got)
+            if kind == "mixed":
+                assert all(v == 0 for B, v in zip(blocks, got) if 2 in B)
+            if dim % 2 == 0:
+                assert mat.pfaffian() == got[-1]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_conjugated_pfaffian_is_det_b_times_the_pfaffian(n):
+    point = lemma_point(7 + n, n)
+    s, t, q = point.spin.tail, point.t, point.q
+    u_sub = (s,) + point.u[1:]
+    full = tuple(range(1, n + 1))
+    for gamma in (F(1), point.gamma):
+        spec = MGammaSpec(point, gamma, s)
+        cases = [(spec, full, None), (spec, full, u_sub), (MGammaSpec(point, t * gamma, q * s), full[1:], None)]
+        cases += [(spec, T, None) for T in combinations(full, 2)]
+        for spec_, T, u in cases:
+            got = conjugated_pfaffian(spec_, T, u=u)
+            assert got == m_conjugated(spec_, T, u=u).pfaffian(), (n, gamma, T, u)

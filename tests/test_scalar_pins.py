@@ -8,17 +8,20 @@ over subsets, and before the gamma-refined entries were written in closed
 integer form, the block Pfaffians shared one Laplace memo and the matching
 sum ran on a matrix cleared to integers.  The subset sums of the chains and
 of the first key lemma were taken before those sums ran over factor tables
-cleared to integers once per table.
+cleared to integers once per table.  The Laplace Pfaffians of every even
+block of the seeded 12x12 table were taken before the Laplace memo ran on
+the table cleared to integers.
 They pin the same routes the ``point_oracles`` benchmark digests do, the
 second key lemma's entry table, block Pfaffians and both sides, every
-subset sum of the three reduction chains at one point, and both sides of
-the first key lemma for n = 0..6.
+subset sum of the three reduction chains at one point, both sides of the
+first key lemma for n = 0..6, and the Laplace block Pfaffians.
 """
 
 import hashlib
 import json
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 from spinhl.arith import rat_str, sample_point
 from spinhl.identities import (
@@ -50,6 +53,7 @@ BLOCKS_DIGEST = "c091c5b826243ee7cd9a9f6ff01247e50f79f044514ac5ba16777b025027963
 LEMMA2_DIGEST = "6c5d89ff4701637b95c5c4560c05b4cd964429a227e4bbc2363c6137c209a82b"
 CHAIN_SUMS_DIGEST = "d81d0e9e8d2769345944398cc64e8b5860f36245a0cb585966764b08f46feb47"
 LEMMA1_DIGEST = "c93df1bac71f474d048716bc0a83c27dbf720563ef4081d7f70e4716497c5482"
+LAPLACE_DIGEST = "d8c4c40d08f11567821eadae621036bb60887b95150ffd161071d7b683bb2da0"
 
 
 def digest(values):
@@ -61,12 +65,22 @@ def test_vertex_transfer_is_pinned():
     assert digest(f_lambda_vertex(lam, point) for lam in bounded_partitions(4, 4)) == VERTEX_DIGEST
 
 
-def test_matching_sum_pfaffian_is_pinned():
+def seeded_skew():
     rng = random.Random(7)
-    skew = SkewMatrix.from_function(
+    return SkewMatrix.from_function(
         tuple(range(1, 13)), lambda a, b: F(rng.randint(-30, 30), rng.randint(1, 15))
     )
-    assert digest([skew.pfaffian_matchings()]) == MATCHINGS_DIGEST
+
+
+def test_matching_sum_pfaffian_is_pinned():
+    assert digest([seeded_skew().pfaffian_matchings()]) == MATCHINGS_DIGEST
+
+
+def test_laplace_block_pfaffians_are_pinned():
+    skew = seeded_skew()
+    blocks = [B for size in range(0, 13, 2) for B in combinations(skew.labels, size)]
+    assert len(blocks) == 2048
+    assert digest(skew.pfaffians(blocks)) == LAPLACE_DIGEST
 
 
 def test_robbins_enumeration_is_pinned():

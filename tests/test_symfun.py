@@ -1,11 +1,12 @@
 import math
+import random
 from fractions import Fraction as F
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
 import spinhl.symfun
-from spinhl.arith import ParamPoint, PoleError, SpinParams, qpoch, sample_point
+from spinhl.arith import ParamPoint, PoleError, SpinParams, qpoch, sample_point, vandermonde
 from spinhl.pfaffian import det
 from spinhl.symfun import (
     Partition,
@@ -15,6 +16,7 @@ from spinhl.symfun import (
     f_lambda_recurrence_rhs,
     hall_littlewood_P,
     multiplicities,
+    rows_between,
     schur,
     schur_bialternant,
     schur_gt,
@@ -158,6 +160,48 @@ def test_schur_gt_equals_bialternant():
                 if sum(lam) != size:
                     continue
                 assert schur_gt(lam, xs) == schur_bialternant(lam, xs), lam
+
+
+def fraction_bialternant(lam, x):
+    """The alternant ratio on Fraction powers, as ``schur_bialternant`` took
+    it before its rows were integer powers: det [x_i^(lambda_j + n - 1 - j)]
+    over the Vandermonde of x reversed."""
+    x = tuple(F(v) for v in x)
+    n = len(x)
+    lam = tuple(lam) + (0,) * (n - len(lam))
+    num = det([[xi ** (lam[j] + n - 1 - j) for j in range(n)] for xi in x])
+    return num / vandermonde(x[::-1])
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_bialternant_on_integer_powers_equals_the_fraction_alternants(seed):
+    rng = random.Random(seed)
+    for n in range(7):
+        for extra in ((), (F(0),), (F(-3, 4), F(-5))):
+            x = list(extra[:n])
+            while len(x) < n:
+                v = F(rng.randint(-20, 20), rng.randint(1, 12))
+                if v not in x:
+                    x.append(v)
+            rng.shuffle(x)
+            for lam in bounded_partitions(n, 3 if n < 6 else 2):
+                got = schur_bialternant(lam, x)
+                assert type(got) is F and got == fraction_bialternant(lam, x), (lam, x)
+    assert schur_bialternant((), ()) == fraction_bialternant((), ()) == 1
+
+
+def test_rows_between_is_a_bounded_cache_of_tuples():
+    for row, strict in (((1, 3, 4), True), ((0, 2, 2, 5), False), ((1, 2, 5, 6), True), ((4,), False)):
+        got = rows_between(row, strict)
+        assert type(got) is tuple and all(type(b) is tuple for b in got)
+        # every row between, brute force
+        ranges = [range(row[j], row[j + 1] + 1) for j in range(len(row) - 1)]
+        step = 1 if strict else 0
+        expect = [b for b in product(*ranges) if all(b[j] + step <= b[j + 1] for j in range(len(b) - 1))]
+        # a one-entry row has no row above it in a pattern
+        assert list(got) == (expect if ranges else []), (row, strict)
+        assert rows_between(row, strict) is got
+    assert 0 < rows_between.cache_info().maxsize <= 10000
 
 
 def test_schur_routes_reject_a_partition_longer_than_the_variables():

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from spinhl.arith import ParamPoint, PoleError, SpinParams, sample_point
+from spinhl.arith import ParamPoint, PoleError, SpinParams, invert, sample_point
 from spinhl.symfun import bounded_partitions, f_lambda
 from spinhl.vertex import (
     ensemble_weight,
@@ -148,6 +148,24 @@ def test_scaled_weights_are_the_weights_times_the_row_scale(seed):
                         assert got == vertex_weight(cfg, u, s, q) * scale, (n, cfg, u, s, q)
 
 
+def test_row_scale_is_the_reduced_denominator_formula():
+    # num(1 - s u) is the denominator of its inverse, as the scale was taken
+    rng = random.Random(5)
+    values = [F(0), F(1), F(-1), F(3, 7), F(-3, 7), F(7, 3), F(-12, 5), F(6, 4)]
+    values += [F(rng.randint(-40, 40), rng.randint(1, 30)) for _ in range(8)]
+    for u in values:
+        for s in values:
+            if s * u == 1:
+                continue
+            for q in (F(0), F(4, 9), F(-2, 5), F(9, 4)):
+                for n in range(4):
+                    expect = invert(1 - s * u, "1 - s*u").denominator * u.denominator * s.denominator**2 * q.denominator**n
+                    got = row_scale(u, s, q, n)
+                    assert type(got) is int and got == expect, (u, s, q, n)
+
+
 def test_row_scale_names_the_pole():
-    with pytest.raises(PoleError, match=r"1 - s\*u"):
-        row_scale(F(-3, 2), F(-2, 3), F(1, 4), 2)
+    for u, s in ((F(-3, 2), F(-2, 3)), (F(1), F(1)), (F(-1), F(-1)), (F(1, 5), F(5)), (F(-7, 3), F(-3, 7))):
+        with pytest.raises(PoleError) as exc:
+            row_scale(u, s, F(1, 4), 2)
+        assert str(exc.value) == "vanishing denominator: 1 - s*u"
