@@ -9,6 +9,7 @@ five local weights the map matches the polynomial triangle weight with
 u = v = t - 1/t and w = 1/q - q.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 from .arith import ParamPoint, SpinParams, invert
@@ -140,14 +141,18 @@ def _leftmost_0110_columns(ens):
 
 
 def normalized_product(ens, xs, t):
-    """Product of normalized local weights over an ensemble; row i uses x_i."""
+    """Product of normalized local weights over an ensemble; row i uses x_i.
+    A weight depends on its vertex only through (configuration, row, whether
+    it is the row's leftmost (0,1;1,0)), so each distinct one is computed
+    once, in the order of its first vertex, and raised to its count."""
     xs = tuple(Fraction(v) for v in xs)
     if len(xs) != ens.n:
         raise ValueError("need one variable per row")
     leftmost = _leftmost_0110_columns(ens)
+    counts = Counter((cfg, row, leftmost.get(row) == col) for row, col, cfg in ens.vertices())
     out = Fraction(1)
-    for row, col, cfg in ens.vertices():
-        out *= normalized_weight(cfg, xs[row - 1], t, leftmost.get(row) == col)
+    for (cfg, row, first), k in counts.items():
+        out *= normalized_weight(cfg, xs[row - 1], t, first) ** k
     return out
 
 

@@ -182,8 +182,9 @@ def _transfer_sweep(nrows, spin, t, cap, budget, cache):
 
     Row k's spectral value is u = (s + x)/(1 + s x) in one variable to degree
     d = cap // k (s at d = 0), and its vertex weights are kept in ``cache``
-    per degree.  The columns run to p + budget, and states whose excess passes
-    the budget are dropped as they appear.  Returns the final states, the
+    per degree, as integer coefficient lists over their denominators.  The
+    columns run to p + budget, and states whose excess passes the budget are
+    dropped as they appear.  Returns the final states, the
     multiplicity rows (m_0, m_1, ...) of the partitions lambda, each mapped to
     F_lambda(x_1, ..., x_nrows) truncated at ``cap`` as a ``SymmetricSum``,
     so one sweep serves every list of ``nrows`` variables."""
@@ -204,11 +205,14 @@ def _lhs_sum(n, spin, t, cap, poch, budget, cache, var_indices=None):
     final states of one vertex-model transfer, so the transfer is shared by
     every family and every list of as many variables, and kept in ``cache``
     at the largest budget requested so far.  Each factor
-    poch(spin, r, m) / (q; q)_m is kept there too, per family and spin and by
-    (r, m), so the sums at budgets B and B+1 and over variable subsets
-    evaluate it once.  The weighted states are added in the
-    monomial-symmetric basis, on integers over the lcm of their
-    denominators, and the sum is expanded onto the listed variables once.
+    poch(spin, r, m) / (q; q)_m is kept there too, as an integer pair
+    (num, den), per family and spin and by (r, m), so the sums at budgets B
+    and B+1 and over variable subsets evaluate it once; (q; q)_m is read from
+    one running product.  A state's weight is the product of its factors'
+    numerators over the product of their denominators, unreduced.  The
+    weighted states are added in the monomial-symmetric basis, on integers
+    over the lcm of their denominators, and the sum is expanded onto the
+    listed variables once.
     At q = 1 the factor 1/(q; q)_m has a pole for every m >= 1, raised as
     ``PoleError`` before the transfer runs."""
     q = t * t
@@ -220,19 +224,22 @@ def _lhs_sum(n, spin, t, cap, poch, budget, cache, var_indices=None):
     if got is None or got[0] < budget:
         got = cache[key] = (budget, _transfer_sweep(len(var_indices), spin, t, cap, budget, cache))
     factors = cache.setdefault(("poch factors", poch, spin, t), {})
+    qq = qpochs(q, q, len(var_indices))  # a state holds one path per row
     total = SymmetricSum(cap)
     for state, acc in got[1].items():
         if sum(m * r for r, m in enumerate(state[spin.p + 1 :], 1)) > budget:
             continue
-        w = Fraction(1)
+        num = den = 1
         for r, m in enumerate(state):
             if m:
                 f = factors.get((r, m))
                 if f is None:
-                    f = factors[r, m] = poch(spin, r, m) / qpoch(q, q, m)
-                w *= f
-        if w:
-            total.add_scaled(w, acc)
+                    f = poch(spin, r, m) / qq[m]
+                    f = factors[r, m] = (f.numerator, f.denominator)
+                num *= f[0]
+                den *= f[1]
+        if num:
+            total.add_scaled((num, den), acc)
     return expand_symmetric(total, n, cap, var_indices)
 
 

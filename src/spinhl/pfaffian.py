@@ -33,17 +33,19 @@ def det(rows):
     Sylvester's identity and multistep integer-preserving Gaussian
     elimination, Math. Comp. 22, 1968), whose every division is exact, with
     a row swap on a zero pivot, and its determinant is divided once by the
-    product of the row denominators."""
-    rows = [[Fraction(v) for v in row] for row in rows]
-    n = len(rows)
-    if any(len(row) != n for row in rows):
+    product of the row denominators.  Rows of ``int`` entries only are taken
+    as they are, over the denominator 1."""
+    rows = [list(row) for row in rows]
+    m, den = rows, 1
+    if not all(type(v) is int for row in rows for v in row):
+        m = []
+        for row in rows:
+            nums, scale = over_common_denominator([Fraction(v) for v in row])
+            den *= scale
+            m.append(nums)
+    n = len(m)
+    if any(len(row) != n for row in m):
         raise ValueError("determinant needs a square matrix")
-    den = 1
-    m = []
-    for row in rows:
-        nums, scale = over_common_denominator(row)
-        den *= scale
-        m.append(nums)
     sign = 1
     prev = 1
     for k in range(n - 1):

@@ -203,6 +203,12 @@ class TruncSeries:
     def constant_term(self):
         return Fraction(self.num.get(0, 0), self.den)
 
+    def univariate_numerators(self):
+        """The integer numerators of x^0, ..., x^cap of a series in one
+        variable, over ``den``."""
+        step = self.cap + 2  # x^e has the key e * step
+        return [self.num.get(e * step, 0) for e in range(self.cap + 1)]
+
     def __bool__(self):
         return bool(self.num)
 
@@ -386,8 +392,11 @@ class SymmetricSum:
     (r + 1) e <= cap, row r + 1 reads its walk weights only to degree
     cap // (r + 1).  ``add`` sums the products, and ``add_scaled`` rational
     multiples of whole sums, on one integer dict over the lcm of their
-    denominators; a sum is taken to lowest terms once, when it is first read,
-    and ``expand_symmetric`` turns a sum into a ``TruncSeries``.
+    denominators.  Both take their weights as integers over a denominator
+    that need not be reduced: a walk weight as its coefficient list
+    ([c_0, ..., c_d], den), a multiple as (num, den).  A sum is taken to
+    lowest terms once, when it is first read, and ``expand_symmetric`` turns
+    a sum into a ``TruncSeries``.
     """
 
     __slots__ = ("cap", "den", "num", "terms")
@@ -438,18 +447,12 @@ class SymmetricSum:
         return den // d
 
     def add(self, acc, w):
-        """Add acc times the walk weight w of the next row: a ``TruncSeries``
-        in its one variable, or a rational when only its constant term is
-        read."""
+        """Add acc times the walk weight w of the next row, the pair
+        ([c_0, ..., c_d], den) of its integer x^0..x^d coefficients in its
+        one variable over a denominator, unreduced."""
         terms = acc._reduce() if acc.terms is None else acc.terms
-        if isinstance(w, TruncSeries):
-            step = w.cap + 2  # x^e in one variable has the key e * step
-            coeffs = [w.num.get(e * step, 0) for e in range(w.cap + 1)]
-            d = acc.den * w.den
-        else:
-            coeffs = [w.numerator]
-            d = acc.den * w.denominator
-        m = self._scale_to(d)
+        coeffs, d = w
+        m = self._scale_to(acc.den * d)
         if m != 1:
             coeffs = [c * m for c in coeffs]
         top = len(coeffs) - 1
@@ -463,10 +466,12 @@ class SymmetricSum:
                     out[key] = get(key, 0) + v * c
 
     def add_scaled(self, c, acc):
-        """Add c times the sum ``acc`` of the same rows, c rational."""
+        """Add c times the sum ``acc`` of the same rows, c rational, given
+        as an integer pair (num, den) with den > 0, unreduced."""
         if acc.terms is None:
             acc._reduce()
-        m = c.numerator * self._scale_to(c.denominator * acc.den)
+        num, den = c
+        m = num * self._scale_to(den * acc.den)
         out = self.num
         get = out.get
         for nu, v in acc.num.items():

@@ -130,30 +130,61 @@ class PathEnsemble:
         return max(max(row) for row in self.occ)
 
 
+def _coefficient_pair(w):
+    """A local weight of a series row as ([c_0, ..., c_d], den), its integer
+    x^0..x^d coefficients over its denominator: a univariate ``TruncSeries``
+    at degree d, or a rational at d = 0."""
+    if isinstance(w, Fraction):
+        return [w.numerator], w.denominator
+    return w.univariate_numerators(), w.den
+
+
+def _walk_product(w, vw):
+    """The product of two coefficient pairs of one series row: the
+    convolution of the lists, truncated at their common length, over the
+    product of the denominators, with no gcd taken."""
+    a, da = w
+    b, db = vw
+    top = len(a)
+    if top == 1:  # the rows past the cap, at d = 0
+        return [a[0] * b[0]], da * db
+    out = [0] * top
+    for i, x in enumerate(a):
+        if x:
+            for j in range(top - i):
+                y = b[j]
+                if y:
+                    out[i + j] += x * y
+    return out, da * db
+
+
 def _weighted_successors(state, u, spin, q, memos, scale, low, room, budget):
     """All admissible next occupancy rows above ``state`` with their weight,
     scanning columns left to right with the entering flux fixed to 1.
 
     ``u`` may be a scalar or a series; on the series rows of
     ``spinhl.identities`` it is a series in the row's one variable, read to
-    the degree that row needs (a smaller one each row, and only the constant
-    term s once the rows outnumber the cap, see ``row_transfer``), so each
-    walk weight is a univariate series or a rational.  ``memos[c]`` memoizes
-    the local weights of column c by configuration, one memo per spin value.
-    With ``scale`` None the weights are taken as they are and empty vertices
-    (weight 1) are skipped.  Otherwise ``scale`` is the path bound n of the
-    integer row scales L(s) = ``row_scale(u, s, q, n)``: the row's weights
-    are the integers ``scaled_weight(cfg, u, s, q, n)``, an empty vertex
-    included (it weighs L(s)), and every walk carries the extra factor
-    prod_c L(s_c).  Without a scale, a walk with no path
-    entering column c and none of ``state`` at or past it is empty from c
-    on, and ends there.  Paths only move right going up, so two
-    counts of the new row only grow as it is built and bound it column by
-    column: its paths in the columns >= c, fixed once the flux leaving
-    column c - 1 is, may not exceed ``room[c]`` (``room[width]`` is 0, so no
-    path leaves on the right) nor fall below ``low[c]``, and its excess
-    sum_c m_c max(c - p, 0) past the spin prefix length p may not exceed
-    ``budget``."""
+    the degree d that row needs (a smaller one each row, and only the
+    constant term s once the rows outnumber the cap, see ``row_transfer``).
+    ``memos[c]`` memoizes the local weights of column c by configuration,
+    one memo per spin value.  With ``scale`` None the row is a series row:
+    each local weight is computed once by ``vertex_weight`` and kept as the
+    pair ([c_0, ..., c_d], den) of its integer coefficients over its
+    denominator (``_coefficient_pair``), a walk weight is the product of
+    such pairs (``_walk_product``), whose denominator is never reduced, and
+    empty vertices (weight 1) are skipped.  Otherwise ``scale`` is the path
+    bound n of the integer row scales L(s) = ``row_scale(u, s, q, n)``: the
+    row's weights are the integers ``scaled_weight(cfg, u, s, q, n)``, an
+    empty vertex included (it weighs L(s)), and every walk carries the extra
+    factor prod_c L(s_c).  A walk whose weight is zero ends.  Without a
+    scale, a walk with no path entering column c and none of ``state`` at or
+    past it is empty from c on, and ends there.  Paths only move right going
+    up, so two counts of the new row only grow as it is built and bound it
+    column by column: its paths in the columns >= c, fixed once the flux
+    leaving column c - 1 is, may not exceed ``room[c]`` (``room[width]`` is
+    0, so no path leaves on the right) nor fall below ``low[c]``, and its
+    excess sum_c m_c max(c - p, 0) past the spin prefix length p may not
+    exceed ``budget``."""
     width = len(state)
     p = spin.p
     tail = [0] * (width + 1)  # paths of ``state`` in the columns >= c
@@ -186,13 +217,18 @@ def _weighted_successors(state, u, spin, q, memos, scale, low, room, budget):
                 if vw is None:
                     s = spin.lookup(c)
                     if scale is None:
-                        vw = vertex_weight(cfg, u, s, q)
+                        vw = _coefficient_pair(vertex_weight(cfg, u, s, q))
                     else:
                         vw = scaled_weight(cfg, u, s, q, scale)
                     memos[c][cfg] = vw
-                w2 = vw if w is None else w * vw
-                if not w2:
-                    continue
+                if scale is None:
+                    w2 = vw if w is None else _walk_product(w, vw)
+                    if not any(w2[0]):
+                        continue
+                else:
+                    w2 = vw if w is None else w * vw
+                    if not w2:
+                        continue
             stack.append((c + 1, h2, excess2, w2, row + (g2,)))
     return out
 
@@ -224,7 +260,8 @@ def row_transfer(rows, spin, q, one, room, budget, single_top=False):
     variable takes the smallest part, so a target state's coefficient at
     nu + (e,) adds acc[nu] times the x^e coefficient of a walk weight, one
     product per stored partition, and row r reads its walk weights only to
-    degree cap // r.  Each target state sums these products in one
+    degree cap // r, each one an integer coefficient list over a denominator
+    that is never reduced.  Each target state sums these products in one
     ``SymmetricSum``, made by the unit's ``product_sum``, on integers over
     the lcm of their denominators, and is reduced once, when it first serves
     as a predecessor; the caller adds the final states, weighted, in the

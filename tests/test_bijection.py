@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+import spinhl.bijection
 from spinhl.arith import PoleError
 from spinhl.bijection import (
     colored_sum,
@@ -111,6 +112,37 @@ def test_weight_preservation_per_object():
                     M = ensemble_to_triangle(ens)
                     got = normalized_product(ens, XS[:n], t)
                     assert got == mt_weight(M, XS[:n], u, v, w), (t, lam)
+
+
+def test_normalized_product_takes_each_distinct_weight_once(monkeypatch):
+    # the product over the vertices, one normalized_weight per vertex, against
+    # one call per (configuration, row, leftmost (0,1;1,0)) of the ensemble
+    calls = []
+
+    def counting(cfg, x, t, is_leftmost_0110=False):
+        calls.append((cfg, x, is_leftmost_0110))
+        return normalized_weight(cfg, x, t, is_leftmost_0110)
+
+    monkeypatch.setattr(spinhl.bijection, "normalized_weight", counting)
+    for lam in [(2, 1, 0), (3, 1, 0), (4, 2, 1, 0)]:
+        n = len(lam)
+        for ens in strict_ensembles(lam):
+            leftmost = {}
+            expect = F(1)
+            keys = set()
+            for row, col, cfg in ens.vertices():
+                first = leftmost.setdefault(row, col) == col if cfg == (0, 1, 1, 0) else False
+                expect *= normalized_weight(cfg, XS[row - 1], T, first)
+                keys.add((cfg, row, first))
+            calls.clear()
+            assert normalized_product(ens, XS[:n], T) == expect, (lam, ens)
+            assert len(calls) == len(keys), (lam, ens)
+    # a row with a (1,0;0,1) has a second (0,1;1,0), which meets 1 - 1/q
+    ens = next(e for e in strict_ensembles((2, 1, 0)) if any(k for k, _ in pairing_counts(e).values()))
+    for t, what in ((0, "t"), (1, "1 - 1/q"), (-1, "1 - 1/q")):
+        with pytest.raises(PoleError) as err:
+            normalized_product(ens, XS[:3], t)
+        assert str(err.value) == "vanishing denominator: " + what
 
 
 def test_pairing_per_row():

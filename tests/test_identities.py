@@ -259,14 +259,18 @@ def wider_transfer_grid():
     """(n, t, spin, cap, var_indices) of sweeps beside those of the checks:
     listed variables that are not the first k (including a gap), a p = 3
     prefix, caps of at least twice the rows, so that several rows carry walk
-    weights past their constant term, and n = 6 at D = 1, where every row
-    after the first reads constant terms only."""
+    weights past their constant term, n = 6 at D = 1, where every row
+    after the first reads constant terms only, and n = 5 at D = 2 with p = 2,
+    where rows 1-2 carry series walk weights and rows 3-5 constant ones
+    across both prefix columns."""
     for p in (1, 3):
         t, spin, _ = series_parameters(7, p)
         for n, var_indices, cap in ((3, (0, 2), 4), (3, (0, 2), 5), (4, (1, 3), 6), (4, (0, 1, 3), 6)):
             yield n, t, spin, cap, var_indices
     t, spin, _ = series_parameters(7, 1)
     yield 6, t, spin, 1, tuple(range(6))
+    t, spin, _ = series_parameters(7, 2)
+    yield 5, t, spin, 2, tuple(range(5))
 
 
 def test_transfer_sweep_matches_the_reference_on_a_wider_grid():

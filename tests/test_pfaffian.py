@@ -5,6 +5,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+import spinhl.pfaffian
 from spinhl.arith import ParamPoint, PoleError, SpinParams, perm_sign, sample_point
 from spinhl.identities import lemma_point, series_parameters
 from spinhl.pfaffian import (
@@ -183,6 +184,32 @@ def test_det_matches_the_leibniz_sum(seed):
         assert det(rows) == leibniz_det(rows), rows
     assert det(singular) == det(zero_col) == 0
     assert det(swap) != 0 and det(late) != 0
+
+
+def test_det_takes_integer_rows_as_they_are(monkeypatch):
+    # rows of ints skip the clearing (a row swap, a late zero pivot and a
+    # singular matrix, row 3 = row 1 + 2 row 2), leave the caller's rows as
+    # they were, and still give a Fraction; one rational entry clears them all
+    cleared = []
+    clear = spinhl.pfaffian.over_common_denominator
+
+    def recording(row):
+        cleared.append(row)
+        return clear(row)
+
+    monkeypatch.setattr(spinhl.pfaffian, "over_common_denominator", recording)
+    swap = [[0, 2, 5], [-1, 4, 0], [7, 1, 1]]
+    late = [[1, 2, 3, 4], [2, 4, 1, 0], [3, 1, 1, 1], [0, -7, 2, 5]]
+    singular = [[1, 3, -1], [2, -1, 4], [5, 1, 7]]
+    for rows in (swap, late, singular, [(2, -3), (5, 4)], []):
+        before = [list(row) for row in rows]
+        got = det(rows)
+        assert isinstance(got, F) and got == leibniz_det(rows), rows
+        assert [list(row) for row in rows] == before
+    assert det(singular) == 0 and det(swap) != 0 and det(late) != 0
+    assert not cleared
+    mixed = [[1, 2], [3, F(1, 2)]]
+    assert det(mixed) == F(-11, 2) and len(cleared) == 2
 
 
 @pytest.mark.parametrize("rows", ([[1, 2]], [[1], [2]], [[1, 2], [3]], [[]]))

@@ -5,8 +5,11 @@ from fractions import Fraction as F
 import pytest
 
 from spinhl.arith import ParamPoint, PoleError, SpinParams, invert, sample_point
+from spinhl.series import TruncSeries, u_substitution
 from spinhl.symfun import bounded_partitions, f_lambda
 from spinhl.vertex import (
+    _successor_states,
+    _weighted_successors,
     ensemble_weight,
     enumerate_ensembles,
     f_lambda_vertex,
@@ -169,3 +172,62 @@ def test_row_scale_names_the_pole():
         with pytest.raises(PoleError) as exc:
             row_scale(u, s, F(1, 4), 2)
         assert str(exc.value) == "vanishing denominator: 1 - s*u"
+
+
+def walk_configurations(state, row):
+    """The configurations of the walk from ``state`` to the next row ``row``,
+    left to right, with one path entering on the left."""
+    h = 1
+    for c, (g, g2) in enumerate(zip(state, row)):
+        h2 = g + h - g2
+        yield c, (g, g2, h, h2)
+        h = h2
+
+
+def test_series_walk_weights_are_the_products_of_the_vertex_weights():
+    # p = 2, so that walks cross both prefix columns and the tail; the tail
+    # vertices (0,0;1,1) have weight (u - s)/(1 - s u) = O(x), so walks
+    # crossing more than d of them vanish at degree d
+    spin = SpinParams((F(1, 5), F(-2, 3)), F(3, 7))
+    q = F(4, 49)
+    p, budget, width = 2, 3, 6
+    room = [4] * width + [0]
+    low = [0] * (width + 1)
+    states = [
+        (0, 0, 0, 0, 0, 0),
+        (1, 0, 0, 0, 0, 0),
+        (0, 0, 1, 0, 0, 0),
+        (1, 0, 0, 1, 0, 0),
+        (0, 2, 0, 0, 1, 0),
+        (1, 1, 1, 0, 0, 0),
+    ]
+    vanished = 0
+    for d in range(5):
+        u = u_substitution(0, spin.tail, d, 1)
+        weights = {}
+        memos = [weights.setdefault(spin.lookup(c), {}) for c in range(width)]
+        for state in states:
+            got = _weighted_successors(state, u if d else spin.tail, spin, q, memos, None, low, room, budget)
+            expect = {}
+            for row in _successor_states(state, None):
+                if sum(m * (c - p) for c, m in enumerate(row) if c > p) > budget:
+                    continue
+                if any(sum(row[c:]) > room[c] for c in range(width)):
+                    continue
+                w = TruncSeries.const(1, d, 1)
+                for c, cfg in walk_configurations(state, row):
+                    if cfg != (0, 0, 0, 0):
+                        w = w * vertex_weight(cfg, u, spin.lookup(c), q)
+                if w:
+                    expect[row] = w
+                else:
+                    vanished += 1
+            assert sorted(row for row, _ in got) == sorted(expect), (d, state)
+            for row, (coeffs, den) in got:
+                assert len(coeffs) == d + 1 and all(type(c) is int for c in coeffs), (d, state, row)
+                if d:
+                    back = TruncSeries(1, d, {(e,): F(c, den) for e, c in enumerate(coeffs)})
+                    assert back == expect[row], (d, state, row)
+                else:
+                    assert F(coeffs[0], den) == expect[row].constant_term, (state, row)
+    assert vanished
