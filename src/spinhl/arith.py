@@ -71,6 +71,23 @@ def qpochs(a, q, n):
     return out
 
 
+def qpochs_product(a, b, q, n):
+    """[(a;q)_m (b;q)_m for m = 0..n], from two running products."""
+    return [x * y for x, y in zip(qpochs(a, q, n), qpochs(b, q, n))]
+
+
+class PochFamily:
+    """A family of Pochhammer factors: ``pochs(spin, r, n)`` lists the
+    factors of a part r at m = 0..n by running products (``qpochs``), and
+    calling the family with (spin, r, m) gives the factor at m."""
+
+    def __init__(self, pochs):
+        self.pochs = pochs
+
+    def __call__(self, spin, r, m):
+        return self.pochs(spin, r, m)[m]
+
+
 def perm_sign(word):
     """Sign of a sequence of distinct comparable items: (-1) to the number of
     inversions."""
@@ -166,6 +183,13 @@ class ParamPoint:
     def restrict(self, indices):
         """Point on the sub-family u_i, i in ``indices`` (0-based, kept in order)."""
         return self.with_u(tuple(self.u[i] for i in indices))
+
+
+def one_minus(x, y, t=1):
+    """b d f^2 - a c e^2 for x = a/b, y = c/d and t = e/f: an integer that
+    vanishes exactly when 1 - t^2 x y does, so that a pole list of
+    ``sample_point`` can test a candidate with no ``Fraction`` formed."""
+    return x.denominator * y.denominator * t.denominator**2 - x.numerator * y.numerator * t.numerator**2
 
 
 def _draw_rational(rng):

@@ -63,8 +63,10 @@ from .arith import (
     invert,
     over_common_denominator,
     perm_sign,
-    qpoch,
+    PochFamily,
+    one_minus,
     qpochs,
+    qpochs_product,
     rat_str,
     sample_point,
 )
@@ -141,32 +143,32 @@ def _coeff_witness(diff):
 
 def poch_main1(q):
     """(-s_r; q)_m: the product-form family."""
-    return lambda spin, r, m: qpoch(-spin.lookup(r), q, m)
+    return PochFamily(lambda spin, r, n: qpochs(-spin.lookup(r), q, n))
 
 
 def poch_uniform(t):
     """(-t; t)_m (-s_r; t)_m: the Pfaffian-form family at gamma = 1."""
-    return lambda spin, r, m: qpoch(-t, t, m) * qpoch(-spin.lookup(r), t, m)
+    return PochFamily(lambda spin, r, n: qpochs_product(-t, -spin.lookup(r), t, n))
 
 
 def poch_gamma(t, gamma):
     """(-gamma t; t)_m (-s_0/gamma; t)_m at r = 0, and the gamma = 1 factor
     above it: the gamma-refined family.  s_0/gamma is ``s_over_gamma``, so
     gamma = 0 needs s_0 = 0 (the Kawanaka limit)."""
-    uniform = poch_uniform(t)
+    uniform = poch_uniform(t).pochs
 
-    def poch(spin, r, m):
+    def pochs(spin, r, n):
         if r == 0:
-            return qpoch(-gamma * t, t, m) * qpoch(-s_over_gamma(spin.lookup(0), gamma), t, m)
-        return uniform(spin, r, m)
+            return qpochs_product(-gamma * t, -s_over_gamma(spin.lookup(0), gamma), t, n)
+        return uniform(spin, r, n)
 
-    return poch
+    return PochFamily(pochs)
 
 
 def poch_hl(t, from_part=0):
     """(-t; t)_m for the parts r >= from_part and 1 below: the Hall-Littlewood
     sums with P_lambda = F_lambda(all spins 0) / prod_r (q; q)_{m_r}."""
-    return lambda spin, r, m: qpoch(-t, t, m) if r >= from_part else 1
+    return PochFamily(lambda spin, r, n: qpochs(-t, t, n) if r >= from_part else [1] * (n + 1))
 
 
 # ----------------------------------------------------------------------
@@ -181,17 +183,17 @@ def _transfer_sweep(nrows, spin, t, cap, budget, cache):
     """The vertex-model transfer on series over ``nrows`` rows.
 
     Row k's spectral value is u = (s + x)/(1 + s x) in one variable to degree
-    d = cap // k (s at d = 0), and its vertex weights are kept in ``cache``
-    per degree, as integer coefficient lists over their denominators.  The
-    columns run to p + budget, and states whose excess passes the budget are
-    dropped as they appear.  Returns the final states, the
-    multiplicity rows (m_0, m_1, ...) of the partitions lambda, each mapped to
-    F_lambda(x_1, ..., x_nrows) truncated at ``cap`` as a ``SymmetricSum``,
-    so one sweep serves every list of ``nrows`` variables."""
+    d = cap // k, handed to the transfer as the pair (s, d): its vertex
+    weights are written in closed form (``vertex.series_weight``) and kept in
+    ``cache`` per degree, as integer coefficient lists over their
+    denominators.  The columns run to p + budget, and states whose excess
+    passes the budget are dropped as they appear.  Returns the final states,
+    the multiplicity rows (m_0, m_1, ...) of the partitions lambda, each
+    mapped to F_lambda(x_1, ..., x_nrows) truncated at ``cap`` as a
+    ``SymmetricSum``, so one sweep serves every list of ``nrows`` variables."""
     rows = []
     for d in (cap // k for k in range(1, nrows + 1)):
-        u = u_substitution(0, spin.tail, d, 1) if d else spin.tail
-        rows.append((u, cache.setdefault(("vertex weights", d, t, spin.tail), {}), None))
+        rows.append(((spin.tail, d), cache.setdefault(("vertex weights", d, t, spin.tail), {}), None))
     room = [nrows] * (spin.p + budget + 1) + [0]
     return row_transfer(rows, spin, t * t, SymmetricSum.one(cap), room, budget)
 
@@ -646,7 +648,7 @@ def _key_lemma2_from(point, spec, conjugated, blocks):
     rhs = _key_lemma_sum(
         u,
         q,
-        [a * b for a, b in zip(qpochs(-gis, t, n), qpochs(-gamma * t, t, n))],
+        qpochs_product(-gis, -gamma * t, t, n),
         lambda ui: (1 + t) * (ui - s),
         lambda ui, uj: (1 - ui * uj) * (1 - q * ui * uj),
         blocks,
@@ -778,12 +780,13 @@ def _subset_sum(point, l, poch, kernel, proper=True):
     (the proper ones unless ``proper`` is false) of poch(spin, l, n - |T|)
     prod_{i in T} (u_i - s_l) times the split kernel
     prod_{i in T, j not in T} (u_i - q u_j)/(u_i - u_j) times the kernel
-    over T (``_chain_kernel``), times ``_outer_factor``."""
+    over T (``_chain_kernel``), times ``_outer_factor``.  The factors
+    poch(spin, l, m), m = 0..n, are the family's one list (``PochFamily``)."""
     u, sl, n = point.u, point.s(l), point.n
     inside, pairs, block = kernel
     total = _subset_product_sum(
         n,
-        [poch(point.spin, l, m) for m in range(n + 1)],
+        poch.pochs(point.spin, l, n),
         [(1, (u[i] - sl) * inside[i]) for i in range(n)],
         pairs,
         block,
@@ -878,9 +881,10 @@ def _chain_main2(point):
 
     # splitting off the l = 0 term: the gamma-weighted sum equals the uniform
     # sum plus the correction that cancels against the reused identity
-    correction = _subset_sum(
-        point, 0, lambda sp, l, m: poch_g(sp, l, m) - poch_1(sp, l, m), kernel, proper=False
+    difference = PochFamily(
+        lambda sp, l, n: [g - one for g, one in zip(poch_g.pochs(sp, l, n), poch_1.pochs(sp, l, n))]
     )
+    correction = _subset_sum(point, 0, difference, kernel, proper=False)
     results["cancel_split"] = rhs_total == total(poch_1) + correction
     return results
 
@@ -910,12 +914,12 @@ def check_reduction_chain(n, p, which, seed):
 
 
 def _scalar_poles(p):
-    out = [lambda pt: 1 - pt.spin.tail * pt.spin.tail]
-    out.append(lambda pt: 1 - pt.q * pt.spin.tail * pt.spin.tail)
-    out.append(lambda pt: 1 - pt.spin.tail)
+    out = [lambda pt: one_minus(pt.spin.tail, pt.spin.tail)]
+    out.append(lambda pt: one_minus(pt.spin.tail, pt.spin.tail, pt.t))
+    out.append(lambda pt: one_minus(pt.spin.tail, 1))
     for j in range(p):
-        out.append(lambda pt, j=j: 1 - pt.s(j) * pt.spin.tail)
-        out.append(lambda pt, j=j: 1 - pt.s(j))
+        out.append(lambda pt, j=j: one_minus(pt.s(j), pt.spin.tail))
+        out.append(lambda pt, j=j: one_minus(pt.s(j), 1))
     return out
 
 
@@ -929,14 +933,16 @@ def _lemma_poles(n):
     out = []
     for i in range(n):
         for j in range(i, n):
-            out.append(lambda pt, i=i, j=j: 1 - pt.u[i] * pt.u[j])
-            out.append(lambda pt, i=i, j=j: 1 - pt.q * pt.u[i] * pt.u[j])
+            out.append(lambda pt, i=i, j=j: one_minus(pt.u[i], pt.u[j]))
+            out.append(lambda pt, i=i, j=j: one_minus(pt.u[i], pt.u[j], pt.t))
     for i in range(n):
-        out.append(lambda pt, i=i: 1 - pt.spin.tail * pt.u[i])
-        out.append(lambda pt, i=i: 1 - pt.q * pt.spin.tail * pt.u[i])
-        out.append(lambda pt, i=i: pt.u[i] - pt.spin.tail)
-    out.append(lambda pt: 1 - pt.spin.tail * pt.spin.tail)
-    out.append(lambda pt: 1 - pt.q * pt.spin.tail * pt.spin.tail)
+        out.append(lambda pt, i=i: one_minus(pt.spin.tail, pt.u[i]))
+        out.append(lambda pt, i=i: one_minus(pt.spin.tail, pt.u[i], pt.t))
+        out.append(  # u_i - s
+            lambda pt, i=i: pt.u[i].numerator * pt.spin.tail.denominator - pt.spin.tail.numerator * pt.u[i].denominator
+        )
+    out.append(lambda pt: one_minus(pt.spin.tail, pt.spin.tail))
+    out.append(lambda pt: one_minus(pt.spin.tail, pt.spin.tail, pt.t))
     return out
 
 
@@ -946,14 +952,18 @@ def lemma_point(seed, n):
     return sample_point(seed, n, 0, pole_list=_lemma_poles(n))
 
 
-def _chain_point(seed, n, p):
+def _chain_poles(n, p):
     poles = _lemma_poles(n) + _scalar_poles(p)
     for l in range(p + 3):
         for i in range(n):
-            poles.append(lambda pt, l=l, i=i: 1 - pt.s(l) * pt.u[i])
+            poles.append(lambda pt, l=l, i=i: one_minus(pt.s(l), pt.u[i]))
     poles.append(lambda pt, p=p: 1 - _ratio(pt.u, pt.spin, p))
     poles.append(lambda pt, p=p: 1 - _ratio(pt.u, pt.spin, max(p, 1)))
-    return sample_point(seed, n, p, pole_list=poles)
+    return poles
+
+
+def _chain_point(seed, n, p):
+    return sample_point(seed, n, p, pole_list=_chain_poles(n, p))
 
 
 def _interp_nodes(point, count):

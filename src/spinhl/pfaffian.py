@@ -405,11 +405,28 @@ def m_conjugated(spec, T, u=None):
     return m_gamma(spec, T, u=u).conjugate_diag(b_matrix(tuple(T), tuple(T), spec.point, u=u))
 
 
+def b_determinant(T, q, u):
+    """det B(T, T) of ``b_matrix``, prod_{i<k in T} (1 - u_i u_k)(1 - q u_i u_k)
+    over the 1-based labels T, as one integer over one integer: with
+    u_i = a_i/b_i and q = e/f in lowest terms each pair is
+    (b_i b_k - a_i a_k)(f b_i b_k - e a_i a_k) over f b_i^2 b_k^2."""
+    e, f = q.numerator, q.denominator
+    num = den = 1
+    for i, k in combinations(T, 2):
+        B = u[i - 1].denominator * u[k - 1].denominator
+        P = u[i - 1].numerator * u[k - 1].numerator
+        num *= (B - P) * (f * B - e * P)
+        den *= f * B * B
+    return Fraction(num, den)
+
+
 def conjugated_pfaffian(spec, T, u=None):
     """The Pfaffian of ``m_conjugated(spec, T, u)`` without conjugating its
-    entries: Pf(B M B) = det(B) Pf(M) for the diagonal B = B(T, T)."""
+    entries: Pf(B M B) = det(B) Pf(M) for the diagonal B = B(T, T), det(B)
+    taken in closed form (``b_determinant``)."""
     T = tuple(T)
-    return prod(b_matrix(T, T, spec.point, u=u).values()) * m_gamma(spec, T, u=u).pfaffian()
+    uvals = spec.point.u if u is None else tuple(u)
+    return b_determinant(T, spec.point.q, uvals) * m_gamma(spec, T, u=u).pfaffian()
 
 
 def littlewood_kernel(u, q):

@@ -27,7 +27,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .arith import PoleError, invert, perm_sign
-from .pfaffian import SkewMatrix, m_gamma_entry, pfaffian_kernel
+from .pfaffian import SkewMatrix
 from .symfun import _check_cap, as_parts, rows_between
 
 
@@ -101,9 +101,10 @@ class TruncSeries:
 
     Ring operations work on the integers and reduce once per result: a
     product runs over its right operand in key order and stops at the cap, a
-    sum brings both operands to the lcm of the denominators, and ``inv``
-    solves N * Q = 1 degree by degree (see there); ``SymmetricSum`` carries
-    transfer states and partition sums in the monomial-symmetric basis.
+    sum brings both operands to the lcm of the denominators, and a quotient
+    M / N solves N * Q = M degree by degree (``__truediv__``; ``inv`` is
+    1 / N); ``SymmetricSum`` carries transfer states and partition sums in
+    the monomial-symmetric basis.
     Ring operations truncate consistently, so coefficients up to the cap
     only ever depend on inputs up to the cap.  Exponent tuples handed in
     (to the constructor or ``coefficient``) must have one nonnegative entry
@@ -203,12 +204,6 @@ class TruncSeries:
     def constant_term(self):
         return Fraction(self.num.get(0, 0), self.den)
 
-    def univariate_numerators(self):
-        """The integer numerators of x^0, ..., x^cap of a series in one
-        variable, over ``den``."""
-        step = self.cap + 2  # x^e has the key e * step
-        return [self.num.get(e * step, 0) for e in range(self.cap + 1)]
-
     def __bool__(self):
         return bool(self.num)
 
@@ -290,27 +285,38 @@ class TruncSeries:
     __rmul__ = __mul__
 
     def inv(self):
-        """Multiplicative inverse; a zero constant term is a ``PoleError``.
+        """Multiplicative inverse; a zero constant term is a ``PoleError``."""
+        return TruncSeries.const(self.nvars, self.cap, 1) / self
 
-        With the series N/den and a0 the constant term of N, the homogeneous
-        parts of 1/N = sum_k P_k / a0^(k+1) satisfy P_0 = 1 and
-        P_k = -sum_{j=1..k} N_j P_{k-j} a0^(j-1), all in integers; then
-        1/f = den * sum_k P_k a0^(cap-k) / a0^(cap+1), reduced once.  Keys of
-        degrees j and k - j add up to a key of degree k without carries."""
-        a0 = self.num.get(0, 0)
+    def __truediv__(self, other):
+        """The quotient, solved degree by degree on the integers, with no
+        inverse formed; a divisor with zero constant term is a ``PoleError``.
+
+        With self = M/m, other = N/den and a0 the constant term of N, the
+        homogeneous parts of M/N = sum_k P_k / a0^(k+1) satisfy
+        P_k = M_k a0^k - sum_{j=1..k} N_j P_{k-j} a0^(j-1), all in integers;
+        then self/other = den * sum_k P_k a0^(cap-k) / (m a0^(cap+1)),
+        reduced once.  Keys of degrees j and k - j add up to a key of degree k
+        without carries."""
+        other = self._coerce(other)
+        a0 = other.num.get(0, 0)
         if not a0:
             raise PoleError("series with zero constant term")
         cap = self.cap
         top = (cap + 1) ** self.nvars
         parts = [[] for _ in range(cap + 1)]
-        for k, v in self.num.items():
+        for k, v in other.num.items():
             parts[k // top].append((k, v))
+        given = [{} for _ in range(cap + 1)]
+        for k, v in self.num.items():
+            given[k // top][k] = v
         powers = [1]
         for _ in range(cap):
             powers.append(powers[-1] * a0)
-        P = [{0: 1}]
-        for k in range(1, cap + 1):
-            acc = {}
+        P = []
+        for k in range(cap + 1):
+            scale = powers[k]
+            acc = {key: v * scale for key, v in given[k].items()}
             get = acc.get
             for j in range(1, k + 1):
                 prev = P[k - j]
@@ -321,17 +327,14 @@ class TruncSeries:
                         key = k1 + k2
                         acc[key] = get(key, 0) - v1 * v2
             P.append({key: v for key, v in acc.items() if v})
-        den = powers[cap] * a0
+        den = powers[cap] * a0 * self.den
         sign = -1 if den < 0 else 1
         num = {}
         for k, part in enumerate(P):
-            scale = sign * self.den * powers[cap - k]
+            scale = sign * other.den * powers[cap - k]
             for key, v in part.items():
                 num[key] = v * scale
         return TruncSeries._reduced(self.nvars, cap, sign * den, num)
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).inv()
 
     def __rtruediv__(self, other):
         return self.inv() * other
@@ -602,17 +605,10 @@ def divide_by_u_differences(f, var_indices, s):
     Each difference is (1 - s^2)(x_i - x_j)/((1 + s x_i)(1 + s x_j)), so the
     quotient is f / V times prod_a (1 + s x_{i_a})^(m-1) / (1 - s^2)^pairs;
     the cap drops by the number of pairs."""
-    return _times_u_unit(divide_by_vandermonde(f, var_indices), var_indices, s)
-
-
-def _times_u_unit(f, var_indices, s):
-    """f times prod_a (1 + s x_{i_a})^(m-1) / (1 - s^2)^pairs: what dividing
-    by prod_{a<b} (u_{i_a} - u_{i_b}) leaves once the Vandermonde polynomial
-    is divided out."""
+    out = divide_by_vandermonde(f, var_indices)
     m = len(var_indices)
-    out = f
     for var in var_indices:
-        lin = one_plus_sx(var, s, f.nvars, f.cap)
+        lin = one_plus_sx(var, s, out.nvars, out.cap)
         for _ in range(m - 1):
             out = out * lin
     pairs = m * (m - 1) // 2
@@ -713,6 +709,96 @@ def schur_series(lam, nvars, cap):
     return TruncSeries(nvars, cap, monomials(tuple(reversed(lam + (0,) * (nvars - len(lam))))))
 
 
+def _pair_polynomial(i, j, s, q, nvars, cap):
+    """(1 + s x_i)(1 + s x_j) - q (s + x_i)(s + x_j): the numerator of
+    1 - q u_i u_j over (1 + s x_i)(1 + s x_j)."""
+    x_i = tuple(int(v == i) for v in range(nvars))
+    x_j = tuple(int(v == j) for v in range(nvars))
+    x_ij = tuple(a + b for a, b in zip(x_i, x_j))
+    lin = s * (1 - q)
+    return TruncSeries(nvars, cap, {(0,) * nvars: 1 - q * s * s, x_i: lin, x_j: lin, x_ij: s * s - q})
+
+
+def _u_entry(i, j, spec, cap):
+    """``m_gamma_entry(i, j, u, ...)`` for (i, j) = (0, 1) or (1, 2) at
+    u_k = (s + x_{k-1})/(1 + s x_{k-1}), s the spin tail, as a series in j
+    variables truncated at ``cap``: one quotient of two polynomials in x, so
+    no series is inverted.
+
+    With x, y the two variables, X = 1 + s x, Y = 1 + s y,
+    Qp = XY - q (s + x)(s + y), Kp = (1 + q)(XY - t (s + x)(s + y))
+    + (t - q)((s + x) Y + (s + y) X), L(x) = (1 - s_0 s) + (s - s_0) x (that
+    is (1 - s_0 u) X) and Br the bracket of ``_ring_entry`` times XY, the
+    entry on labels 1, 2 is (x - y) Kp / ((1 + t)(1 - xy) Qp) at gamma = 1,
+    and otherwise (x - y) [(1 + t) Kp L(x) L(y) + (gamma - 1)(t - s_0/gamma)
+    (1 - s^2)(1 - xy) Br] over (1 + t)^2 (1 - xy) Qp L(x) L(y); the label-0
+    entry is 1 + (gamma - 1)(t - s_0/gamma)(1 - s)(1 - x)/((1 + t) L(x)).
+    The factors 1 - s^2 of u_1 - u_2 and 1 - u_1 u_2 cancel, but each pole
+    of the ring formula is still raised, by the constant term of its
+    denominator, in its order and with its name."""
+    s, t = spec.point.spin.tail, spec.point.t
+    gamma, s0, gis = spec.gamma, spec.s, spec.gamma_inv_s
+    if gamma == 1 and i == 0:
+        return TruncSeries.const(j, cap, 1)
+    q = t * t
+    corr = (gamma - 1) * (t - gis)
+    x = TruncSeries.variable(j, cap, 0)
+    Lx = (1 - s0 * s) + (s - s0) * x
+    if i == 0:
+        if not (1 + t) * (1 - s0 * s):
+            raise PoleError("(1+t)(1 - s*u_1)")
+        return 1 + corr * (1 - s) * (1 - x) / ((1 + t) * Lx)
+    if gamma != 1 and not (1 + t) * (1 - s0 * s) ** 2:
+        raise PoleError("(1+t)(1 - s*u_1)(1 - s*u_2)")
+    if not (1 + t) * (1 - s * s) * (1 - q * s * s):
+        raise PoleError("(1+t)(1 - u_1*u_2)(1 - q*u_1*u_2)")
+    y = TruncSeries.variable(j, cap, 1)
+    X, Y, U, V = 1 + s * x, 1 + s * y, s + x, s + y
+    XY, UV, cross = X * Y, U * V, U * Y + V * X
+    Kp = (1 + q) * (XY - t * UV) + (t - q) * cross
+    den = (1 + t) * (1 - x * y) * _pair_polynomial(0, 1, s, q, j, cap)
+    if gamma == 1:
+        return (x - y) * Kp / den
+    Br = (
+        (1 + t) * (1 + gis) * (XY + q * gamma * UV)
+        + (1 + gamma) * (q - gis) * (XY - t * UV)
+        - (1 + gamma) * t * (t + gis) * cross
+    )
+    LL = Lx * ((1 - s0 * s) + (s - s0) * y)
+    num = (1 + t) * Kp * LL + corr * (1 - s * s) * (1 - x * y) * Br
+    return (x - y) * num / ((1 + t) * den * LL)
+
+
+def _u_kernel(n, s, t, cap):
+    """``pfaffian.pfaffian_kernel`` of u_1..u_n over prod_{i<j} (u_i - u_j),
+    times prod_{i<j} (x_i - x_j), at u_i = (s + x_{i-1})/(1 + s x_{i-1}):
+    what ``divide_by_u_differences`` and ``pfaffian_kernel`` leave, written
+    in x.  With 1 - u_i = (1 - s)(1 - x_i)/(1 + s x_i),
+    1 - q u_i u_j = Qp(x_i, x_j)/((1 + s x_i)(1 + s x_j)) (``_pair_polynomial``)
+    and u_i - u_j = (1 - s^2)(x_i - x_j)/((1 + s x_i)(1 + s x_j)), the
+    factors (1 + s x_i)^(n-1) cancel, and it is (1 + t)^n / ((1 - s)^n
+    (1 - s^2)^pairs) prod_{i<j} Qp(x_i, x_j) prod_i (1 + s x_i)/(1 - x_i),
+    each (1 + s x_i)/(1 - x_i) being 1 + (1 + s) sum_{k>=1} x_i^k, so no
+    series is inverted.  The poles 1 - s^2 and 1 - u_1 are raised in that
+    order, as the two routes raise them."""
+    pairs = n * (n - 1) // 2
+    scale = (1 + t) ** n
+    if pairs:
+        scale *= invert(1 - s * s, "1 - s^2") ** pairs
+    scale *= invert(1 - s, "1 - u_1") ** n
+    out = TruncSeries.const(n, cap, scale)
+    for i, j in combinations(range(n), 2):
+        out = out * _pair_polynomial(i, j, s, t * t, n, cap)
+    for i in range(n):
+        exps = [0] * n
+        geometric = {tuple(exps): 1}
+        for k in range(1, cap + 1):
+            exps[i] = k
+            geometric[tuple(exps)] = 1 + s
+        out = out * TruncSeries(n, cap, geometric)
+    return out
+
+
 def pfaffian_side_series(spec, n, cap):
     """``pfaffian.pfaffian_side(spec, [n])`` as a series truncated at ``cap``,
     with u_i = (s + x_{i-1})/(1 + s x_{i-1}) at the spin tail s of the point.
@@ -729,26 +815,21 @@ def pfaffian_side_series(spec, n, cap):
     I = {a_1 < ... < a_n}, so only the I with |lambda| <= cap are read: they
     have a_n <= cap + n - 1 and a + b <= cap + 2n - 3 for any two a, b in
     I.  The c_ab come from one bivariate entry at that cap, the h_a from one
-    univariate entry, in the order in which the dense matrix's first
-    entries raise their poles, and every Pf(C_I) from one memo over one
-    scalar table (``SkewMatrix.pfaffians``).  The u-differences leave the
-    unit of ``divide_by_u_differences``, and ``pfaffian_kernel`` follows at
-    ``cap``."""
-    s, t = spec.point.spin.tail, spec.point.t
+    univariate entry, each a quotient of polynomials in x (``_u_entry``), in
+    the order in which the dense matrix's first entries raise their poles,
+    and every Pf(C_I) from one memo over one scalar table
+    (``SkewMatrix.pfaffians``).
 
-    def entry(i, j, entry_cap):
-        u = [u_substitution(v, s, entry_cap, j) for v in range(j)]
-        # at gamma = 1 the label-0 entry is the rational 1, not a series
-        out = TruncSeries.zero(j, entry_cap) + m_gamma_entry(i, j, u, t, spec.gamma, spec.s, spec.gamma_inv_s)
-        return out.coeffs
-
+    The kernel over the u-differences follows at ``cap`` (``_u_kernel``),
+    so no series is inverted."""
     exponents = range(cap + n)
     border = (-1,) if n % 2 else ()  # the label of the border row and column
     upper = {}
     if border:
-        upper.update(((-1, a), c) for (a,), c in entry(0, 1, cap + n - 1).items())
+        upper.update(((-1, a), c) for (a,), c in _u_entry(0, 1, spec, cap + n - 1).coeffs.items())
     if n > 1:
-        upper.update(((a, b), c) for (a, b), c in entry(1, 2, cap + 2 * n - 3).items() if a < b < cap + n)
+        entry = _u_entry(1, 2, spec, cap + 2 * n - 3).coeffs
+        upper.update(((a, b), c) for (a, b), c in entry.items() if a < b < cap + n)
     table = SkewMatrix(border + tuple(exponents), upper)
     pairs = n * (n - 1) // 2
     reads = [I for I in combinations(exponents, n) if sum(I) - pairs <= cap]
@@ -756,5 +837,5 @@ def pfaffian_side_series(spec, n, cap):
     for I, pf in zip(reads, table.pfaffians([border + I for I in reads])):
         if pf:
             total = total + pf * schur_series(tuple(I[k] - k for k in reversed(range(n))), n, cap)
-    out = _times_u_unit(total if pairs % 2 == 0 else -total, range(n), s)
-    return out * pfaffian_kernel([u_substitution(i, s, cap, n) for i in range(n)], t)
+    kernel = _u_kernel(n, spec.point.spin.tail, spec.point.t, cap)
+    return (total if pairs % 2 == 0 else -total) * kernel

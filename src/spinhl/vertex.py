@@ -130,13 +130,52 @@ class PathEnsemble:
         return max(max(row) for row in self.occ)
 
 
-def _coefficient_pair(w):
-    """A local weight of a series row as ([c_0, ..., c_d], den), its integer
-    x^0..x^d coefficients over its denominator: a univariate ``TruncSeries``
-    at degree d, or a rational at d = 0."""
-    if isinstance(w, Fraction):
-        return [w.numerator], w.denominator
-    return w.univariate_numerators(), w.den
+def series_weight(cfg, s, d, c, q):
+    """``vertex_weight(cfg, u, c, q)`` at u = (s + x)/(1 + s x), read to
+    degree d, as the pair ([c_0, ..., c_d], den) of its integer x^0..x^d
+    coefficients over their denominator, in lowest terms with den > 0.
+
+    Over 1 - c u = ((1 - c s) + (s - c) x)/(1 + s x) every local weight is
+    (alpha + beta x)/((1 - c s) + (s - c) x) with g = i1 and
+    (alpha, beta) = (1 - c s q^g, s - c q^g) for (0, 0),
+    (s, 1)(1 - c^2 q^(g-1)) for (0, 1), (1, s)(1 - q^(g+1)) for (1, 0) and
+    (s - c q^g, 1 - c s q^g) for (1, 1).  With s = a/b, c = m/k, q = e/f in
+    lowest terms, N0 = bk - am and N1 = ak - bm, and alpha, beta = A/D, B/D,
+    the weight is bk (A + B x)/(D (N0 + N1 x)), whose x^i coefficient is
+    bk (A r^i + B N0 r^(i-1)) N0^(d-i) over D N0^(d+1) with r = -N1 (the
+    B term from i = 1 on); past the spin prefix c = s, so r = 0 and the
+    weight is linear.  The pole 1 - c s = 0 raises ``PoleError("1 - s*u")``,
+    as ``vertex_weight`` does."""
+    g, _, j1, j2 = cfg
+    a, b = s.numerator, s.denominator
+    m, k = c.numerator, c.denominator
+    e, f = q.numerator, q.denominator
+    bk = b * k
+    N0 = bk - a * m
+    if not N0:
+        raise PoleError("1 - s*u")
+    if j1 == j2:
+        # (0, 0) and (1, 1) share their two terms, swapped
+        one, two = bk * f**g - a * m * e**g, a * k * f**g - b * m * e**g
+        A, B = (one, two) if j1 == 0 else (two, one)
+        den = bk * f**g
+    elif j1 == 0:
+        K = k * k * f ** (g - 1) - m * m * e ** (g - 1)
+        A, B, den = a * K, b * K, b * k * k * f ** (g - 1)
+    else:
+        K = f ** (g + 1) - e ** (g + 1)
+        A, B, den = b * K, a * K, b * f ** (g + 1)
+    r = b * m - a * k
+    coeffs = [bk * A * N0**d]
+    step = bk * (A * r + B * N0)  # the x^i coefficient over r^(i-1) N0^(d-i)
+    for i in range(1, d + 1):
+        coeffs.append(step * r ** (i - 1) * N0 ** (d - i))
+    den *= N0 ** (d + 1)
+    if den < 0:
+        den = -den
+        coeffs = [-v for v in coeffs]
+    common = gcd(den, *coeffs)
+    return [v // common for v in coeffs], den // common
 
 
 def _walk_product(w, vw):
@@ -162,20 +201,20 @@ def _weighted_successors(state, u, spin, q, memos, scale, low, room, budget):
     """All admissible next occupancy rows above ``state`` with their weight,
     scanning columns left to right with the entering flux fixed to 1.
 
-    ``u`` may be a scalar or a series; on the series rows of
-    ``spinhl.identities`` it is a series in the row's one variable, read to
-    the degree d that row needs (a smaller one each row, and only the
-    constant term s once the rows outnumber the cap, see ``row_transfer``).
     ``memos[c]`` memoizes the local weights of column c by configuration,
-    one memo per spin value.  With ``scale`` None the row is a series row:
-    each local weight is computed once by ``vertex_weight`` and kept as the
-    pair ([c_0, ..., c_d], den) of its integer coefficients over its
-    denominator (``_coefficient_pair``), a walk weight is the product of
-    such pairs (``_walk_product``), whose denominator is never reduced, and
-    empty vertices (weight 1) are skipped.  Otherwise ``scale`` is the path
-    bound n of the integer row scales L(s) = ``row_scale(u, s, q, n)``: the
-    row's weights are the integers ``scaled_weight(cfg, u, s, q, n)``, an
-    empty vertex included (it weighs L(s)), and every walk carries the extra
+    one memo per spin value.  With ``scale`` None the row is a series row of
+    ``spinhl.identities``: ``u`` is the pair (s, d) of the spin tail s of
+    u = (s + x)/(1 + s x) in the row's one variable and the degree d the row
+    reads (a smaller one each row, and d = 0 once the rows outnumber the
+    cap, see ``row_transfer``).  Each local weight is then computed once, in
+    closed form, as the pair ([c_0, ..., c_d], den) of its integer
+    coefficients over its denominator (``series_weight``), a walk weight is
+    the product of such pairs (``_walk_product``), whose denominator is never
+    reduced, and empty vertices (weight 1) are skipped.  Otherwise ``u`` is
+    the row's rational spectral value and ``scale`` is the path bound n of
+    the integer row scales L(s) = ``row_scale(u, s, q, n)``: the row's
+    weights are the integers ``scaled_weight(cfg, u, s, q, n)``, an empty
+    vertex included (it weighs L(s)), and every walk carries the extra
     factor prod_c L(s_c).  A walk whose weight is zero ends.  Without a
     scale, a walk with no path entering column c and none of ``state`` at or
     past it is empty from c on, and ends there.  Paths only move right going
@@ -217,7 +256,7 @@ def _weighted_successors(state, u, spin, q, memos, scale, low, room, budget):
                 if vw is None:
                     s = spin.lookup(c)
                     if scale is None:
-                        vw = _coefficient_pair(vertex_weight(cfg, u, s, q))
+                        vw = series_weight(cfg, *u, s, q)
                     else:
                         vw = scaled_weight(cfg, u, s, q, scale)
                     memos[c][cfg] = vw

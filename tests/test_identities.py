@@ -1,3 +1,6 @@
+import hashlib
+import json
+import random
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -8,12 +11,16 @@ import spinhl.vertex
 from spinhl.arith import ParamPoint, PoleError, SpinParams, perm_sign, qpoch, rat_str, sample_point
 from spinhl.identities import (
     _BATTERY,
+    _chain_poles,
+    _lemma_poles,
     _lhs_sum,
     _outer_factor,
     _pair_extra,
     _ratio,
     _rec_block,
     _rec_h,
+    _rhs_pf_series,
+    _scalar_poles,
     check_cor_main2,
     check_hl_corollary,
     check_kawanaka,
@@ -910,3 +917,131 @@ def test_run_all_battery():
     assert names.count("main2") == 2
     d = reports[0].to_dict()
     assert set(d) == {"check", "params", "status", "witness"}
+
+
+def test_main2_and_cor_invert_no_series(monkeypatch):
+    # the vertex weights, the Pfaffian-side entries and its kernel are closed
+    # forms in x; a series inverse on this path would be a regression
+    calls = []
+    inv = TruncSeries.inv
+
+    def counting(self):
+        calls.append(self)
+        return inv(self)
+
+    monkeypatch.setattr(TruncSeries, "inv", counting)
+    t, spin, gamma = series_parameters(7, 1)
+    assert check_main2(3, spin, t, 4, gamma).passed
+    assert check_cor_main2(3, spin, t, 4).passed
+    assert calls == []
+
+
+# SHA-256 of json.dumps(report.to_dict(), sort_keys=True) for two single
+# checks, and of the Pfaffian side of the first as ``to_json``, taken before
+# the series vertex weights, the Pfaffian-side entries and its kernel were
+# written in closed form in x
+RUN_CHECK_DIGESTS = {
+    ("main2", 3, 1, 4, 7): "fc635fc5151efbb66954378087507700b3ba5ef42af9872f957644c73fb4eab0",
+    ("main1", 4, 1, 0, 7): "0747b59115e2e034706b47a5403532851944a5f366bc4388786d29f1cbdb7c3b",
+}
+MAIN2_SIDE_DIGEST = "fbfc9ef40468d8071d28b6d32e18de3200c3b30785749fcaeda8064cdc844c4f"
+
+
+def sha256_json(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def test_single_check_reports_are_pinned():
+    for (name, n, p, D, seed), digest in RUN_CHECK_DIGESTS.items():
+        assert sha256_json(run_check(name, n=n, p=p, D=D, seed=seed).to_dict()) == digest, name
+    t, spin, gamma = series_parameters(7, 1)
+    assert sha256_json(_rhs_pf_series(3, spin, t, gamma, 4).to_json()) == MAIN2_SIDE_DIGEST
+
+
+def rational_scalar_poles(p):
+    """The pole lists of the samplers as rationals, the reference for the
+    integer tests of ``_scalar_poles``, ``_lemma_poles`` and ``_chain_poles``."""
+    out = [lambda pt: 1 - pt.spin.tail * pt.spin.tail]
+    out.append(lambda pt: 1 - pt.q * pt.spin.tail * pt.spin.tail)
+    out.append(lambda pt: 1 - pt.spin.tail)
+    for j in range(p):
+        out.append(lambda pt, j=j: 1 - pt.s(j) * pt.spin.tail)
+        out.append(lambda pt, j=j: 1 - pt.s(j))
+    return out
+
+
+def rational_lemma_poles(n):
+    out = []
+    for i in range(n):
+        for j in range(i, n):
+            out.append(lambda pt, i=i, j=j: 1 - pt.u[i] * pt.u[j])
+            out.append(lambda pt, i=i, j=j: 1 - pt.q * pt.u[i] * pt.u[j])
+    for i in range(n):
+        out.append(lambda pt, i=i: 1 - pt.spin.tail * pt.u[i])
+        out.append(lambda pt, i=i: 1 - pt.q * pt.spin.tail * pt.u[i])
+        out.append(lambda pt, i=i: pt.u[i] - pt.spin.tail)
+    out.append(lambda pt: 1 - pt.spin.tail * pt.spin.tail)
+    out.append(lambda pt: 1 - pt.q * pt.spin.tail * pt.spin.tail)
+    return out
+
+
+def rational_chain_poles(n, p):
+    poles = rational_lemma_poles(n) + rational_scalar_poles(p)
+    for l in range(p + 3):
+        for i in range(n):
+            poles.append(lambda pt, l=l, i=i: 1 - pt.s(l) * pt.u[i])
+    poles.append(lambda pt, p=p: 1 - _ratio(pt.u, pt.spin, p))
+    poles.append(lambda pt, p=p: 1 - _ratio(pt.u, pt.spin, max(p, 1)))
+    return poles
+
+
+def test_integer_pole_lists_sample_the_rational_lists_points():
+    for seed in range(200):
+        for p in range(3):
+            assert sample_point(seed, 0, p, _scalar_poles(p)) == sample_point(seed, 0, p, rational_scalar_poles(p))
+        for n in range(1, 6):
+            assert sample_point(seed, n, 0, _lemma_poles(n)) == sample_point(seed, n, 0, rational_lemma_poles(n))
+            for p in range(3):
+                want = sample_point(seed, n, p, rational_chain_poles(n, p))
+                assert sample_point(seed, n, p, _chain_poles(n, p)) == want, (seed, n, p)
+
+
+def test_integer_poles_vanish_with_the_rational_ones():
+    # values drawn from a small set, so that the poles are hit
+    values = [F(v) for v in (-2, -1, 0, 1, 2, 3)] + [F(1, 2), F(-1, 2), F(1, 3), F(2, 3), F(3, 2), F(1, 4)]
+    rng = random.Random(3)
+    hits = 0
+    for _ in range(400):
+        n, p = rng.randint(1, 3), rng.randint(0, 2)
+        u = []
+        while len(u) < n:
+            v = rng.choice(values)
+            if v not in u:
+                u.append(v)
+        spin = SpinParams(tuple(rng.choice(values) for _ in range(p)), rng.choice(values))
+        point = ParamPoint(rng.choice(values), F(1), spin, tuple(u))
+        # the chain's last two poles, on the ratios, are the same callables
+        pairs = list(zip(_chain_poles(n, p)[:-2], rational_chain_poles(n, p)[:-2]))
+        for integer, rational in pairs:
+            assert (integer(point) == 0) == (rational(point) == 0), (point,)
+            hits += integer(point) == 0
+    assert hits
+
+
+def test_pochhammer_lists_are_the_factors_at_each_multiplicity():
+    t, spin, gamma = series_parameters(7, 2)
+    q = t * t
+    # (family, r) -> its factor at m by the definition, one qpoch per factor
+    definitions = {
+        (poch_main1(q), 1): lambda m: qpoch(-spin.lookup(1), q, m),
+        (poch_uniform(t), 2): lambda m: qpoch(-t, t, m) * qpoch(-spin.lookup(2), t, m),
+        (poch_gamma(t, gamma), 0): lambda m: qpoch(-gamma * t, t, m) * qpoch(-spin.lookup(0) / gamma, t, m),
+        (poch_gamma(t, gamma), 3): lambda m: qpoch(-t, t, m) * qpoch(-spin.lookup(3), t, m),
+        (poch_hl(t), 0): lambda m: qpoch(-t, t, m),
+        (poch_hl(t, 1), 0): lambda m: 1,
+    }
+    for (poch, r), factor in definitions.items():
+        for n in range(6):
+            want = [factor(m) for m in range(n + 1)]
+            assert poch.pochs(spin, r, n) == want, (r, n)
+            assert [poch(spin, r, m) for m in range(n + 1)] == want, (r, n)

@@ -12,6 +12,7 @@ from spinhl.pfaffian import (
     MGammaSpec,
     SkewMatrix,
     _ring_entry,
+    b_determinant,
     b_matrix,
     block_pfaffians,
     conjugated_pfaffian,
@@ -27,7 +28,15 @@ from spinhl.pfaffian import (
     rhs_main2,
     subset_labels,
 )
-from spinhl.series import pfaffian_side_series, u_substitution
+from spinhl.series import (
+    TruncSeries,
+    _u_entry,
+    _u_kernel,
+    divide_by_u_differences,
+    pfaffian_side_series,
+    u_substitution,
+    vandermonde_exponents,
+)
 
 
 def random_skew(rng, labels):
@@ -548,3 +557,113 @@ def test_conjugated_pfaffian_is_det_b_times_the_pfaffian(n):
         for spec_, T, u in cases:
             got = conjugated_pfaffian(spec_, T, u=u)
             assert got == m_conjugated(spec_, T, u=u).pfaffian(), (n, gamma, T, u)
+
+
+def test_b_determinant_is_the_product_of_the_b_matrix_diagonal():
+    rng = random.Random(4)
+    for n in range(1, 7):
+        pt = sample_point(20 + n, n, p=1)
+        # u_1 u_2 = 1 and q u_1 u_3 = 1 make pair factors vanish
+        specials = [pt.u]
+        if n >= 2:
+            specials.append((F(3, 2), F(2, 3)) + pt.u[2:])
+        if n >= 3:
+            specials.append((F(1, 2), pt.u[1], 2 / pt.q) + pt.u[3:])
+        specials.append(tuple(F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)))
+        for u in specials:
+            for size in range(n + 1):
+                for T in combinations(range(1, n + 1), size):
+                    want = math.prod(b_matrix(T, T, pt, u=u).values())
+                    assert b_determinant(T, pt.q, u) == want, (n, u, T)
+
+
+def ring_u_entry(i, j, spec, cap):
+    """The entry by the ring formula at series u, the route the closed
+    form replaces, or the pole it raises."""
+    s, t = spec.point.spin.tail, spec.point.t
+    U = [u_substitution(v, s, cap, j) for v in range(j)]
+    try:
+        # at gamma = 1 the label-0 entry is the rational 1, not a series
+        return TruncSeries.zero(j, cap) + _ring_entry(i, j, U, t, spec.gamma, spec.s, spec.gamma_inv_s)
+    except PoleError as err:
+        return ("pole", err.what)
+
+
+def u_entry_specs():
+    """Specs over spins with p = 0..3 prefix values at seed 7, gamma in
+    {1, 3/2, 7/5, sampled}; all spins zero; and gamma = s_0 = 0, with s/gamma
+    0 and given."""
+    for p in range(4):
+        t, spin, sampled = series_parameters(7, p)
+        point = ParamPoint(t, sampled, spin, ())
+        for gamma in (F(1), F(3, 2), F(7, 5), sampled):
+            yield MGammaSpec(point, gamma, spin.lookup(0))
+    t, spin, sampled = series_parameters(8, 0)
+    zero = ParamPoint(t, sampled, SpinParams.constant(0), ())
+    for gamma in (F(1), F(3, 2), sampled):
+        yield MGammaSpec(zero, gamma, F(0))
+    yield MGammaSpec(zero, F(0), F(0))
+    yield MGammaSpec(ParamPoint(t, sampled, SpinParams((F(0),), spin.tail), ()), F(0), F(0), F(-3, 7))
+
+
+def test_u_entries_are_the_ring_entries_at_series_u():
+    for spec in u_entry_specs():
+        for cap in range(9):
+            for i, j in ((0, 1), (1, 2)):
+                assert _u_entry(i, j, spec, cap) == ring_u_entry(i, j, spec, cap), (spec, cap, i, j)
+
+
+def test_u_entries_raise_the_ring_entry_poles_in_order():
+    # (tail s, s_0, t): s = +-1 (1 - u_1 u_2 vanishes, and cancels from the
+    # closed form), t = -1, s_0 s = 1, q s^2 = 1, and s_0 s = 1 with s = 1
+    cases = (
+        (F(1), F(1, 5), F(2, 7)),
+        (F(-1), F(1, 5), F(2, 7)),
+        (F(1, 3), F(1, 5), F(-1)),
+        (F(1, 3), F(3), F(2, 7)),
+        (F(7, 2), F(1, 5), F(2, 7)),
+        (F(1), F(1), F(2, 7)),
+    )
+    seen = set()
+    for s, s0, t in cases:
+        point = ParamPoint(t, F(1), SpinParams((s0,), s), ())
+        for gamma in (F(1), F(3, 2)):
+            spec = MGammaSpec(point, gamma, s0)
+            for i, j in ((0, 1), (1, 2)):
+                want = ring_u_entry(i, j, spec, 3)
+                try:
+                    got = _u_entry(i, j, spec, 3)
+                except PoleError as err:
+                    got = ("pole", err.what)
+                    seen.add(err.what)
+                assert got == want, (s, s0, t, gamma, i, j)
+    assert seen == {
+        "(1+t)(1 - s*u_1)",
+        "(1+t)(1 - s*u_1)(1 - s*u_2)",
+        "(1+t)(1 - u_1*u_2)(1 - q*u_1*u_2)",
+    }
+
+
+def ring_u_kernel(n, s, t, cap):
+    """``pfaffian_kernel`` at series u over the u-differences, times the
+    Vandermonde polynomial, as the ring route takes it: V divided by the
+    u-differences (``divide_by_u_differences``), times the kernel."""
+    pairs = n * (n - 1) // 2
+    V = TruncSeries(n, cap + pairs, vandermonde_exponents(tuple(range(n)), n))
+    try:
+        unit = divide_by_u_differences(V, tuple(range(n)), s)
+        return unit * pfaffian_kernel([u_substitution(i, s, cap, n) for i in range(n)], t)
+    except PoleError as err:
+        return ("pole", err.what)
+
+
+def test_u_kernel_is_the_ring_kernel_over_the_u_differences():
+    for s in (F(0), F(3, 7), F(-5, 2), F(1), F(-1)):
+        for t in (F(2, 7), F(-3, 5), F(-1)):
+            for n in range(1, 5):
+                for cap in range(5):
+                    try:
+                        got = _u_kernel(n, s, t, cap)
+                    except PoleError as err:
+                        got = ("pole", err.what)
+                    assert got == ring_u_kernel(n, s, t, cap), (s, t, n, cap)

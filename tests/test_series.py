@@ -94,6 +94,23 @@ def test_division_by_series_and_scalar():
     assert f / 4 == f * F(1, 4)
 
 
+def test_quotient_times_the_divisor_is_the_dividend():
+    # the quotient is solved degree by degree, with no inverse formed; a
+    # negative constant term takes the sign off the denominator
+    rng = random.Random(12)
+    for nvars in (1, 2, 3):
+        for cap in range(7):
+            for _ in range(6):
+                M = random_series(rng, nvars, cap, terms=8)
+                N = random_series(rng, nvars, cap) + F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+                if not N.constant_term:
+                    continue
+                Q = M / N
+                assert Q * N == M, (nvars, cap)
+                assert Q.den > 0 and gcd(Q.den, *Q.num.values()) == 1
+                assert N.inv() * N == TruncSeries.const(nvars, cap, 1)
+
+
 def test_division_by_series_without_constant_term_is_a_pole():
     x = TruncSeries.variable(1, 3, 0)
     with pytest.raises(PoleError):

@@ -15,6 +15,7 @@ from spinhl.vertex import (
     f_lambda_vertex,
     row_scale,
     scaled_weight,
+    series_weight,
     vertex_weight,
 )
 
@@ -207,7 +208,7 @@ def test_series_walk_weights_are_the_products_of_the_vertex_weights():
         weights = {}
         memos = [weights.setdefault(spin.lookup(c), {}) for c in range(width)]
         for state in states:
-            got = _weighted_successors(state, u if d else spin.tail, spin, q, memos, None, low, room, budget)
+            got = _weighted_successors(state, (spin.tail, d), spin, q, memos, None, low, room, budget)
             expect = {}
             for row in _successor_states(state, None):
                 if sum(m * (c - p) for c, m in enumerate(row) if c > p) > budget:
@@ -231,3 +232,51 @@ def test_series_walk_weights_are_the_products_of_the_vertex_weights():
                 else:
                     assert F(coeffs[0], den) == expect[row].constant_term, (state, row)
     assert vanished
+
+
+def ring_weight_pair(cfg, s, d, c, q):
+    """The local weight by ``vertex_weight`` at the series
+    u = (s + x)/(1 + s x) read to degree d (at d = 0 the rational s), as
+    the pair of its x^0..x^d numerators over its reduced denominator, or the
+    pole it raises."""
+    u = u_substitution(0, s, d, 1) if d else s
+    try:
+        w = vertex_weight(cfg, u, c, q)
+    except PoleError as err:
+        return ("pole", err.what)
+    if isinstance(w, F):
+        return [w.numerator], w.denominator
+    return [int(w.coefficient((e,)) * w.den) for e in range(d + 1)], w.den
+
+
+def test_series_weights_are_the_ring_weights_in_closed_form():
+    # (s, c, q): c = s (past the prefix), c = 0, s = 0, q > 1, q = 1 (zero
+    # weights) and the pole c s = 1, with and without c = s
+    cases = [
+        (F(3, 7), F(3, 7), F(4, 49)),
+        (F(-2, 5), F(-2, 5), F(9, 4)),
+        (F(3, 7), F(0), F(4, 49)),
+        (F(0), F(1, 5), F(4, 49)),
+        (F(0), F(0), F(25, 9)),
+        (F(1, 5), F(-2, 3), F(49, 4)),
+        (F(2, 9), F(5, 3), F(1)),
+        (F(1), F(1), F(4, 9)),
+        (F(-1), F(-1), F(4, 9)),
+        (F(2, 3), F(3, 2), F(1, 4)),
+    ]
+    rng = random.Random(11)
+    for _ in range(20):
+        s, c, t = (F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3))
+        cases.append((s, c, t * t))
+    poles = 0
+    for s, c, q in cases:
+        for cfg in admissible_configurations(4):
+            for d in range(7):
+                want = ring_weight_pair(cfg, s, d, c, q)
+                try:
+                    got = series_weight(cfg, s, d, c, q)
+                except PoleError as err:
+                    got = ("pole", err.what)
+                    poles += 1
+                assert got == want, (cfg, s, d, c, q)
+    assert poles
