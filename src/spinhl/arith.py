@@ -7,6 +7,7 @@ the square root of q.
 """
 
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
@@ -185,11 +186,32 @@ class ParamPoint:
         return self.with_u(tuple(self.u[i] for i in indices))
 
 
+class Quotient(namedtuple("Quotient", "numerator denominator")):
+    """numerator / denominator, read as a ``Fraction`` is read: series u as
+    integer polynomials in x (``series.u_coordinates``)."""
+
+    __slots__ = ()
+
+
 def one_minus(x, y, t=1):
-    """b d f^2 - a c e^2 for x = a/b, y = c/d and t = e/f: an integer that
-    vanishes exactly when 1 - t^2 x y does, so that a pole list of
-    ``sample_point`` can test a candidate with no ``Fraction`` formed."""
+    """b d f^2 - a c e^2 for x = a/b, y = c/d and t = e/f, the numerator of
+    1 - t^2 x y over b d f^2: an integer on rationals, so that a pole list of
+    ``sample_point`` tests a candidate with no ``Fraction`` formed, and an
+    integer series on ``Quotient``s of series."""
     return x.denominator * y.denominator * t.denominator**2 - x.numerator * y.numerator * t.numerator**2
+
+
+def linear_quotient(A, B, C, D, d):
+    """The integer x^0..x^d coefficients of (A + B x)/(C + D x) times
+    C^(d+1), for integers A, B, C != 0, D.  As 1/(C + D x) is
+    sum_k (-D)^k x^k / C^(k+1), the x^i coefficient is A (-D)^i / C^(i+1)
+    + B (-D)^(i-1) / C^i = (B C - A D)(-D)^(i-1) / C^(i+1) for i >= 1; times
+    C^(d+1): A C^d, then (B C - A D)(-D)^(i-1) C^(d-i)."""
+    out = [A * C**d]
+    step = B * C - A * D
+    for i in range(1, d + 1):
+        out.append(step * (-D) ** (i - 1) * C ** (d - i))
+    return out
 
 
 def _draw_rational(rng):

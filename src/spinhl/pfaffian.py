@@ -12,9 +12,11 @@ sum is kept as an independent cross-check for rational matrices of small
 dimension: it walks the matchings of the same cleared table with no memo,
 and divides once.
 
-The gamma-refined entries at rational u are one integer numerator over one
-integer denominator in closed form; at series u they follow the ring
-formula, which the tests also compare with the closed form on rationals.
+The gamma-refined entries have one closed form (``closed_entry``), which
+reads u only through numerator and denominator: at rational u it is one
+integer over one integer, and the series Pfaffian side reads it at series
+u given as integer polynomials in x (``series._u_entry``).  The ring
+formula (``_ring_entry``) stays as the reference both are tested against.
 """
 
 from dataclasses import dataclass
@@ -22,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import prod
 
-from .arith import ParamPoint, PoleError, invert, over_common_denominator
+from .arith import ParamPoint, PoleError, invert, one_minus, over_common_denominator
 
 
 def det(rows):
@@ -246,60 +248,78 @@ def m_gamma_entry(i, j, u, t, gamma, s, gamma_inv_s):
     """Entry (i, j), i < j, of the gamma-refined Pfaffian matrix.
 
     ``u`` is the 0-based list of spectral values (rationals or series), and
-    the scalars t, gamma, s, gamma_inv_s are exact rationals.  At gamma = 1
-    the correction terms drop and no inverses of (1 - s u) are needed.  When
-    the entry's u values are rationals it is written in closed form
-    (``_rational_entry``), otherwise by the ring formula (``_ring_entry``).
+    the scalars t, gamma, s, gamma_inv_s are exact rationals.  Rational u
+    go to the closed form (``closed_entry``), series u to the ring formula
+    (``_ring_entry``); the series Pfaffian side reads the closed form at
+    series u given by its coordinates instead (``series._u_entry``).
     """
     if all(isinstance(u[k - 1], (int, Fraction)) for k in (i, j) if k):
-        return _rational_entry(i, j, u, t, gamma, s, gamma_inv_s)
+        return closed_entry(i, j, u, t, gamma, s, gamma_inv_s)
     return _ring_entry(i, j, u, t, gamma, s, gamma_inv_s)
 
 
-def _rational_entry(i, j, u, t, gamma, s, gamma_inv_s):
-    """``_ring_entry`` at rational u, as one integer over one integer.
+def _vanishes(den):
+    """Whether a closed form's denominator vanishes: an int that is 0, or an
+    integer series with no constant term, which cannot be divided by."""
+    return not den if type(den) is int else not den.constant_term
+
+
+def closed_entry(i, j, u, t, gamma, s, gamma_inv_s):
+    """``_ring_entry`` as one numerator over one denominator, reading each
+    u_k only through ``u[k-1].numerator`` and ``.denominator``: at rational
+    u it is one integer over one integer, and at u_k = (s + x)/(1 + s x)
+    given as integer polynomials (``series.u_coordinates``) one quotient of
+    series, solved with no inverse formed (``TruncSeries.__truediv__``).
 
     With t = e/f, u_i = a/b, u_j = c/d, B = bd and P = ac, the gamma = 1
     entry is (ad - cb) N / ((f + e)(B - P)(f^2 B - e^2 P)) with
-    N = (f^2 + e^2)(f B - e P) + (ad + cb) e (f - e) f.  With gamma = g/h,
+    N = (f^2 + e^2)(f B - e P) + (ad + cb) e (f - e) f, f^2 B - e^2 P being
+    ``arith.one_minus(u_i, u_j, t)``.  With gamma = g/h,
     gamma_inv_s = k/kd and s = sn/sd, the correction (gamma - 1) F of the
     core puts N over G = h^2 kd^2 (f + e)(sd b - sn a)(sd d - sn c) and adds
     (g - h)(e kd - k f)(B - P) sd^2 R, R being the bracket's numerator over
     h f^3 kd B; the label-0 entry is 1 + (g - h)(e kd - k f)(d - c) sd over
-    h kd (f + e)(sd d - sn c).  Each pole is read off the integer that
-    vanishes with it, in the ring formula's order and with its names."""
+    h kd (f + e)(sd d - sn c).  Each pole is read off the denominator that
+    vanishes with it (``_vanishes``), in the ring formula's order and with
+    its names.  At series u the factor B - P has the constant term
+    b_0^2 - a_0^2 of 1 - s^2 (tail s): it cancels out of the entry, against
+    ad - cb, but is still raised, as the ring formula raises it."""
     e, f = t.numerator, t.denominator
     g, h = gamma.numerator, gamma.denominator
     k, kd = gamma_inv_s.numerator, gamma_inv_s.denominator
     sn, sd = s.numerator, s.denominator
-    c, d = u[j - 1].numerator, u[j - 1].denominator
+    uj = u[j - 1]
+    c, d = uj.numerator, uj.denominator
     if i == 0:
-        if gamma == 1:
+        if g == h:  # gamma = 1
             return Fraction(1)
         den = h * kd * (f + e) * (sd * d - sn * c)
-        if not den:
+        if _vanishes(den):
             raise PoleError("(1+t)(1 - s*u_%d)" % j)
-        return Fraction(den + (g - h) * (e * kd - k * f) * (d - c) * sd, den)
-    a, b = u[i - 1].numerator, u[i - 1].denominator
-    B, P = b * d, a * c
-    ad, cb = a * d, c * b
-    fB_eP = f * B - e * P
-    num = (f * f + e * e) * fB_eP + (ad + cb) * e * (f - e) * f
-    den = (f + e) * (B - P) * (f * f * B - e * e * P)
-    if gamma != 1:
-        G = h * h * kd * kd * (f + e) * (sd * b - sn * a) * (sd * d - sn * c)
-        if not G:
-            raise PoleError("(1+t)(1 - s*u_%d)(1 - s*u_%d)" % (i, j))
-        bracket = (
-            (f + e) * (kd + k) * (f * f * h * B + e * e * g * P)
-            + (h + g) * (e * e * kd - k * f * f) * fB_eP
-            - (h + g) * e * f * (e * kd + k * f) * (ad + cb)
-        )
-        num = num * G + (g - h) * (e * kd - k * f) * (B - P) * sd * sd * bracket
-        den *= G
-    if not den:
-        raise PoleError("(1+t)(1 - u_%d*u_%d)(1 - q*u_%d*u_%d)" % (i, j, i, j))
-    return Fraction((ad - cb) * num, den)
+        num = den + (g - h) * (e * kd - k * f) * (d - c) * sd
+    else:
+        ui = u[i - 1]
+        a, b = ui.numerator, ui.denominator
+        B, P = b * d, a * c
+        ad, cb = a * d, c * b
+        fB_eP = f * B - e * P
+        num = (f * f + e * e) * fB_eP + (ad + cb) * e * (f - e) * f
+        den = (f + e) * (B - P) * one_minus(ui, uj, t)
+        if g != h:
+            G = h * h * kd * kd * (f + e) * (sd * b - sn * a) * (sd * d - sn * c)
+            if _vanishes(G):
+                raise PoleError("(1+t)(1 - s*u_%d)(1 - s*u_%d)" % (i, j))
+            bracket = (
+                (f + e) * (kd + k) * (f * f * h * B + e * e * g * P)
+                + (h + g) * (e * e * kd - k * f * f) * fB_eP
+                - (h + g) * e * f * (e * kd + k * f) * (ad + cb)
+            )
+            num = num * G + (g - h) * (e * kd - k * f) * (B - P) * sd * sd * bracket
+            den *= G
+        if _vanishes(den):
+            raise PoleError("(1+t)(1 - u_%d*u_%d)(1 - q*u_%d*u_%d)" % (i, j, i, j))
+        num *= ad - cb
+    return Fraction(num, den) if type(den) is int else num / den
 
 
 def _ring_entry(i, j, u, t, gamma, s, gamma_inv_s):

@@ -22,12 +22,13 @@ prod_{i<j} (x_i - x_j), and multiplies back the inverted unit cofactor.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import gcd, lcm
 from operator import mul
 
-from .arith import PoleError, invert, perm_sign
-from .pfaffian import SkewMatrix
+from .arith import PoleError, Quotient, invert, linear_quotient, one_minus, perm_sign
+from .pfaffian import SkewMatrix, closed_entry
 from .symfun import _check_cap, as_parts, rows_between
 
 
@@ -521,26 +522,28 @@ def series_diff(a, b):
     return None
 
 
+def _univariate(i, coeffs, den, nvars, cap):
+    """The series sum_k coeffs[k] x_i^k / den from integer coefficients, k
+    up to ``cap``, reduced once."""
+    step = (cap + 1) ** nvars + (cap + 1) ** (nvars - 1 - i)  # x_i^k has the key k * step
+    return TruncSeries._reduced(nvars, cap, den, {k * step: v for k, v in enumerate(coeffs[: cap + 1]) if v})
+
+
 def u_substitution(i, s, cap, nvars):
-    """Series of (s + x_i)/(1 + s x_i): the spectral value as a power series,
-    s + (1 - s^2) sum_{k>=1} (-s)^(k-1) x_i^k.  With s = a/b its x_i^k
-    coefficient is (b^2 - a^2)(-a)^(k-1)/b^(k+1), so the series is written on
-    integers over b^(cap+1) and reduced once."""
+    """Series of u = (s + x_i)/(1 + s x_i): with s = a/b, (a + b x_i)/(b + a x_i)
+    expanded over b^(cap+1) by ``arith.linear_quotient``."""
     s = Fraction(s)
     a, b = s.numerator, s.denominator
-    base = cap + 1
-    step = base**nvars + base ** (nvars - 1 - i)  # x_i^k has the key k * step
-    lead = b * b - a * a
-    num = {0: a * b**cap}
-    for k in range(1, cap + 1):
-        num[k * step] = lead * (-a) ** (k - 1) * b ** (cap - k)
-    return TruncSeries._reduced(nvars, cap, b ** (cap + 1), {k: v for k, v in num.items() if v})
+    return _univariate(i, linear_quotient(a, b, b, a, cap), b ** (cap + 1), nvars, cap)
 
 
-def one_plus_sx(i, s, nvars, cap):
-    """The series 1 + s x_i."""
-    x_i = tuple(int(k == i) for k in range(nvars))
-    return TruncSeries(nvars, cap, {(0,) * nvars: 1, x_i: s})
+def u_coordinates(i, s, nvars, cap):
+    """u = (s + x_i)/(1 + s x_i) as the ``arith.Quotient`` of the integer
+    polynomials a + b x_i over b + a x_i, s = a/b, which the closed forms of
+    u-quotients (``arith.one_minus``, ``pfaffian.closed_entry``) read as
+    they read a rational u."""
+    a, b = s.numerator, s.denominator
+    return Quotient(_univariate(i, (a, b), 1, nvars, cap), _univariate(i, (b, a), 1, nvars, cap))
 
 
 def vandermonde_exponents(var_indices, nvars):
@@ -602,17 +605,20 @@ def divide_by_u_differences(f, var_indices, s):
     u_i = (s + x_i)/(1 + s x_i), for ``f`` antisymmetric in the listed
     variables.
 
-    Each difference is (1 - s^2)(x_i - x_j)/((1 + s x_i)(1 + s x_j)), so the
-    quotient is f / V times prod_a (1 + s x_{i_a})^(m-1) / (1 - s^2)^pairs;
-    the cap drops by the number of pairs."""
+    With s = a/b, u_i has the coordinates (a + b x_i)/(b + a x_i)
+    (``u_coordinates``) and each difference is
+    (b^2 - a^2)(x_i - x_j)/((b + a x_i)(b + a x_j)), so the quotient is
+    f / V times prod_a (b + a x_{i_a})^(m-1) / (b^2 - a^2)^pairs; the cap
+    drops by the number of pairs."""
     out = divide_by_vandermonde(f, var_indices)
     m = len(var_indices)
     for var in var_indices:
-        lin = one_plus_sx(var, s, out.nvars, out.cap)
+        lin = u_coordinates(var, s, out.nvars, out.cap).denominator
         for _ in range(m - 1):
             out = out * lin
     pairs = m * (m - 1) // 2
-    return out * invert(Fraction(1 - s * s), "1 - s^2") ** pairs if pairs else out
+    a, b = s.numerator, s.denominator
+    return out * invert(Fraction(b * b - a * a), "1 - s^2") ** pairs if pairs else out
 
 
 def _h_factor(var, m, spin, t, cap, nvars, cache):
@@ -686,116 +692,68 @@ def f_lambda_series(lam, spin, t, cap, nvars=None, var_indices=None, cache=None)
     return out
 
 
+@lru_cache(maxsize=4096)
+def _gt_monomials(row):
+    """(exponents of x_0 .. x_{len(row)-1}, number of Gelfand-Tsetlin
+    patterns on ``row`` with that weight) pairs, as a tuple: the weakly
+    interlacing rows above come from ``symfun.rows_between``, and x_i takes
+    row i's sum less that of the row above it (``symfun.schur_gt``)."""
+    if len(row) < 2:
+        return ((row, 1),)
+    out = {}
+    for above in rows_between(row, strict=False):
+        e = sum(row) - sum(above)
+        for exps, c in _gt_monomials(above):
+            out[exps + (e,)] = out.get(exps + (e,), 0) + c
+    return tuple(out.items())
+
+
 def schur_series(lam, nvars, cap):
     """The Schur polynomial s_lambda(x_0, ..., x_{nvars-1}) as a series: one
-    monomial per Gelfand-Tsetlin pattern on lambda reversed, whose weakly
-    interlacing rows come from ``symfun.rows_between``, with x_i to the power
-    of row i's sum less that of the row above it (``symfun.schur_gt``)."""
+    monomial per Gelfand-Tsetlin pattern on lambda reversed
+    (``_gt_monomials``, memoized per row), built at ``cap``."""
     lam = as_parts(lam)
     if len(lam) > nvars:
         raise ValueError("partition longer than variable list")
-
-    def monomials(row):
-        # exponents of x_0 .. x_{len(row)-1} -> number of patterns on row
-        if len(row) < 2:
-            return {row: 1}
-        out = {}
-        for above in rows_between(row, strict=False):
-            e = sum(row) - sum(above)
-            for exps, c in monomials(above).items():
-                out[exps + (e,)] = out.get(exps + (e,), 0) + c
-        return out
-
-    return TruncSeries(nvars, cap, monomials(tuple(reversed(lam + (0,) * (nvars - len(lam))))))
-
-
-def _pair_polynomial(i, j, s, q, nvars, cap):
-    """(1 + s x_i)(1 + s x_j) - q (s + x_i)(s + x_j): the numerator of
-    1 - q u_i u_j over (1 + s x_i)(1 + s x_j)."""
-    x_i = tuple(int(v == i) for v in range(nvars))
-    x_j = tuple(int(v == j) for v in range(nvars))
-    x_ij = tuple(a + b for a, b in zip(x_i, x_j))
-    lin = s * (1 - q)
-    return TruncSeries(nvars, cap, {(0,) * nvars: 1 - q * s * s, x_i: lin, x_j: lin, x_ij: s * s - q})
+    return TruncSeries(nvars, cap, dict(_gt_monomials(tuple(reversed(lam + (0,) * (nvars - len(lam)))))))
 
 
 def _u_entry(i, j, spec, cap):
-    """``m_gamma_entry(i, j, u, ...)`` for (i, j) = (0, 1) or (1, 2) at
-    u_k = (s + x_{k-1})/(1 + s x_{k-1}), s the spin tail, as a series in j
-    variables truncated at ``cap``: one quotient of two polynomials in x, so
-    no series is inverted.
-
-    With x, y the two variables, X = 1 + s x, Y = 1 + s y,
-    Qp = XY - q (s + x)(s + y), Kp = (1 + q)(XY - t (s + x)(s + y))
-    + (t - q)((s + x) Y + (s + y) X), L(x) = (1 - s_0 s) + (s - s_0) x (that
-    is (1 - s_0 u) X) and Br the bracket of ``_ring_entry`` times XY, the
-    entry on labels 1, 2 is (x - y) Kp / ((1 + t)(1 - xy) Qp) at gamma = 1,
-    and otherwise (x - y) [(1 + t) Kp L(x) L(y) + (gamma - 1)(t - s_0/gamma)
-    (1 - s^2)(1 - xy) Br] over (1 + t)^2 (1 - xy) Qp L(x) L(y); the label-0
-    entry is 1 + (gamma - 1)(t - s_0/gamma)(1 - s)(1 - x)/((1 + t) L(x)).
-    The factors 1 - s^2 of u_1 - u_2 and 1 - u_1 u_2 cancel, but each pole
-    of the ring formula is still raised, by the constant term of its
-    denominator, in its order and with its name."""
-    s, t = spec.point.spin.tail, spec.point.t
-    gamma, s0, gis = spec.gamma, spec.s, spec.gamma_inv_s
-    if gamma == 1 and i == 0:
-        return TruncSeries.const(j, cap, 1)
-    q = t * t
-    corr = (gamma - 1) * (t - gis)
-    x = TruncSeries.variable(j, cap, 0)
-    Lx = (1 - s0 * s) + (s - s0) * x
-    if i == 0:
-        if not (1 + t) * (1 - s0 * s):
-            raise PoleError("(1+t)(1 - s*u_1)")
-        return 1 + corr * (1 - s) * (1 - x) / ((1 + t) * Lx)
-    if gamma != 1 and not (1 + t) * (1 - s0 * s) ** 2:
-        raise PoleError("(1+t)(1 - s*u_1)(1 - s*u_2)")
-    if not (1 + t) * (1 - s * s) * (1 - q * s * s):
-        raise PoleError("(1+t)(1 - u_1*u_2)(1 - q*u_1*u_2)")
-    y = TruncSeries.variable(j, cap, 1)
-    X, Y, U, V = 1 + s * x, 1 + s * y, s + x, s + y
-    XY, UV, cross = X * Y, U * V, U * Y + V * X
-    Kp = (1 + q) * (XY - t * UV) + (t - q) * cross
-    den = (1 + t) * (1 - x * y) * _pair_polynomial(0, 1, s, q, j, cap)
-    if gamma == 1:
-        return (x - y) * Kp / den
-    Br = (
-        (1 + t) * (1 + gis) * (XY + q * gamma * UV)
-        + (1 + gamma) * (q - gis) * (XY - t * UV)
-        - (1 + gamma) * t * (t + gis) * cross
-    )
-    LL = Lx * ((1 - s0 * s) + (s - s0) * y)
-    num = (1 + t) * Kp * LL + corr * (1 - s * s) * (1 - x * y) * Br
-    return (x - y) * num / ((1 + t) * den * LL)
+    """``m_gamma_entry(i, j, u, ...)``, (i, j) = (0, 1) or (1, 2), at u_k =
+    (s + x_{k-1})/(1 + s x_{k-1}), s the spin tail, as a series in j variables
+    at ``cap``: ``pfaffian.closed_entry`` at the ``u_coordinates``."""
+    U = [u_coordinates(v, spec.point.spin.tail, j, cap) for v in range(j)]
+    entry = closed_entry(i, j, U, spec.point.t, spec.gamma, spec.s, spec.gamma_inv_s)
+    return TruncSeries.zero(j, cap) + entry  # the label-0 entry at gamma = 1 is 1
 
 
 def _u_kernel(n, s, t, cap):
     """``pfaffian.pfaffian_kernel`` of u_1..u_n over prod_{i<j} (u_i - u_j),
     times prod_{i<j} (x_i - x_j), at u_i = (s + x_{i-1})/(1 + s x_{i-1}):
     what ``divide_by_u_differences`` and ``pfaffian_kernel`` leave, written
-    in x.  With 1 - u_i = (1 - s)(1 - x_i)/(1 + s x_i),
-    1 - q u_i u_j = Qp(x_i, x_j)/((1 + s x_i)(1 + s x_j)) (``_pair_polynomial``)
-    and u_i - u_j = (1 - s^2)(x_i - x_j)/((1 + s x_i)(1 + s x_j)), the
-    factors (1 + s x_i)^(n-1) cancel, and it is (1 + t)^n / ((1 - s)^n
-    (1 - s^2)^pairs) prod_{i<j} Qp(x_i, x_j) prod_i (1 + s x_i)/(1 - x_i),
-    each (1 + s x_i)/(1 - x_i) being 1 + (1 + s) sum_{k>=1} x_i^k, so no
-    series is inverted.  The poles 1 - s^2 and 1 - u_1 are raised in that
-    order, as the two routes raise them."""
+    in x.  With s = a/b, t = e/f and u_i given by its coordinates
+    U_i = (a + b x_i)/(b + a x_i) (``u_coordinates``),
+    1 - u_i = (b - a)(1 - x_i)/(b + a x_i), 1 - q u_i u_j is
+    ``arith.one_minus(U_i, U_j, t)`` over f^2 (b + a x_i)(b + a x_j), and
+    u_i - u_j is (b^2 - a^2)(x_i - x_j) over the same (b + a x_i)(b + a x_j).
+    Those cancel, and it is (1 + t)^n / ((b - a)^n (b^2 - a^2)^pairs
+    f^(2 pairs)) prod_{i<j} one_minus(U_i, U_j, t) prod_i (b + a x_i)/(1 - x_i),
+    each last factor expanded by ``arith.linear_quotient``, so no series is
+    inverted.  The poles 1 - s^2 and 1 - u_1 are raised in that order, as
+    the two routes raise them."""
+    a, b = s.numerator, s.denominator
     pairs = n * (n - 1) // 2
-    scale = (1 + t) ** n
+    scale = (1 + t) ** n / t.denominator ** (2 * pairs)
     if pairs:
-        scale *= invert(1 - s * s, "1 - s^2") ** pairs
-    scale *= invert(1 - s, "1 - u_1") ** n
+        scale *= invert(Fraction(b * b - a * a), "1 - s^2") ** pairs
+    scale *= invert(Fraction(b - a), "1 - u_1") ** n
     out = TruncSeries.const(n, cap, scale)
+    U = [u_coordinates(i, s, n, cap) for i in range(n)]
     for i, j in combinations(range(n), 2):
-        out = out * _pair_polynomial(i, j, s, t * t, n, cap)
+        out = out * one_minus(U[i], U[j], t)
+    geometric = linear_quotient(b, a, 1, -1, cap)
     for i in range(n):
-        exps = [0] * n
-        geometric = {tuple(exps): 1}
-        for k in range(1, cap + 1):
-            exps[i] = k
-            geometric[tuple(exps)] = 1 + s
-        out = out * TruncSeries(n, cap, geometric)
+        out = out * _univariate(i, geometric, 1, n, cap)
     return out
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 
-from .arith import PoleError, invert
+from .arith import PoleError, invert, linear_quotient
 from .symfun import as_parts
 
 
@@ -141,9 +141,8 @@ def series_weight(cfg, s, d, c, q):
     (s, 1)(1 - c^2 q^(g-1)) for (0, 1), (1, s)(1 - q^(g+1)) for (1, 0) and
     (s - c q^g, 1 - c s q^g) for (1, 1).  With s = a/b, c = m/k, q = e/f in
     lowest terms, N0 = bk - am and N1 = ak - bm, and alpha, beta = A/D, B/D,
-    the weight is bk (A + B x)/(D (N0 + N1 x)), whose x^i coefficient is
-    bk (A r^i + B N0 r^(i-1)) N0^(d-i) over D N0^(d+1) with r = -N1 (the
-    B term from i = 1 on); past the spin prefix c = s, so r = 0 and the
+    the weight is bk (A + B x)/(D (N0 + N1 x)), expanded over D N0^(d+1) by
+    ``arith.linear_quotient``; past the spin prefix c = s, so N1 = 0 and the
     weight is linear.  The pole 1 - c s = 0 raises ``PoleError("1 - s*u")``,
     as ``vertex_weight`` does."""
     g, _, j1, j2 = cfg
@@ -165,11 +164,7 @@ def series_weight(cfg, s, d, c, q):
     else:
         K = f ** (g + 1) - e ** (g + 1)
         A, B, den = b * K, a * K, b * f ** (g + 1)
-    r = b * m - a * k
-    coeffs = [bk * A * N0**d]
-    step = bk * (A * r + B * N0)  # the x^i coefficient over r^(i-1) N0^(d-i)
-    for i in range(1, d + 1):
-        coeffs.append(step * r ** (i - 1) * N0 ** (d - i))
+    coeffs = [bk * v for v in linear_quotient(A, B, N0, a * k - b * m, d)]
     den *= N0 ** (d + 1)
     if den < 0:
         den = -den

@@ -8,6 +8,7 @@ from spinhl.arith import (
     PoleError,
     SpinParams,
     invert,
+    linear_quotient,
     qpoch,
     qpochs,
     rat,
@@ -15,6 +16,21 @@ from spinhl.arith import (
     sample_point,
 )
 from spinhl.series import TruncSeries, u_substitution
+
+
+@pytest.mark.parametrize(
+    "A, B, C, D",
+    [(3, 5, 7, 2), (-4, 9, -5, 3), (2, -7, 3, 0), (6, 0, 5, -4), (0, 8, -3, 7), (0, 0, 2, 5), (1, 1, 1, -1)],
+)
+def test_linear_quotient_is_the_fraction_expansion(A, B, C, D):
+    # long division of (A + B x) by (C + D x) on Fractions
+    want = [F(A, C)]
+    for i in range(1, 9):
+        want.append((F(B if i == 1 else 0) - D * want[-1]) / C)
+    for d in range(9):
+        got = linear_quotient(A, B, C, D, d)
+        assert all(type(v) is int for v in got)
+        assert [F(v, C ** (d + 1)) for v in got] == want[: d + 1], d
 
 
 def test_qpoch_empty_product():

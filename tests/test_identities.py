@@ -943,6 +943,10 @@ def test_main2_and_cor_invert_no_series(monkeypatch):
 RUN_CHECK_DIGESTS = {
     ("main2", 3, 1, 4, 7): "fc635fc5151efbb66954378087507700b3ba5ef42af9872f957644c73fb4eab0",
     ("main1", 4, 1, 0, 7): "0747b59115e2e034706b47a5403532851944a5f366bc4388786d29f1cbdb7c3b",
+    ("hl", 2, 1, 4, 7): "e624c24070445c71351974204233c21d2b02f54567ad6eb6a298c77b35090dce",
+    ("kawanaka", 2, 1, 4, 7): "ad824a0e335a8c6b4eeef1bd955fc70316043b5ce31a76b2e873331385886528",
+    ("cor", 4, 2, 3, 3): "4bc29b8a9454bb628cf3d5e74e4f80cc26ce887aa04d80d2ec5d8af98cef09c7",
+    ("main2", 4, 0, 3, 5): "160ba168e30c738bffb19fc3bd4861db268e84cf71eceec84571fd85e9329e55",
 }
 MAIN2_SIDE_DIGEST = "fbfc9ef40468d8071d28b6d32e18de3200c3b30785749fcaeda8064cdc844c4f"
 

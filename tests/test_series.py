@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from spinhl.arith import PoleError, SpinParams
+from spinhl.arith import PoleError, SpinParams, one_minus
 from spinhl.series import (
     TruncSeries,
     divide_by_u_differences,
@@ -12,6 +12,7 @@ from spinhl.series import (
     f_lambda_series,
     schur_series,
     series_diff,
+    u_coordinates,
     u_substitution,
     vandermonde_exponents,
 )
@@ -139,6 +140,34 @@ def test_u_substitution_is_the_ring_quotient(s):
                 assert u_substitution(i, s, cap, nvars) == (s + x) * (1 + s * x).inv(), (nvars, i, cap)
 
 
+@pytest.mark.parametrize("s", [F(0), F(1), F(-1), F(2, 7), F(-5, 3), F(4)])
+def test_u_coordinates_are_the_u_substitution(s):
+    # integer polynomials a + b x_i over b + a x_i whose quotient is u
+    for nvars in (1, 2, 3):
+        for i in range(nvars):
+            for cap in range(7):
+                U = u_coordinates(i, s, nvars, cap)
+                assert U.numerator.den == U.denominator.den == 1
+                assert U.numerator / U.denominator == u_substitution(i, s, cap, nvars), (nvars, i, cap)
+
+
+@pytest.mark.parametrize("s", [F(0), F(1), F(2, 7), F(-5, 3), F(4)])
+def test_one_minus_of_coordinates_is_the_scaled_pair_polynomial(s):
+    # one_minus(U_i, U_j, t) = (b den(t))^2 (XY - q (s + x)(s + y)), X = 1 + s x
+    for t in (F(1), F(2, 7), F(-3, 5)):
+        for nvars in (2, 3):
+            for i in range(nvars):
+                for j in range(i + 1, nvars):
+                    for cap in range(5):
+                        x = TruncSeries.variable(nvars, cap, i)
+                        y = TruncSeries.variable(nvars, cap, j)
+                        Qp = (1 + s * x) * (1 + s * y) - t * t * (s + x) * (s + y)
+                        U = [u_coordinates(v, s, nvars, cap) for v in (i, j)]
+                        got = one_minus(U[0], U[1], t)
+                        assert got.den == 1
+                        assert got == (s.denominator * t.denominator) ** 2 * Qp, (t, nvars, i, j, cap)
+
+
 def test_vandermonde_division_round_trip():
     rng = random.Random(17)
     V = TruncSeries(3, 9, vandermonde_exponents((0, 1, 2), 3))
@@ -146,7 +175,7 @@ def test_vandermonde_division_round_trip():
     assert divide_by_vandermonde(f * V, (0, 1, 2)) == f.truncate(6)
 
 
-@pytest.mark.parametrize("s", [F(0), F(2, 7)], ids=["s=0", "s=2/7"])
+@pytest.mark.parametrize("s", [F(0), F(2, 7), F(-5, 3), F(4)], ids=["s=0", "s=2/7", "s=-5/3", "s=4"])
 def test_divide_by_u_differences_undoes_the_u_product(s):
     # unsorted and proper-subset variable lists, more variables than listed
     rng = random.Random(41)
@@ -163,6 +192,16 @@ def test_divide_by_u_differences_undoes_the_u_product(s):
             got = divide_by_u_differences(product, idx, s)
             assert got.cap == cap - pairs
             assert got == f.truncate(cap - pairs), (nvars, idx, cap)
+
+
+@pytest.mark.parametrize("s", [F(1), F(-1)])
+def test_divide_by_u_differences_raises_at_s_squared_one(s):
+    # u = s for every x, so every difference vanishes
+    f = TruncSeries(2, 3, {(1, 0): 1, (0, 1): -1})
+    with pytest.raises(PoleError, match="1 - s\\^2"):
+        divide_by_u_differences(f, (0, 1), s)
+    g = TruncSeries(2, 3, {(1, 0): 2})
+    assert divide_by_u_differences(g, (0,), s) == g
 
 
 def test_vandermonde_division_rejects_nondivisible():
