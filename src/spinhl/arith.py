@@ -201,6 +201,31 @@ def one_minus(x, y, t=1):
     return x.denominator * y.denominator * t.denominator**2 - x.numerator * y.numerator * t.numerator**2
 
 
+def part_factors(u, spin, top):
+    """The smallest-part factors of the recurrences and reduction chains at
+    l = 0..top over a list u of rationals or series alike, as two lists:
+    ``ratios[l]`` = prod_i (u_i - s_l)/(1 - s_l u_i), and ``outers[l]`` =
+    prod_i outer_l(u_i), the single-row factor
+    outer_l(u) = 1/(1 - s_l u) prod_{j<l} (u - s_j)/(1 - s_j u) = F_(l)(u)/(1 - q),
+    which is the product of the ratios below l over prod_i (1 - s_l u_i).
+    Each 1 - s_l u_i is inverted once, one factor at a time (inverting a
+    dense product of series is slow), l ascending; a vanishing one raises
+    ``PoleError("1 - s_l*u")``."""
+    ratios, outers = [], []
+    below = Fraction(1)
+    for l in range(top + 1):
+        sl = spin.lookup(l)
+        ratio = outer = Fraction(1)
+        for ui in u:
+            inv = invert(1 - sl * ui, "1 - s_%d*u" % l)
+            outer = outer * inv
+            ratio = ratio * (ui - sl) * inv
+        ratios.append(ratio)
+        outers.append(below * outer)
+        below = below * ratio
+    return ratios, outers
+
+
 def linear_quotient(A, B, C, D, d):
     """The integer x^0..x^d coefficients of (A + B x)/(C + D x) times
     C^(d+1), for integers A, B, C != 0, D.  As 1/(C + D x) is

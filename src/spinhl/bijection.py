@@ -48,26 +48,14 @@ _ADMISSIBLE = {(1, 1, 0, 0), (0, 0, 1, 1), (1, 1, 1, 1), (1, 0, 0, 1), (0, 1, 1,
 
 
 def degenerate_weight(cfg, x, t):
-    """Local weight at spin -1/t written in the triangle variable x."""
-    cfg = tuple(cfg)
-    if cfg == (0, 0, 0, 0):
-        return Fraction(1)
-    if cfg not in _ADMISSIBLE:
-        raise ValueError("configuration %r does not survive the degeneration" % (cfg,))
-    x, t = Fraction(x), Fraction(t)
-    q = t * t
-    v = t - invert(t, "t")
-    den = 1 - 1 / q
-    inv = invert(den, "1 - 1/q")
-    if cfg == (1, 1, 0, 0):
-        return v * x * inv
-    if cfg == (0, 0, 1, 1):
-        return x
-    if cfg == (1, 1, 1, 1):
-        return v * inv
-    if cfg == (1, 0, 0, 1):
-        return (-v / q + x * den) * inv
-    return (1 - q + v * x) * inv
+    """Local weight at spin -1/t written in the triangle variable x: the
+    normalized weight (``normalized_weight``) with the 1 - 1/q denominator
+    restored on the entries fed from below.  The empty vertex weighs 1."""
+    weight = normalized_weight(cfg, x, t)
+    if not any(cfg):
+        return weight
+    inv = invert(1 - 1 / Fraction(t) ** 2, "1 - 1/q")
+    return weight * inv if cfg[0] else weight
 
 
 def normalized_weight(cfg, x, t, is_leftmost_0110=False):

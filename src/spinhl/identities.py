@@ -51,6 +51,7 @@ each checks its inputs by one range rule, ``_check_inputs``.  ``_BATTERY``
 lists the checks in ``run_all``'s order; ``CHECK_NAMES`` is read from it.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -65,6 +66,7 @@ from .arith import (
     perm_sign,
     PochFamily,
     one_minus,
+    part_factors,
     qpochs,
     qpochs_product,
     rat_str,
@@ -367,34 +369,6 @@ def check_kawanaka(n, t, D, cache=None):
 
 
 # ----------------------------------------------------------------------
-# the smallest-part factors of the recurrences and reduction chains, over a
-# list u of rationals or series alike
-
-
-def _ratio(u, spin, l):
-    """prod_i (u_i - s_l)/(1 - s_l u_i)."""
-    sl = spin.lookup(l)
-    out = Fraction(1)
-    for ui in u:
-        out = out * (ui - sl) * invert(1 - sl * ui, "1 - s_%d*u" % l)
-    return out
-
-
-def _prefix_prod(u, spin, l):
-    return prod((_ratio(u, spin, j) for j in range(l)), start=Fraction(1))
-
-
-def _outer_factor(u, spin, l):
-    """The prefix product up to l over prod_i (1 - s_l u_i), one factor
-    inverted at a time (inverting the dense product of series is slow)."""
-    sl = spin.lookup(l)
-    out = Fraction(1)
-    for ui in u:
-        out = out * invert(1 - sl * ui, "1 - s_%d*u" % l)
-    return out * _prefix_prod(u, spin, l)
-
-
-# ----------------------------------------------------------------------
 # recurrences for the weighted sums, as series identities
 
 
@@ -446,7 +420,9 @@ def _check_rec(name, n, spin, t, D, poch, inner_poch, L0, cache):
     (``_rec_block``) of T is that of the first |T| variables relabeled, times
     the crossing sign of T, so the whole T-dependent part of the l-th term is
     one product per subset size, relabeled onto each subset.  The factors
-    that do not depend on T multiply the sum over T once per l.
+    that do not depend on T multiply the sum over T once per l: outers[l] of
+    one ``arith.part_factors`` table over the series u, and at the last l
+    the geometric tail 1/(1 - ratios[l]).
 
     ``poch`` is the Pochhammer factor of the family of H, and ``inner_poch``
     that of the sums H(T) over the spins past l.
@@ -486,15 +462,15 @@ def _check_rec(name, n, spin, t, D, poch, inner_poch, L0, cache):
 
     lhs = _vandermonde_series(full, n, cap) * h_full.relabeled(full, cap)
 
-    # the factors of the l-th term that do not depend on the subset T: the
-    # prefix over prod_i (1 - s_l u_i) and, at the last l (where s_l is the
-    # tail), the geometric tail
+    # the factors of the l-th term that do not depend on the subset T:
+    # outers[l] and, at the last l (where s_l is the tail), the geometric tail
     U = [u_substitution(i, s, cap, n) for i in range(n)]
+    ratios, outers = part_factors(U, spin, max_l)
     rhs = TruncSeries.zero(n, cap)
     for l, subset_sum in enumerate(subset_sums):
-        factor = _outer_factor(U, spin, l)
+        factor = outers[l]
         if l == max_l:
-            factor = factor * (1 - _ratio(U, spin, max_l)).inv()
+            factor = factor * (1 - ratios[max_l]).inv()
         rhs = rhs + factor * subset_sum
     diff = series_diff(lhs, rhs)
     if diff is not None:
@@ -737,17 +713,23 @@ def _split_kernel(u, q, i, j):
     return (u[i] - q * u[j]) * invert(u[i] - u[j], "u_%d - u_%d" % (i + 1, j + 1))
 
 
+_ChainKernel = namedtuple("_ChainKernel", "inside pairs block ratios outers")
+
+
 def _chain_kernel(point, inside, pair_inside, block=None):
-    """The factors of a chain term that do not depend on l, each computed
-    once per chain: ``inside(i)`` per index in T; per pair, by which of its
-    ends lie in T, ``pair_inside(i, j)`` for both and ``_split_kernel`` for
-    one; and the table ``block``, keyed by the 0-based T."""
+    """The tables of a chain, each computed once per chain: the T-tables,
+    which do not depend on l (``inside(i)`` per index in T; per pair, by
+    which of its ends lie in T, ``pair_inside(i, j)`` for both and
+    ``_split_kernel`` for one; and the table ``block``, keyed by the 0-based
+    T), and beside them the smallest-part factors ``ratios`` and ``outers``
+    at l = 0..p+1 (``arith.part_factors``)."""
     u, q = point.u, point.q
     pairs = {}
     for i, j in combinations(range(point.n), 2):
         one_end = _split_kernel(u, q, i, j), _split_kernel(u, q, j, i)
         pairs[i, j] = {(0, 0): 1, (1, 0): one_end[0], (0, 1): one_end[1], (1, 1): pair_inside(i, j)}
-    return [inside(i) for i in range(point.n)], pairs, block
+    index = [inside(i) for i in range(point.n)]
+    return _ChainKernel(index, pairs, block, *part_factors(u, point.spin, point.spin.p + 1))
 
 
 def _littlewood_in_subset(point):
@@ -780,32 +762,31 @@ def _subset_sum(point, l, poch, kernel, proper=True):
     (the proper ones unless ``proper`` is false) of poch(spin, l, n - |T|)
     prod_{i in T} (u_i - s_l) times the split kernel
     prod_{i in T, j not in T} (u_i - q u_j)/(u_i - u_j) times the kernel
-    over T (``_chain_kernel``), times ``_outer_factor``.  The factors
+    over T, times outers[l] (both from ``_chain_kernel``).  The factors
     poch(spin, l, m), m = 0..n, are the family's one list (``PochFamily``)."""
     u, sl, n = point.u, point.s(l), point.n
-    inside, pairs, block = kernel
     total = _subset_product_sum(
         n,
         poch.pochs(point.spin, l, n),
-        [(1, (u[i] - sl) * inside[i]) for i in range(n)],
-        pairs,
-        block,
+        [(1, (u[i] - sl) * kernel.inside[i]) for i in range(n)],
+        kernel.pairs,
+        kernel.block,
         proper,
     )
-    return total * _outer_factor(u, point.spin, l)
+    return total * kernel.outers[l]
 
 
-def _chain_steps(point, letter, full, sums, telescope=False):
-    """The l-steps that the main1 and cor chains share, for the full side
-    ``full`` and the subset sums ``sums`` at l = 0..p+1, X being the
-    upper-case ``letter``: ``letter``[l=l] checks prefix_l (1 - ratio_l) full
-    against sums[l]; X'' checks (1 - ratio_p) full against the sums up to p
-    less ratio_p times those below p, and ``telescope`` the same of the left
-    sides; X checks full against the sums below p plus the geometric tail
-    sums[p] / (1 - ratio_p).  Each ratio and prefix product is computed once.
-    Returns the results, in that order, and the prefix products."""
-    u, spin, p = point.u, point.spin, point.spin.p
-    ratios = [_ratio(u, spin, l) for l in range(p + 2)]
+def _chain_steps(ratios, letter, full, sums, telescope=False):
+    """The l-steps that the main1 and cor chains share, for the chain's
+    ``ratios``, the full side ``full`` and the subset sums ``sums`` at
+    l = 0..p+1, X being the upper-case ``letter``: ``letter``[l=l] checks
+    prefix_l (1 - ratio_l) full against sums[l]; X'' checks (1 - ratio_p)
+    full against the sums up to p less ratio_p times those below p, and
+    ``telescope`` the same of the left sides; X checks full against the sums
+    below p plus the geometric tail sums[p] / (1 - ratio_p).  Each prefix
+    product is computed once.  Returns the results, in that order, and the
+    prefix products."""
+    p = len(ratios) - 2
     prefix = [Fraction(1)]
     for ratio in ratios[:-1]:
         prefix.append(prefix[-1] * ratio)
@@ -826,7 +807,7 @@ def _chain_main1(point):
     kernel = _littlewood_in_subset(point)
     k1_full = rhs_main1(point)
     sums = [_subset_sum(point, l, poch_main1(point.q), kernel) for l in range(point.spin.p + 2)]
-    return _chain_steps(point, "a", k1_full, sums, telescope=True)[0]
+    return _chain_steps(kernel.ratios, "a", k1_full, sums, telescope=True)[0]
 
 
 def _chain_cor(point):
@@ -839,7 +820,7 @@ def _chain_cor(point):
     kernel = _pfaffian_in_subset(point, block_pfaffians(spec1))
     poch = poch_uniform(point.t)
     sums = [_subset_sum(point, l, poch, kernel) for l in range(p + 2)]
-    results, prefix = _chain_steps(point, "b", pf_full, sums)
+    results, prefix = _chain_steps(kernel.ratios, "b", pf_full, sums)
     for l in range(p + 2):
         rhs = _subset_sum(point, l, poch, kernel, proper=False)
         results["reuse[l=%d]" % l] = prefix[l] * pf_full == rhs
@@ -850,7 +831,7 @@ def _chain_cor(point):
     conjugated = conjugated_pfaffian(spec1, full)
     for l in range(p + 2):
         spec = MGammaSpec(point, Fraction(1), point.s(l))
-        lhs, rhs = _key_lemma2_from(point, spec, conjugated, kernel[2])
+        lhs, rhs = _key_lemma2_from(point, spec, conjugated, kernel.block)
         results["second_id[l=%d]" % l] = lhs == rhs
     return results
 
@@ -867,7 +848,7 @@ def _chain_main2(point):
     poch_1 = poch_uniform(t)
     poch_g = poch_gamma(t, gamma)
     L0 = max(point.spin.p, 1)
-    ratio_p = _ratio(point.u, point.spin, L0)
+    ratio_p = kernel.ratios[L0]
 
     def total(poch):
         sums = [_subset_sum(point, l, poch, kernel) for l in range(L0 + 1)]
@@ -957,8 +938,8 @@ def _chain_poles(n, p):
     for l in range(p + 3):
         for i in range(n):
             poles.append(lambda pt, l=l, i=i: one_minus(pt.s(l), pt.u[i]))
-    poles.append(lambda pt, p=p: 1 - _ratio(pt.u, pt.spin, p))
-    poles.append(lambda pt, p=p: 1 - _ratio(pt.u, pt.spin, max(p, 1)))
+    for l in (p, max(p, 1)):
+        poles.append(lambda pt, l=l: 1 - part_factors(pt.u, pt.spin, l)[0][l])
     return poles
 
 

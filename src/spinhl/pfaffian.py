@@ -425,18 +425,16 @@ def m_conjugated(spec, T, u=None):
     return m_gamma(spec, T, u=u).conjugate_diag(b_matrix(tuple(T), tuple(T), spec.point, u=u))
 
 
-def b_determinant(T, q, u):
+def b_determinant(T, t, u):
     """det B(T, T) of ``b_matrix``, prod_{i<k in T} (1 - u_i u_k)(1 - q u_i u_k)
-    over the 1-based labels T, as one integer over one integer: with
-    u_i = a_i/b_i and q = e/f in lowest terms each pair is
-    (b_i b_k - a_i a_k)(f b_i b_k - e a_i a_k) over f b_i^2 b_k^2."""
-    e, f = q.numerator, q.denominator
+    with q = t^2 over the 1-based labels T, as one integer over one integer:
+    with u_i = a_i/b_i and t = e/f each pair is
+    ``arith.one_minus(u_i, u_k) * one_minus(u_i, u_k, t)`` over (f b_i b_k)^2."""
     num = den = 1
     for i, k in combinations(T, 2):
-        B = u[i - 1].denominator * u[k - 1].denominator
-        P = u[i - 1].numerator * u[k - 1].numerator
-        num *= (B - P) * (f * B - e * P)
-        den *= f * B * B
+        ui, uk = u[i - 1], u[k - 1]
+        num *= one_minus(ui, uk) * one_minus(ui, uk, t)
+        den *= (t.denominator * ui.denominator * uk.denominator) ** 2
     return Fraction(num, den)
 
 
@@ -446,7 +444,7 @@ def conjugated_pfaffian(spec, T, u=None):
     taken in closed form (``b_determinant``)."""
     T = tuple(T)
     uvals = spec.point.u if u is None else tuple(u)
-    return b_determinant(T, spec.point.q, uvals) * m_gamma(spec, T, u=u).pfaffian()
+    return b_determinant(T, spec.point.t, uvals) * m_gamma(spec, T, u=u).pfaffian()
 
 
 def littlewood_kernel(u, q):

@@ -27,7 +27,7 @@ from itertools import combinations, permutations
 from math import gcd, lcm
 from operator import mul
 
-from .arith import PoleError, Quotient, invert, linear_quotient, one_minus, perm_sign
+from .arith import PoleError, Quotient, invert, linear_quotient, one_minus, part_factors, perm_sign
 from .pfaffian import SkewMatrix, closed_entry
 from .symfun import _check_cap, as_parts, rows_between
 
@@ -621,30 +621,15 @@ def divide_by_u_differences(f, var_indices, s):
     return out * invert(Fraction(b * b - a * a), "1 - s^2") ** pairs if pairs else out
 
 
-def _h_factor(var, m, spin, t, cap, nvars, cache):
-    """Univariate series (1-q)/(1 - s_m u) * prod_{j<m} (u - s_j)/(1 - s_j u)
-    in the variable ``var``, built incrementally over m."""
-    key = (var, m, spin.prefix, spin.tail)
-    got = cache.get(key)
-    if got is not None:
-        return got
-    u = u_substitution(var, spin.tail, cap, nvars)
-    if m == 0:
-        out = 1 - t * t
-    else:
-        out = _h_factor(var, m - 1, spin, t, cap, nvars, cache) * (u - spin.lookup(m - 1))
-    out = out * invert(1 - spin.lookup(m) * u, "1 - s_%d*u" % m)
-    cache[key] = out
-    return out
-
-
 def f_lambda_series(lam, spin, t, cap, nvars=None, var_indices=None, cache=None):
     """F_lambda as a truncated series in the x variables after substituting
     u_i = (s + x_i)/(1 + s x_i) with s the spin tail.
 
     The antisymmetrized pole-free part is computed to degree cap + deg(V)
     and divided exactly by the u-differences (``divide_by_u_differences``);
-    the result is exact to ``cap``.
+    the result is exact to ``cap``.  The single-row factor of part m in the
+    variable x_i is F_(m)(u_i) = (1 - q) outer_m(u_i), one ``outers`` entry of
+    ``arith.part_factors`` over that one series u_i.
     """
     lam = as_parts(lam)
     n = len(lam)
@@ -671,13 +656,12 @@ def f_lambda_series(lam, spin, t, cap, nvars=None, var_indices=None, cache=None)
     q = t * t
     pairs = n * (n - 1) // 2
     work = cap + pairs
-    hcache = cache.setdefault(("H", t, work, nvars), {})
     U = {var: u_substitution(var, s, work, nvars) for var in var_indices}
-    H = {
-        (var, m): _h_factor(var, m, spin, t, work, nvars, hcache)
-        for var in var_indices
-        for m in set(lam)
-    }
+    H = {}
+    for var in var_indices:
+        outers = part_factors([U[var]], spin, max(lam))[1]
+        for m in set(lam):
+            H[var, m] = (1 - q) * outers[m]
     total = TruncSeries.zero(nvars, work)
     for perm in permutations(range(n)):
         term = TruncSeries.const(nvars, work, perm_sign(perm))

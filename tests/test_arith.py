@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 
@@ -9,6 +10,7 @@ from spinhl.arith import (
     SpinParams,
     invert,
     linear_quotient,
+    part_factors,
     qpoch,
     qpochs,
     rat,
@@ -31,6 +33,38 @@ def test_linear_quotient_is_the_fraction_expansion(A, B, C, D):
         got = linear_quotient(A, B, C, D, d)
         assert all(type(v) is int for v in got)
         assert [F(v, C ** (d + 1)) for v in got] == want[: d + 1], d
+
+
+def test_part_factors_are_the_products_of_their_definitions():
+    # ratio_l(u) = (u - s_l)/(1 - s_l u) and the single-row factor
+    # outer_l(u) = 1/(1 - s_l u) prod_{j<l} ratio_j(u), each taken over the u_i
+    prefix = (F(1, 5), F(-2, 7), F(3, 4))
+    for p in range(4):
+        spin = SpinParams(prefix[:p], F(2, 9))
+
+        def ratio(ui, l):
+            return (ui - spin.lookup(l)) / (1 - spin.lookup(l) * ui)
+
+        def outer(ui, l):
+            return prod((ratio(ui, j) for j in range(l)), start=1) / (1 - spin.lookup(l) * ui)
+
+        rational = [F(1, 3), F(-4, 5), F(7, 2)]
+        series = [u_substitution(i, spin.tail, 3, 2) for i in range(2)]
+        for u in (rational, series):
+            for top in range(p + 3):
+                ratios, outers = part_factors(u, spin, top)
+                assert ratios == [prod(ratio(ui, l) for ui in u) for l in range(top + 1)], (p, top)
+                assert outers == [prod(outer(ui, l) for ui in u) for l in range(top + 1)], (p, top)
+
+
+def test_part_factors_name_the_smallest_vanishing_l():
+    # 1 - s_0 u_2 and 1 - s_1 u_1 vanish; l = 0 is inverted first although its
+    # zero sits at the later u
+    spin = SpinParams((F(2), F(3)), F(1, 5))
+    for u, what in (((F(1, 3), F(1, 2)), "1 - s_0*u"), ((F(1, 3), F(1, 5)), "1 - s_1*u")):
+        with pytest.raises(PoleError) as err:
+            part_factors(u, spin, 2)
+        assert err.value.what == what
 
 
 def test_qpoch_empty_product():

@@ -3,20 +3,28 @@ import json
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from math import prod
 
 import pytest
 
 import spinhl.identities
 import spinhl.vertex
-from spinhl.arith import ParamPoint, PoleError, SpinParams, perm_sign, qpoch, rat_str, sample_point
+from spinhl.arith import (
+    ParamPoint,
+    PoleError,
+    SpinParams,
+    part_factors,
+    perm_sign,
+    qpoch,
+    rat_str,
+    sample_point,
+)
 from spinhl.identities import (
     _BATTERY,
     _chain_poles,
     _lemma_poles,
     _lhs_sum,
-    _outer_factor,
     _pair_extra,
-    _ratio,
     _rec_block,
     _rec_h,
     _rhs_pf_series,
@@ -124,16 +132,15 @@ def test_smallest_part_factors_on_series_match_the_scalars_at_x_zero():
         t, spin, _ = series_parameters(7, p)
         U = [u_substitution(i, spin.tail, cap, n) for i in range(n)]
         at_zero = [spin.tail] * n
-        for l in range(p + 2):
-            assert _ratio(U, spin, l).constant_term == _ratio(at_zero, spin, l), (p, l)
-            assert _outer_factor(U, spin, l).constant_term == _outer_factor(at_zero, spin, l)
+        for series, scalars in zip(part_factors(U, spin, p + 1), part_factors(at_zero, spin, p + 1)):
+            assert [f.constant_term for f in series] == scalars, p
 
 
 def test_subset_sum_pole_names_its_factor():
     # s_1 u_1 = 1: the l = 1 term divides by 1 - s_1 u_1
     pt = ParamPoint(F(1, 2), F(1), SpinParams((F(1, 5), F(2)), F(1, 3)), (F(1, 2), F(1, 7)))
-    kernel = spinhl.identities._littlewood_in_subset(pt)
     with pytest.raises(PoleError) as err:
+        kernel = spinhl.identities._littlewood_in_subset(pt)
         spinhl.identities._subset_sum(pt, 1, poch_uniform(pt.t), kernel)
     assert err.value.what == "1 - s_1*u"
     assert str(err.value) == "vanishing denominator: 1 - s_1*u"
@@ -625,7 +632,7 @@ def test_rec2_rejects_gamma_zero():
 def test_chain_ratio_pole_keeps_its_name():
     pt = ParamPoint(F(1, 2), F(1), SpinParams((F(2),), F(1, 3)), (F(1, 2), F(1, 5)))
     with pytest.raises(PoleError) as err:
-        _ratio(pt.u, pt.spin, 0)
+        part_factors(pt.u, pt.spin, 0)
     assert str(err.value) == "vanishing denominator: 1 - s_0*u"
 
 
@@ -947,8 +954,15 @@ RUN_CHECK_DIGESTS = {
     ("kawanaka", 2, 1, 4, 7): "ad824a0e335a8c6b4eeef1bd955fc70316043b5ce31a76b2e873331385886528",
     ("cor", 4, 2, 3, 3): "4bc29b8a9454bb628cf3d5e74e4f80cc26ce887aa04d80d2ec5d8af98cef09c7",
     ("main2", 4, 0, 3, 5): "160ba168e30c738bffb19fc3bd4861db268e84cf71eceec84571fd85e9329e55",
+    ("rec1", 3, 2, 2, 7): "57c4120810154ebd918cc96abee6baf025fd264a51194cca3fa22825dc40fa7e",
+    ("rec2", 3, 2, 2, 7): "5e9bf0be765b3004480480715295cbd207bae3e8287cf9e57793747fe2d6dfe1",
+    ("rec2v", 3, 2, 2, 7): "a93d295277ba66bbfaa134b482b2dd0ab10bd8ef4c0261448f53f50abbc6dea8",
+    ("chain", 4, 2, 0, 7): "811670200c3ba15cf8fa5d2b404b666d8c7055a806a1e515beca6816123bda62",
 }
 MAIN2_SIDE_DIGEST = "fbfc9ef40468d8071d28b6d32e18de3200c3b30785749fcaeda8064cdc844c4f"
+# f_lambda_series(lam, spin, t, 3, nvars=3).to_json() over bounded_partitions(3, 3)
+# at series_parameters(7, p) for p = 0, 1, 2, one list per p
+F_LAMBDA_SERIES_DIGEST = "ece4cb70f5035c8d2497a690668c3a33750f10eddaa317047cb59b5c856d48dc"
 
 
 def sha256_json(obj):
@@ -960,6 +974,30 @@ def test_single_check_reports_are_pinned():
         assert sha256_json(run_check(name, n=n, p=p, D=D, seed=seed).to_dict()) == digest, name
     t, spin, gamma = series_parameters(7, 1)
     assert sha256_json(_rhs_pf_series(3, spin, t, gamma, 4).to_json()) == MAIN2_SIDE_DIGEST
+
+
+def test_f_lambda_series_is_pinned():
+    out = []
+    for p in (0, 1, 2):
+        t, spin, _ = series_parameters(7, p)
+        out.append([f_lambda_series(lam, spin, t, 3, nvars=3).to_json() for lam in bounded_partitions(3, 3)])
+    assert sha256_json(out) == F_LAMBDA_SERIES_DIGEST
+
+
+def test_a_reduction_chain_builds_its_smallest_part_table_once(monkeypatch):
+    # the chain's table runs to l = p + 1; the sampler's two ratio poles read
+    # tables to l = p and max(p, 1), which at p = 2 are both 2
+    calls = []
+
+    def counting(u, spin, top):
+        calls.append(top)
+        return part_factors(u, spin, top)
+
+    monkeypatch.setattr(spinhl.identities, "part_factors", counting)
+    for which in ("main1", "cor", "main2"):
+        calls.clear()
+        assert check_reduction_chain(3, 2, which, 7).passed
+        assert calls.count(3) == 1 and set(calls) <= {2, 3}, (which, calls)
 
 
 def rational_scalar_poles(p):
@@ -994,8 +1032,8 @@ def rational_chain_poles(n, p):
     for l in range(p + 3):
         for i in range(n):
             poles.append(lambda pt, l=l, i=i: 1 - pt.s(l) * pt.u[i])
-    poles.append(lambda pt, p=p: 1 - _ratio(pt.u, pt.spin, p))
-    poles.append(lambda pt, p=p: 1 - _ratio(pt.u, pt.spin, max(p, 1)))
+    for l in (p, max(p, 1)):
+        poles.append(lambda pt, l=l: 1 - prod((ui - pt.s(l)) / (1 - pt.s(l) * ui) for ui in pt.u))
     return poles
 
 
@@ -1024,7 +1062,7 @@ def test_integer_poles_vanish_with_the_rational_ones():
                 u.append(v)
         spin = SpinParams(tuple(rng.choice(values) for _ in range(p)), rng.choice(values))
         point = ParamPoint(rng.choice(values), F(1), spin, tuple(u))
-        # the chain's last two poles, on the ratios, are the same callables
+        # left out: the chain's last two poles, on the ratios, divide by 1 - s_l u_i
         pairs = list(zip(_chain_poles(n, p)[:-2], rational_chain_poles(n, p)[:-2]))
         for integer, rational in pairs:
             assert (integer(point) == 0) == (rational(point) == 0), (point,)

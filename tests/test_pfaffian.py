@@ -574,7 +574,7 @@ def test_b_determinant_is_the_product_of_the_b_matrix_diagonal():
             for size in range(n + 1):
                 for T in combinations(range(1, n + 1), size):
                     want = math.prod(b_matrix(T, T, pt, u=u).values())
-                    assert b_determinant(T, pt.q, u) == want, (n, u, T)
+                    assert b_determinant(T, pt.t, u) == want, (n, u, T)
 
 
 def ring_u_entry(i, j, spec, cap):
