@@ -61,14 +61,20 @@ def qpoch(a, q, n):
 
 
 def qpochs(a, q, n):
-    """[(a;q)_0, (a;q)_1, ..., (a;q)_n], by one running product."""
+    """[(a;q)_0, (a;q)_1, ..., (a;q)_n], by one running product on integers:
+    with a = c/d and q = e/f, (a;q)_m is prod_{i<m} (d f^i - c e^i) over
+    prod_{i<m} d f^i."""
     if n < 0:
         raise ValueError("negative length in q-Pochhammer symbol")
+    c, d, e, f = a.numerator, a.denominator, q.numerator, q.denominator
     out = [Fraction(1)]
-    power = Fraction(1)
+    num = den = ei = fi = 1
     for _ in range(n):
-        out.append(out[-1] * (1 - a * power))
-        power *= q
+        num *= d * fi - c * ei
+        den *= d * fi
+        out.append(Fraction(num, den))
+        ei *= e
+        fi *= f
     return out
 
 
@@ -80,13 +86,29 @@ def qpochs_product(a, b, q, n):
 class PochFamily:
     """A family of Pochhammer factors: ``pochs(spin, r, n)`` lists the
     factors of a part r at m = 0..n by running products (``qpochs``), and
-    calling the family with (spin, r, m) gives the factor at m."""
+    calling the family with (spin, r, m) gives the factor at m.  A family
+    reads r only through s_r and whether r is 0, so every part r >= max(p, 1)
+    has the factors of the spin tail.
 
-    def __init__(self, pochs):
+    ``key`` names a family by value, its kind and parameters without the
+    spins: families with equal keys are equal and hash alike, so a cache of
+    the partition sums keyed by the family serves them all.  A family
+    without a key is equal only to itself."""
+
+    def __init__(self, pochs, key=None):
         self.pochs = pochs
+        self.key = key
 
     def __call__(self, spin, r, m):
         return self.pochs(spin, r, m)[m]
+
+    def __eq__(self, other):
+        if self.key is None or not isinstance(other, PochFamily):
+            return self is other
+        return self.key == other.key
+
+    def __hash__(self):
+        return object.__hash__(self) if self.key is None else hash(self.key)
 
 
 def perm_sign(word):

@@ -128,19 +128,28 @@ def _leftmost_0110_columns(ens):
     return out
 
 
-def normalized_product(ens, xs, t):
+def normalized_product(ens, xs, t, table=None):
     """Product of normalized local weights over an ensemble; row i uses x_i.
     A weight depends on its vertex only through (configuration, row, whether
     it is the row's leftmost (0,1;1,0)), so each distinct one is computed
-    once, in the order of its first vertex, and raised to its count."""
+    once, in the order of its first vertex, and raised to its count.
+    ``table`` is the dict of those weights by that key, filled as they are
+    first met; callers over many ensembles at one (xs, t) pass one table to
+    all of them (``verify_lemma_connection``)."""
     xs = tuple(Fraction(v) for v in xs)
     if len(xs) != ens.n:
         raise ValueError("need one variable per row")
+    if table is None:
+        table = {}
     leftmost = _leftmost_0110_columns(ens)
     counts = Counter((cfg, row, leftmost.get(row) == col) for row, col, cfg in ens.vertices())
     out = Fraction(1)
-    for (cfg, row, first), k in counts.items():
-        out *= normalized_weight(cfg, xs[row - 1], t, first) ** k
+    for key, k in counts.items():
+        weight = table.get(key)
+        if weight is None:
+            cfg, row, first = key
+            weight = table[key] = normalized_weight(cfg, xs[row - 1], t, first)
+        out *= weight**k
     return out
 
 
@@ -233,9 +242,10 @@ def verify_lemma_connection(lam, t, xs):
         return False
     if len(set(lam)) == n:
         total = Fraction(0)
+        table = {}  # the normalized weights of every ensemble, by key
         for ens in strict_ensembles(lam):
             M = ensemble_to_triangle(ens)
-            w_path = normalized_product(ens, xs, t)
+            w_path = normalized_product(ens, xs, t, table)
             w_tri = mt_weight(M, xs, uu, vv, ww)
             if w_path != w_tri:
                 return False

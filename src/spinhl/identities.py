@@ -23,7 +23,9 @@ monomial-symmetric basis, the new row's variable taking the smallest part
 cap // k only.  The family's weighted sum of the final states is formed in
 that basis too, and only the sum is expanded into a series, once.
 Every series check additionally extends the budget by one and confirms that
-no coefficient moves (the stabilization check).  The Pfaffian sides are
+no coefficient moves (the stabilization check): each final state is weighed
+once, at budget B + 1, and the check passes exactly when the states of
+excess B + 1 add nothing.  The Pfaffian sides are
 ``series.pfaffian_side_series``: by the minor summation formula the series
 Pfaffian over the u-differences is a sum of scalar block Pfaffians times
 Schur polynomials, so no series Pfaffian is taken.
@@ -76,7 +78,6 @@ from .pfaffian import (
     MGammaSpec,
     block_pfaffians,
     conjugated_pfaffian,
-    littlewood_kernel,
     pfaffian_side,
     rhs_main1,
     rhs_main2,
@@ -86,10 +87,12 @@ from .series import (
     SymmetricSum,
     TruncSeries,
     expand_symmetric,
+    littlewood_series,
     pfaffian_side_series,
     series_diff,
     u_substitution,
     vandermonde_exponents,
+    weigh_states,
 )
 from .vertex import row_transfer
 
@@ -145,12 +148,12 @@ def _coeff_witness(diff):
 
 def poch_main1(q):
     """(-s_r; q)_m: the product-form family."""
-    return PochFamily(lambda spin, r, n: qpochs(-spin.lookup(r), q, n))
+    return PochFamily(lambda spin, r, n: qpochs(-spin.lookup(r), q, n), ("main1", q))
 
 
 def poch_uniform(t):
     """(-t; t)_m (-s_r; t)_m: the Pfaffian-form family at gamma = 1."""
-    return PochFamily(lambda spin, r, n: qpochs_product(-t, -spin.lookup(r), t, n))
+    return PochFamily(lambda spin, r, n: qpochs_product(-t, -spin.lookup(r), t, n), ("uniform", t))
 
 
 def poch_gamma(t, gamma):
@@ -164,13 +167,15 @@ def poch_gamma(t, gamma):
             return qpochs_product(-gamma * t, -s_over_gamma(spin.lookup(0), gamma), t, n)
         return uniform(spin, r, n)
 
-    return PochFamily(pochs)
+    return PochFamily(pochs, ("gamma", t, gamma))
 
 
 def poch_hl(t, from_part=0):
     """(-t; t)_m for the parts r >= from_part and 1 below: the Hall-Littlewood
-    sums with P_lambda = F_lambda(all spins 0) / prod_r (q; q)_{m_r}."""
-    return PochFamily(lambda spin, r, n: qpochs(-t, t, n) if r >= from_part else [1] * (n + 1))
+    sums with P_lambda = F_lambda(all spins 0) / prod_r (q; q)_{m_r}.
+    from_part is 0 or 1, as a ``PochFamily`` reads r only through s_r and
+    whether r is 0."""
+    return PochFamily(lambda spin, r, n: qpochs(-t, t, n) if r >= from_part else [1] * (n + 1), ("hl", t, from_part))
 
 
 # ----------------------------------------------------------------------
@@ -203,52 +208,44 @@ def _transfer_sweep(nrows, spin, t, cap, budget, cache):
 def _lhs_sum(n, spin, t, cap, poch, budget, cache, var_indices=None):
     """Truncated partition sum of the family weight
     prod_r poch(spin, r, m_r) / (q; q)_{m_r} times F_lambda, as a series in n
-    variables.
+    variables, over the partitions of excess at most ``budget``.
 
     The weights depend on lambda only through its multiplicities m_r, the
     final states of one vertex-model transfer, so the transfer is shared by
     every family and every list of as many variables, and kept in ``cache``
-    at the largest budget requested so far.  Each factor
-    poch(spin, r, m) / (q; q)_m is kept there too, as an integer pair
-    (num, den), per family and spin and by (r, m), so the sums at budgets B
-    and B+1 and over variable subsets evaluate it once; (q; q)_m is read from
-    one running product.  A state's weight is the product of its factors'
-    numerators over the product of their denominators, unreduced.  The
-    weighted states are added in the monomial-symmetric basis, on integers
-    over the lcm of their denominators, and the sum is expanded onto the
-    listed variables once.
-    At q = 1 the factor 1/(q; q)_m has a pole for every m >= 1, raised as
-    ``PoleError`` before the transfer runs."""
-    q = t * t
-    if q == 1:
+    at the largest budget requested so far.  Each final state is weighed
+    once (``series.weigh_states``), into the sum at ``budget`` and, apart,
+    the states of excess exactly ``budget``, which the stabilization gate
+    reads; the sum is expanded onto the listed variables once.  ``cache``
+    keeps one such weighting per family, spin, t, cap, budget and variable
+    list (None meaning range(n)), so families of equal ``PochFamily.key``
+    share it (``_weighing``).  At q = 1 the factor 1/(q; q)_m has a pole
+    for every m >= 1, raised as ``PoleError`` before the transfer runs."""
+    return _weighing(n, spin, t, cap, poch, budget, cache, var_indices)[0]
+
+
+def _weighing(n, spin, t, cap, poch, budget, cache, var_indices):
+    """The cache entry of ``_lhs_sum``: its series, the ``SymmetricSum``
+    below the budget when the gate fails (else None), and the variable
+    list."""
+    if t * t == 1:
         raise PoleError("1 - q")
     var_indices = tuple(range(n)) if var_indices is None else tuple(var_indices)
-    key = ("transfer", len(var_indices), spin.prefix, spin.tail, t, cap)
+    key = ("weighing", poch, spin, t, cap, budget, n, var_indices)
     got = cache.get(key)
-    if got is None or got[0] < budget:
-        got = cache[key] = (budget, _transfer_sweep(len(var_indices), spin, t, cap, budget, cache))
-    factors = cache.setdefault(("poch factors", poch, spin, t), {})
-    qq = qpochs(q, q, len(var_indices))  # a state holds one path per row
-    total = SymmetricSum(cap)
-    for state, acc in got[1].items():
-        if sum(m * r for r, m in enumerate(state[spin.p + 1 :], 1)) > budget:
-            continue
-        num = den = 1
-        for r, m in enumerate(state):
-            if m:
-                f = factors.get((r, m))
-                if f is None:
-                    f = poch(spin, r, m) / qq[m]
-                    f = factors[r, m] = (f.numerator, f.denominator)
-                num *= f[0]
-                den *= f[1]
-        if num:
-            total.add_scaled((num, den), acc)
-    return expand_symmetric(total, n, cap, var_indices)
+    if got is None:
+        nrows = len(var_indices)
+        sweep_key = ("transfer", nrows, spin.prefix, spin.tail, t, cap)
+        sweep = cache.get(sweep_key)
+        if sweep is None or sweep[0] < budget:
+            sweep = cache[sweep_key] = (budget, _transfer_sweep(nrows, spin, t, cap, budget, cache))
+        total, below = weigh_states(sweep[1], poch, spin, t * t, nrows, budget, cap)
+        got = cache[key] = (expand_symmetric(total, n, cap, var_indices), below, var_indices)
+    return got
 
 
 def _rhs_main1_series(n, s, t, cap):
-    return littlewood_kernel([u_substitution(i, s, cap, n) for i in range(n)], t * t)
+    return littlewood_series(n, s, t, cap)
 
 
 def _vandermonde_series(var_indices, nvars, cap):
@@ -267,11 +264,14 @@ def _rhs_pf_series(n, spin, t, gamma, cap):
 def _gated_sum(n, spin, t, cap, poch, budget, cache, var_indices=None):
     """The stabilization gate: the partition sum at budget B + 1, and the
     first coefficient where the sum at B differs from it (None when none
-    does).  The larger budget goes first, so one cached transfer serves
-    both sums."""
+    does), from one weighting at B + 1 (``_lhs_sum``).  The sums differ
+    exactly when the states of excess B + 1 add a nonzero partition
+    coefficient, so only then is the sum at B expanded, for the witness."""
     extended = _lhs_sum(n, spin, t, cap, poch, budget + 1, cache, var_indices)
-    lhs = _lhs_sum(n, spin, t, cap, poch, budget, cache, var_indices)
-    return extended, series_diff(lhs, extended)
+    _, below, var_indices = _weighing(n, spin, t, cap, poch, budget + 1, cache, var_indices)
+    if below is None:
+        return extended, None
+    return extended, series_diff(expand_symmetric(below, n, cap, var_indices), extended)
 
 
 def _check_inputs(least_n, n, p=0, D=0, cache=None):
@@ -293,10 +293,12 @@ def _nonzero_gamma(name, gamma):
 
 def _series_check(name, n, spin, t, D, poch, gamma, cache, other_poch=None):
     """The one driver of the series identities: the gated partition sum of
-    the family ``poch`` against the right side, the product side for ``gamma``
-    None and the Pfaffian side at ``gamma`` otherwise, built before the sum.
-    The zero-spin checks (reports of n, D and t only) first compare the sum
-    with that of ``other_poch``, an independent route to the same left side."""
+    the family ``poch`` (``_gated_sum``, one weighting at budget B + 1)
+    against the right side, the product side for ``gamma`` None and the
+    Pfaffian side at ``gamma`` otherwise, built before the sum.  The
+    zero-spin checks (reports of n, D and t only) first compare the sum at
+    B + 1 with that of ``other_poch``, an independent route to the same left
+    side; the gate then reads the weighting of ``poch`` from ``cache``."""
     cache = _check_inputs(0, n, spin.p, D, cache)
     if other_poch is None:
         params = _series_params(n, spin, t, D)
@@ -414,9 +416,12 @@ def _check_rec(name, n, spin, t, D, poch, inner_poch, L0, cache):
     n(n-1)/2 - |T| |Tc|, so H(T) is needed to degree D + |T| |Tc| only, and
     H over all n variables (against V) to degree D only.  H is symmetric, so
     H(T) is H over the first |T| variables relabeled: one sum per subset size
-    and shift, not one per subset.  Each sum runs at budget B (the cap plus
-    the margin of ``_lhs_sum``) and B + 1, and any coefficient that moves
-    between the two fails the stabilization gate.  The subset factor
+    and shift, not one per subset.  Each sum is weighed once, at budget
+    B + 1 (B the cap plus the margin of ``_lhs_sum``), and fails the
+    stabilization gate when its states of excess B + 1 move a coefficient
+    (``_gated_sum``).  In one ``cache`` the full H is the left side of the
+    series check of its family, and the H(T) of one family are weighed once
+    for all the recurrences that read them.  The subset factor
     (``_rec_block``) of T is that of the first |T| variables relabeled, times
     the crossing sign of T, so the whole T-dependent part of the l-th term is
     one product per subset size, relabeled onto each subset.  The factors

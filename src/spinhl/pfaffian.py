@@ -428,13 +428,17 @@ def m_conjugated(spec, T, u=None):
 def b_determinant(T, t, u):
     """det B(T, T) of ``b_matrix``, prod_{i<k in T} (1 - u_i u_k)(1 - q u_i u_k)
     with q = t^2 over the 1-based labels T, as one integer over one integer:
-    with u_i = a_i/b_i and t = e/f each pair is
-    ``arith.one_minus(u_i, u_k) * one_minus(u_i, u_k, t)`` over (f b_i b_k)^2."""
+    with u_i = a_i/b_i, t = e/f, P = a_i a_k and B = b_i b_k each pair is
+    (B - P)(f^2 B - e^2 P) over (f B)^2, that is
+    ``arith.one_minus(u_i, u_k) * one_minus(u_i, u_k, t)``, with e^2 and f^2
+    taken once."""
+    e2, f2 = t.numerator**2, t.denominator**2
+    parts = [(u[i - 1].numerator, u[i - 1].denominator) for i in T]
     num = den = 1
-    for i, k in combinations(T, 2):
-        ui, uk = u[i - 1], u[k - 1]
-        num *= one_minus(ui, uk) * one_minus(ui, uk, t)
-        den *= (t.denominator * ui.denominator * uk.denominator) ** 2
+    for (a, b), (c, d) in combinations(parts, 2):
+        P, B = a * c, b * d
+        num *= (B - P) * (f2 * B - e2 * P)
+        den *= f2 * B * B
     return Fraction(num, den)
 
 

@@ -25,9 +25,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import gcd, lcm
-from operator import mul
+from operator import mul, truediv
 
-from .arith import PoleError, Quotient, invert, linear_quotient, one_minus, part_factors, perm_sign
+from .arith import PoleError, Quotient, invert, linear_quotient, one_minus, part_factors, perm_sign, qpochs
 from .pfaffian import SkewMatrix, closed_entry
 from .symfun import _check_cap, as_parts, rows_between
 
@@ -512,6 +512,59 @@ def expand_symmetric(acc, nvars, cap, var_indices):
     return TruncSeries._reduced(nvars, cap, acc.den, num)
 
 
+def weigh_states(states, poch, spin, q, nrows, budget, cap):
+    """One pass of a family's weights over the final states of a series
+    transfer in ``nrows`` rows (``vertex.row_transfer``), each state the
+    multiplicity row (m_0, m_1, ...) of a partition lambda mapped to
+    F_lambda as a ``SymmetricSum``.  A state weighs
+    prod_c poch(spin, c, m_c) / (q; q)_{m_c}; ``poch`` is an
+    ``arith.PochFamily`` or a plain callable (spin, r, m) -> factor.
+
+    The factors are integer pairs, one row m = 0..nrows per column class,
+    each from one running product: a row for each column c < L = max(p, 1),
+    and one for every column from L on, where every family reads the spin
+    tail alike.  A state's weight is the product of its factors' numerators
+    over the product of their denominators, unreduced, and the weighted
+    states are added in the monomial-symmetric basis
+    (``SymmetricSum.add_scaled``).  States of excess past ``budget`` are
+    skipped; those of excess exactly ``budget`` go to an edge sum, the rest
+    to the sum below it.  Returns the sum at ``budget``, and the sum below
+    it when some partition coefficient of the edge is nonzero, else None:
+    ``expand_symmetric`` is injective, so None says exactly that both sums
+    expand to one series."""
+    pochs = getattr(poch, "pochs", None)
+    if pochs is None:
+
+        def pochs(spin, r, n):
+            return [poch(spin, r, m) for m in range(n + 1)]
+
+    p = spin.p
+    qq = qpochs(q, q, nrows)
+    rows = []
+    for r in range(max(p, 1) + 1):
+        rows.append([(f.numerator, f.denominator) for f in map(truediv, pochs(spin, r, nrows), qq)])
+    last = len(rows) - 1
+    below, edge = SymmetricSum(cap), SymmetricSum(cap)
+    for state, acc in states.items():
+        excess = sum(m * r for r, m in enumerate(state[p + 1 :], 1))
+        if excess > budget:
+            continue
+        num = den = 1
+        for c, m in enumerate(state):
+            if m:
+                f = rows[min(c, last)][m]
+                num *= f[0]
+                den *= f[1]
+        if num:
+            (below if excess < budget else edge).add_scaled((num, den), acc)
+    if not edge:
+        return below, None
+    total = SymmetricSum(cap)
+    total.add_scaled((1, 1), below)
+    total.add_scaled((1, 1), edge)
+    return total, below
+
+
 def series_diff(a, b):
     """First differing coefficient of two same-shape series in graded-lex
     order (the order of the keys), or None when equal."""
@@ -721,16 +774,52 @@ def _u_kernel(n, s, t, cap):
     ``arith.one_minus(U_i, U_j, t)`` over f^2 (b + a x_i)(b + a x_j), and
     u_i - u_j is (b^2 - a^2)(x_i - x_j) over the same (b + a x_i)(b + a x_j).
     Those cancel, and it is (1 + t)^n / ((b - a)^n (b^2 - a^2)^pairs
-    f^(2 pairs)) prod_{i<j} one_minus(U_i, U_j, t) prod_i (b + a x_i)/(1 - x_i),
-    each last factor expanded by ``arith.linear_quotient``, so no series is
-    inverted.  The poles 1 - s^2 and 1 - u_1 are raised in that order, as
-    the two routes raise them."""
+    f^(2 pairs)) times ``_closed_kernel``, so no series is inverted.  The
+    poles 1 - s^2 and 1 - u_1 are raised in that order, as the two routes
+    raise them."""
     a, b = s.numerator, s.denominator
     pairs = n * (n - 1) // 2
     scale = (1 + t) ** n / t.denominator ** (2 * pairs)
     if pairs:
         scale *= invert(Fraction(b * b - a * a), "1 - s^2") ** pairs
     scale *= invert(Fraction(b - a), "1 - u_1") ** n
+    return _closed_kernel(n, s, t, cap, scale)
+
+
+def littlewood_series(n, s, t, cap):
+    """``pfaffian.littlewood_kernel`` of u_1..u_n with q = t^2, at
+    u_i = (s + x_{i-1})/(1 + s x_{i-1}), as a series truncated at ``cap``:
+    the product side of the first identity, with no series inverted.  With
+    s = a/b, t = e/f and the coordinates U_i of ``_u_kernel``,
+    1/(1 - u_i) = (b + a x_i)/((b - a)(1 - x_i)), and
+    (1 - q u_i u_j)/(1 - u_i u_j) = one_minus(U_i, U_j, t) /
+    (f^2 (b^2 - a^2)(1 - x_i x_j)), so the kernel is ``_closed_kernel``
+    over (b - a)^n (b^2 - a^2)^pairs f^(2 pairs), times the geometric series
+    1/(1 - x_i x_j) of each pair.  The poles 1 - u_1 (s = 1) and then
+    1 - u_1*u_2 (s = -1, n >= 2) are raised in that order, as
+    ``littlewood_kernel`` raises them."""
+    a, b = s.numerator, s.denominator
+    pairs = n * (n - 1) // 2
+    scale = Fraction(1, t.denominator ** (2 * pairs))
+    if n:
+        scale *= invert(Fraction(b - a), "1 - u_1") ** n
+    if pairs:
+        scale *= invert(Fraction(b * b - a * a), "1 - u_1*u_2") ** pairs
+    out = _closed_kernel(n, s, t, cap, scale)
+    base = cap + 1
+    for i, j in combinations(range(n), 2):
+        step = 2 * base**n + base ** (n - 1 - i) + base ** (n - 1 - j)  # (x_i x_j)^k has the key k * step
+        out = out * TruncSeries._reduced(n, cap, 1, {k * step: 1 for k in range(cap // 2 + 1)})
+    return out
+
+
+def _closed_kernel(n, s, t, cap, scale):
+    """``scale`` prod_{i<j} one_minus(U_i, U_j, t) prod_i (b + a x_i)/(1 - x_i)
+    at the ``u_coordinates`` U_i = (a + b x_i)/(b + a x_i), s = a/b, each
+    last factor expanded by ``arith.linear_quotient``: the part of the
+    closed u-kernels (``_u_kernel``, ``littlewood_series``) that they
+    share."""
+    a, b = s.numerator, s.denominator
     out = TruncSeries.const(n, cap, scale)
     U = [u_coordinates(i, s, n, cap) for i in range(n)]
     for i, j in combinations(range(n), 2):

@@ -6,6 +6,7 @@ import pytest
 
 from spinhl.arith import (
     ParamPoint,
+    PochFamily,
     PoleError,
     SpinParams,
     invert,
@@ -105,6 +106,26 @@ def test_qpochs_lists_every_prefix():
         qpochs(F(1, 2), F(1, 3), -1)
     with pytest.raises(ValueError, match="negative length"):
         qpoch(F(1, 2), F(1, 3), -1)
+
+
+def test_qpochs_takes_integer_arguments():
+    assert qpochs(-1, 1, 3) == [1, 2, 4, 8]
+    assert qpochs(F(1, 2), 2, 3) == [1, F(1, 2), 0, 0]
+
+
+def test_poch_family_equality_follows_its_key():
+    def pochs(spin, r, n):
+        return qpochs(-spin.lookup(r), F(1, 4), n)
+
+    keyed = PochFamily(pochs, ("main1", F(1, 4))), PochFamily(lambda spin, r, n: [], ("main1", F(1, 4)))
+    assert keyed[0] == keyed[1] and hash(keyed[0]) == hash(keyed[1])
+    assert keyed[0] != PochFamily(pochs, ("main1", F(1, 9)))
+    keyless = PochFamily(pochs), PochFamily(pochs)
+    assert keyless[0] == keyless[0] and keyless[0] != keyless[1]
+    assert len({keyless[0], keyless[1], keyed[0], keyed[1]}) == 3
+    assert keyed[0] != ("main1", F(1, 4)) and keyless[0] != keyed[0] and keyed[0] != keyless[0]
+    spin = SpinParams((F(1, 3),), F(2, 5))
+    assert keyed[0](spin, 0, 2) == (1 + F(1, 3)) * (1 + F(1, 3) / 4)
 
 
 def test_field_axioms_randomized():

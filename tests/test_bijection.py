@@ -145,6 +145,23 @@ def test_normalized_product_takes_each_distinct_weight_once(monkeypatch):
         assert str(err.value) == "vanishing denominator: " + what
 
 
+def test_lemma_connection_takes_each_normalized_weight_once_per_call(monkeypatch):
+    # one table of the normalized weights serves every ensemble of the call
+    calls = []
+
+    def counting(cfg, x, t, is_leftmost_0110=False):
+        calls.append((cfg, x, is_leftmost_0110))
+        return normalized_weight(cfg, x, t, is_leftmost_0110)
+
+    monkeypatch.setattr(spinhl.bijection, "normalized_weight", counting)
+    for lam in [(2, 1, 0), (3, 2, 1, 0), (5, 3, 2, 0)]:
+        calls.clear()
+        assert verify_lemma_connection(lam, T, XS[: len(lam)])
+        assert calls and len(calls) == len(set(calls)), lam
+        # at most the five configurations and the leftmost (0,1;1,0) per row
+        assert len(calls) <= 6 * len(lam), lam
+
+
 def test_pairing_per_row():
     for lam in [(2, 1, 0), (3, 2, 0), (4, 2, 1, 0)]:
         for ens in strict_ensembles(lam):

@@ -11,6 +11,7 @@ import spinhl.identities
 import spinhl.vertex
 from spinhl.arith import (
     ParamPoint,
+    PochFamily,
     PoleError,
     SpinParams,
     part_factors,
@@ -22,6 +23,8 @@ from spinhl.arith import (
 from spinhl.identities import (
     _BATTERY,
     _chain_poles,
+    _coeff_witness,
+    _gated_sum,
     _lemma_poles,
     _lhs_sum,
     _pair_extra,
@@ -59,6 +62,7 @@ from spinhl.series import (
     divide_by_u_differences,
     expand_symmetric,
     f_lambda_series,
+    series_diff,
     u_substitution,
 )
 from spinhl.symfun import bounded_partitions, multiplicities, truncated_partition_list
@@ -476,7 +480,8 @@ def test_hl_corollary_makes_one_transfer_sweep(monkeypatch):
 
 
 def test_main1_evaluates_each_pochhammer_factor_once(monkeypatch):
-    # the sums at budgets B and B + 1 share one memo of the factors by (r, m)
+    # the gate weighs the final states once, at budget B + 1, from one row
+    # of factors per column class
     calls = []
     family = spinhl.identities.poch_main1
 
@@ -493,6 +498,91 @@ def test_main1_evaluates_each_pochhammer_factor_once(monkeypatch):
     assert run_check("main1", n=3, p=1, D=2).passed
     assert calls
     assert len(calls) == len(set(calls))
+
+
+def two_sum_gate(n, spin, t, cap, poch, budget, var_indices):
+    """The stabilization gate as ``_gated_sum`` formed it before the one-pass
+    weighting: the sum at B + 1, then the sum at B, each from its own cache,
+    and their first differing coefficient."""
+    extended = _lhs_sum(n, spin, t, cap, poch, budget + 1, {}, var_indices=var_indices)
+    lhs = _lhs_sum(n, spin, t, cap, poch, budget, {}, var_indices=var_indices)
+    return extended, series_diff(lhs, extended)
+
+
+def test_one_pass_gate_matches_the_two_sum_route():
+    # every budget from 0 up to the margin, so the gate fails below it; the
+    # witness of a failing gate must be the one the two-sum route reports
+    failed = 0
+    for p in (0, 1):
+        t, spin, gamma = series_parameters(7, p)
+        families = (poch_main1(t * t), poch_uniform(t), poch_gamma(t, gamma), poch_hl(t), poch_hl(t, 1))
+        for n, cap, var_indices in ((2, 2, None), (3, 2, None), (3, 3, (0, 2)), (4, 1, None), (4, 2, (1, 2, 3))):
+            k = n if var_indices is None else len(var_indices)
+            for sp in (spin, spin.shift(1)):
+                cache = {}
+                for budget in range(cap + _pair_extra(k) + 1):
+                    for poch in families:
+                        got = _gated_sum(n, sp, t, cap, poch, budget, cache, var_indices)
+                        want = two_sum_gate(n, sp, t, cap, poch, budget, var_indices)
+                        assert got[0] == want[0], (p, n, cap, var_indices, budget)
+                        witnesses = [None if w is None else json.dumps(_coeff_witness(w)) for _, w in (got, want)]
+                        assert witnesses[0] == witnesses[1], (p, n, cap, var_indices, budget)
+                        failed += got[1] is not None
+    assert failed > 50
+
+
+def counted_weighings(monkeypatch):
+    """Record the arguments of every ``weigh_states`` call."""
+    seen = []
+    weigh = spinhl.identities.weigh_states
+
+    def counting(states, poch, spin, q, nrows, budget, cap):
+        seen.append((poch, spin, q, nrows, budget, cap))
+        return weigh(states, poch, spin, q, nrows, budget, cap)
+
+    monkeypatch.setattr(spinhl.identities, "weigh_states", counting)
+    return seen
+
+
+def test_equal_key_families_share_one_weighting_in_a_run(monkeypatch):
+    seen = counted_weighings(monkeypatch)
+    n, p, D, seed = 3, 1, 2, 7
+
+    def weighings(name, gamma, cache):
+        seen.clear()
+        assert run_check(name, n=n, p=p, D=D, seed=seed, gamma=gamma, cache=cache).passed
+        return len(seen)
+
+    alone = {(name, gamma): weighings(name, gamma, {}) for name, gamma in _BATTERY}
+    cache = {}
+    shared = {(name, gamma): weighings(name, gamma, cache) for name, gamma in _BATTERY}
+    # the full H of rec1, rec2 and rec2v is the left side of main1, main2 and
+    # cor, and rec2v's H(T) sums are rec2's
+    assert shared["rec1", None] == alone["rec1", None] - 1
+    assert shared["rec2", None] == alone["rec2", None] - 1
+    assert alone["rec2v", None] > 1 and shared["rec2v", None] == 0
+    for check in ("main1", "cor", "main2", "hl", "kawanaka"):
+        assert shared[check, None] == alone[check, None], check
+    # each weighting of the run is taken once, and run_all shares the same
+    assert sum(shared.values()) == len([key for key in cache if key[0] == "weighing"])
+    seen.clear()
+    run_all(n=n, p=p, D=D, seed=seed)
+    assert len(seen) == sum(shared.values())
+
+
+def test_a_keyless_family_never_shares_a_weighting(monkeypatch):
+    seen = counted_weighings(monkeypatch)
+    t, spin, _ = series_parameters(7, 1)
+    q = t * t
+    pochs = poch_main1(q).pochs
+    keyless = PochFamily(pochs), PochFamily(pochs)
+    # equal values under different keys stay apart too
+    assert poch_gamma(t, F(1)) != poch_uniform(t) and poch_hl(t) != poch_hl(t, 1)
+    cache = {}
+    sums = [_lhs_sum(3, spin, t, 2, f, 6, cache) for f in keyless + (poch_main1(q), poch_main1(q))]
+    assert sums[0] == sums[1] == sums[2] == sums[3]
+    assert [entry[0] for entry in seen] == [keyless[0], keyless[1], poch_main1(q)]
+    assert seen[0][0] is keyless[0] and seen[1][0] is keyless[1]
 
 
 def test_stabilization_gate_catches_a_missing_margin(monkeypatch):

@@ -10,12 +10,15 @@ from spinhl.series import (
     divide_by_u_differences,
     divide_by_vandermonde,
     f_lambda_series,
+    littlewood_series,
     schur_series,
     series_diff,
     u_coordinates,
     u_substitution,
     vandermonde_exponents,
 )
+from spinhl.identities import series_parameters
+from spinhl.pfaffian import littlewood_kernel
 from spinhl.symfun import bounded_partitions, schur_gt
 from spinhl.vertex import enumerate_ensembles
 
@@ -636,3 +639,37 @@ def test_equal_values_have_one_canonical_form():
     mixed = TruncSeries(2, 3, {(0, 0): F(1, 6), (1, 2): F(-1, 4), (3, 0): F(5, 6), (0, 1): F(1, 3)})
     # digits (|e|, e_0, e_1) in base 4
     assert (mixed.den, mixed.num) == (12, {0: 2, 16 * 3 + 4 + 2: -3, 16 * 3 + 4 * 3: 10, 16 + 1: 4})
+
+
+def _series_or_pole(fn, *args):
+    try:
+        return fn(*args)
+    except PoleError as err:
+        return str(err)
+
+
+def test_littlewood_series_is_the_kernel_over_the_u_series():
+    # the closed form against littlewood_kernel, which inverts 1 - u_i and
+    # 1 - u_i u_j as series
+    for seed in (7, 8, 11):
+        for p in (0, 1):
+            t, spin, _ = series_parameters(seed, p)
+            s = spin.tail
+            for n in range(1, 5):
+                for cap in range(5):
+                    U = [u_substitution(i, s, cap, n) for i in range(n)]
+                    got = littlewood_series(n, s, t, cap)
+                    assert got == littlewood_kernel(U, t * t), (seed, p, n, cap)
+
+
+def test_littlewood_series_poles_keep_the_kernel_names():
+    seen = set()
+    for s in (F(1), F(-1), F(1, 3)):
+        for t in (F(2, 7), F(-1), F(1)):
+            for n in range(1, 5):
+                U = [u_substitution(i, s, 3, n) for i in range(n)]
+                got = _series_or_pole(littlewood_series, n, s, t, 3)
+                assert got == _series_or_pole(littlewood_kernel, U, t * t), (s, t, n)
+                if isinstance(got, str):
+                    seen.add(got)
+    assert seen == {"vanishing denominator: 1 - u_1", "vanishing denominator: 1 - u_1*u_2"}
