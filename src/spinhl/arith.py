@@ -223,7 +223,7 @@ def one_minus(x, y, t=1):
     return x.denominator * y.denominator * t.denominator**2 - x.numerator * y.numerator * t.numerator**2
 
 
-def part_factors(u, spin, top):
+def part_factors(u, spin, top, single=None):
     """The smallest-part factors of the recurrences and reduction chains at
     l = 0..top over a list u of rationals or series alike, as two lists:
     ``ratios[l]`` = prod_i (u_i - s_l)/(1 - s_l u_i), and ``outers[l]`` =
@@ -232,16 +232,23 @@ def part_factors(u, spin, top):
     which is the product of the ratios below l over prod_i (1 - s_l u_i).
     Each 1 - s_l u_i is inverted once, one factor at a time (inverting a
     dense product of series is slow), l ascending; a vanishing one raises
-    ``PoleError("1 - s_l*u")``."""
+    ``PoleError("1 - s_l*u")``.  Given ``single``, the entries of u are
+    whatever it reads, and ``single(u_i, l, s_l)`` gives the two factors
+    1/(1 - s_l u_i) and (u_i - s_l)/(1 - s_l u_i) in place of the inverse
+    (``series.u_part_factors``)."""
     ratios, outers = [], []
     below = Fraction(1)
     for l in range(top + 1):
         sl = spin.lookup(l)
         ratio = outer = Fraction(1)
         for ui in u:
-            inv = invert(1 - sl * ui, "1 - s_%d*u" % l)
+            if single is None:
+                inv = invert(1 - sl * ui, "1 - s_%d*u" % l)
+                ratio = ratio * (ui - sl) * inv
+            else:
+                inv, factor = single(ui, l, sl)
+                ratio = ratio * factor
             outer = outer * inv
-            ratio = ratio * (ui - sl) * inv
         ratios.append(ratio)
         outers.append(below * outer)
         below = below * ratio
@@ -258,6 +265,22 @@ def linear_quotient(A, B, C, D, d):
     step = B * C - A * D
     for i in range(1, d + 1):
         out.append(step * (-D) ** (i - 1) * C ** (d - i))
+    return out
+
+
+def truncated_product(a, b):
+    """The product of two integer coefficient lists of one length (x^0
+    first), truncated at that length."""
+    top = len(a)
+    if top == 1:
+        return [a[0] * b[0]]
+    out = [0] * top
+    for i, x in enumerate(a):
+        if x:
+            for j in range(top - i):
+                y = b[j]
+                if y:
+                    out[i + j] += x * y
     return out
 
 

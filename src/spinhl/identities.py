@@ -17,15 +17,22 @@ exact to degree D.  The sum is one row-by-row transfer of the higher spin six
 vertex model on series, whose final states are the multiplicity rows
 (m_0, m_1, ...) of the partitions; it needs no symmetrizer and no division.
 The transfer is ``vertex.row_transfer``, the same one that computes the
-scalar ``f_lambda_vertex``.  Each state keeps its partial F_mu in the
-monomial-symmetric basis, the new row's variable taking the smallest part
-(``series.SymmetricSum``), so row k reads its univariate weights to degree
-cap // k only.  The family's weighted sum of the final states is formed in
-that basis too, and only the sum is expanded into a series, once.
+scalar ``f_lambda_vertex``, over every row but the last.  Each state keeps
+its partial F_mu in the monomial-symmetric basis, the new row's variable
+taking the smallest part (``series.SymmetricSum``), so row k reads its
+univariate weights to degree cap // k only.  A final state's weight is a
+product of one factor per column, so the family weights are pulled back
+through the last row: its walks form a graph shared by suffix, which no
+family enters (``vertex.last_row_graph``), each family evaluates it once
+(``series.weigh_states``), and the values of its nodes past the spin
+prefix, which read only the spin tail's factors, are kept per tail row of
+factors, so families that share that row evaluate the rest only.  Each
+state before the last row then adds its sum times its node's value, in the
+same basis, and only the total is expanded into a series, once.
 Every series check additionally extends the budget by one and confirms that
-no coefficient moves (the stabilization check): each final state is weighed
-once, at budget B + 1, and the check passes exactly when the states of
-excess B + 1 add nothing.  The Pfaffian sides are
+no coefficient moves (the stabilization check): the weighting at budget
+B + 1 keeps the final states of excess B + 1 apart, and the check passes
+exactly when they add nothing.  The Pfaffian sides are
 ``series.pfaffian_side_series``: by the minor summation formula the series
 Pfaffian over the u-differences is a sum of scalar block Pfaffians times
 Schur polynomials, so no series Pfaffian is taken.
@@ -90,11 +97,12 @@ from .series import (
     littlewood_series,
     pfaffian_side_series,
     series_diff,
+    u_part_factors,
     u_substitution,
     vandermonde_exponents,
     weigh_states,
 )
-from .vertex import row_transfer
+from .vertex import last_row_graph, row_transfer
 
 # the battery of ``run_all``, (check, gamma) in report order: every check at
 # its sampled parameters, and main2 once more at gamma = 7/5
@@ -187,22 +195,31 @@ def _pair_extra(n):
 
 
 def _transfer_sweep(nrows, spin, t, cap, budget, cache):
-    """The vertex-model transfer on series over ``nrows`` rows.
+    """The vertex-model transfer on series over ``nrows`` rows, its last row
+    pulled back onto the states before it.
 
     Row k's spectral value is u = (s + x)/(1 + s x) in one variable to degree
     d = cap // k, handed to the transfer as the pair (s, d): its vertex
     weights are written in closed form (``vertex.series_weight``) and kept in
     ``cache`` per degree, as integer coefficient lists over their
     denominators.  The columns run to p + budget, and states whose excess
-    passes the budget are dropped as they appear.  Returns the final states,
-    the multiplicity rows (m_0, m_1, ...) of the partitions lambda, each
-    mapped to F_lambda(x_1, ..., x_nrows) truncated at ``cap`` as a
-    ``SymmetricSum``, so one sweep serves every list of ``nrows`` variables."""
+    passes the budget are dropped as they appear.  Rows 1..nrows-1 run
+    forward (``vertex.row_transfer``), kept in ``cache`` at the largest
+    budget requested so far; their states map to F_mu(x_1, ..., x_(nrows-1))
+    truncated at ``cap`` as ``SymmetricSum``s, so one sweep serves every list
+    of ``nrows`` variables.  The last row is the graph of its walks
+    (``vertex.last_row_graph``), which no family weight enters, so one graph
+    per budget serves every family (``series.weigh_states``)."""
     rows = []
     for d in (cap // k for k in range(1, nrows + 1)):
-        rows.append(((spin.tail, d), cache.setdefault(("vertex weights", d, t, spin.tail), {}), None))
-    room = [nrows] * (spin.p + budget + 1) + [0]
-    return row_transfer(rows, spin, t * t, SymmetricSum.one(cap), room, budget)
+        rows.append(((spin.tail, d), cache.setdefault(("vertex weights", d, t, spin.tail), {})))
+    key = ("transfer", nrows, spin.prefix, spin.tail, t, cap)
+    sweep = cache.get(key)
+    if sweep is None or sweep[0] < budget:
+        room = [nrows] * (spin.p + budget + 1) + [0]
+        states = row_transfer([(u, w, None) for u, w in rows[:-1]], spin, t * t, SymmetricSum.one(cap), room, budget)
+        sweep = cache[key] = (budget, states)
+    return last_row_graph(sweep[1], rows[-1] if rows else None, spin, t * t, budget)
 
 
 def _lhs_sum(n, spin, t, cap, poch, budget, cache, var_indices=None):
@@ -212,11 +229,15 @@ def _lhs_sum(n, spin, t, cap, poch, budget, cache, var_indices=None):
 
     The weights depend on lambda only through its multiplicities m_r, the
     final states of one vertex-model transfer, so the transfer is shared by
-    every family and every list of as many variables, and kept in ``cache``
-    at the largest budget requested so far.  Each final state is weighed
-    once (``series.weigh_states``), into the sum at ``budget`` and, apart,
-    the states of excess exactly ``budget``, which the stabilization gate
-    reads; the sum is expanded onto the listed variables once.  ``cache``
+    every family and every list of as many variables: its rows before the
+    last are kept in ``cache`` at the largest budget requested so far, and
+    its last row, pulled back into a graph, per budget
+    (``_transfer_sweep``).  Each family evaluates the graph once
+    (``series.weigh_states``; the values at the columns past the spin
+    prefix are kept on it per tail row of factors), into the sum at
+    ``budget`` and, apart, the final states of excess exactly ``budget``,
+    which the stabilization gate reads; the sum is expanded onto the listed
+    variables once.  ``cache``
     keeps one such weighting per family, spin, t, cap, budget and variable
     list (None meaning range(n)), so families of equal ``PochFamily.key``
     share it (``_weighing``).  At q = 1 the factor 1/(q; q)_m has a pole
@@ -227,7 +248,9 @@ def _lhs_sum(n, spin, t, cap, poch, budget, cache, var_indices=None):
 def _weighing(n, spin, t, cap, poch, budget, cache, var_indices):
     """The cache entry of ``_lhs_sum``: its series, the ``SymmetricSum``
     below the budget when the gate fails (else None), and the variable
-    list."""
+    list, from the family's pass over the cached last-row graph of its
+    transfer (``_transfer_sweep``, one graph per number of variables, spin,
+    t, cap and budget)."""
     if t * t == 1:
         raise PoleError("1 - q")
     var_indices = tuple(range(n)) if var_indices is None else tuple(var_indices)
@@ -235,11 +258,11 @@ def _weighing(n, spin, t, cap, poch, budget, cache, var_indices):
     got = cache.get(key)
     if got is None:
         nrows = len(var_indices)
-        sweep_key = ("transfer", nrows, spin.prefix, spin.tail, t, cap)
-        sweep = cache.get(sweep_key)
-        if sweep is None or sweep[0] < budget:
-            sweep = cache[sweep_key] = (budget, _transfer_sweep(nrows, spin, t, cap, budget, cache))
-        total, below = weigh_states(sweep[1], poch, spin, t * t, nrows, budget, cap)
+        graph_key = ("last row", nrows, spin.prefix, spin.tail, t, cap, budget)
+        graph = cache.get(graph_key)
+        if graph is None:
+            graph = cache[graph_key] = _transfer_sweep(nrows, spin, t, cap, budget, cache)
+        total, below = weigh_states(graph, poch, spin, t * t, nrows, budget, cap)
         got = cache[key] = (expand_symmetric(total, n, cap, var_indices), below, var_indices)
     return got
 
@@ -426,7 +449,7 @@ def _check_rec(name, n, spin, t, D, poch, inner_poch, L0, cache):
     the crossing sign of T, so the whole T-dependent part of the l-th term is
     one product per subset size, relabeled onto each subset.  The factors
     that do not depend on T multiply the sum over T once per l: outers[l] of
-    one ``arith.part_factors`` table over the series u, and at the last l
+    one ``series.u_part_factors`` table over the series u, and at the last l
     the geometric tail 1/(1 - ratios[l]).
 
     ``poch`` is the Pochhammer factor of the family of H, and ``inner_poch``
@@ -469,8 +492,7 @@ def _check_rec(name, n, spin, t, D, poch, inner_poch, L0, cache):
 
     # the factors of the l-th term that do not depend on the subset T:
     # outers[l] and, at the last l (where s_l is the tail), the geometric tail
-    U = [u_substitution(i, s, cap, n) for i in range(n)]
-    ratios, outers = part_factors(U, spin, max_l)
+    ratios, outers = u_part_factors(full, s, spin, max_l, n, cap)
     rhs = TruncSeries.zero(n, cap)
     for l, subset_sum in enumerate(subset_sums):
         factor = outers[l]

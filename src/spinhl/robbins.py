@@ -246,18 +246,27 @@ def robbins_star_enum(k, x, u, v, w):
     return interlacing_sum(k, True, _row_key, lambda i, key: _row_factor(x, u, v, w, i, key))
 
 
-def _integer_tables(x, pair, single):
-    """The tables of ``permutation_sum`` for rational factors: for each a < b
-    the entries pair(x_a, x_b) and pair(x_b, x_a) over their common
-    denominator, and each row of ``single`` over its own.  An ordering uses
-    one order of each pair and one entry of each row, so every term shares
-    the product of those denominators."""
+def _integer_tables(x, t, u, v, w, single):
+    """The tables of ``permutation_sum`` for the pair factors
+    t x_b + u x_a x_b + v + w x_a, a != b, and the rows of ``single``.  With
+    x_a = p_a/r_a and D the product of the denominators of t, u, v and w,
+    the pair entry is (T p_b r_a + U p_a p_b + V r_a r_b + W p_a r_b) over
+    D r_a r_b, with T = tD, U = uD, V = vD and W = wD integers, so both
+    orders of {a, b} share that denominator and no ``Fraction`` is formed;
+    each row of ``single`` is cleared over its own.  An ordering uses one
+    order of each pair and one entry of each row, so every term shares the
+    product of those denominators."""
     n = len(x)
+    D = t.denominator * u.denominator * v.denominator * w.denominator
+    T, U, V, W = (c.numerator * (D // c.denominator) for c in (t, u, v, w))
     pnum = [[0] * n for _ in range(n)]
     den = 1
     for a, b in combinations(range(n), 2):
-        (pnum[a][b], pnum[b][a]), d = over_common_denominator((pair(x[a], x[b]), pair(x[b], x[a])))
-        den *= d
+        pa, ra, pb, rb = x[a].numerator, x[a].denominator, x[b].numerator, x[b].denominator
+        both = U * pa * pb + V * ra * rb
+        pnum[a][b] = both + T * pb * ra + W * pa * rb
+        pnum[b][a] = both + T * pa * rb + W * pb * ra
+        den *= D * ra * rb
     snum = []
     for row in single:
         nums, d = over_common_denominator(row)
@@ -280,8 +289,8 @@ def robbins_star_bialternant(k, x, u, v, w):
         raise PoleError("x_i - x_j")
     if any(val == 0 for val in x) and any(val < 0 for val in k):
         raise PoleError("x_i (negative exponent)")
-    pair = lambda xa, xb: u * xa * xb + v + w * xa
-    num = permutation_sum(*_integer_tables(x, pair, [[xa**e for e in k] for xa in x]), signed=True)
+    tables = _integer_tables(x, Fraction(0), u, v, w, [[xa**e for e in k] for xa in x])
+    num = permutation_sum(*tables, signed=True)
     return num / vandermonde(x)
 
 
@@ -302,8 +311,5 @@ def robbins_bialternant(k, x, t, u, v, w):
     if any(val == 0 for val in x) and any(val <= 0 for val in k):
         raise PoleError("x_i (negative exponent)")
 
-    def pair(xa, xb):
-        return t * xb + u * xa * xb + v + w * xa
-
-    single = [[pair(xa, xa) * xa ** (e - 1) for e in k] for xa in x]
-    return permutation_sum(*_integer_tables(x, pair, single), signed=True) / vandermonde(x)
+    single = [[(t * xa + u * xa * xa + v + w * xa) * xa ** (e - 1) for e in k] for xa in x]
+    return permutation_sum(*_integer_tables(x, t, u, v, w, single), signed=True) / vandermonde(x)

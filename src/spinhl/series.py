@@ -27,7 +27,17 @@ from itertools import combinations, permutations
 from math import gcd, lcm
 from operator import mul, truediv
 
-from .arith import PoleError, Quotient, invert, linear_quotient, one_minus, part_factors, perm_sign, qpochs
+from .arith import (
+    PoleError,
+    Quotient,
+    invert,
+    linear_quotient,
+    one_minus,
+    part_factors,
+    perm_sign,
+    qpochs,
+    truncated_product,
+)
 from .pfaffian import SkewMatrix, closed_entry
 from .symfun import _check_cap, as_parts, rows_between
 
@@ -512,23 +522,79 @@ def expand_symmetric(acc, nvars, cap, var_indices):
     return TruncSeries._reduced(nvars, cap, acc.den, num)
 
 
-def weigh_states(states, poch, spin, q, nrows, budget, cap):
+def _merged(x, mx, y, my):
+    """x mx + y my for coefficient lists x and y of one length, None being
+    zero."""
+    if x is None:
+        return y and [v * my for v in y]
+    if y is None:
+        return [u * mx for u in x]
+    return [u * mx + v * my for u, v in zip(x, y)]
+
+
+def _node_values(nodes, rows, last, values, stop):
+    """Extend ``values``, the values of the first nodes of a
+    ``vertex.LastRowGraph`` under one family, to its first ``stop`` nodes.
+
+    A node's value is the triple (below, edge, den): the family-weighted
+    sums of the walks from it that end below the budget and at it, as
+    integer coefficient lists of the last row's variable (None when zero)
+    over one positive denominator.  An edge (child, w, c, g2) adds the
+    factor rows[min(c, last)][g2] times w times the child's value; the two
+    edges of a node meet over the lcm of their denominators, and the node
+    takes one gcd."""
+    for edges in nodes[len(values) : stop]:
+        below = edge = None
+        den = 0
+        for child, (w, wden), c, g2 in edges:
+            num, fden = rows[c if c < last else last][g2]
+            if not num:
+                continue
+            cbelow, cedge, cden = values[child]
+            if num != 1:
+                w = [num * v for v in w]
+            wbelow = cbelow and truncated_product(w, cbelow)
+            wedge = cedge and truncated_product(w, cedge)
+            d = fden * wden * cden
+            if not den:
+                below, edge, den = wbelow, wedge, d
+                continue
+            g = gcd(den, d)
+            below = _merged(below, d // g, wbelow, den // g)
+            edge = _merged(edge, d // g, wedge, den // g)
+            den *= d // g
+        common = gcd(den, *(below or ()), *(edge or ()))
+        if common > 1:
+            den //= common
+            below = below and [v // common for v in below]
+            edge = edge and [v // common for v in edge]
+        values.append((below if below and any(below) else None, edge if edge and any(edge) else None, den or 1))
+    return values
+
+
+def weigh_states(graph, poch, spin, q, nrows, budget, cap):
     """One pass of a family's weights over the final states of a series
-    transfer in ``nrows`` rows (``vertex.row_transfer``), each state the
-    multiplicity row (m_0, m_1, ...) of a partition lambda mapped to
-    F_lambda as a ``SymmetricSum``.  A state weighs
+    transfer in ``nrows`` rows, given as its last row pulled back onto the
+    states before it (``vertex.LastRowGraph``).  A final state, the
+    multiplicity row (m_0, m_1, ...) of a partition lambda, weighs
     prod_c poch(spin, c, m_c) / (q; q)_{m_c}; ``poch`` is an
     ``arith.PochFamily`` or a plain callable (spin, r, m) -> factor.
 
     The factors are integer pairs, one row m = 0..nrows per column class,
     each from one running product: a row for each column c < L = max(p, 1),
     and one for every column from L on, where every family reads the spin
-    tail alike.  A state's weight is the product of its factors' numerators
-    over the product of their denominators, unreduced, and the weighted
-    states are added in the monomial-symmetric basis
-    (``SymmetricSum.add_scaled``).  States of excess past ``budget`` are
-    skipped; those of excess exactly ``budget`` go to an edge sum, the rest
-    to the sum below it.  Returns the sum at ``budget``, and the sum below
+    tail alike.  Each column's factor rides on the edge of the last row
+    that fixes m_c, so the graph's nodes take the family's weight of every
+    final state they reach, apart by the class of its excess
+    (``_node_values``), each on integer coefficient lists of length
+    cap // nrows + 1.  The nodes at the columns >= L read only the tail's
+    row, so their values are kept on the graph per tail row, and a family
+    that shares it with one weighed before evaluates the nodes left of L
+    only.  Each state before the last row then adds its sum times its
+    root's two values (``SymmetricSum.add``), one sum for the final states
+    of excess below ``budget`` and one for those at it; states past the
+    budget have no root, and with no rows the one state is its own final
+    state, of weight 1.  Returns the sum at ``budget``, and the sum below
     it when some partition coefficient of the edge is nonzero, else None:
     ``expand_symmetric`` is injective, so None says exactly that both sums
     expand to one series."""
@@ -538,25 +604,29 @@ def weigh_states(states, poch, spin, q, nrows, budget, cap):
         def pochs(spin, r, n):
             return [poch(spin, r, m) for m in range(n + 1)]
 
-    p = spin.p
     qq = qpochs(q, q, nrows)
     rows = []
-    for r in range(max(p, 1) + 1):
+    for r in range(max(spin.p, 1) + 1):
         rows.append([(f.numerator, f.denominator) for f in map(truediv, pochs(spin, r, nrows), qq)])
     last = len(rows) - 1
+    tail_row = tuple(rows[last])
+    values = graph.tail_values.get(tail_row)
+    if values is None:
+        unit = [1] + [0] * (cap // nrows if nrows else 0)
+        ends = [(unit, None, 1), (None, unit, 1)]
+        values = graph.tail_values[tail_row] = _node_values(graph.nodes, rows, last, ends, graph.tail)
+    values = _node_values(graph.nodes, rows, last, list(values), len(graph.nodes))
     below, edge = SymmetricSum(cap), SymmetricSum(cap)
-    for state, acc in states.items():
-        excess = sum(m * r for r, m in enumerate(state[p + 1 :], 1))
-        if excess > budget:
+    for state, root in graph.roots.items():
+        acc = graph.states[state]
+        b, e, den = values[root]
+        if not nrows:
+            (below if b else edge).add_scaled((1, 1), acc)
             continue
-        num = den = 1
-        for c, m in enumerate(state):
-            if m:
-                f = rows[min(c, last)][m]
-                num *= f[0]
-                den *= f[1]
-        if num:
-            (below if excess < budget else edge).add_scaled((num, den), acc)
+        if b:
+            below.add(acc, (b, den))
+        if e:
+            edge.add(acc, (e, den))
     if not edge:
         return below, None
     total = SymmetricSum(cap)
@@ -597,6 +667,33 @@ def u_coordinates(i, s, nvars, cap):
     they read a rational u."""
     a, b = s.numerator, s.denominator
     return Quotient(_univariate(i, (a, b), 1, nvars, cap), _univariate(i, (b, a), 1, nvars, cap))
+
+
+def u_part_factors(var_indices, s, spin, top, nvars, cap):
+    """``arith.part_factors`` over the series u_i = (s + x_i)/(1 + s x_i) of
+    the listed variables, with no series inverted.  With s = a/b and
+    s_l = m/k, 1 - s_l u_i = (N0 + N1 x_i)/(k (b + a x_i)) for N0 = kb - ma
+    and N1 = ka - mb, so 1/(1 - s_l u_i) = k (b + a x_i)/(N0 + N1 x_i) and
+    (u_i - s_l)/(1 - s_l u_i) = (N1 + N0 x_i)/(N0 + N1 x_i), each expanded
+    over N0^(cap+1) by ``arith.linear_quotient``.  N0 = 0 is the pole
+    1 - s_l s = 0 of the constant terms, raised as ``part_factors`` raises
+    it."""
+    a, b = s.numerator, s.denominator
+
+    def single(i, l, sl):
+        m, k = sl.numerator, sl.denominator
+        N0, N1 = k * b - m * a, k * a - m * b
+        if not N0:
+            raise PoleError("1 - s_%d*u" % l)
+        if N0 < 0:
+            N0, N1, k = -N0, -N1, -k
+        den = N0 ** (cap + 1)
+        return (
+            _univariate(i, linear_quotient(k * b, k * a, N0, N1, cap), den, nvars, cap),
+            _univariate(i, linear_quotient(N1, N0, N0, N1, cap), den, nvars, cap),
+        )
+
+    return part_factors(var_indices, spin, top, single)
 
 
 def vandermonde_exponents(var_indices, nvars):

@@ -8,16 +8,17 @@ ensembles reproduces F_lambda, giving an oracle that never touches the
 symmetrizer formula.  ``row_transfer`` sums them row by row; it serves the
 scalar ``f_lambda_vertex``, which forms only the states that can still reach
 the one top state lambda, and, on series, the truncated partition sums of
-``spinhl.identities``, which keep every top state.  ``enumerate_ensembles``
-and ``ensemble_weight`` materialize every ensemble instead and are the
-brute-force reference.
+``spinhl.identities``, which want every top state weighted: they run it up
+to the last row and take the last row as a graph (``last_row_graph``).
+``enumerate_ensembles`` and ``ensemble_weight`` materialize every ensemble
+instead and are the brute-force reference.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 
-from .arith import PoleError, invert, linear_quotient
+from .arith import PoleError, invert, linear_quotient, truncated_product
 from .symfun import as_parts
 
 
@@ -173,25 +174,6 @@ def series_weight(cfg, s, d, c, q):
     return [v // common for v in coeffs], den // common
 
 
-def _walk_product(w, vw):
-    """The product of two coefficient pairs of one series row: the
-    convolution of the lists, truncated at their common length, over the
-    product of the denominators, with no gcd taken."""
-    a, da = w
-    b, db = vw
-    top = len(a)
-    if top == 1:  # the rows past the cap, at d = 0
-        return [a[0] * b[0]], da * db
-    out = [0] * top
-    for i, x in enumerate(a):
-        if x:
-            for j in range(top - i):
-                y = b[j]
-                if y:
-                    out[i + j] += x * y
-    return out, da * db
-
-
 def _weighted_successors(state, u, spin, q, memos, scale, low, room, budget):
     """All admissible next occupancy rows above ``state`` with their weight,
     scanning columns left to right with the entering flux fixed to 1.
@@ -204,7 +186,8 @@ def _weighted_successors(state, u, spin, q, memos, scale, low, room, budget):
     cap, see ``row_transfer``).  Each local weight is then computed once, in
     closed form, as the pair ([c_0, ..., c_d], den) of its integer
     coefficients over its denominator (``series_weight``), a walk weight is
-    the product of such pairs (``_walk_product``), whose denominator is never
+    the product of such pairs (``arith.truncated_product`` of the lists),
+    whose denominator is never
     reduced, and empty vertices (weight 1) are skipped.  Otherwise ``u`` is
     the row's rational spectral value and ``scale`` is the path bound n of
     the integer row scales L(s) = ``row_scale(u, s, q, n)``: the row's
@@ -256,7 +239,7 @@ def _weighted_successors(state, u, spin, q, memos, scale, low, room, budget):
                         vw = scaled_weight(cfg, u, s, q, scale)
                     memos[c][cfg] = vw
                 if scale is None:
-                    w2 = vw if w is None else _walk_product(w, vw)
+                    w2 = vw if w is None else (truncated_product(w[0], vw[0]), w[1] * vw[1])
                     if not any(w2[0]):
                         continue
                 else:
@@ -265,6 +248,99 @@ def _weighted_successors(state, u, spin, q, memos, scale, low, room, budget):
                         continue
             stack.append((c + 1, h2, excess2, w2, row + (g2,)))
     return out
+
+
+class LastRowGraph:
+    """The last row of a series transfer, pulled back from the final states
+    onto the states before it (``last_row_graph``).
+
+    ``states`` maps each state before the last row to its ``SymmetricSum``,
+    and ``roots`` each of them within the budget to its node.  ``nodes`` are
+    listed children first: nodes 0 and 1 are the two end classes, final
+    excess below the budget and exactly at it, and every other node is the
+    tuple of its edges (child, walk weight, c, g2), the walk weight the
+    ``series_weight`` pair of the vertex at column c that leaves g2 paths
+    above it.  The first ``tail`` nodes lie at the columns c >= max(p, 1),
+    where every family reads the spin tail's factors alike, and
+    ``tail_values`` keeps their values per tail row of factors
+    (``series.weigh_states``)."""
+
+    __slots__ = ("states", "nodes", "roots", "tail", "tail_values")
+
+    def __init__(self, states, nodes, roots, tail):
+        self.states, self.nodes, self.roots, self.tail = states, nodes, roots, tail
+        self.tail_values = {}
+
+
+def last_row_graph(states, row, spin, q, budget):
+    """The last row of a series transfer as a graph that no family weight
+    enters: the walks of the row from every state before it, shared by
+    suffix.
+
+    A walk at column c is fixed, for what it can still reach, by the paths h
+    entering c from the left, its excess so far and the suffix S[c:] of the
+    state below, so each distinct triple is one node, and its edges are the
+    (at most two) ways through column c that keep the excess within
+    ``budget`` and leave no path on the right (``_weighted_successors``).
+    An empty vertex weighs 1 and has one way through, so a node with h = 0
+    and S[c] = 0 is its child; past the last column, or with h = 0 and
+    nothing left of S, a walk ends in the class of its excess.  Edges of
+    weight zero are dropped, and so are nodes left without an edge; a state
+    whose excess passes ``budget`` gets no root.  ``row`` is the last row's
+    pair ((s, d), weights) as ``row_transfer`` takes it, each weight
+    computed once into the row's memo (``series_weight``), or None for a
+    sum over no rows, whose one state is its own final state: its root is an
+    end class."""
+    p = spin.p
+    levels, roots = {}, {}
+
+    def node(c, h, excess, suffix):
+        while not h and suffix and not suffix[0]:
+            c, suffix = c + 1, suffix[1:]
+        if not suffix:
+            return 0 if excess < budget else 1
+        key = (c, h, excess, suffix)
+        levels.setdefault(c, {}).setdefault(key, ())
+        return key
+
+    for state in states:
+        excess = sum(m * (c - p) for c, m in enumerate(state) if c > p)
+        if excess <= budget:
+            roots[state] = node(0, 1, excess, state) if row is not None else int(excess == budget)
+    if levels:
+        (s, d), weights = row
+        width = len(next(iter(states)))
+        spins = [spin.lookup(c) for c in range(width)]
+        memos = [weights.setdefault(sc, {}) for sc in spins]
+        for c in range(width):  # a child lies in a later column
+            level = levels.get(c, {})
+            for key in level:
+                _, h, excess, suffix = key
+                g, rest = suffix[0], suffix[1:]
+                edges = []
+                for g2 in (g + h - 1, g + h):
+                    h2 = g + h - g2
+                    excess2 = excess + h2 if c >= p else excess
+                    if g2 < 0 or excess2 > budget or (h2 and not rest):
+                        continue
+                    cfg = (g, g2, h, h2)
+                    vw = memos[c].get(cfg)
+                    if vw is None:
+                        vw = memos[c][cfg] = series_weight(cfg, s, d, spins[c], q)
+                    if any(vw[0]):
+                        edges.append((node(c + 1, h2, excess2, rest), vw, g2))
+                level[key] = edges
+    nodes, index, tail = [(), ()], {0: 0, 1: 1}, 2
+    for c in sorted(levels, reverse=True):
+        for key, edges in levels[c].items():
+            live = tuple((index[child], vw, c, g2) for child, vw, g2 in edges if child in index)
+            if live:
+                index[key] = len(nodes)
+                nodes.append(live)
+        if c >= max(p, 1):
+            tail = len(nodes)
+    roots = {state: index[key] for state, key in roots.items() if key in index}
+    return LastRowGraph(states, nodes, roots, tail)
 
 
 def row_transfer(rows, spin, q, one, room, budget, single_top=False):
@@ -298,9 +374,12 @@ def row_transfer(rows, spin, q, one, room, budget, single_top=False):
     that is never reduced.  Each target state sums these products in one
     ``SymmetricSum``, made by the unit's ``product_sum``, on integers over
     the lcm of their denominators, and is reduced once, when it first serves
-    as a predecessor; the caller adds the final states, weighted, in the
-    same basis and expands the sum into a series once
-    (``series.expand_symmetric``).  Pruning drops whole states only, and a
+    as a predecessor.  The partition sums of ``spinhl.identities`` run all
+    rows but the last here: their last row is pulled back into a graph
+    (``last_row_graph``) that each family weighs once, its tail values
+    cached per tail row (``series.weigh_states``), and only the weighted
+    total is expanded into a series (``series.expand_symmetric``).  Pruning
+    drops whole states only, and a
     state's excess never falls from row to row, so every kept state keeps
     all its predecessors and stays symmetric.  Scalars have no
     ``product_sum`` and add the products as they come."""

@@ -8,6 +8,7 @@ from math import prod
 import pytest
 
 import spinhl.identities
+import spinhl.series
 import spinhl.vertex
 from spinhl.arith import (
     ParamPoint,
@@ -58,12 +59,14 @@ from spinhl.identities import (
 )
 from spinhl.pfaffian import MGammaSpec, m_gamma, pfaffian_kernel
 from spinhl.series import (
+    SymmetricSum,
     TruncSeries,
     divide_by_u_differences,
     expand_symmetric,
     f_lambda_series,
     series_diff,
     u_substitution,
+    weigh_states,
 )
 from spinhl.symfun import bounded_partitions, multiplicities, truncated_partition_list
 
@@ -264,9 +267,39 @@ def test_transfer_sweep_matches_the_product_by_product_reference(n, D_max):
         assert_sweep_matches_the_reference(n, t, spin, cap, var_indices)
 
 
+def forward_last_row(states, nrows, spin, t, cap, budget, cache):
+    """The final states of a series transfer, formed forward from the
+    ``states`` before its last row as ``vertex.row_transfer`` forms every
+    row: each walk of the last row (``vertex._weighted_successors``) adds
+    acc times its weight to its target state, and zero states are dropped.
+    ``cache`` holds the row's vertex weights; with no rows the states are
+    the final states."""
+    if not nrows:
+        return dict(states)
+    d = cap // nrows
+    weights = cache.setdefault(("vertex weights", d, t, spin.tail), {})
+    width = len(next(iter(states)))
+    memos = [weights.setdefault(spin.lookup(c), {}) for c in range(width)]
+    low, room = [0] * (width + 1), [nrows] * width + [0]
+    u = (spin.tail, d)
+    out = {}
+    for state, acc in states.items():
+        for row, w in spinhl.vertex._weighted_successors(state, u, spin, t * t, memos, None, low, room, budget):
+            out.setdefault(row, SymmetricSum(cap)).add(acc, w)
+    return {state: acc for state, acc in out.items() if acc}
+
+
+def full_row_states(nrows, spin, t, cap, budget, cache=None):
+    """The final states of ``identities._transfer_sweep``: its states before
+    the last row, carried through the last row forward."""
+    cache = {} if cache is None else cache
+    graph = spinhl.identities._transfer_sweep(nrows, spin, t, cap, budget, cache)
+    return forward_last_row(graph.states, nrows, spin, t, cap, budget, cache)
+
+
 def assert_sweep_matches_the_reference(n, t, spin, cap, var_indices):
     budget = cap + _pair_extra(len(var_indices)) + 1
-    states = spinhl.identities._transfer_sweep(len(var_indices), spin, t, cap, budget, {})
+    states = full_row_states(len(var_indices), spin, t, cap, budget)
     got = {state: expand_symmetric(acc, n, cap, var_indices) for state, acc in states.items()}
     assert got == reference_transfer_sweep(n, spin, t, cap, budget, var_indices), (
         n, spin, cap, var_indices,
@@ -362,6 +395,182 @@ def test_one_sweep_serves_every_variable_list_of_one_length(monkeypatch):
         got = _lhs_sum(n, spin, t, cap, poch, budget, cache, var_indices=var_indices)
         assert got == reference_lhs_sum(n, spin, t, cap, poch, budget, var_indices), var_indices
     assert rows == [2]
+
+
+def reference_weigh_states(states, poch, spin, q, nrows, budget, cap):
+    """``series.weigh_states`` as it weighed the final states before the
+    last row became a graph: each final state within the budget times its
+    family weight, from one integer-pair row of factors per column class,
+    into the sum below the budget or the edge sum at it."""
+    p = spin.p
+    qq = [qpoch(q, q, m) for m in range(nrows + 1)]
+    rows = [[poch(spin, r, m) / qq[m] for m in range(nrows + 1)] for r in range(max(p, 1) + 1)]
+    last = len(rows) - 1
+    below, edge = SymmetricSum(cap), SymmetricSum(cap)
+    for state, acc in states.items():
+        excess = sum(m * r for r, m in enumerate(state[p + 1 :], 1))
+        if excess > budget:
+            continue
+        w = prod((rows[min(c, last)][m] for c, m in enumerate(state) if m), start=F(1))
+        if w:
+            (below if excess < budget else edge).add_scaled((w.numerator, w.denominator), acc)
+    if not edge:
+        return below, None
+    total = SymmetricSum(cap)
+    total.add_scaled((1, 1), below)
+    total.add_scaled((1, 1), edge)
+    return total, below
+
+
+def five_families(t, gamma):
+    return poch_main1(t * t), poch_uniform(t), poch_gamma(t, gamma), poch_hl(t), poch_hl(t, 1)
+
+
+def assert_graph_weighs_as_the_forward_row(n, spin, t, cap, budget, var_indices, cache, families):
+    """Weigh every family on the graph of ``_transfer_sweep`` and on the
+    final states formed forward from its states before the last row; the
+    sums at the budget, and the sums below it when the gate fails, expand to
+    the same series.  Returns how many gates failed."""
+    nrows = len(var_indices)
+    graph = spinhl.identities._transfer_sweep(nrows, spin, t, cap, budget, cache)
+    final = forward_last_row(graph.states, nrows, spin, t, cap, budget, cache)
+    failed = 0
+    for poch in families:
+        got = weigh_states(graph, poch, spin, t * t, nrows, budget, cap)
+        want = reference_weigh_states(final, poch, spin, t * t, nrows, budget, cap)
+        where = (n, spin, cap, budget, var_indices, poch.key)
+        assert (got[1] is None) == (want[1] is None), where
+        for a, b in zip(got, want):
+            if b is not None:
+                assert expand_symmetric(a, n, cap, var_indices) == expand_symmetric(b, n, cap, var_indices), where
+        failed += got[1] is not None
+    return failed
+
+
+def test_pulled_back_last_row_weighs_as_the_forward_last_row():
+    # every budget from the cap to one past the margin, largest first, so
+    # the smaller budgets read a sweep kept at a larger one and the gate
+    # fails below the margin
+    weighed = failed = 0
+    for seed in (7, 8, 11):
+        for p in range(3):
+            t, spin, gamma = series_parameters(seed, p)
+            families = five_families(t, gamma)
+            for n in range(1, 5):
+                for var_indices in (tuple(range(n)), tuple(range(n - 1))) + (((0, 2),) if n > 2 else ()):
+                    for cap in range(4):
+                        cache = {}
+                        for budget in range(cap + _pair_extra(n) + 1, cap - 1, -1):
+                            failed += assert_graph_weighs_as_the_forward_row(
+                                n, spin, t, cap, budget, var_indices, cache, families
+                            )
+                            weighed += len(families)
+    assert weighed == 8820 and failed > 4000
+
+
+def test_a_family_sharing_the_tail_row_evaluates_no_tail_node(monkeypatch):
+    spans = []
+    values = spinhl.series._node_values
+
+    def recording(nodes, rows, last, known, stop):
+        spans.append((len(known), stop))
+        return values(nodes, rows, last, known, stop)
+
+    monkeypatch.setattr(spinhl.series, "_node_values", recording)
+    for p in (0, 1, 2):
+        t, spin, gamma = series_parameters(7, p)
+        graph = spinhl.identities._transfer_sweep(3, spin, t, 3, 6, {})
+        assert graph.tail > 2 and len(graph.nodes) > graph.tail, p
+        for poch in (poch_uniform(t), poch_gamma(t, gamma), poch_main1(t * t)):
+            spans.clear()
+            weigh_states(graph, poch, spin, t * t, 3, 6, 3)
+            evaluated = sorted(i for start, stop in spans for i in range(start, stop))
+            # every node is evaluated once; gamma reads uniform's tail values
+            first = graph.tail if poch.key[0] == "gamma" else 2
+            assert evaluated == list(range(first, len(graph.nodes))), (p, poch.key)
+        assert len(graph.tail_values) == 2, p
+        # uniform's factors left of the tail and main1's from it on: the tail
+        # values are main1's
+        L = max(p, 1)
+        mixed = PochFamily(lambda spin, r, n: (poch_uniform(t) if r < L else poch_main1(t * t)).pochs(spin, r, n))
+        fresh = spinhl.identities._transfer_sweep(3, spin, t, 3, 6, {})
+        got, want = (weigh_states(g, mixed, spin, t * t, 3, 6, 3)[0] for g in (graph, fresh))
+        assert expand_symmetric(got, 3, 3, (0, 1, 2)) == expand_symmetric(want, 3, 3, (0, 1, 2)), p
+        assert len(graph.tail_values) == 2, p
+
+
+def test_a_sum_over_one_row_roots_its_one_state():
+    t, spin, gamma = series_parameters(7, 1)
+    for cap in range(4):
+        for budget in range(cap, cap + 3):
+            graph = spinhl.identities._transfer_sweep(1, spin, t, cap, budget, {})
+            width = spin.p + budget + 1
+            assert list(graph.states) == list(graph.roots) == [(0,) * width]
+            assert expand_symmetric(graph.states[(0,) * width], 1, cap, (0,)) == TruncSeries.const(1, cap, 1)
+            assert_graph_weighs_as_the_forward_row(1, spin, t, cap, budget, (0,), {}, five_families(t, gamma))
+
+
+def test_a_sum_over_no_rows_is_a_root_at_an_end():
+    # rec's k = 0 term: the one state is its own final state, of weight 1
+    t, spin, gamma = series_parameters(7, 1)
+    for budget in (0, 2):
+        graph = spinhl.identities._transfer_sweep(0, spin, t, 2, budget, {})
+        assert graph.nodes == [(), ()]
+        assert graph.roots == {(0,) * (spin.p + budget + 1): int(budget == 0)}
+        # at budget 0 the state's excess is the budget: the gate fails
+        total, below = weigh_states(graph, poch_main1(t * t), spin, t * t, 0, budget, 2)
+        assert expand_symmetric(total, 3, 2, ()) == TruncSeries.const(3, 2, 1)
+        assert (below is None) == (budget > 0)
+        total, drift = _gated_sum(3, spin, t, 2, poch_main1(t * t), budget, {}, ())
+        assert total == TruncSeries.const(3, 2, 1) and drift is None
+
+
+def test_last_row_degree_follows_the_cap():
+    # cap < rows: the last row reads constant terms only; cap >= rows: it
+    # reads its walk weights to degree cap // rows >= 1
+    t, spin, gamma = series_parameters(8, 1)
+    for nrows, cap, degree in ((3, 2, 0), (3, 3, 1), (2, 5, 2), (4, 1, 0)):
+        budget = cap + _pair_extra(nrows) + 1
+        cache = {}
+        graph = spinhl.identities._transfer_sweep(nrows, spin, t, cap, budget, cache)
+        assert {len(w[0]) for edges in graph.nodes for _, w, _, _ in edges} == {degree + 1}
+        families = five_families(t, gamma)
+        assert_graph_weighs_as_the_forward_row(nrows, spin, t, cap, budget, tuple(range(nrows)), cache, families)
+
+
+def test_states_past_a_smaller_budget_give_no_root():
+    # F_mu of the states before the last row vanishes at cap 2 past excess
+    # 3, so the sweep kept at budget 5 holds states past budget 2
+    t, spin, gamma = series_parameters(7, 2)
+    cap, budget = 2, 2
+    cache = {}
+    larger = spinhl.identities._transfer_sweep(3, spin, t, cap, budget + 3, cache)
+    graph = spinhl.identities._transfer_sweep(3, spin, t, cap, budget, cache)
+    assert graph.states is larger.states
+    excess = {state: sum(m * max(c - spin.p, 0) for c, m in enumerate(state)) for state in graph.states}
+    assert max(excess.values()) > budget
+    assert set(graph.roots) == {state for state, e in excess.items() if e <= budget}
+    assert_graph_weighs_as_the_forward_row(3, spin, t, cap, budget, (0, 1, 2), cache, five_families(t, gamma))
+    for poch in five_families(t, gamma):
+        assert _lhs_sum(3, spin, t, cap, poch, budget, cache) == _lhs_sum(3, spin, t, cap, poch, budget, {})
+
+
+@pytest.mark.parametrize("t", (1, -1))
+def test_q_one_raises_before_any_sweep_or_graph(t, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a sweep or graph was built at q = 1")
+
+    monkeypatch.setattr(spinhl.identities, "row_transfer", refuse)
+    monkeypatch.setattr(spinhl.identities, "last_row_graph", refuse)
+    spin = SpinParams((F(1, 5),), F(1, 3))
+    for check in (
+        lambda: _lhs_sum(3, spin, F(t), 2, poch_uniform(F(t)), 4, {}),
+        lambda: _gated_sum(2, spin, F(t), 2, poch_main1(F(1)), 3, {}, ()),
+        lambda: check_rec2(2, spin, F(t), 1, F(3, 2)),
+    ):
+        with pytest.raises(PoleError) as err:
+            check()
+        assert str(err.value) == "vanishing denominator: 1 - q"
 
 
 def reference_rhs_pf_series(n, spin, t, gamma, cap):

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from spinhl.arith import PoleError, SpinParams, one_minus
+from spinhl.arith import PoleError, SpinParams, one_minus, part_factors
 from spinhl.series import (
     TruncSeries,
     divide_by_u_differences,
@@ -14,6 +14,7 @@ from spinhl.series import (
     schur_series,
     series_diff,
     u_coordinates,
+    u_part_factors,
     u_substitution,
     vandermonde_exponents,
 )
@@ -169,6 +170,28 @@ def test_one_minus_of_coordinates_is_the_scaled_pair_polynomial(s):
                         got = one_minus(U[0], U[1], t)
                         assert got.den == 1
                         assert got == (s.denominator * t.denominator) ** 2 * Qp, (t, nvars, i, j, cap)
+
+
+def _factors_or_pole(fn, *args):
+    try:
+        return fn(*args)
+    except PoleError as err:
+        return err.what
+
+
+@pytest.mark.parametrize("s", [F(0), F(2, 7), F(-5, 3), F(4)])
+def test_closed_form_part_factors_are_the_divided_ones(s):
+    # the prefixes put the pole 1 - s_l s = 0 at l = 0 and at l = 1
+    prefixes = ((), (F(1, 5),), (F(3, 4), F(-2, 7), F(1, 9)))
+    if s:
+        prefixes += ((1 / s,), (F(1, 5), 1 / s))
+    for prefix in prefixes:
+        spin = SpinParams(prefix, s)
+        for nvars, cap in ((1, 4), (2, 2), (3, 3)):
+            U = [u_substitution(i, s, cap, nvars) for i in range(nvars)]
+            for top in range(len(prefix) + 2):
+                got = _factors_or_pole(u_part_factors, range(nvars), s, spin, top, nvars, cap)
+                assert got == _factors_or_pole(part_factors, U, spin, top), (prefix, nvars, cap, top)
 
 
 def test_vandermonde_division_round_trip():
