@@ -1,4 +1,5 @@
-"""Exact rational scalars, q-Pochhammer symbols, and seeded generic-point sampling.
+"""Exact rational scalars, q-Pochhammer symbols, exact interpolation in one
+variable, and seeded generic-point sampling.
 
 Every scalar in this library is an exact ``fractions.Fraction``.  The square
 root of q is carried as an independent rational parameter t with q = t**2, so
@@ -61,26 +62,43 @@ def qpoch(a, q, n):
 
 
 def qpochs(a, q, n):
-    """[(a;q)_0, (a;q)_1, ..., (a;q)_n], by one running product on integers:
+    """[(a;q)_0, (a;q)_1, ..., (a;q)_n] (``qpoch_row`` as Fractions)."""
+    nums, den = qpoch_row(a, q, n)
+    return [Fraction(num, den) for num in nums]
+
+
+def qpoch_row(a, q, n):
+    """[(a;q)_0, ..., (a;q)_n] as integer numerators over one denominator:
     with a = c/d and q = e/f, (a;q)_m is prod_{i<m} (d f^i - c e^i) over
-    prod_{i<m} d f^i."""
+    prod_{i<m} d f^i, so over prod_{i<n} d f^i its numerator is that
+    product times prod_{m<=i<n} d f^i."""
     if n < 0:
         raise ValueError("negative length in q-Pochhammer symbol")
     c, d, e, f = a.numerator, a.denominator, q.numerator, q.denominator
-    out = [Fraction(1)]
-    num = den = ei = fi = 1
+    tops, bottoms = [], []
+    ei = fi = 1
     for _ in range(n):
-        num *= d * fi - c * ei
-        den *= d * fi
-        out.append(Fraction(num, den))
+        tops.append(d * fi - c * ei)
+        bottoms.append(d * fi)
         ei *= e
         fi *= f
-    return out
+    nums = [prod(bottoms)]
+    for m in range(n):
+        nums.append(nums[-1] // bottoms[m] * tops[m])
+    return nums, nums[0]
+
+
+def qpoch_product_row(a, b, q, n):
+    """[(a;q)_m (b;q)_m for m = 0..n] as integer numerators over one
+    denominator, the product of two ``qpoch_row``s."""
+    (x, x_den), (y, y_den) = qpoch_row(a, q, n), qpoch_row(b, q, n)
+    return [i * j for i, j in zip(x, y)], x_den * y_den
 
 
 def qpochs_product(a, b, q, n):
-    """[(a;q)_m (b;q)_m for m = 0..n], from two running products."""
-    return [x * y for x, y in zip(qpochs(a, q, n), qpochs(b, q, n))]
+    """[(a;q)_m (b;q)_m for m = 0..n] (``qpoch_product_row`` as Fractions)."""
+    nums, den = qpoch_product_row(a, b, q, n)
+    return [Fraction(num, den) for num in nums]
 
 
 class PochFamily:
@@ -121,6 +139,47 @@ def perm_sign(word):
         if word[i] > word[j]
     )
     return -1 if inv % 2 else 1
+
+
+def _interpolate(values):
+    """Coefficients (ascending) of the unique polynomial through (x_i, y_i)."""
+    nodes = [x for x, _ in values]
+    n = len(values)
+    # Newton divided differences
+    coef = [y for _, y in values]
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (nodes[i] - nodes[i - j])
+    # expand Newton form to monomial coefficients
+    poly = [Fraction(0)] * n
+    for j in range(n - 1, -1, -1):
+        # poly = poly * (x - nodes[j]) + coef[j]
+        shifted = [Fraction(0)] + poly[:-1]
+        poly = [shifted[k] - nodes[j] * poly[k] for k in range(n)]
+        poly[0] += coef[j]
+    return poly
+
+
+def _poly_eval(coeffs, x):
+    out = Fraction(0)
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
+
+
+def polynomial_expansion_equal(sides, degree_bound, nodes):
+    """Interpolate both sides of ``sides(x) -> (lhs, rhs)`` through the first
+    degree_bound + 1 nodes, confirm the interpolants also match the sides at
+    the remaining nodes (certifying the degree bound), and compare
+    coefficient lists.  Each node evaluates ``sides`` once."""
+    values = [(x, sides(x)) for x in nodes]
+    base = values[: degree_bound + 1]
+    lhs_poly = _interpolate([(x, lhs) for x, (lhs, _) in base])
+    rhs_poly = _interpolate([(x, rhs) for x, (_, rhs) in base])
+    for x, (lhs, rhs) in values[degree_bound + 1 :]:
+        if _poly_eval(lhs_poly, x) != lhs or _poly_eval(rhs_poly, x) != rhs:
+            return False
+    return lhs_poly == rhs_poly
 
 
 def over_common_denominator(values):

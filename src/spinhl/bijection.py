@@ -13,14 +13,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .arith import ParamPoint, SpinParams, invert
-from .robbins import (
-    MonotoneTriangle,
-    damts_of,
-    damt_weight,
-    mt_weight,
-    robbins_star_bialternant,
-    robbins_star_enum,
-)
+from .robbins import MonotoneTriangle, mt_weight, robbins_star_bialternant, robbins_star_enum
 from .symfun import as_parts, f_lambda
 from .vertex import PathEnsemble, enumerate_ensembles
 
@@ -37,11 +30,6 @@ def x_to_u(x, t):
     """Spectral value matching the triangle variable x when s = -1/t."""
     x, t = Fraction(x), Fraction(t)
     return (x - invert(t, "t")) * invert(1 - x * invert(t, "t"), "1 - x/t")
-
-
-def u_to_x(u, t):
-    u, t = Fraction(u), Fraction(t)
-    return (u + invert(t, "t")) * invert(1 + u * invert(t, "t"), "1 + u/t")
 
 
 _ADMISSIBLE = {(1, 1, 0, 0), (0, 0, 1, 1), (1, 1, 1, 1), (1, 0, 0, 1), (0, 1, 1, 0)}
@@ -151,59 +139,6 @@ def normalized_product(ens, xs, t, table=None):
             weight = table[key] = normalized_weight(cfg, xs[row - 1], t, first)
         out *= weight**k
     return out
-
-
-def degenerate_product(ens, xs, t):
-    out = Fraction(1)
-    for row, col, cfg in ens.vertices():
-        out *= degenerate_weight(cfg, xs[row - 1], t)
-    return out
-
-
-def pairing_counts(ens):
-    """Per-row counts of (1,0;0,1) and (0,1;1,0) vertices; the latter always
-    exceeds the former by exactly one in each row."""
-    out = {}
-    for row, _col, cfg in ens.vertices():
-        enter, leave = out.get(row, (0, 0))
-        if cfg == (1, 0, 0, 1):
-            enter += 1
-        elif cfg == (0, 1, 1, 0):
-            leave += 1
-        out[row] = (enter, leave)
-    return out
-
-
-def colored_sum(ens, xs, t):
-    """Generating function of the colored variant: all (0,1;1,0) weights are 1
-    and each (1,0;0,1) vertex carries one of three colors with weights v, w*x,
-    v*x^2.  Used only as a consistency check against the decorated triangles."""
-    xs = tuple(Fraction(v) for v in xs)
-    t = Fraction(t)
-    q = t * t
-    v = t - invert(t, "t")
-    w = 1 / q - q
-    out = Fraction(1)
-    for row, _col, cfg in ens.vertices():
-        x = xs[row - 1]
-        if cfg == (1, 1, 0, 0):
-            out *= v * x
-        elif cfg == (0, 0, 1, 1):
-            out *= x
-        elif cfg == (1, 1, 1, 1):
-            out *= v
-        elif cfg == (1, 0, 0, 1):
-            out *= v + w * x + v * x * x
-        elif cfg != (0, 1, 1, 0):
-            raise ValueError("configuration %r does not survive the degeneration" % (cfg,))
-    return out
-
-
-def decorated_sum(M, xs, t):
-    """Sum of decorated-triangle weights over all decorations of M, at the
-    triangle parameters u = v, w."""
-    u, v, w = robbins_parameters(t)
-    return sum(damt_weight(D, xs, u, v, w) for D in damts_of(M))
 
 
 def lemma_point(t, xs):

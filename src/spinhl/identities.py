@@ -48,11 +48,12 @@ Every point-mode sum over the subsets T of [n] (both key-lemma right sides,
 every reduction-chain term and the chain's second identification) is one
 ``_subset_product_sum`` over plain factor tables: a Pochhammer factor per
 n - |T|, two factors per index and four per pair, chosen by which ends lie
-in T, and optionally a block per T.  The callers evaluate every factor before
-the sum, each table row is cleared to integers over its own least common
-denominator, and the terms are summed on integers and divided once.  The
-chains and the second key lemma take every subset's block Pfaffian from one
-table of matrix entries per point (``block_pfaffians``).
+in T, and optionally a block per T.  Every table holds integers: the callers
+write each row as numerators over one denominator of its own, straight from
+the numerators and denominators of u, q and s, and the terms are summed on
+integers and divided once.  The chains and the second key lemma take every
+subset's block Pfaffian, as an integer numerator over one denominator, from
+one integer table of matrix entries per point (``block_pfaffians``).
 
 Each kind of check has one driver (``_series_check`` for the five series
 identities, ``_check_rec``, ``_lemma_report``, ``check_reduction_chain``), and
@@ -70,12 +71,14 @@ from .arith import (
     ParamPoint,
     PoleError,
     SpinParams,
-    invert,
     over_common_denominator,
     perm_sign,
+    polynomial_expansion_equal,
     PochFamily,
     one_minus,
     part_factors,
+    qpoch_product_row,
+    qpoch_row,
     qpochs,
     qpochs_product,
     rat_str,
@@ -534,86 +537,104 @@ def check_rec2(n, spin, t, D, gamma, cache=None):
 def _subset_product_sum(n, poch, index, pair, block=None, proper=False):
     """The sum over the subsets T of range(n) (the proper ones when
     ``proper``) of poch[n - |T|] prod_i index[i][i in T]
-    prod_{i<j} pair[i, j][i in T, j in T], times block[T] (T ascending) when
+    prod_{i<j} pair[i, j][i in T][j in T], times block[T] (T ascending) when
     ``block`` is not None.
 
-    Each row of the tables (the poch list, each index's two factors, each
-    pair's four, the block table) is cleared to integer numerators over its
-    own least common denominator once, every term is a product of those
-    integers, and the sum is divided once."""
-    den = 1
-
-    def cleared(row):
-        # the dict ``row`` on integer numerators over its lcm, which den takes on
-        nonlocal den
-        nums, d = over_common_denominator(row.values())
-        den *= d
-        return dict(zip(row, nums))
-
-    poch = cleared(dict(enumerate(poch)))
-    index = [cleared(dict(enumerate(row))) for row in index]
-    pair = {ij: cleared(ends) for ij, ends in pair.items()}
+    Every table is a row of integers over one denominator of its own, which
+    the callers write straight from the numerators and denominators of u, q
+    and s: ``poch`` and ``block`` are (numerators, denominator), each
+    index[i] is ((out of T, in T), denominator) and each pair[i, j] is
+    (2 x 2 numerators, denominator).  Every term is a product of integers,
+    and the sum is divided once by the product of the denominators."""
+    poch, den = poch
+    den *= prod(d for _, d in index) * prod(d for _, d in pair.values())
     if block is not None:
-        block = cleared(block)
+        block, block_den = block
+        den *= block_den
     total = 0
     for size in range(n if proper else n + 1):
         for T in combinations(range(n), size):
             bits = [0] * n
             for i in T:
                 bits[i] = 1
-            term = poch[n - size] * prod(index[i][bits[i]] for i in range(n))
-            term *= prod(ends[bits[i], bits[j]] for (i, j), ends in pair.items())
+            term = poch[n - size] * prod(index[i][0][bits[i]] for i in range(n))
+            term *= prod(ends[bits[i]][bits[j]] for (i, j), (ends, _) in pair.items())
             if block is not None:
                 term *= block[T]
             total += term
     return Fraction(total, den)
 
 
+def _split_pairs(u, q, inside):
+    """The pair rows shared by the key-lemma sums and the chains.  With
+    u_k = a_k/b_k, q = e/f and D = a_i b_j - a_j b_i, the split kernel's
+    factor of a pair with one end in T is an integer over f D
+    (``_split_kernel``).  ``inside(i, j, D)`` gives (x, y, den), and the row
+    of i < j, over den, is the split kernel's factors (1 with neither end
+    in T) times x f D, and y with both ends in T."""
+    pairs = {}
+    for i, j in combinations(range(len(u)), 2):
+        diff = u[i].numerator * u[j].denominator - u[j].numerator * u[i].denominator
+        x, y, den = inside(i, j, diff)
+        neither, only_j = q.denominator * diff * x, -_split_kernel(u, q, j, i) * x
+        pairs[i, j] = ((neither, only_j), (_split_kernel(u, q, i, j) * x, y)), den
+    return pairs
+
+
 # ----------------------------------------------------------------------
 # key polynomial lemmas (point mode)
 
 
-def _key_lemma_sum(u, q, poch, inside, pair_inside, block=None):
+def _key_lemma_sum(u, q, s, poch, coeff, block=None):
     """The right side shared by both key lemmas: the sum over the subsets T
     of [n] of perm_sign(T + Tc) poch[|Tc|] prod_{j in Tc} (1 - u_j)
-    prod_{i in T} inside(u_i) prod_{i in T, j in Tc} (u_i - q u_j)(1 - u_i u_j)
-    prod_{i<j in Tc} (1 - u_i u_j)(u_i - u_j) prod_{i<j in T} pair_inside(u_i, u_j),
-    times block[T] (0-based T) when ``block`` is given.  The sign is the
-    parity of the pairs i < j with only j in T, so it rides on those pair
-    factors."""
-    n = len(u)
-    pair = {}
-    for i, j in combinations(range(n), 2):
-        ui, uj = u[i], u[j]
-        pair[i, j] = {
-            (0, 0): (1 - ui * uj) * (ui - uj),
-            (1, 0): (ui - q * uj) * (1 - ui * uj),
-            (0, 1): (q * ui - uj) * (1 - ui * uj),  # -(u_j - q u_i)(1 - u_i u_j)
-            (1, 1): pair_inside(ui, uj),
-        }
-    index = [(1 - ui, inside(ui)) for ui in u]
-    return _subset_product_sum(n, poch, index, pair, block)
+    prod_{i in T} coeff (u_i - s) prod_{i in T, j in Tc} (u_i - q u_j)(1 - u_i u_j)
+    prod_{i<j in Tc} (1 - u_i u_j)(u_i - u_j) prod_{i<j in T} inside_ij,
+    where inside_ij is (1 - q u_i u_j)(u_i - u_j) with no ``block`` (the
+    product form) and (1 - u_i u_j)(1 - q u_i u_j) with one (the Pfaffian
+    form: the block of T conjugated by ``b_matrix``), times the block of T
+    when ``block`` is given.  The sign is the parity of the pairs i < j with
+    only j in T, so it rides on those pair factors.
+
+    ``poch`` and ``block`` (keyed by the 0-based T) come as integer
+    numerators over one denominator, and ``coeff`` as an integer pair cn/cd.
+    The index and pair rows are written here from u_i = a_i/b_i, q = e/f and
+    s = sn/sd: the index row of i is ((b_i - a_i) sd cd, cn (a_i sd - sn b_i))
+    over b_i sd cd, and the pair row of i < j is over f B^2 with B = b_i b_j
+    and P = a_i a_j: every pair factor but the one with both ends in T is
+    (1 - u_i u_j)(u_i - u_j) times that of the split kernel
+    (``_split_pairs``), and with both it is (f B - e P) D or
+    (B - P)(f B - e P), the numerators of 1 - q u_i u_j over f B,
+    1 - u_i u_j over B and u_i - u_j over B being f B - e P, B - P and
+    D = a_i b_j - a_j b_i."""
+    e, f = q.numerator, q.denominator
+    sn, sd = s.numerator, s.denominator
+    cn, cd = coeff
+    index = [(((b - a) * sd * cd, cn * (a * sd - sn * b)), b * sd * cd) for a, b in (v.as_integer_ratio() for v in u)]
+
+    def inside(i, j, diff):
+        B, P = u[i].denominator * u[j].denominator, u[i].numerator * u[j].numerator
+        m, mq = B - P, f * B - e * P
+        return m, (mq * diff if block is None else m * mq), f * B * B
+
+    return _subset_product_sum(len(u), poch, index, _split_pairs(u, q, inside), block)
 
 
 def key_lemma1_sides(u, q, s):
-    """Both sides of the polynomial identity behind the product-form proof."""
+    """Both sides of the polynomial identity behind the product-form proof.
+    The left side prod_i (1 - s u_i) prod_{i<j} (1 - q u_i u_j)(u_i - u_j)
+    is one integer over one integer, 1 - s u_i being over sd b_i
+    (``arith.one_minus``) and each pair over f B^2 as in ``_key_lemma_sum``."""
     u = tuple(Fraction(v) for v in u)
     q, s = Fraction(q), Fraction(s)
-    n = len(u)
-    lhs = Fraction(1)
-    for ui in u:
-        lhs *= 1 - s * ui
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs *= (1 - q * u[i] * u[j]) * (u[i] - u[j])
-    rhs = _key_lemma_sum(
-        u,
-        q,
-        qpochs(-s, q, n),
-        lambda ui: ui - s,
-        lambda ui, uj: (1 - q * ui * uj) * (ui - uj),
-    )
-    return lhs, rhs
+    e, f = q.numerator, q.denominator
+    num = prod(one_minus(s, ui) for ui in u)
+    den = prod(s.denominator * ui.denominator for ui in u)
+    for (a, b), (c, d) in combinations([v.as_integer_ratio() for v in u], 2):
+        num *= (f * b * d - e * a * c) * (a * d - c * b)
+        den *= f * (b * d) ** 2
+    rhs = _key_lemma_sum(u, q, s, qpoch_row(-s, q, len(u)), (1, 1))
+    return Fraction(num, den), rhs
 
 
 def key_lemma2_sides(point, s, gamma, gamma_inv_s=None):
@@ -626,13 +647,14 @@ def key_lemma2_sides(point, s, gamma, gamma_inv_s=None):
 
 
 def _zero_based(pfs):
-    """The table of ``block_pfaffians``, keyed by the 0-based T."""
-    return {tuple(i - 1 for i in T): pf for T, pf in pfs.items()}
+    """The numerators of ``block_pfaffians`` keyed by the 0-based T, and
+    their denominator."""
+    return {tuple(i - 1 for i in T): pf for T, pf in pfs[0].items()}, pfs[1]
 
 
 def _key_lemma2_from(point, spec, conjugated, blocks):
-    """``key_lemma2_sides`` at the parameters of ``spec``, given the Pfaffian
-    ``conjugated`` of ``m_conjugated(spec, [n])`` (``conjugated_pfaffian``)
+    """``key_lemma2_sides`` at the parameters of ``spec``, given the
+    conjugated Pfaffian ``conjugated`` over [n] (``conjugated_pfaffian``)
     and the gamma = 1 block Pfaffians ``blocks`` (``block_pfaffians`` keyed
     by the 0-based T).  The blocks do not depend on s, and at gamma = 1
     neither does ``conjugated``, so callers at several s can share both.
@@ -642,92 +664,43 @@ def _key_lemma2_from(point, spec, conjugated, blocks):
     Pfaffian of ``m_gamma``, and the right side conjugates each gamma = 1
     block over T by the diagonal B(T, T) of ``b_matrix``, which is the
     block's Pfaffian times the pair products (1 - u_i u_j)(1 - q u_i u_j)
-    over the pairs of T."""
-    t, q, u, n = point.t, point.q, point.u, point.n
-    s, gamma, gis = spec.s, spec.gamma, spec.gamma_inv_s
-    lhs = conjugated
-    for ui in u:
-        lhs *= (1 + t) * (1 - s * ui)
-    rhs = _key_lemma_sum(
-        u,
-        q,
-        qpochs_product(-gis, -gamma * t, t, n),
-        lambda ui: (1 + t) * (ui - s),
-        lambda ui, uj: (1 - ui * uj) * (1 - q * ui * uj),
-        blocks,
+    over the pairs of T.  The left side's prod_i (1 + t)(1 - s u_i) is one
+    integer over one integer."""
+    t, u, s = point.t, point.u, spec.s
+    e, f = t.numerator, t.denominator
+    lhs = conjugated * Fraction(
+        prod((f + e) * one_minus(s, ui) for ui in u), prod(f * s.denominator * ui.denominator for ui in u)
     )
+    poch = qpoch_product_row(-spec.gamma_inv_s, -spec.gamma * t, t, point.n)
+    rhs = _key_lemma_sum(u, point.q, s, poch, (f + e, f), blocks)
     return lhs, rhs
 
 
 def key_lemma2_A_sides(point, s, gamma):
     """Both sides of the companion identity obtained at u_1 = s, relating the
-    full conjugated matrix to the one on labels 2..n at shifted parameters."""
-    n = point.n
-    t = point.t
-    q = point.q
+    full conjugated matrix to the one on labels 2..n at shifted parameters.
+    The products over u_2..u_n are one integer over one integer each: with
+    s = sn/sd and u_i = a_i/b_i, 1 - s u_i and s - u_i are over sd b_i and
+    1 - q s u_i over sd b_i f^2 for t = e/f (``arith.one_minus``)."""
+    n, t, q, rest = point.n, point.t, point.q, point.u[1:]
     s = Fraction(s)
     gamma = Fraction(gamma)
-    u = point.u
+    lhs_num = prod(one_minus(s, ui) for ui in rest)
+    rhs_num = lhs_num * prod(
+        (s.numerator * ui.denominator - ui.numerator * s.denominator) * one_minus(s, ui, t) for ui in rest
+    )
+    den = prod(s.denominator * ui.denominator for ui in rest)
     specg = MGammaSpec(point, gamma, s)
-    u_sub = (s,) + u[1:]
-    lhs = (1 + t) * (1 - s * s) * conjugated_pfaffian(specg, range(1, n + 1), u=u_sub)
-    for ui in u[1:]:
-        lhs *= 1 - s * ui
+    lhs = (1 + t) * (1 - s * s) * conjugated_pfaffian(specg, range(1, n + 1), u=(s,) + rest) * Fraction(lhs_num, den)
     spec_shift = MGammaSpec(point, t * gamma, q * s)
     rhs = (
         (1 + gamma * t)
         * (1 + s / gamma)
         * (1 - s)
         * conjugated_pfaffian(spec_shift, range(2, n + 1))
+        * Fraction(rhs_num, den**3 * t.denominator ** (2 * n - 2))
     )
-    for ui in u[1:]:
-        rhs *= (s - ui) * (1 - s * ui) * (1 - s * q * ui)
     return lhs, rhs
-
-
-# ----------------------------------------------------------------------
-# polynomial expansion in one variable (exact interpolation)
-
-
-def _interpolate(values):
-    """Coefficients (ascending) of the unique polynomial through (x_i, y_i)."""
-    nodes = [x for x, _ in values]
-    n = len(values)
-    # Newton divided differences
-    coef = [y for _, y in values]
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (nodes[i] - nodes[i - j])
-    # expand Newton form to monomial coefficients
-    poly = [Fraction(0)] * n
-    for j in range(n - 1, -1, -1):
-        # poly = poly * (x - nodes[j]) + coef[j]
-        shifted = [Fraction(0)] + poly[:-1]
-        poly = [shifted[k] - nodes[j] * poly[k] for k in range(n)]
-        poly[0] += coef[j]
-    return poly
-
-
-def _poly_eval(coeffs, x):
-    out = Fraction(0)
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
-
-
-def polynomial_expansion_equal(sides, degree_bound, nodes):
-    """Interpolate both sides of ``sides(x) -> (lhs, rhs)`` through the first
-    degree_bound + 1 nodes, confirm the interpolants also match the sides at
-    the remaining nodes (certifying the degree bound), and compare
-    coefficient lists.  Each node evaluates ``sides`` once."""
-    values = [(x, sides(x)) for x in nodes]
-    base = values[: degree_bound + 1]
-    lhs_poly = _interpolate([(x, lhs) for x, (lhs, _) in base])
-    rhs_poly = _interpolate([(x, rhs) for x, (_, rhs) in base])
-    for x, (lhs, rhs) in values[degree_bound + 1 :]:
-        if _poly_eval(lhs_poly, x) != lhs or _poly_eval(rhs_poly, x) != rhs:
-            return False
-    return lhs_poly == rhs_poly
 
 
 # ----------------------------------------------------------------------
@@ -735,39 +708,51 @@ def polynomial_expansion_equal(sides, degree_bound, nodes):
 
 
 def _split_kernel(u, q, i, j):
-    """(u_i - q u_j)/(u_i - u_j), 0-based: the split kernel's factor of a
-    pair with only u_i in the subset."""
-    return (u[i] - q * u[j]) * invert(u[i] - u[j], "u_%d - u_%d" % (i + 1, j + 1))
+    """The numerator of (u_i - q u_j)/(u_i - u_j), 0-based, over
+    f (a_i b_j - a_j b_i) for u_k = a_k/b_k and q = e/f: the split kernel's
+    factor of a pair with only u_i in the subset."""
+    return q.denominator * u[i].numerator * u[j].denominator - q.numerator * u[j].numerator * u[i].denominator
 
 
 _ChainKernel = namedtuple("_ChainKernel", "inside pairs block ratios outers")
 
 
-def _chain_kernel(point, inside, pair_inside, block=None):
+def _chain_kernel(point, coeff, pair_inside, block=None):
     """The tables of a chain, each computed once per chain: the T-tables,
-    which do not depend on l (``inside(i)`` per index in T; per pair, by
-    which of its ends lie in T, ``pair_inside(i, j)`` for both and
-    ``_split_kernel`` for one; and the table ``block``, keyed by the 0-based
-    T), and beside them the smallest-part factors ``ratios`` and ``outers``
-    at l = 0..p+1 (``arith.part_factors``)."""
-    u, q = point.u, point.q
-    pairs = {}
-    for i, j in combinations(range(point.n), 2):
-        one_end = _split_kernel(u, q, i, j), _split_kernel(u, q, j, i)
-        pairs[i, j] = {(0, 0): 1, (1, 0): one_end[0], (0, 1): one_end[1], (1, 1): pair_inside(i, j)}
-    index = [inside(i) for i in range(point.n)]
+    which do not depend on l, and beside them the smallest-part factors
+    ``ratios`` and ``outers`` at l = 0..p+1 (``arith.part_factors``).
+
+    The T-tables are integers: the pair rows of ``_split_pairs`` from
+    ``pair_inside``, which give 1 with neither end in T, the split kernel
+    with one, and the in-subset pair factor with both; the in-subset factor
+    coeff/(1 - u_i) of each index as the pair
+    (cn b_i, cd (b_i - a_i)); and the table ``block`` (``block_pfaffians``
+    keyed by the 0-based T)."""
+    u = point.u
+    pairs = _split_pairs(u, point.q, pair_inside)
+    cn, cd = coeff
+    index = []
+    for i, (a, b) in enumerate(v.as_integer_ratio() for v in u):
+        if a == b:
+            raise PoleError("1 - u_%d" % (i + 1))
+        index.append((cn * b, cd * (b - a)))
     return _ChainKernel(index, pairs, block, *part_factors(u, point.spin, point.spin.p + 1))
 
 
 def _littlewood_in_subset(point):
     """``_chain_kernel`` with the in-subset factors of ``littlewood_kernel``:
-    1/(1 - u_i) per index and (1 - q u_i u_j)/(1 - u_i u_j) per pair."""
-    u, q = point.u, point.q
-    return _chain_kernel(
-        point,
-        lambda i: invert(1 - u[i], "1 - u_%d" % (i + 1)),
-        lambda i, j: (1 - q * u[i] * u[j]) * invert(1 - u[i] * u[j], "1 - u_%d*u_%d" % (i + 1, j + 1)),
-    )
+    1/(1 - u_i) per index and (1 - q u_i u_j)/(1 - u_i u_j) per pair, that
+    is (f B - e P) D over f D (B - P) with q = e/f, B = b_i b_j and
+    P = a_i a_j (``arith.one_minus``)."""
+    u, t, f = point.u, point.t, point.q.denominator
+
+    def pair_inside(i, j, diff):
+        x = one_minus(u[i], u[j])
+        if not x:
+            raise PoleError("1 - u_%d*u_%d" % (i + 1, j + 1))
+        return x, one_minus(u[i], u[j], t) * diff, f * diff * x
+
+    return _chain_kernel(point, (1, 1), pair_inside)
 
 
 def _pfaffian_in_subset(point, pfs):
@@ -775,11 +760,11 @@ def _pfaffian_in_subset(point, pfs):
     (1 + t)/(1 - u_i) per index, (1 - q u_i u_j)/(u_i - u_j) per pair, and
     the block Pfaffian of T from the table ``pfs`` (``block_pfaffians``),
     re-keyed by the 0-based T."""
-    u, t, q = point.u, point.t, point.q
+    u, t, f = point.u, point.t, point.q.denominator
     return _chain_kernel(
         point,
-        lambda i: (1 + t) * invert(1 - u[i], "1 - u_%d" % (i + 1)),
-        lambda i, j: (1 - q * u[i] * u[j]) * invert(u[i] - u[j], "u_%d - u_%d" % (i + 1, j + 1)),
+        (t.denominator + t.numerator, t.denominator),
+        lambda i, j, diff: (1, one_minus(u[i], u[j], t), f * diff),
         _zero_based(pfs),
     )
 
@@ -790,17 +775,16 @@ def _subset_sum(point, l, poch, kernel, proper=True):
     prod_{i in T} (u_i - s_l) times the split kernel
     prod_{i in T, j not in T} (u_i - q u_j)/(u_i - u_j) times the kernel
     over T, times outers[l] (both from ``_chain_kernel``).  The factors
-    poch(spin, l, m), m = 0..n, are the family's one list (``PochFamily``)."""
-    u, sl, n = point.u, point.s(l), point.n
-    total = _subset_product_sum(
-        n,
-        poch.pochs(point.spin, l, n),
-        [(1, (u[i] - sl) * kernel.inside[i]) for i in range(n)],
-        kernel.pairs,
-        kernel.block,
-        proper,
-    )
-    return total * kernel.outers[l]
+    poch(spin, l, m), m = 0..n, are the family's one list (``PochFamily``),
+    put over their least common denominator, and the index row of i is
+    (b_i sd d_i, (a_i sd - sn b_i) n_i) over b_i sd d_i for s_l = sn/sd and
+    the kernel's in-subset factor n_i/d_i."""
+    sn, sd = point.s(l).as_integer_ratio()
+    index = []
+    for (a, b), (num, den) in zip((v.as_integer_ratio() for v in point.u), kernel.inside):
+        index.append(((b * sd * den, (a * sd - sn * b) * num), b * sd * den))
+    pochs = over_common_denominator(poch.pochs(point.spin, l, point.n))
+    return _subset_product_sum(point.n, pochs, index, kernel.pairs, kernel.block, proper) * kernel.outers[l]
 
 
 def _chain_steps(ratios, letter, full, sums, telescope=False):
@@ -999,20 +983,23 @@ def _interp_nodes(point, count):
 def _lemma_report(name, n, seed, stride, identities, moved):
     """The report of a key lemma: every (witness label, sides of a point) in
     ``identities`` at max(2n + 2, 10) seeded points, then, for n <= 2, the
-    two sides of ``moved(point, x)`` compared as polynomials in the free x."""
+    two sides of ``moved(point, x)`` at the first point compared as
+    polynomials in the free x.  The pole list is built once per report."""
     _check_inputs(1, n)
     npoints = max(2 * n + 2, 10)
     params = {"n": n, "seed": seed, "points": npoints}
+    poles = _lemma_poles(n)
     for k in range(npoints):
-        point = lemma_point(seed + stride * k, n)
+        point = sample_point(seed + stride * k, n, 0, pole_list=poles)  # lemma_point(seed + stride * k, n)
+        if k == 0:
+            first = point
         for label, sides in identities:
             lhs, rhs = sides(point)
             if lhs != rhs:
                 return CheckReport(name, params, "fail", {"point_index": k, **label})
     if n <= 2:
-        point = lemma_point(seed, n)
-        nodes = _interp_nodes(point, 2 * n + 4)
-        if not polynomial_expansion_equal(lambda x: moved(point, x), 2 * n - 1, nodes):
+        nodes = _interp_nodes(first, 2 * n + 4)
+        if not polynomial_expansion_equal(lambda x: moved(first, x), 2 * n - 1, nodes):
             return CheckReport(name, params, "fail", {"expansion": "coefficients differ"})
         params["expansion_degree"] = 2 * n - 1
     return CheckReport(name, params, "pass")

@@ -4,25 +4,28 @@ The Pfaffian is computed by a Laplace expansion memoized over position
 tuples, whose entries may be any commutative ring elements supporting +, -,
 * (exact rationals or truncated power series); ``SkewMatrix.pfaffians``
 expands many principal blocks of one table from a single memo, so blocks
-share the sub-blocks they expand into.  A rational table is first cleared
-to integers: label a is scaled by d_a, the lcm of the denominators in its
-row, so D M D has integer entries, and the Pfaffian of each block of D M D
-is divided once by the product of its own d_a.  The signed perfect-matching
-sum is kept as an independent cross-check for rational matrices of small
-dimension: it walks the matchings of the same cleared table with no memo,
-and divides once.
+share the sub-blocks they expand into.  A table of ints and Fractions is
+first cleared to integers: label a is scaled by d_a, the lcm of the denominators
+in its row, so D M D has integer entries, and the Pfaffian of each block of
+D M D is divided once by the product of its own d_a.  The signed
+perfect-matching sum is kept as an independent cross-check for rational
+matrices of small dimension: it walks the matchings of the same cleared
+table with no memo, and divides once.
 
-The gamma-refined entries have one closed form (``closed_entry``), which
-reads u only through numerator and denominator: at rational u it is one
-integer over one integer, and the series Pfaffian side reads it at series
-u given as integer polynomials in x (``series._u_entry``).  The ring
-formula (``_ring_entry``) stays as the reference both are tested against.
+The gamma-refined entries have one closed form (``closed_quotient``), a
+numerator and a denominator read off u only through numerator and
+denominator: at rational u a pair of integers, and at series u given as
+integer polynomials in x a pair of series (``series._u_entry``).  The
+point-mode Pfaffians (``block_pfaffians``, ``gamma_pfaffian``) write the
+cleared table D M D straight from those integer pairs (``_entry_table``),
+so no entry is ever a Fraction.  The ring formula (``_ring_entry``) stays
+as the reference the closed form is tested against.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import gcd, lcm, prod
 
 from .arith import ParamPoint, PoleError, invert, one_minus, over_common_denominator
 
@@ -265,11 +268,19 @@ def _vanishes(den):
 
 
 def closed_entry(i, j, u, t, gamma, s, gamma_inv_s):
-    """``_ring_entry`` as one numerator over one denominator, reading each
-    u_k only through ``u[k-1].numerator`` and ``.denominator``: at rational
-    u it is one integer over one integer, and at u_k = (s + x)/(1 + s x)
-    given as integer polynomials (``series.u_coordinates``) one quotient of
-    series, solved with no inverse formed (``TruncSeries.__truediv__``).
+    """The entry of ``closed_quotient`` as one value: a Fraction at rational
+    u, and at series u one quotient of series, solved with no inverse formed
+    (``TruncSeries.__truediv__``)."""
+    num, den = closed_quotient(i, j, u, t, gamma, s, gamma_inv_s)
+    return Fraction(num, den) if type(den) is int else num / den
+
+
+def closed_quotient(i, j, u, t, gamma, s, gamma_inv_s):
+    """``_ring_entry`` as a numerator and a denominator, reading each u_k
+    only through ``u[k-1].numerator`` and ``.denominator``: at rational u a
+    pair of integers, which ``_entry_table`` clears straight into an integer
+    table, and at u_k = (s + x)/(1 + s x) given as integer polynomials
+    (``series.u_coordinates``) a pair of integer series.
 
     With t = e/f, u_i = a/b, u_j = c/d, B = bd and P = ac, the gamma = 1
     entry is (ad - cb) N / ((f + e)(B - P)(f^2 B - e^2 P)) with
@@ -292,7 +303,7 @@ def closed_entry(i, j, u, t, gamma, s, gamma_inv_s):
     c, d = uj.numerator, uj.denominator
     if i == 0:
         if g == h:  # gamma = 1
-            return Fraction(1)
+            return 1, 1
         den = h * kd * (f + e) * (sd * d - sn * c)
         if _vanishes(den):
             raise PoleError("(1+t)(1 - s*u_%d)" % j)
@@ -319,7 +330,7 @@ def closed_entry(i, j, u, t, gamma, s, gamma_inv_s):
         if _vanishes(den):
             raise PoleError("(1+t)(1 - u_%d*u_%d)(1 - q*u_%d*u_%d)" % (i, j, i, j))
         num *= ad - cb
-    return Fraction(num, den) if type(den) is int else num / den
+    return num, den
 
 
 def _ring_entry(i, j, u, t, gamma, s, gamma_inv_s):
@@ -407,22 +418,50 @@ def m_gamma(spec, T, u=None):
     )
 
 
+def _entry_table(spec, labels, u):
+    """The entries of ``m_gamma`` over ``labels`` (in table order) at the
+    rational ``u``, cleared to integers as ``SkewMatrix`` clears a rational
+    table, but with no entry formed as a Fraction: each entry is the integer
+    pair of ``closed_quotient`` over its gcd, d_a is the lcm of the
+    denominators in the row of label a, and the entry of D M D at (a, b) is
+    num d_a d_b / den.  Returns D M D as a ``SkewMatrix`` of ints, whose
+    Pfaffian over a block S is prod_{a in S} d_a Pf(M_S), and the d_a in
+    table order.  The poles are raised in the order of ``m_gamma``."""
+    t, gamma, s, gis = spec.point.t, spec.gamma, spec.s, spec.gamma_inv_s
+    labels = tuple(labels)
+    pairs, scale = {}, [1] * len(labels)
+    for x, y in combinations(range(len(labels)), 2):
+        num, den = closed_quotient(labels[x], labels[y], u, t, gamma, s, gis)
+        common = gcd(num, den)
+        pairs[x, y] = num // common, den // common
+        scale[x], scale[y] = lcm(scale[x], den // common), lcm(scale[y], den // common)
+    upper = {(labels[x], labels[y]): num * (scale[x] // den) * scale[y] for (x, y), (num, den) in pairs.items()}
+    return SkewMatrix(labels, upper), scale
+
+
 def block_pfaffians(spec):
     """Pf(m_gamma(spec, T)) for every subset T of [n], keyed by T in order of
-    size.  The entries over the labels 0..n are built once, and every block
-    over ``subset_labels(T)`` is expanded from that table's one memo."""
+    size, as integer numerators over one denominator, the row a subset sum
+    reads (``identities._subset_product_sum``).  The entries over the labels
+    0..n are cleared to integers once (``_entry_table``), every block over
+    ``subset_labels(T)`` is expanded from that table's one memo
+    (``SkewMatrix.pfaffians``), and the block's prod_{a in S} d_a Pf(M_S) is
+    put over prod_a d_a.  Returns the numerators and that denominator."""
     point = spec.point
-    table = SkewMatrix.from_function(
-        range(point.n + 1),
-        lambda a, b: m_gamma_entry(a, b, point.u, point.t, spec.gamma, spec.s, spec.gamma_inv_s),
-    )
+    table, scale = _entry_table(spec, range(point.n + 1), point.u)
+    den = prod(scale)
     subsets = [T for size in range(point.n + 1) for T in combinations(range(1, point.n + 1), size)]
-    return dict(zip(subsets, table.pfaffians([subset_labels(T) for T in subsets])))
+    blocks = [subset_labels(T) for T in subsets]
+    pfs = table.pfaffians(blocks)
+    return {T: pf.numerator * (den // prod(scale[a] for a in S)) for T, S, pf in zip(subsets, blocks, pfs)}, den
 
 
-def m_conjugated(spec, T, u=None):
-    """The matrix over T conjugated by the diagonal B(T, T), with polynomial entries."""
-    return m_gamma(spec, T, u=u).conjugate_diag(b_matrix(tuple(T), tuple(T), spec.point, u=u))
+def gamma_pfaffian(spec, T, u=None):
+    """Pf(m_gamma(spec, T, u)) at rational u, from the integer table of its
+    entries (``_entry_table``): the Pfaffian of D M D over prod_a d_a."""
+    uvals = spec.point.u if u is None else tuple(u)
+    table, scale = _entry_table(spec, subset_labels(T), uvals)
+    return Fraction(table.pfaffian().numerator, prod(scale))
 
 
 def b_determinant(T, t, u):
@@ -443,12 +482,13 @@ def b_determinant(T, t, u):
 
 
 def conjugated_pfaffian(spec, T, u=None):
-    """The Pfaffian of ``m_conjugated(spec, T, u)`` without conjugating its
-    entries: Pf(B M B) = det(B) Pf(M) for the diagonal B = B(T, T), det(B)
-    taken in closed form (``b_determinant``)."""
+    """The Pfaffian of the matrix over T conjugated by the diagonal
+    B = B(T, T) of ``b_matrix``, without conjugating its entries:
+    Pf(B M B) = det(B) Pf(M), det(B) in closed form (``b_determinant``) and
+    Pf(M) from the integer table of the entries (``gamma_pfaffian``)."""
     T = tuple(T)
     uvals = spec.point.u if u is None else tuple(u)
-    return b_determinant(T, spec.point.t, uvals) * m_gamma(spec, T, u=u).pfaffian()
+    return b_determinant(T, spec.point.t, uvals) * gamma_pfaffian(spec, T, uvals)
 
 
 def littlewood_kernel(u, q):
@@ -498,7 +538,7 @@ def pfaffian_side(spec, T):
     prod_{i in T} (1+t)/(1-u_i) prod_{i<j in T} (1-q u_i u_j)/(u_i-u_j)
     times the Pfaffian of ``m_gamma(spec, T)``."""
     T = tuple(T)
-    return kernel_over_differences(spec.point.u, spec.point.t, T) * m_gamma(spec, T).pfaffian()
+    return kernel_over_differences(spec.point.u, spec.point.t, T) * gamma_pfaffian(spec, T)
 
 
 def rhs_main2(spec):

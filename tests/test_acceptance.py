@@ -36,8 +36,8 @@ from spinhl.identities import (
 from spinhl.pfaffian import (
     MGammaSpec,
     SkewMatrix,
+    b_matrix,
     det,
-    m_conjugated,
     m_gamma,
     rhs_cor,
     rhs_main2,
@@ -54,6 +54,12 @@ from spinhl.symfun import (
 from spinhl.arith import qpoch
 from spinhl.robbins import robbins_bialternant
 from spinhl.vertex import f_lambda_vertex
+
+
+def m_conjugated(spec, T, u=None):
+    """The matrix over T conjugated by the diagonal B(T, T) of ``b_matrix``,
+    entry by entry: the reference for ``conjugated_pfaffian``."""
+    return m_gamma(spec, T, u=u).conjugate_diag(b_matrix(tuple(T), tuple(T), spec.point, u=u))
 
 
 def spin_poles(jmax):

@@ -4,31 +4,97 @@ from itertools import combinations
 import pytest
 
 import spinhl.bijection
-from spinhl.arith import PoleError
+from spinhl.arith import PoleError, invert
 from spinhl.bijection import (
-    colored_sum,
-    decorated_sum,
-    degenerate_product,
     degenerate_weight,
     ensemble_to_triangle,
     lemma_point,
     normalized_product,
     normalized_weight,
-    pairing_counts,
     robbins_parameters,
     strict_ensembles,
     triangle_to_ensemble,
-    u_to_x,
     verify_lemma_connection,
     x_to_u,
 )
-from spinhl.robbins import MonotoneTriangle, count_monotone_triangles, monotone_triangles, mt_weight
+from spinhl.robbins import (
+    MonotoneTriangle,
+    count_monotone_triangles,
+    damt_weight,
+    damts_of,
+    monotone_triangles,
+    mt_weight,
+)
 from spinhl.symfun import f_lambda
 from spinhl.vertex import vertex_weight
 
 T = F(4, 7)
 XS = (F(2, 3), F(3, 5), F(5, 7), F(7, 11))
 CONFIGS = ((1, 1, 0, 0), (0, 0, 1, 1), (1, 1, 1, 1), (1, 0, 0, 1), (0, 1, 1, 0))
+
+
+# ----------------------------------------------------------------------
+# references used only by these tests
+
+
+def u_to_x(u, t):
+    """The triangle variable x of the spectral value u at s = -1/t, the
+    inverse of ``x_to_u``."""
+    u, t = F(u), F(t)
+    return (u + invert(t, "t")) * invert(1 + u * invert(t, "t"), "1 + u/t")
+
+
+def degenerate_product(ens, xs, t):
+    out = F(1)
+    for row, col, cfg in ens.vertices():
+        out *= degenerate_weight(cfg, xs[row - 1], t)
+    return out
+
+
+def pairing_counts(ens):
+    """Per-row counts of (1,0;0,1) and (0,1;1,0) vertices; the latter always
+    exceeds the former by exactly one in each row."""
+    out = {}
+    for row, _col, cfg in ens.vertices():
+        enter, leave = out.get(row, (0, 0))
+        if cfg == (1, 0, 0, 1):
+            enter += 1
+        elif cfg == (0, 1, 1, 0):
+            leave += 1
+        out[row] = (enter, leave)
+    return out
+
+
+def colored_sum(ens, xs, t):
+    """Generating function of the colored variant: all (0,1;1,0) weights are 1
+    and each (1,0;0,1) vertex carries one of three colors with weights v, w*x,
+    v*x^2, checked against the decorated triangles."""
+    xs = tuple(F(v) for v in xs)
+    t = F(t)
+    q = t * t
+    v = t - invert(t, "t")
+    w = 1 / q - q
+    out = F(1)
+    for row, _col, cfg in ens.vertices():
+        x = xs[row - 1]
+        if cfg == (1, 1, 0, 0):
+            out *= v * x
+        elif cfg == (0, 0, 1, 1):
+            out *= x
+        elif cfg == (1, 1, 1, 1):
+            out *= v
+        elif cfg == (1, 0, 0, 1):
+            out *= v + w * x + v * x * x
+        elif cfg != (0, 1, 1, 0):
+            raise ValueError("configuration %r does not survive the degeneration" % (cfg,))
+    return out
+
+
+def decorated_sum(M, xs, t):
+    """Sum of decorated-triangle weights over all decorations of M, at the
+    triangle parameters u = v, w."""
+    u, v, w = robbins_parameters(t)
+    return sum(damt_weight(D, xs, u, v, w) for D in damts_of(M))
 
 
 def test_degenerate_weight_table():

@@ -17,6 +17,7 @@ from spinhl.arith import (
     SpinParams,
     part_factors,
     perm_sign,
+    polynomial_expansion_equal,
     qpoch,
     rat_str,
     sample_point,
@@ -52,7 +53,6 @@ from spinhl.identities import (
     poch_hl,
     poch_main1,
     poch_uniform,
-    polynomial_expansion_equal,
     run_all,
     run_check,
     series_parameters,
@@ -1013,6 +1013,13 @@ def test_key_lemma1_length_one_is_exact_identity():
             assert lhs == rhs
 
 
+def test_key_lemma1_reads_any_rational_input():
+    # ints, floats and "p/q" strings are read as the Fractions they stand for
+    exact = key_lemma1_sides((F(1, 3), F(1, 2), F(5, 4)), F(2, 9), F(3, 7))
+    assert key_lemma1_sides(("1/3", 0.5, "5/4"), "2/9", "3/7") == exact
+    assert key_lemma1_sides((F(1, 3), F(1, 2)), F(2, 9), 2) == key_lemma1_sides((F(1, 3), F(1, 2)), F(2, 9), F(2))
+
+
 def test_key_lemma1_vanishes_at_coincident_values():
     pt = lemma_point(19, 3)
     u = (pt.u[0], pt.u[1], pt.u[1])
@@ -1131,6 +1138,30 @@ def test_lemma_reports_evaluate_each_node_once(monkeypatch, check, side, n, call
     monkeypatch.setattr(spinhl.identities, side, counting)
     assert run_check(check, n=n, seed=29).passed
     assert len(seen) == calls
+
+
+@pytest.mark.parametrize("n, points", [(1, 10), (2, 10), (3, 10), (5, 12)])
+@pytest.mark.parametrize("check", ["lemma1", "lemma2"])
+def test_lemma_reports_sample_each_point_once(monkeypatch, check, n, points):
+    # the expansion (n <= 2) reuses the first point, and one pole list
+    # serves every point of the report
+    seeds, lists = [], []
+    sample, poles = spinhl.identities.sample_point, spinhl.identities._lemma_poles
+
+    def counting_sample(seed, *args, **kwargs):
+        seeds.append(seed)
+        return sample(seed, *args, **kwargs)
+
+    def counting_poles(n):
+        lists.append(n)
+        return poles(n)
+
+    monkeypatch.setattr(spinhl.identities, "sample_point", counting_sample)
+    monkeypatch.setattr(spinhl.identities, "_lemma_poles", counting_poles)
+    assert run_check(check, n=n, seed=29).passed
+    stride = 101 if check == "lemma1" else 211
+    assert seeds == [29 + stride * k for k in range(points)]
+    assert lists == [n]
 
 
 def test_reduction_chains():
@@ -1257,6 +1288,12 @@ RUN_CHECK_DIGESTS = {
     ("rec2", 3, 2, 2, 7): "5e9bf0be765b3004480480715295cbd207bae3e8287cf9e57793747fe2d6dfe1",
     ("rec2v", 3, 2, 2, 7): "a93d295277ba66bbfaa134b482b2dd0ab10bd8ef4c0261448f53f50abbc6dea8",
     ("chain", 4, 2, 0, 7): "811670200c3ba15cf8fa5d2b404b666d8c7055a806a1e515beca6816123bda62",
+    ("lemma1", 5, 1, 0, 7): "822991e1e18354d76b10048bb1b8e16ace4c9447af0d545659f9434ca7da3447",
+    ("lemma2", 5, 1, 0, 7): "54d84bac14a8581a100a792c182b65a81dd8470d00c4c0c392a93599bba81bbf",
+    ("chain", 5, 1, 0, 7): "5fbb1444a1c1f6a374388fe13101fd016dd8bf85d671db6645ec02fcc76fb200",
+    ("lemma1", 3, 1, 0, 8): "2baa43c14e338711ecb8c9d6e5bd809d5273c78ca31900f542062e212999fbcd",
+    ("lemma2", 3, 1, 0, 8): "a9d456bd2c1d99421e237409d83f042c4a38720a85674db30648ec694f2f1025",
+    ("chain", 3, 1, 0, 8): "b822be6d1b36f9600e76e575f81f0632e0180fcad5deccd03e07305e0da2d02c",
 }
 MAIN2_SIDE_DIGEST = "fbfc9ef40468d8071d28b6d32e18de3200c3b30785749fcaeda8064cdc844c4f"
 # f_lambda_series(lam, spin, t, 3, nvars=3).to_json() over bounded_partitions(3, 3)

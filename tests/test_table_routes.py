@@ -11,7 +11,10 @@ checked against the plain ensemble enumeration, past the largest part where
 the reachability prune acts.
 The key-lemma right sides are checked against their subset sums term by
 term, each conjugated Pfaffian built from its own matrix, and the subset-sum
-engine under them against a loop over the subsets on ``Fraction``s.
+engine under them against a loop over the subsets on ``Fraction``s.  The
+block and conjugated Pfaffians built on integer tables are checked against
+the Pfaffians of tables of ``Fraction`` entries, and the poles of the lemma
+and chain routes keep the messages and order they had on ``Fraction``s.
 """
 
 import math
@@ -22,9 +25,27 @@ from itertools import combinations, permutations
 import pytest
 
 from spinhl import vertex
-from spinhl.arith import ParamPoint, PoleError, SpinParams, perm_sign, qpoch, sample_point
-from spinhl.identities import _subset_product_sum, key_lemma1_sides, key_lemma2_sides, lemma_point
-from spinhl.pfaffian import MGammaSpec, m_conjugated
+from spinhl.arith import ParamPoint, PoleError, SpinParams, over_common_denominator, perm_sign, qpoch, sample_point
+from spinhl.identities import (
+    _chain_cor,
+    _chain_main1,
+    _chain_main2,
+    _littlewood_in_subset,
+    _subset_product_sum,
+    key_lemma1_sides,
+    key_lemma2_A_sides,
+    key_lemma2_sides,
+    lemma_point,
+)
+from spinhl.pfaffian import (
+    MGammaSpec,
+    b_determinant,
+    b_matrix,
+    block_pfaffians,
+    conjugated_pfaffian,
+    m_gamma,
+    pfaffian_side,
+)
 from spinhl.robbins import (
     monotone_triangles,
     mt_weight,
@@ -143,6 +164,12 @@ def robbins_reference(k, x, t, u, v, w):
         return val
 
     return antisymmetrize(g, x) / vandermonde(x)
+
+
+def m_conjugated(spec, T, u=None):
+    """The matrix over T conjugated by the diagonal B(T, T) of ``b_matrix``,
+    entry by entry: the reference for ``conjugated_pfaffian``."""
+    return m_gamma(spec, T, u=u).conjugate_diag(b_matrix(tuple(T), tuple(T), spec.point, u=u))
 
 
 def subsets(idx):
@@ -413,6 +440,19 @@ def random_subset_tables(rng, n):
     return poch, index, pair, block
 
 
+def cleared_subset_product_sum(n, poch, index, pair, block=None, proper=False):
+    """``_subset_product_sum`` of rational tables, each row (the poch list,
+    each index's two factors, each pair's four, the block table) put over
+    its least common denominator and laid out as the callers lay theirs."""
+    index = [over_common_denominator(row) for row in index]
+    pair = {ij: over_common_denominator(ends[k] for k in ((0, 0), (0, 1), (1, 0), (1, 1))) for ij, ends in pair.items()}
+    pair = {ij: ((nums[:2], nums[2:]), den) for ij, (nums, den) in pair.items()}
+    if block is not None:
+        nums, den = over_common_denominator(block.values())
+        block = dict(zip(block, nums)), den
+    return _subset_product_sum(n, over_common_denominator(poch), index, pair, block, proper)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_subset_product_sum_matches_the_per_subset_loop(seed):
     rng = random.Random(seed)
@@ -422,7 +462,7 @@ def test_subset_product_sum_matches_the_per_subset_loop(seed):
             poch, index, pair, block = random_subset_tables(rng, n)
             for blocks in (None, block):
                 for proper in (False, True):
-                    got = _subset_product_sum(n, poch, index, pair, blocks, proper)
+                    got = cleared_subset_product_sum(n, poch, index, pair, blocks, proper)
                     assert got == subset_product_reference(n, poch, index, pair, blocks, proper), (n, proper)
                     nonzero += got != 0
     assert nonzero > 64  # of 96 sums, 8 of them over no subset (n = 0, proper)
@@ -430,15 +470,15 @@ def test_subset_product_sum_matches_the_per_subset_loop(seed):
     n = 3
     poch, index, pair, block = random_subset_tables(rng, n)
     for zeros in ({T: 0 for T in block}, {T: F(0) for T in block}):
-        assert _subset_product_sum(n, poch, index, pair, zeros) == 0
+        assert cleared_subset_product_sum(n, poch, index, pair, zeros) == 0
     index = [(F(0), F(0))] + index[1:]
-    assert _subset_product_sum(n, poch, index, pair, block, True) == 0
+    assert cleared_subset_product_sum(n, poch, index, pair, block, True) == 0
     ints = [(2, -3)] * n
     expect = subset_product_reference(n, poch, ints, pair, block, False)
-    assert _subset_product_sum(n, poch, ints, pair, block) == expect != 0
+    assert cleared_subset_product_sum(n, poch, ints, pair, block) == expect != 0
 
 
-@pytest.mark.parametrize("seed", (7, 8, 9))
+@pytest.mark.parametrize("seed", (7, 8, 9, 11))
 def test_key_lemma_sums_match_the_per_subset_references(seed):
     for n in range(6):
         pt = lemma_point(seed, n)
@@ -447,6 +487,8 @@ def test_key_lemma_sums_match_the_per_subset_references(seed):
         assert rhs == key_lemma1_rhs(pt.u, q, s) == lhs, n
         lhs, rhs = key_lemma2_sides(pt, s, gamma)
         assert rhs == key_lemma2_rhs(pt, s, gamma) == lhs, n
+        lhs, rhs = key_lemma2_sides(pt, s, F(1))
+        assert rhs == key_lemma2_rhs(pt, s, F(1)) == lhs, n
         # the s = 0 then gamma = 0 specialization needs gamma_inv_s explicitly
         lhs, rhs = key_lemma2_sides(pt, 0, 0, gamma_inv_s=s)
         assert rhs == key_lemma2_rhs(pt, F(0), F(0), gamma_inv_s=s) == lhs, n
@@ -468,3 +510,94 @@ def test_key_lemma2_pole_keeps_its_message():
     with pytest.raises(PoleError) as got:
         key_lemma2_sides(pt, pt.spin.tail, pt.gamma)
     assert str(got.value) == str(ref.value) == "vanishing denominator: (1+t)(1 - u_1*u_2)(1 - q*u_1*u_2)"
+
+
+@pytest.mark.parametrize("seed", (7, 8, 11))
+def test_integer_tables_match_the_fraction_entry_pfaffians(seed):
+    # m_gamma is the table of m_gamma_entry Fractions (SkewMatrix.from_function);
+    # gamma = 1, the sampled gamma and gamma = 0 with s/gamma = s given; the
+    # u_1 = s companion's two conjugated Pfaffians, its right one at the
+    # shifted parameters (t gamma, q s); and the conjugated pairs
+    for n in range(1, 6):
+        pt = lemma_point(seed, n)
+        s, t, q = pt.spin.tail, pt.t, pt.q
+        full = tuple(range(1, n + 1))
+        u_sub = (s,) + pt.u[1:]
+        for spec in (MGammaSpec(pt, F(1), s), MGammaSpec(pt, pt.gamma, s), MGammaSpec(pt, F(0), F(0), s)):
+            nums, den = block_pfaffians(spec)
+            assert list(nums) == [T for size in range(n + 1) for T in combinations(full, size)]
+            for T, num in nums.items():
+                assert F(num, den) == m_gamma(spec, T).pfaffian(), (n, spec.gamma, T)
+            cases = [(spec, full, None), (spec, full, u_sub)] + [(spec, T, None) for T in combinations(full, 2)]
+            if spec.gamma:
+                cases.append((MGammaSpec(pt, t * spec.gamma, q * s), full[1:], None))
+            for spec_, T, u in cases:
+                want = m_gamma(spec_, T, u=u).pfaffian() * b_determinant(T, t, pt.u if u is None else u)
+                assert conjugated_pfaffian(spec_, T, u=u) == want, (n, spec_.gamma, T, u)
+
+
+PAIR_12 = "(1+t)(1 - u_1*u_2)(1 - q*u_1*u_2)"
+PAIR_13 = "(1+t)(1 - u_1*u_3)(1 - q*u_1*u_3)"
+S_2, S_3, S_1 = "(1+t)(1 - s*u_2)", "(1+t)(1 - s*u_3)", "(1+t)(1 - s*u_1)"
+
+# hand-picked poles at gamma = 3/5 and s = 1/7: (u, t, the message each route
+# raises, None where it raises none), pinned while every table entry was a
+# Fraction.  The routes, in order: block Pfaffians at gamma = 1 and 3/5, the
+# conjugated Pfaffian, the Pfaffian side, the second lemma at (s, gamma) and
+# at s = gamma = 0 with s/gamma = s, its u_1 = s companion, the main1, cor
+# and main2 chains, and the main1 chain's tables alone.
+LEMMA_POLES = {
+    "u_1 u_2 = 1": (
+        (F(3, 4), F(4, 3), F(2, 9)),
+        F(2, 3),
+        (PAIR_12,) * 6 + (None, "1 - u_1*u_2", PAIR_12, PAIR_12, "1 - u_1*u_2"),
+    ),
+    "q u_1 u_3 = 1": ((F(9, 8), F(5, 11), F(2)), F(2, 3), (PAIR_13,) * 6 + (None, None, PAIR_13, PAIR_13, None)),
+    "s u_2 = 1": (
+        (F(3, 4), F(7), F(2, 9)),
+        F(2, 3),
+        (None,) + (S_2,) * 4 + (None, S_2) + ("1 - s_0*u",) * 2 + (S_2, "1 - s_0*u"),
+    ),
+    "s u_3 = 1, u_1 u_2 = 1": (
+        (F(3, 4), F(4, 3), F(7)),
+        F(2, 3),
+        (PAIR_12,) + (S_3,) * 4 + (PAIR_12, S_3, "1 - u_1*u_2", PAIR_12, S_3, "1 - u_1*u_2"),
+    ),
+    "u_2 = 1": ((F(3, 4), F(1), F(2, 9)), F(2, 3), (None,) * 3 + ("1 - u_2",) + (None,) * 3 + ("1 - u_2",) * 4),
+    "u_1 u_2 = 1, u_3 = 1": (
+        (F(3, 4), F(4, 3), F(1)),
+        F(2, 3),
+        (PAIR_12,) * 3 + ("1 - u_3", PAIR_12, PAIR_12, None, "1 - u_1*u_2", "1 - u_3", "1 - u_3", "1 - u_1*u_2"),
+    ),
+    "t = -1": ((F(3, 4), F(5, 3), F(2, 9)), F(-1), (PAIR_12,) + (S_1,) * 6 + (None, PAIR_12, S_1, None)),
+}
+
+
+def lemma_routes(pt):
+    s, gamma, full = pt.spin.tail, pt.gamma, tuple(range(1, pt.n + 1))
+    return (
+        lambda: block_pfaffians(MGammaSpec(pt, F(1), s)),
+        lambda: block_pfaffians(MGammaSpec(pt, gamma, s)),
+        lambda: conjugated_pfaffian(MGammaSpec(pt, gamma, s), full),
+        lambda: pfaffian_side(MGammaSpec(pt, gamma, s), full),
+        lambda: key_lemma2_sides(pt, s, gamma),
+        lambda: key_lemma2_sides(pt, F(0), F(0), gamma_inv_s=s),
+        lambda: key_lemma2_A_sides(pt, s, gamma),
+        lambda: _chain_main1(pt),
+        lambda: _chain_cor(pt),
+        lambda: _chain_main2(pt),
+        lambda: _littlewood_in_subset(pt),
+    )
+
+
+@pytest.mark.parametrize("u, t, messages", LEMMA_POLES.values(), ids=list(LEMMA_POLES))
+def test_lemma_and_chain_poles_keep_their_messages_and_order(u, t, messages):
+    pt = ParamPoint(t, F(3, 5), SpinParams((), F(1, 7)), u)
+    got = []
+    for route in lemma_routes(pt):
+        try:
+            route()
+            got.append(None)
+        except PoleError as err:
+            got.append(err.what)
+    assert tuple(got) == messages
