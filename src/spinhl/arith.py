@@ -58,13 +58,8 @@ def qpoch(a, q, n):
 
     The empty product (n = 0) is 1.
     """
-    return qpochs(a, q, n)[n]
-
-
-def qpochs(a, q, n):
-    """[(a;q)_0, (a;q)_1, ..., (a;q)_n] (``qpoch_row`` as Fractions)."""
     nums, den = qpoch_row(a, q, n)
-    return [Fraction(num, den) for num in nums]
+    return Fraction(nums[n], den)
 
 
 def qpoch_row(a, q, n):
@@ -95,16 +90,11 @@ def qpoch_product_row(a, b, q, n):
     return [i * j for i, j in zip(x, y)], x_den * y_den
 
 
-def qpochs_product(a, b, q, n):
-    """[(a;q)_m (b;q)_m for m = 0..n] (``qpoch_product_row`` as Fractions)."""
-    nums, den = qpoch_product_row(a, b, q, n)
-    return [Fraction(num, den) for num in nums]
-
-
 class PochFamily:
-    """A family of Pochhammer factors: ``pochs(spin, r, n)`` lists the
-    factors of a part r at m = 0..n by running products (``qpochs``), and
-    calling the family with (spin, r, m) gives the factor at m.  A family
+    """A family of Pochhammer factors: ``pochs(spin, r, n)`` gives the
+    factors of a part r at m = 0..n as integer numerators over one
+    denominator, by running products (``qpoch_row``), and calling the family
+    with (spin, r, m) gives the factor at m as a ``Fraction``.  A family
     reads r only through s_r and whether r is 0, so every part r >= max(p, 1)
     has the factors of the spin tail.
 
@@ -118,7 +108,8 @@ class PochFamily:
         self.key = key
 
     def __call__(self, spin, r, m):
-        return self.pochs(spin, r, m)[m]
+        nums, den = self.pochs(spin, r, m)
+        return Fraction(nums[m], den)
 
     def __eq__(self, other):
         if self.key is None or not isinstance(other, PochFamily):
@@ -280,6 +271,12 @@ def one_minus(x, y, t=1):
     ``sample_point`` tests a candidate with no ``Fraction`` formed, and an
     integer series on ``Quotient``s of series."""
     return x.denominator * y.denominator * t.denominator**2 - x.numerator * y.numerator * t.numerator**2
+
+
+def minus(x, y):
+    """a d - b c for x = a/b and y = c/d, the numerator of x - y over b d,
+    read as ``one_minus`` reads its arguments."""
+    return x.numerator * y.denominator - y.numerator * x.denominator
 
 
 def part_factors(u, spin, top, single=None):

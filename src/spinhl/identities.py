@@ -23,12 +23,14 @@ taking the smallest part (``series.SymmetricSum``), so row k reads its
 univariate weights to degree cap // k only.  A final state's weight is a
 product of one factor per column, so the family weights are pulled back
 through the last row: its walks form a graph shared by suffix, which no
-family enters (``vertex.last_row_graph``), each family evaluates it once
-(``series.weigh_states``), and the values of its nodes past the spin
-prefix, which read only the spin tail's factors, are kept per tail row of
-factors, so families that share that row evaluate the rest only.  Each
-state before the last row then adds its sum times its node's value, in the
-same basis, and only the total is expanded into a series, once.
+family enters (``vertex.last_row_graph``), one graph per transfer (number
+of rows, spin, t, cap and budget), and each family evaluates it once on
+integer rows of its factors (``series.weigh_states``).  The values of the
+graph's nodes past the spin prefix, which read only the spin tail's
+factors, are kept per tail row of factors, so families that share that row
+evaluate the rest only.  Each state before the last row then adds its sum
+times its node's value, in the same basis, and only the total is expanded
+into a series, once.
 Every series check additionally extends the budget by one and confirms that
 no coefficient moves (the stabilization check): the weighting at budget
 B + 1 keeps the final states of excess B + 1 apart, and the check passes
@@ -71,16 +73,14 @@ from .arith import (
     ParamPoint,
     PoleError,
     SpinParams,
-    over_common_denominator,
     perm_sign,
     polynomial_expansion_equal,
     PochFamily,
+    minus,
     one_minus,
     part_factors,
     qpoch_product_row,
     qpoch_row,
-    qpochs,
-    qpochs_product,
     rat_str,
     sample_point,
 )
@@ -159,12 +159,12 @@ def _coeff_witness(diff):
 
 def poch_main1(q):
     """(-s_r; q)_m: the product-form family."""
-    return PochFamily(lambda spin, r, n: qpochs(-spin.lookup(r), q, n), ("main1", q))
+    return PochFamily(lambda spin, r, n: qpoch_row(-spin.lookup(r), q, n), ("main1", q))
 
 
 def poch_uniform(t):
     """(-t; t)_m (-s_r; t)_m: the Pfaffian-form family at gamma = 1."""
-    return PochFamily(lambda spin, r, n: qpochs_product(-t, -spin.lookup(r), t, n), ("uniform", t))
+    return PochFamily(lambda spin, r, n: qpoch_product_row(-t, -spin.lookup(r), t, n), ("uniform", t))
 
 
 def poch_gamma(t, gamma):
@@ -175,7 +175,7 @@ def poch_gamma(t, gamma):
 
     def pochs(spin, r, n):
         if r == 0:
-            return qpochs_product(-gamma * t, -s_over_gamma(spin.lookup(0), gamma), t, n)
+            return qpoch_product_row(-gamma * t, -s_over_gamma(spin.lookup(0), gamma), t, n)
         return uniform(spin, r, n)
 
     return PochFamily(pochs, ("gamma", t, gamma))
@@ -186,7 +186,9 @@ def poch_hl(t, from_part=0):
     sums with P_lambda = F_lambda(all spins 0) / prod_r (q; q)_{m_r}.
     from_part is 0 or 1, as a ``PochFamily`` reads r only through s_r and
     whether r is 0."""
-    return PochFamily(lambda spin, r, n: qpochs(-t, t, n) if r >= from_part else [1] * (n + 1), ("hl", t, from_part))
+    return PochFamily(
+        lambda spin, r, n: qpoch_row(-t, t, n) if r >= from_part else ([1] * (n + 1), 1), ("hl", t, from_part)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -207,22 +209,19 @@ def _transfer_sweep(nrows, spin, t, cap, budget, cache):
     ``cache`` per degree, as integer coefficient lists over their
     denominators.  The columns run to p + budget, and states whose excess
     passes the budget are dropped as they appear.  Rows 1..nrows-1 run
-    forward (``vertex.row_transfer``), kept in ``cache`` at the largest
-    budget requested so far; their states map to F_mu(x_1, ..., x_(nrows-1))
-    truncated at ``cap`` as ``SymmetricSum``s, so one sweep serves every list
-    of ``nrows`` variables.  The last row is the graph of its walks
-    (``vertex.last_row_graph``), which no family weight enters, so one graph
-    per budget serves every family (``series.weigh_states``)."""
+    forward (``vertex.row_transfer``); their states map to
+    F_mu(x_1, ..., x_(nrows-1)) truncated at ``cap`` as ``SymmetricSum``s,
+    so one sweep serves every list of ``nrows`` variables.  The last row is
+    the graph of its walks (``vertex.last_row_graph``), which no family
+    weight enters, so one graph serves every family
+    (``series.weigh_states``); ``_weighing`` keeps it in ``cache`` per
+    budget."""
     rows = []
     for d in (cap // k for k in range(1, nrows + 1)):
         rows.append(((spin.tail, d), cache.setdefault(("vertex weights", d, t, spin.tail), {})))
-    key = ("transfer", nrows, spin.prefix, spin.tail, t, cap)
-    sweep = cache.get(key)
-    if sweep is None or sweep[0] < budget:
-        room = [nrows] * (spin.p + budget + 1) + [0]
-        states = row_transfer([(u, w, None) for u, w in rows[:-1]], spin, t * t, SymmetricSum.one(cap), room, budget)
-        sweep = cache[key] = (budget, states)
-    return last_row_graph(sweep[1], rows[-1] if rows else None, spin, t * t, budget)
+    room = [nrows] * (spin.p + budget + 1) + [0]
+    states = row_transfer([(u, w, None) for u, w in rows[:-1]], spin, t * t, SymmetricSum.one(cap), room, budget)
+    return last_row_graph(states, rows[-1] if rows else None, spin, t * t, nrows, budget, cap)
 
 
 def _lhs_sum(n, spin, t, cap, poch, budget, cache, var_indices=None):
@@ -232,19 +231,18 @@ def _lhs_sum(n, spin, t, cap, poch, budget, cache, var_indices=None):
 
     The weights depend on lambda only through its multiplicities m_r, the
     final states of one vertex-model transfer, so the transfer is shared by
-    every family and every list of as many variables: its rows before the
-    last are kept in ``cache`` at the largest budget requested so far, and
-    its last row, pulled back into a graph, per budget
-    (``_transfer_sweep``).  Each family evaluates the graph once
+    every family and every list of as many variables: ``cache`` keeps one
+    graph per budget, the rows before the last with the last pulled back
+    onto them (``_transfer_sweep``).  Each family evaluates the graph once
     (``series.weigh_states``; the values at the columns past the spin
     prefix are kept on it per tail row of factors), into the sum at
     ``budget`` and, apart, the final states of excess exactly ``budget``,
     which the stabilization gate reads; the sum is expanded onto the listed
-    variables once.  ``cache``
-    keeps one such weighting per family, spin, t, cap, budget and variable
-    list (None meaning range(n)), so families of equal ``PochFamily.key``
-    share it (``_weighing``).  At q = 1 the factor 1/(q; q)_m has a pole
-    for every m >= 1, raised as ``PoleError`` before the transfer runs."""
+    variables once.  ``cache`` keeps one such weighting per family, spin,
+    t, cap, budget and variable list (None meaning range(n)), so families
+    of equal ``PochFamily.key`` share it (``_weighing``).  At q = 1 the
+    factor 1/(q; q)_m has a pole for every m >= 1, raised as ``PoleError``
+    before the transfer runs."""
     return _weighing(n, spin, t, cap, poch, budget, cache, var_indices)[0]
 
 
@@ -265,7 +263,7 @@ def _weighing(n, spin, t, cap, poch, budget, cache, var_indices):
         graph = cache.get(graph_key)
         if graph is None:
             graph = cache[graph_key] = _transfer_sweep(nrows, spin, t, cap, budget, cache)
-        total, below = weigh_states(graph, poch, spin, t * t, nrows, budget, cap)
+        total, below = weigh_states(graph, poch)
         got = cache[key] = (expand_symmetric(total, n, cap, var_indices), below, var_indices)
     return got
 
@@ -574,7 +572,7 @@ def _split_pairs(u, q, inside):
     in T) times x f D, and y with both ends in T."""
     pairs = {}
     for i, j in combinations(range(len(u)), 2):
-        diff = u[i].numerator * u[j].denominator - u[j].numerator * u[i].denominator
+        diff = minus(u[i], u[j])
         x, y, den = inside(i, j, diff)
         neither, only_j = q.denominator * diff * x, -_split_kernel(u, q, j, i) * x
         pairs[i, j] = ((neither, only_j), (_split_kernel(u, q, i, j) * x, y)), den
@@ -686,9 +684,7 @@ def key_lemma2_A_sides(point, s, gamma):
     s = Fraction(s)
     gamma = Fraction(gamma)
     lhs_num = prod(one_minus(s, ui) for ui in rest)
-    rhs_num = lhs_num * prod(
-        (s.numerator * ui.denominator - ui.numerator * s.denominator) * one_minus(s, ui, t) for ui in rest
-    )
+    rhs_num = lhs_num * prod(minus(s, ui) * one_minus(s, ui, t) for ui in rest)
     den = prod(s.denominator * ui.denominator for ui in rest)
     specg = MGammaSpec(point, gamma, s)
     lhs = (1 + t) * (1 - s * s) * conjugated_pfaffian(specg, range(1, n + 1), u=(s,) + rest) * Fraction(lhs_num, den)
@@ -775,15 +771,15 @@ def _subset_sum(point, l, poch, kernel, proper=True):
     prod_{i in T} (u_i - s_l) times the split kernel
     prod_{i in T, j not in T} (u_i - q u_j)/(u_i - u_j) times the kernel
     over T, times outers[l] (both from ``_chain_kernel``).  The factors
-    poch(spin, l, m), m = 0..n, are the family's one list (``PochFamily``),
-    put over their least common denominator, and the index row of i is
+    poch(spin, l, m), m = 0..n, are the family's one integer row
+    (``PochFamily``), and the index row of i is
     (b_i sd d_i, (a_i sd - sn b_i) n_i) over b_i sd d_i for s_l = sn/sd and
     the kernel's in-subset factor n_i/d_i."""
     sn, sd = point.s(l).as_integer_ratio()
     index = []
     for (a, b), (num, den) in zip((v.as_integer_ratio() for v in point.u), kernel.inside):
         index.append(((b * sd * den, (a * sd - sn * b) * num), b * sd * den))
-    pochs = over_common_denominator(poch.pochs(point.spin, l, point.n))
+    pochs = poch.pochs(point.spin, l, point.n)
     return _subset_product_sum(point.n, pochs, index, kernel.pairs, kernel.block, proper) * kernel.outers[l]
 
 
@@ -873,28 +869,31 @@ def _chain_main2(point):
 
     # splitting off the l = 0 term: the gamma-weighted sum equals the uniform
     # sum plus the correction that cancels against the reused identity
-    difference = PochFamily(
-        lambda sp, l, n: [g - one for g, one in zip(poch_g.pochs(sp, l, n), poch_1.pochs(sp, l, n))]
-    )
-    correction = _subset_sum(point, 0, difference, kernel, proper=False)
+    def difference(sp, l, n):
+        (g, g_den), (one, one_den) = poch_g.pochs(sp, l, n), poch_1.pochs(sp, l, n)
+        return [x * one_den - y * g_den for x, y in zip(g, one)], g_den * one_den
+
+    correction = _subset_sum(point, 0, PochFamily(difference), kernel, proper=False)
     results["cancel_split"] = rhs_total == total(poch_1) + correction
     return results
+
+
+_CHAINS = {"main1": _chain_main1, "cor": _chain_cor, "main2": _chain_main2}
 
 
 def check_reduction_chain(n, p, which, seed):
     """Verify every displayed intermediate equation of a reduction chain as an
     exact scalar identity at a seeded generic point with p prefix spins."""
     _check_inputs(1, n, p)
-    point = _chain_point(seed, n, p)
-    if which == "main1":
-        results = _chain_main1(point)
-    elif which == "cor":
-        results = _chain_cor(point)
-    elif which == "main2":
-        results = _chain_main2(point)
-    else:
+    if which not in _CHAINS:
         raise ValueError("unknown chain %r" % (which,))
-    params = {"n": n, "p": p, "which": which, "seed": seed}
+    return _chain_at(_chain_point(seed, n, p), which, seed)
+
+
+def _chain_at(point, which, seed):
+    """``check_reduction_chain`` at its sampled point."""
+    results = _CHAINS[which](point)
+    params = {"n": point.n, "p": point.spin.p, "which": which, "seed": seed}
     failing = [name for name, ok in results.items() if not ok]
     if failing:
         return CheckReport("chain", params, "fail", {"equations": failing})
@@ -930,9 +929,7 @@ def _lemma_poles(n):
     for i in range(n):
         out.append(lambda pt, i=i: one_minus(pt.spin.tail, pt.u[i]))
         out.append(lambda pt, i=i: one_minus(pt.spin.tail, pt.u[i], pt.t))
-        out.append(  # u_i - s
-            lambda pt, i=i: pt.u[i].numerator * pt.spin.tail.denominator - pt.spin.tail.numerator * pt.u[i].denominator
-        )
+        out.append(lambda pt, i=i: minus(pt.u[i], pt.spin.tail))
     out.append(lambda pt: one_minus(pt.spin.tail, pt.spin.tail))
     out.append(lambda pt: one_minus(pt.spin.tail, pt.spin.tail, pt.t))
     return out
@@ -945,12 +942,16 @@ def lemma_point(seed, n):
 
 
 def _chain_poles(n, p):
+    """The lemmas' and scalar poles, 1 - s_l u_i for l <= p + 2, and 1 - ratio_l
+    at l = p and max(p, 1) as prod_i (1 - s_l u_i) - prod_i (u_i - s_l) over k b_i."""
     poles = _lemma_poles(n) + _scalar_poles(p)
     for l in range(p + 3):
         for i in range(n):
             poles.append(lambda pt, l=l, i=i: one_minus(pt.s(l), pt.u[i]))
     for l in (p, max(p, 1)):
-        poles.append(lambda pt, l=l: 1 - part_factors(pt.u, pt.spin, l)[0][l])
+        poles.append(
+            lambda pt, l=l: prod(one_minus(pt.s(l), ui) for ui in pt.u) - prod(minus(ui, pt.s(l)) for ui in pt.u)
+        )
     return poles
 
 
@@ -990,7 +991,7 @@ def _lemma_report(name, n, seed, stride, identities, moved):
     params = {"n": n, "seed": seed, "points": npoints}
     poles = _lemma_poles(n)
     for k in range(npoints):
-        point = sample_point(seed + stride * k, n, 0, pole_list=poles)  # lemma_point(seed + stride * k, n)
+        point = sample_point(seed + stride * k, n, 0, pole_list=poles)
         if k == 0:
             first = point
         for label, sides in identities:
@@ -1039,9 +1040,10 @@ def check_lemma2_report(n, seed):
 
 
 def _chain_report(n, p, seed):
-    """The three reduction chains as one report: each chain's status, or the
-    witness of each failing chain."""
-    reports = {which: check_reduction_chain(n, p, which, seed) for which in ("main1", "cor", "main2")}
+    """The three reduction chains as one report, at one sampled point: each
+    chain's status, or the witness of each failing chain."""
+    point = _chain_point(seed, n, p)
+    reports = {which: _chain_at(point, which, seed) for which in _CHAINS}
     params = {"n": n, "p": p, "seed": seed}
     failing = [{which: rep.witness} for which, rep in reports.items() if not rep.passed]
     if failing:

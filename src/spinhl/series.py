@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import gcd, lcm
-from operator import mul, truediv
+from operator import mul
 
 from .arith import (
     PoleError,
@@ -35,7 +35,7 @@ from .arith import (
     one_minus,
     part_factors,
     perm_sign,
-    qpochs,
+    qpoch_row,
     truncated_product,
 )
 from .pfaffian import SkewMatrix, closed_entry
@@ -572,42 +572,43 @@ def _node_values(nodes, rows, last, values, stop):
     return values
 
 
-def weigh_states(graph, poch, spin, q, nrows, budget, cap):
+def weigh_states(graph, poch):
     """One pass of a family's weights over the final states of a series
-    transfer in ``nrows`` rows, given as its last row pulled back onto the
-    states before it (``vertex.LastRowGraph``).  A final state, the
-    multiplicity row (m_0, m_1, ...) of a partition lambda, weighs
-    prod_c poch(spin, c, m_c) / (q; q)_{m_c}; ``poch`` is an
-    ``arith.PochFamily`` or a plain callable (spin, r, m) -> factor.
+    transfer, given as its last row pulled back onto the states before it
+    (``vertex.LastRowGraph``, which carries the spin, q, number of rows and
+    cap).  A final state, the multiplicity row (m_0, m_1, ...) of a
+    partition lambda, weighs prod_c poch(spin, c, m_c) / (q; q)_{m_c} for
+    the ``arith.PochFamily`` ``poch``.
 
-    The factors are integer pairs, one row m = 0..nrows per column class,
-    each from one running product: a row for each column c < L = max(p, 1),
-    and one for every column from L on, where every family reads the spin
-    tail alike.  Each column's factor rides on the edge of the last row
-    that fixes m_c, so the graph's nodes take the family's weight of every
-    final state they reach, apart by the class of its excess
-    (``_node_values``), each on integer coefficient lists of length
-    cap // nrows + 1.  The nodes at the columns >= L read only the tail's
+    The factors are integer pairs in lowest terms with a positive
+    denominator, formed on the integer rows of the family and of (q; q)_m
+    (``arith.qpoch_row``), one row m = 0..nrows per column class: one for
+    each column c < L = max(p, 1), and one for every column from L on,
+    where every family reads the spin tail alike.  Each column's factor
+    rides on the edge of the last row that fixes m_c, so the graph's nodes
+    take the family's weight of every final state they reach, apart by the
+    class of its excess (``_node_values``), each on integer coefficient
+    lists of length cap // nrows + 1.  The nodes at the columns >= L read only the tail's
     row, so their values are kept on the graph per tail row, and a family
     that shares it with one weighed before evaluates the nodes left of L
     only.  Each state before the last row then adds its sum times its
     root's two values (``SymmetricSum.add``), one sum for the final states
-    of excess below ``budget`` and one for those at it; states past the
+    of excess below the budget and one for those at it; states past the
     budget have no root, and with no rows the one state is its own final
-    state, of weight 1.  Returns the sum at ``budget``, and the sum below
+    state, of weight 1.  Returns the sum at the budget, and the sum below
     it when some partition coefficient of the edge is nonzero, else None:
     ``expand_symmetric`` is injective, so None says exactly that both sums
     expand to one series."""
-    pochs = getattr(poch, "pochs", None)
-    if pochs is None:
-
-        def pochs(spin, r, n):
-            return [poch(spin, r, m) for m in range(n + 1)]
-
-    qq = qpochs(q, q, nrows)
+    spin, nrows, cap = graph.spin, graph.nrows, graph.cap
+    qq, qq_den = qpoch_row(graph.q, graph.q, nrows)
     rows = []
     for r in range(max(spin.p, 1) + 1):
-        rows.append([(f.numerator, f.denominator) for f in map(truediv, pochs(spin, r, nrows), qq)])
+        nums, den = poch.pochs(spin, r, nrows)
+        rows.append([])
+        for num, qm in zip(nums, qq):
+            num, qm = num * qq_den, den * qm
+            g = gcd(num, qm) if qm > 0 else -gcd(num, qm)
+            rows[-1].append((num // g, qm // g))
     last = len(rows) - 1
     tail_row = tuple(rows[last])
     values = graph.tail_values.get(tail_row)

@@ -14,6 +14,7 @@ to the last row and take the last row as a graph (``last_row_graph``).
 instead and are the brute-force reference.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
@@ -250,9 +251,10 @@ def _weighted_successors(state, u, spin, q, memos, scale, low, room, budget):
     return out
 
 
-class LastRowGraph:
+class LastRowGraph(namedtuple("LastRowGraph", "states nodes roots tail spin q nrows cap tail_values")):
     """The last row of a series transfer, pulled back from the final states
-    onto the states before it (``last_row_graph``).
+    onto the states before it (``last_row_graph``), with the spin, q, number
+    of rows and cap of the transfer.
 
     ``states`` maps each state before the last row to its ``SymmetricSum``,
     and ``roots`` each of them within the budget to its node.  ``nodes`` are
@@ -261,18 +263,14 @@ class LastRowGraph:
     tuple of its edges (child, walk weight, c, g2), the walk weight the
     ``series_weight`` pair of the vertex at column c that leaves g2 paths
     above it.  The first ``tail`` nodes lie at the columns c >= max(p, 1),
-    where every family reads the spin tail's factors alike, and
+    where every family reads the spin tail's factors alike, and the dict
     ``tail_values`` keeps their values per tail row of factors
     (``series.weigh_states``)."""
 
-    __slots__ = ("states", "nodes", "roots", "tail", "tail_values")
-
-    def __init__(self, states, nodes, roots, tail):
-        self.states, self.nodes, self.roots, self.tail = states, nodes, roots, tail
-        self.tail_values = {}
+    __slots__ = ()
 
 
-def last_row_graph(states, row, spin, q, budget):
+def last_row_graph(states, row, spin, q, nrows, budget, cap):
     """The last row of a series transfer as a graph that no family weight
     enters: the walks of the row from every state before it, shared by
     suffix.
@@ -285,12 +283,13 @@ def last_row_graph(states, row, spin, q, budget):
     An empty vertex weighs 1 and has one way through, so a node with h = 0
     and S[c] = 0 is its child; past the last column, or with h = 0 and
     nothing left of S, a walk ends in the class of its excess.  Edges of
-    weight zero are dropped, and so are nodes left without an edge; a state
-    whose excess passes ``budget`` gets no root.  ``row`` is the last row's
-    pair ((s, d), weights) as ``row_transfer`` takes it, each weight
-    computed once into the row's memo (``series_weight``), or None for a
-    sum over no rows, whose one state is its own final state: its root is an
-    end class."""
+    weight zero are dropped, and so are nodes left without an edge, so a
+    state whose excess passes ``budget``, which has no edge within it, gets
+    no root.  ``row`` is the last row's pair ((s, d), weights) as
+    ``row_transfer`` takes it, each weight computed once into the row's memo
+    (``series_weight``), or None for a sum over no rows (``nrows`` 0),
+    whose one state is its own final state: its root is an end class.  The
+    states' sums are truncated at ``cap``."""
     p = spin.p
     levels, roots = {}, {}
 
@@ -305,8 +304,7 @@ def last_row_graph(states, row, spin, q, budget):
 
     for state in states:
         excess = sum(m * (c - p) for c, m in enumerate(state) if c > p)
-        if excess <= budget:
-            roots[state] = node(0, 1, excess, state) if row is not None else int(excess == budget)
+        roots[state] = node(0, 1, excess, state) if row is not None else int(excess == budget)
     if levels:
         (s, d), weights = row
         width = len(next(iter(states)))
@@ -340,7 +338,7 @@ def last_row_graph(states, row, spin, q, budget):
         if c >= max(p, 1):
             tail = len(nodes)
     roots = {state: index[key] for state, key in roots.items() if key in index}
-    return LastRowGraph(states, nodes, roots, tail)
+    return LastRowGraph(states, nodes, roots, tail, spin, q, nrows, cap, {})
 
 
 def row_transfer(rows, spin, q, one, room, budget, single_top=False):

@@ -13,7 +13,7 @@ from spinhl.arith import (
     linear_quotient,
     part_factors,
     qpoch,
-    qpochs,
+    qpoch_row,
     rat,
     rat_str,
     sample_point,
@@ -91,31 +91,38 @@ def test_qpoch_splitting():
                 assert qpoch(a, q, m + n) == qpoch(a, q, m) * qpoch(a * q**m, q, n)
 
 
-def test_qpochs_lists_every_prefix():
+def test_qpoch_row_lists_every_prefix():
     # one running product gives each (a; q)_m the direct product gives
     for a, q in ((F(-3, 7), F(2, 5)), (F(1), F(2, 3)), (F(5, 2), F(-1, 4))):
         for n in range(7):
-            got = qpochs(a, q, n)
-            assert len(got) == n + 1
-            for m, value in enumerate(got):
+            nums, den = qpoch_row(a, q, n)
+            assert len(nums) == n + 1 and all(type(v) is int for v in nums + [den])
+            for m, num in enumerate(nums):
                 direct = F(1)
                 for i in range(m):
                     direct *= 1 - a * q**i
-                assert type(value) is F and value == direct == qpoch(a, q, m), (a, q, m)
+                value = qpoch(a, q, m)
+                assert type(value) is F and F(num, den) == value == direct, (a, q, m)
     with pytest.raises(ValueError, match="negative length"):
-        qpochs(F(1, 2), F(1, 3), -1)
+        qpoch_row(F(1, 2), F(1, 3), -1)
     with pytest.raises(ValueError, match="negative length"):
         qpoch(F(1, 2), F(1, 3), -1)
 
 
-def test_qpochs_takes_integer_arguments():
-    assert qpochs(-1, 1, 3) == [1, 2, 4, 8]
-    assert qpochs(F(1, 2), 2, 3) == [1, F(1, 2), 0, 0]
+def test_qpoch_row_takes_integer_arguments():
+    def values(a, q, n):
+        nums, den = qpoch_row(a, q, n)
+        return [F(num, den) for num in nums]
+
+    assert values(-1, 1, 3) == [1, 2, 4, 8]
+    assert values(F(1, 2), 2, 3) == [1, F(1, 2), 0, 0]
+    assert [qpoch(-1, 1, m) for m in range(4)] == [1, 2, 4, 8]
+    assert [qpoch(F(1, 2), 2, m) for m in range(4)] == [1, F(1, 2), 0, 0]
 
 
 def test_poch_family_equality_follows_its_key():
     def pochs(spin, r, n):
-        return qpochs(-spin.lookup(r), F(1, 4), n)
+        return qpoch_row(-spin.lookup(r), F(1, 4), n)
 
     keyed = PochFamily(pochs, ("main1", F(1, 4))), PochFamily(lambda spin, r, n: [], ("main1", F(1, 4)))
     assert keyed[0] == keyed[1] and hash(keyed[0]) == hash(keyed[1])
